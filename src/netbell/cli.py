@@ -93,14 +93,20 @@ def _build_scenario(args, parser) -> tuple[dict[str, InequalityExpr], dict]:
     if args.wiring is not None:
         wiring = args.wiring
         if isinstance(wiring, str):
-            wiring = _parse_wiring(wiring)
+            try:
+                wiring = _parse_wiring(wiring)
+            except ValueError as exc:
+                parser.error(f"bad wiring {args.wiring!r}: {exc}")
         else:
             wiring = tuple(tuple(w) for w in wiring)
         params["wiring"] = wiring
     if args.inter_bits is not None:
         bits = args.inter_bits
         if isinstance(bits, str):
-            bits = _parse_inter_bits(bits)
+            try:
+                bits = _parse_inter_bits(bits)
+            except ValueError as exc:
+                parser.error(f"bad inter-bits {args.inter_bits!r}: {exc}")
         else:
             bits = {int(k): int(v) for k, v in bits.items()}
         params["inter_bits"] = bits

@@ -89,19 +89,8 @@ def correlator_value(expr: InequalityExpr, term: Term,
 
 def evaluate_strategy(expr: InequalityExpr, strategy: Strategy):
     """Expression value for one strategy: exact Fraction when r = 1, else float."""
-    vals = [correlator_value(expr, t, strategy) for t in expr.terms]
-    if expr.exponent == 1:
-        return sum(t.coefficient * (abs(v) if expr.absolute else v)
-                   for t, v in zip(expr.terms, vals))
-    r = float(expr.exponent)
-    total = 0.0
-    for t, v in zip(expr.terms, vals):
-        fv = float(v)
-        if expr.absolute:
-            total += t.coefficient * abs(fv) ** r
-        else:
-            total += t.coefficient * math.copysign(abs(fv) ** r, fv)
-    return total
+    return sum(t.coefficient * expr.power(correlator_value(expr, t, strategy))
+               for t in expr.terms)
 
 
 # -- reduced enumeration -------------------------------------------------------

@@ -215,18 +215,6 @@ def from_letters(letter_string: str, phase: complex = 1) -> PauliString:
                 len(letter_string), phase)
 
 
-def multiply(p: PauliString, q: PauliString) -> PauliString:
-    return p * q
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    return p.commutes(q)
-
-
-def embed(p: PauliString, qubit_map: Sequence[int], n_total: int) -> PauliString:
-    return p.embed(qubit_map, n_total)
-
-
 def product(factors: Iterable[PauliString]) -> PauliString:
     """Left-to-right product of an iterable of words (must be non-empty)."""
     result: PauliString | None = None

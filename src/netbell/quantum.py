@@ -14,8 +14,6 @@ values come out exact.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -30,20 +28,23 @@ from .states import State
 ANGLE_MARGIN = 1e-3  # keep searches inside the open quadrant
 
 
-def thread_count() -> int:
-    try:
-        n = int(os.environ.get("NETBELL_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 @dataclass(frozen=True)
 class _CompiledTerm:
     coefficient: int
     base: float                      # normalization * 2^s, exact in binary
     trig: tuple[tuple[tuple[str, str], int], ...]  # (angle key, exponent bit)
     expectation: float
+
+
+def _trig_product(trig, angles: Mapping[tuple[str, str], float]) -> float:
+    """prod_j trig(theta_j, e_j), exactly 2^(-s/2) when every angle is pi/4."""
+    if all(angles[k] == QUARTER_PI for k, _ in trig):
+        return 2.0 ** (-len(trig) / 2)
+    prod = 1.0
+    for key, e in trig:
+        theta = angles[key]
+        prod *= math.sin(theta) if e else math.cos(theta)
+    return prod
 
 
 @dataclass(frozen=True)
@@ -54,30 +55,14 @@ class CompiledExpression:
     terms: tuple[_CompiledTerm, ...]
 
     def value(self, angles: Mapping[tuple[str, str], float]) -> float:
-        r = self.expr.exponent
-        rf = float(r)
         total = 0.0
         for t in self.terms:
-            s = len(t.trig)
-            if all(angles[k] == QUARTER_PI for k, _ in t.trig):
-                prod = 2.0 ** (-s / 2)
-            else:
-                prod = 1.0
-                for key, e in t.trig:
-                    theta = angles[key]
-                    prod *= math.sin(theta) if e else math.cos(theta)
-            v = t.base * prod * t.expectation
-            if self.expr.absolute:
-                v = abs(v) ** rf
-            elif r != 1:
-                v = math.copysign(abs(v) ** rf, v)
-            total += t.coefficient * v
+            v = t.base * _trig_product(t.trig, angles) * t.expectation
+            total += t.coefficient * self.expr.power(v)
         return total
 
     def gradient(self, angles: Mapping[tuple[str, str], float]) -> dict[tuple[str, str], float]:
         """d(value)/d(theta_key); smooth wherever no correlator sits at 0."""
-        r = self.expr.exponent
-        rf = float(r)
         grad = {key: 0.0 for key in self.expr.angle_keys()}
         for t in self.terms:
             factors = []
@@ -89,20 +74,44 @@ class CompiledExpression:
             prod = 1.0
             for _, f, _ in factors:
                 prod *= f
-            v = t.base * prod * t.expectation
-            if r == 1:
-                outer = 1.0 if not self.expr.absolute else math.copysign(1.0, v)
-            else:
-                av = max(abs(v), 1e-300)
-                outer = rf * av ** (rf - 1.0)
-                if self.expr.absolute:
-                    outer *= math.copysign(1.0, v)
+            outer = self.expr.power_slope(t.base * prod * t.expectation)
             for i, (key, f, df) in enumerate(factors):
                 rest = t.base * t.expectation
                 for j, (_, fj, _) in enumerate(factors):
                     rest *= df if j == i else fj
                 grad[key] += t.coefficient * outer * rest
         return grad
+
+    def step(self, key: tuple[str, str],
+             angles: Mapping[tuple[str, str], float]) -> tuple[float, float]:
+        """Best (theta, value) along one angle with every other angle fixed.
+
+        A term holding the angle is powr(a cos theta) or powr(a sin theta),
+        and powr(a c) = powr(a) c^r for c > 0, so along the open quadrant
+
+            value(theta) = A cos^r theta + B sin^r theta + C
+
+        exactly.  For A, B > 0 and r < 2 its one interior stationary point,
+        tan theta* = (B/A)^(1/(2-r)), is the maximum; otherwise the maximum
+        is at a margin endpoint.  Ties keep the current angle, then pi/4.
+        """
+        sums = [0.0, 0.0]  # A from the cos terms, B from the sin terms
+        for t in self.terms:
+            for i, (k, e) in enumerate(t.trig):
+                if k == key:
+                    rest = t.trig[:i] + t.trig[i + 1:]
+                    sums[e] += t.coefficient * self.expr.power(
+                        t.base * _trig_product(rest, angles) * t.expectation)
+        a, b = sums
+        lo, hi = ANGLE_MARGIN, math.pi / 2 - ANGLE_MARGIN
+        candidates = [angles[key], QUARTER_PI, lo, hi]
+        r = float(self.expr.exponent)
+        if a > 0 and b > 0 and r != 2:
+            p = 1.0 / (2.0 - r)
+            candidates.append(min(hi, max(lo, math.atan2(b ** p, a ** p))))
+        values = [self.value({**angles, key: theta}) for theta in candidates]
+        i = values.index(max(values))
+        return candidates[i], values[i]
 
 
 def compile_expression(expr: InequalityExpr, state: State) -> CompiledExpression:
@@ -140,53 +149,15 @@ class OptimizeResult:
     sweeps: int
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10):
-    """Golden-section maximum of a unimodal-enough section; returns (x, f(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
-def _ascend(compiled: CompiledExpression, start: dict, grid: int,
+def _ascend(compiled: CompiledExpression, start: dict,
             max_sweeps: int) -> tuple[float, dict, int]:
-    keys = list(start)
     angles = dict(start)
-    lo, hi = ANGLE_MARGIN, math.pi / 2 - ANGLE_MARGIN
     value = compiled.value(angles)
     sweeps = 0
-    for sweep in range(max_sweeps):
-        sweeps = sweep + 1
+    for sweeps in range(1, max_sweeps + 1):
         improved = 0.0
-        for key in keys:
-            def section(theta: float) -> float:
-                angles[key] = theta
-                return compiled.value(angles)
-
-            candidates = list(np.linspace(lo, hi, grid))
-            candidates += [QUARTER_PI, angles[key]]
-            best_theta = max(candidates, key=section)
-            width = (hi - lo) / (grid - 1)
-            g_lo = max(lo, best_theta - width)
-            g_hi = min(hi, best_theta + width)
-            theta, val = _golden_max(section, g_lo, g_hi)
-            # exact grid candidates (pi/4 in particular) may beat the
-            # refined point by a rounding margin; keep whichever wins
-            best_val = section(best_theta)
-            if best_val >= val:
-                theta, val = best_theta, best_val
-            angles[key] = theta
+        for key in start:
+            angles[key], val = compiled.step(key, angles)
             improved = max(improved, val - value)
             value = val
         if improved < 1e-12:
@@ -195,13 +166,13 @@ def _ascend(compiled: CompiledExpression, start: dict, grid: int,
 
 
 def optimize_angles(expr: InequalityExpr, state: State,
-                    starts: int = 8, seed: int = 11, grid: int = 64,
+                    starts: int = 8, seed: int = 11,
                     max_sweeps: int = 60) -> OptimizeResult:
-    """Multi-start coordinate ascent over the measurement angles.
+    """Multi-start coordinate ascent with an exact step per angle.
 
     Start 0 is the symmetric all-pi/4 point; the rest are seeded uniform
     draws.  Ties resolve to the earliest start, so results are deterministic
-    for a given seed regardless of NETBELL_THREADS.
+    for a given seed.
     """
     compiled = compile_expression(expr, state)
     keys = expr.angle_keys()
@@ -214,16 +185,7 @@ def optimize_angles(expr: InequalityExpr, state: State,
     for _ in range(max(0, starts - 1)):
         start_points.append(
             {k: float(rng.uniform(lo, hi)) for k in keys})
-
-    def run(point: dict) -> tuple[float, dict, int]:
-        return _ascend(compiled, point, grid, max_sweeps)
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, start_points))
-    else:
-        results = [run(p) for p in start_points]
+    results = [_ascend(compiled, p, max_sweeps) for p in start_points]
     best_value, best_angles, best_sweeps = results[0]
     for value, angles, sweeps in results[1:]:
         if value > best_value:

@@ -342,23 +342,6 @@ def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
         var = np.where(counts > 0, (1.0 - mean ** 2) / np.maximum(counts, 1.0),
                        np.inf)
 
-    r = float(expr.exponent)
-    exact_r = expr.exponent
-
-    def phi(v: float) -> float:
-        if expr.absolute:
-            return abs(v) ** r
-        if exact_r == 1:
-            return v
-        return math.copysign(abs(v) ** r, v)
-
-    def dphi(v: float) -> float:
-        if exact_r == 1:
-            return math.copysign(1.0, v) if expr.absolute else 1.0
-        av = max(abs(v), 1e-12)
-        d = r * av ** (r - 1.0)
-        return d * math.copysign(1.0, v) if expr.absolute else d
-
     def cell_of(term, xprofile) -> int:
         fam = term.family
         cell = 0
@@ -401,9 +384,9 @@ def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
     term_reports = []
     for t, cells, est in zip(expr.terms, term_cells, term_values):
         est = float(est)
-        value += t.coefficient * phi(est)
-        fam_value[t.family] += t.coefficient * phi(est)
-        outer = t.coefficient * dphi(est)
+        value += t.coefficient * expr.power(est)
+        fam_value[t.family] += t.coefficient * expr.power(est)
+        outer = t.coefficient * expr.power_slope(est)
         se2 = 0.0
         min_n = math.inf
         for c, w in cells:

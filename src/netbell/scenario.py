@@ -240,6 +240,25 @@ class InequalityExpr:
             raise ValueError(f"family {family!r} mixes correlator scales")
         return scales.pop()
 
+    def power(self, v):
+        """The correlator transform: identity, sign-preserving v^r, or |v|^r.
+
+        At r = 1 an exact Fraction stays exact.
+        """
+        if self.exponent == 1:
+            return abs(v) if self.absolute else v
+        r = float(self.exponent)
+        v = float(v)
+        return abs(v) ** r if self.absolute else math.copysign(abs(v) ** r, v)
+
+    def power_slope(self, v: float) -> float:
+        """d power(v) / dv, with |v| floored at 1e-12 where v^(r-1) diverges."""
+        if self.exponent == 1:
+            return math.copysign(1.0, v) if self.absolute else 1.0
+        r = float(self.exponent)
+        d = r * max(abs(v), 1e-12) ** (r - 1.0)
+        return math.copysign(d, v) if self.absolute else d
+
 
 AngleMap = Mapping[tuple[str, str], float]
 

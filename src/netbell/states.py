@@ -9,8 +9,8 @@ mixed state.  Expectation values of Hermitian Pauli words are exact:
 
 decided by GF(2) elimination over the symplectic rows with exact phase
 accumulation.  ``StabilizerMixture`` takes convex combinations.  ``DenseState``
-is the (slow, n <= 14) state-vector oracle used to cross-check the group
-backend and to drive sampling.
+is a (slow, n <= 14) state-vector test oracle used to cross-check the group
+backend; sampling never uses it.
 """
 
 from __future__ import annotations

@@ -155,6 +155,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["certify"])  # scenario neither on the line nor in a config
     assert exc.value.code == 2
+    for bad_flag in (["--wiring", "3:x"], ["--wiring", "3"],
+                     ["--inter-bits", "3:1:2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--scenario", "nkm", *bad_flag])
+        assert exc.value.code == 2
 
 
 def test_nkm_wiring_parsing(capsys):

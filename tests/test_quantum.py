@@ -1,7 +1,6 @@
 """Quantum values and angle optimization against closed forms."""
 
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -129,13 +128,49 @@ def test_optimize_chsh():
     assert max(res.start_values) == res.value
 
 
-def test_optimize_lands_exactly_on_quarter_pi():
-    # the symmetric start is kept whenever refinement cannot beat it
-    expr = build_star_first(3)
+@pytest.mark.parametrize("build,k", [
+    (build_star_first, 3), (build_star_first, 5), (build_star_first, 6),
+    (build_star_combined, 4), (build_star_combined, 5),
+], ids=["first-3", "first-5", "first-6", "combined-4", "combined-5"])
+def test_optimize_lands_exactly_on_quarter_pi(build, k):
+    # the symmetric start is kept whenever no step can beat it
+    expr = build(k)
     res = optimize_angles(expr, natural(expr), starts=2)
-    assert res.value == pytest.approx(2.0 ** 1.5, abs=1e-12)
+    assert res.value == pytest.approx(expr.claimed_quantum_max, abs=1e-12)
     for key in expr.angle_keys():
         assert res.angles[key] == QUARTER_PI
+
+
+def _step_cases():
+    two_source = build_two_source_linear()["combined"]
+    cases = [
+        (build_chsh(), None),
+        (build_star_nonlinear(3, Fraction(1, 3), "first"), None),
+        (build_bilocal_baseline()["bi"], smolin()),
+        (two_source, parse_state_spec("rho1(0.4)", two_source.topology)),
+    ]
+    return [compile_expression(expr, state if state is not None else natural(expr))
+            for expr, state in cases]
+
+
+STEP_CASES = _step_cases()
+LO, HI = quantum.ANGLE_MARGIN, math.pi / 2 - quantum.ANGLE_MARGIN
+STEP_GRID = np.linspace(LO, HI, 2001)
+
+
+@given(st.integers(0, len(STEP_CASES) - 1),
+       st.lists(st.floats(LO, HI), min_size=4, max_size=4),
+       st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_coordinate_step_beats_dense_grid(case, thetas, which):
+    compiled = STEP_CASES[case]
+    keys = compiled.expr.angle_keys()
+    angles = dict(zip(keys, thetas))
+    key = keys[which % len(keys)]
+    theta, value = compiled.step(key, angles)
+    assert value == compiled.value({**angles, key: theta})
+    best = max(compiled.value({**angles, key: float(x)}) for x in STEP_GRID)
+    assert value >= best - 1e-12
 
 
 def test_optimize_ghz_scenarios():
@@ -152,18 +187,6 @@ def test_optimize_nonlinear_star():
     expr = build_star_nonlinear(3, Fraction(1, 3), "first")
     res = optimize_angles(expr, natural(expr), starts=3)
     assert res.value == pytest.approx(2.0 ** 2.5, abs=1e-9)
-
-
-def test_threaded_optimization_matches_serial(monkeypatch):
-    expr = build_star_combined(2)
-    state = natural(expr)
-    monkeypatch.delenv("NETBELL_THREADS", raising=False)
-    serial = optimize_angles(expr, state, starts=6, seed=23)
-    monkeypatch.setenv("NETBELL_THREADS", "4")
-    threaded = optimize_angles(expr, state, starts=6, seed=23)
-    assert serial.value == threaded.value
-    assert serial.start_values == threaded.start_values
-    assert serial.angles == threaded.angles
 
 
 def test_gradient_matches_finite_differences():
@@ -228,12 +251,3 @@ def test_evaluate_rejects_unknown_angles():
     expr = build_chsh()
     with pytest.raises(KeyError):
         evaluate(expr, natural(expr), {("Q", "ZX"): 0.3})
-
-
-def test_thread_count_parsing(monkeypatch):
-    monkeypatch.delenv("NETBELL_THREADS", raising=False)
-    assert quantum.thread_count() == 1
-    monkeypatch.setenv("NETBELL_THREADS", "3")
-    assert quantum.thread_count() == 3
-    monkeypatch.setenv("NETBELL_THREADS", "0")
-    assert quantum.thread_count() == 1
