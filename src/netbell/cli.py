@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -98,7 +99,12 @@ def _build_scenario(args, parser) -> tuple[dict[str, InequalityExpr], dict]:
             except ValueError as exc:
                 parser.error(f"bad wiring {args.wiring!r}: {exc}")
         else:
-            wiring = tuple(tuple(w) for w in wiring)
+            try:
+                wiring = tuple((operator.index(s), operator.index(a),
+                                operator.index(b)) for s, a, b in wiring)
+            except (TypeError, ValueError):
+                parser.error(f"bad wiring {args.wiring!r}: expected a list of "
+                             "[source, hub, hub] triples")
         params["wiring"] = wiring
     if args.inter_bits is not None:
         bits = args.inter_bits
@@ -108,7 +114,11 @@ def _build_scenario(args, parser) -> tuple[dict[str, InequalityExpr], dict]:
             except ValueError as exc:
                 parser.error(f"bad inter-bits {args.inter_bits!r}: {exc}")
         else:
-            bits = {int(k): int(v) for k, v in bits.items()}
+            try:
+                bits = {int(k): operator.index(v) for k, v in bits.items()}
+            except (AttributeError, TypeError, ValueError):
+                parser.error(f"bad inter-bits {args.inter_bits!r}: expected a "
+                             "mapping from source to bit")
         params["inter_bits"] = bits
     try:
         exprs = info.build(**params)

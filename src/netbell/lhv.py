@@ -96,39 +96,21 @@ def evaluate_strategy(expr: InequalityExpr, strategy: Strategy):
 # -- reduced enumeration -------------------------------------------------------
 
 
-def _party_term_plan(expr: InequalityExpr, party: str):
-    """Per term: how this party's outputs enter (bracket or single factor)."""
-    inputs = expr.party_inputs(party)
-    index = {inp: i for i, inp in enumerate(inputs)}
-    plan = []
-    for t in expr.terms:
-        corr = t.correlator
-        if party in corr.exponent_map:
-            e = corr.exponent_map[party]
-            i0 = index[expr.input_label(t.family, party, "0")]
-            i1 = index[expr.input_label(t.family, party, "1")]
-            plan.append(("bracket", i0, i1, 1 if e == 0 else -1))
-        else:
-            j = index[expr.input_label(t.family, party, corr.joint_map[party])]
-            plan.append(("factor", j))
-    return inputs, plan
-
-
 def _party_behaviors(expr: InequalityExpr, party: str):
-    """Distinct per-term factor vectors with one witness assignment each."""
-    inputs, plan = _party_term_plan(expr, party)
+    """Distinct per-term factor vectors with one witness assignment each.
+
+    A term's factor is the bracket s_x0 +- s_x1 for a single party (sign
+    (-1)^e) and the one output s_input for a joint party.
+    """
+    index = expr.input_index
+    j = index.parties.index(party)
+    inputs = index.vocab[j]
     m = len(inputs)
     # all +-1 assignments, bit i of the row index selecting output for input i
     codes = np.arange(1 << m, dtype=np.int64)
     signs = 1 - 2 * ((codes[:, None] >> np.arange(m)) & 1)  # (2^m, m)
-    cols = []
-    for step in plan:
-        if step[0] == "bracket":
-            _, i0, i1, sgn = step
-            cols.append(signs[:, i0] + sgn * signs[:, i1])
-        else:
-            cols.append(signs[:, step[1]])
-    keys = np.stack(cols, axis=1)  # (2^m, T)
+    bracket = np.where(index.single[:, j], 1 - 2 * index.exponents[:, j], 0)
+    keys = signs[:, index.inputs[:, j, 0]] + bracket * signs[:, index.inputs[:, j, 1]]
     uniq, first = np.unique(keys, axis=0, return_index=True)
     witnesses = [tuple(int(v) for v in signs[i]) for i in first]
     return inputs, uniq.astype(np.int64), witnesses
@@ -210,8 +192,12 @@ def cross_polytope_structure(expr: InequalityExpr) -> tuple[FamilyBlock, ...] | 
     zeroes all but one label per family and the surviving correlator equals
     +-scale, so the vertex set per block is exactly {+-scale * e_label}.
     """
+    index = expr.input_index
+    width = max(len(v) for v in index.vocab)
+    # (party, input) pairs as integers; a joint party's input fills both slots
+    pairs = np.arange(len(index.parties))[:, None] * width + index.inputs
     blocks = []
-    input_owner: dict[tuple[str, str], str] = {}
+    owned = np.zeros(0, dtype=np.int64)
     for fam in expr.families():
         indices = tuple(i for i, t in enumerate(expr.terms) if t.family == fam)
         terms = [expr.terms[i] for i in indices]
@@ -229,15 +215,10 @@ def cross_polytope_structure(expr: InequalityExpr) -> tuple[FamilyBlock, ...] | 
         scales = {t.correlator.normalization * (1 << k) for t in terms}
         if len(scales) != 1:
             return None
-        for t in terms:
-            pairs = [(p, expr.input_label(fam, p, b))
-                     for p in t.correlator.exponent_map for b in "01"]
-            pairs += [(p, expr.input_label(fam, p, inp))
-                      for p, inp in t.correlator.joint_inputs]
-            for pair in pairs:
-                owner = input_owner.setdefault(pair, fam)
-                if owner != fam:
-                    return None  # families share an input: blocks not independent
+        fam_pairs = np.unique(pairs[list(indices)])
+        if np.intersect1d(fam_pairs, owned).size:
+            return None  # families share an input: blocks not independent
+        owned = np.union1d(owned, fam_pairs)
         blocks.append(FamilyBlock(fam, indices, k, scales.pop()))
     return tuple(blocks)
 

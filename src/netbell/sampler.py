@@ -9,18 +9,27 @@ every source the joint +-1 outcome distribution of its qubits is
 
 with m_T the expectation of the product of the chosen per-qubit observables
 over T, expanded into Pauli words and evaluated on the stabilizer backend.
-No dense state vectors are built, so register size is not the limit.
+No dense state vectors are built, so register size is not the limit.  Rounds
+that share a source's (mixture component, qubit settings) form a group; the
+groups are numbered through small lookup tables, one qubit at a time, without
+sorting the rounds, and every round then reads its outcome off its group's
+row of one CDF table.
 
 Estimation inverts the correlator definition: cells are the distinct input
 profiles, and
 
     I_label = normalization * sum_x (-1)^(x . e) mean_cell(x)
 
+It touches only the sum_t 2^(s_t) cells the terms use, found through the
+expression's cached input index, never the product of all vocabulary sizes.
 Several correlators may reuse a cell (fanned-out scenarios do); standard
 errors therefore aggregate the per-cell weight across terms, applying the
 delta method when the expression raises correlators to a power r != 1.  An
 empty cell makes the affected standard error infinite rather than silently
-dropping the term.
+dropping the term; a cell whose weights cancel to zero affects nothing.
+Every sum runs in the order of the per-cell loop it replaces, so reports
+are reproducible bit for bit, and the CSV round log is byte for byte what
+``csv.writer`` gives row by row.
 """
 
 from __future__ import annotations
@@ -29,16 +38,16 @@ import csv
 import io
 import itertools
 import math
+import os
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import pauli, states
 from .network import NetworkTopology
-from .scenario import (AngleMap, InequalityExpr, JointPauliObservable,
-                       SingleQubitObservable, resolve_angles)
+from .scenario import (AngleMap, InequalityExpr, SingleQubitObservable,
+                       resolve_angles, small_int)
 from .states import StabilizerGroup, StabilizerMixture, State
 
 
@@ -152,17 +161,45 @@ class RoundBatch:
 
     def to_csv(self, target) -> None:
         """Write long-format rows: round,party,input,outcome."""
-        if isinstance(target, (str, bytes)):
+        if isinstance(target, (str, bytes, os.PathLike)):
             with open(target, "w", newline="") as fh:
                 self.to_csv(fh)
             return
-        writer = csv.writer(target)
-        writer.writerow(["round", "party", "input", "outcome"])
-        for i in range(self.n_rounds):
-            for p in self.parties:
-                writer.writerow([
-                    i, p, self.vocab[p][self.input_idx[p][i]],
-                    int(self.outcomes[p][i])])
+        csv.writer(target).writerow(["round", "party", "input", "outcome"])
+        # per party, csv.writer's text for the rest of each (input, outcome) row
+        tails = [np.array(["," + _csv_row([p, inp, out])
+                           for inp in self.vocab[p] for out in (1, -1)],
+                          dtype=object) for p in self.parties]
+        for lo in range(0, self.n_rounds, _CSV_CHUNK):
+            hi = min(lo + _CSV_CHUNK, self.n_rounds)
+            numbers = [str(i) for i in range(lo, hi)]
+            columns = []
+            for p, tail in zip(self.parties, tails):
+                row = (2 * self.input_idx[p][lo:hi].astype(np.intp)
+                       + (self.outcomes[p][lo:hi] < 0))
+                columns += [numbers, tail[row].tolist()]
+            target.write("".join(itertools.chain.from_iterable(zip(*columns))))
+
+
+_CSV_CHUNK = 8192
+
+
+def _csv_row(fields) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()
+
+
+def _renumber(code: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct codes (all below ``bound``) in increasing order.
+
+    Returns each element's number and the code each number stands for.  No
+    sort: the lookup table has ``bound`` entries, not one per element.
+    """
+    seen = np.zeros(bound, dtype=bool)
+    seen[code] = True
+    codes = np.flatnonzero(seen)
+    return (np.cumsum(seen) - 1).astype(small_int(len(codes)))[code], codes
 
 
 def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
@@ -174,15 +211,18 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
     topo = expr.topology
     components = _components(state)
     _validate_product(topo, components)
-    parties = topo.party_ids()
+    index = expr.input_index
+    parties = index.parties
     families = expr.families()
     n_fam = len(families)
 
-    # per-family label lists and per-party vocabularies
-    fam_terms = [expr.terms_for(f) for f in families]
+    # term_of[f, l]: the l-th term of family f
+    fam_terms = [[t for t, term in enumerate(expr.terms) if term.family == f]
+                 for f in families]
     fam_counts = np.array([len(ts) for ts in fam_terms])
-    vocab = {p: expr.party_inputs(p) for p in parties}
-    vindex = {p: {inp: i for i, inp in enumerate(vocab[p])} for p in parties}
+    term_of = np.zeros((n_fam, int(fam_counts.max())), dtype=np.intp)
+    for fi, ts in enumerate(fam_terms):
+        term_of[fi, :len(ts)] = ts
 
     # observable spec registry: letter/coefficient sums per qubit setting
     specs: list[Spec] = []
@@ -194,92 +234,83 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
             specs.append(spec)
         return spec_ids[spec]
 
-    # classify by observable type: a joint party may own a single qubit
-    base_obs = expr.observables_for(families[0])
-    singles = [p for p in parties if isinstance(base_obs[p], SingleQubitObservable)]
-    joints = [p for p in parties if isinstance(base_obs[p], JointPauliObservable)]
-    max_labels = int(fam_counts.max())
-
-    # input-index and qubit-spec lookup tables
-    single_input = {p: np.zeros((n_fam, 2), dtype=np.int64) for p in singles}
-    single_spec = {p: np.zeros((n_fam, 2), dtype=np.int64) for p in singles}
-    joint_input = {p: np.zeros((n_fam, max_labels), dtype=np.int64) for p in joints}
-    joint_spec = {p: {q: np.zeros((n_fam, max_labels), dtype=np.int64)
-                      for q in topo.party(p).qubits} for p in joints}
-    for fi, f in enumerate(families):
-        obs_map = expr.observables_for(f)
-        for p in singles:
-            obs = obs_map[p]
-            assert isinstance(obs, SingleQubitObservable)
-            theta = resolved[(p, obs.plane)]
-            for x in (0, 1):
-                single_input[p][fi, x] = vindex[p][expr.input_label(f, p, str(x))]
-                sign = 1.0 if x == 0 else -1.0
-                single_spec[p][fi, x] = spec_id((
-                    ("Z", math.cos(theta)), (obs.plane[1], sign * math.sin(theta))))
-        for p in joints:
-            obs = obs_map[p]
-            assert isinstance(obs, JointPauliObservable)
-            for li, term in enumerate(fam_terms[fi]):
-                raw = term.correlator.joint_map[p]
-                joint_input[p][fi, li] = vindex[p][expr.input_label(f, p, raw)]
-                letters = obs.letters_for(raw)
-                for pos, q in enumerate(obs.qubits):
-                    joint_spec[p][q][fi, li] = spec_id(((letters[pos], 1.0),))
+    # spec_of[q][t, x]: the setting of qubit q in term t for its party's bit x
+    spec_of = {}
+    for p in parties:
+        qubits = topo.party(p).qubits
+        tables = [np.zeros((len(expr.terms), 2), dtype=np.int64) for _ in qubits]
+        for fi, f in enumerate(families):
+            obs = expr.observables_for(f)[p]
+            if isinstance(obs, SingleQubitObservable):
+                theta = resolved[(p, obs.plane)]
+                for x, sign in ((0, 1.0), (1, -1.0)):
+                    tables[0][fam_terms[fi], x] = spec_id((
+                        ("Z", math.cos(theta)),
+                        (obs.plane[1], sign * math.sin(theta))))
+                continue
+            for t in fam_terms[fi]:
+                raw = expr.terms[t].correlator.joint_map[p]
+                for table, letter in zip(tables, obs.letters_for(raw)):
+                    table[t] = spec_id(((letter, 1.0),))
+        spec_of.update(zip(qubits, tables))
+    spec_type = small_int(len(specs))
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     fam = rng.integers(0, n_fam, size=n_rounds)
     label = np.floor(rng.random(n_rounds) * fam_counts[fam]).astype(np.int64)
-    xbits = {p: rng.integers(0, 2, size=n_rounds) for p in singles}
-    weights = np.array([w for w, _ in components])
+    term = term_of[fam, label]
+    del fam, label
+    singles = index.single.any(axis=0)
+    xbits = {p: rng.integers(0, 2, size=n_rounds).astype(np.int8)
+             for p, single in zip(parties, singles) if single}
     if len(components) > 1:
-        comp = np.searchsorted(np.cumsum(weights), rng.random(n_rounds),
-                               side="right")
-        comp = np.minimum(comp, len(components) - 1)
+        comp = np.searchsorted(np.cumsum([w for w, _ in components]),
+                               rng.random(n_rounds), side="right")
+        comp = np.minimum(comp, len(components) - 1).astype(small_int(len(components)))
     else:
-        comp = np.zeros(n_rounds, dtype=np.int64)
+        comp = np.zeros(n_rounds, dtype=np.int8)
 
     input_idx = {}
     qubit_spec = {}
-    for p in singles:
-        input_idx[p] = single_input[p][fam, xbits[p]]
-        qubit_spec[topo.party(p).qubits[0]] = single_spec[p][fam, xbits[p]]
-    for p in joints:
-        input_idx[p] = joint_input[p][fam, label]
+    for j, p in enumerate(parties):
+        x = xbits.get(p, 0)
+        input_idx[p] = index.inputs[:, j, :][term, x]
         for q in topo.party(p).qubits:
-            qubit_spec[q] = joint_spec[p][q][fam, label]
+            qubit_spec[q] = spec_of[q].astype(spec_type)[term, x]
+    del term, xbits
 
-    # sample each source over the distinct (component, spec...) codes
-    qubit_sign = {q: np.ones(n_rounds, dtype=np.int8) for q in range(topo.n_qubits)}
-    n_spec = len(specs)
+    # per source: compact the (component, spec...) groups one qubit at a
+    # time, then draw every round from its group's row of one CDF table
+    qubit_sign = {}
+    width = len(specs)
     for src in topo.sources:
         qs = list(src.qubits)
-        code = comp.copy()
+        group = comp
+        keys = [(c,) for c in range(len(components))]
         for q in qs:
-            code = code * n_spec + qubit_spec[q]
-        uniq, inverse = np.unique(code, return_inverse=True)
-        u = rng.random(n_rounds)
-        for gi in range(len(uniq)):
-            mask = inverse == gi
-            row = int(np.argmax(mask))
-            group = components[int(comp[row])][1]
-            spec_list = [specs[int(qubit_spec[q][row])] for q in qs]
-            dist = _source_distribution(group, qs, spec_list)
-            cdf = np.cumsum(dist)
-            idx = np.searchsorted(cdf, u[mask] * cdf[-1], side="right")
-            idx = np.minimum(idx, len(dist) - 1)
-            for pos, q in enumerate(qs):
-                bits = (idx >> pos) & 1
-                qubit_sign[q][mask] = 1 - 2 * bits.astype(np.int8)
+            bound = len(keys) * width
+            group, codes = _renumber(
+                group.astype(small_int(bound)) * width + qubit_spec[q], bound)
+            keys = [keys[c // width] + (c % width,) for c in codes.tolist()]
+        cdf = np.array([np.cumsum(_source_distribution(
+            components[key[0]][1], qs, [specs[i] for i in key[1:]]))
+            for key in keys])
+        target = rng.random(n_rounds) * cdf[group, -1]
+        outcome = np.zeros(n_rounds, dtype=small_int(1 << len(qs)))
+        for column in cdf.T:  # count the CDF entries <= target
+            outcome += column[group] <= target
+        np.minimum(outcome, (1 << len(qs)) - 1, out=outcome)
+        for pos, q in enumerate(qs):
+            qubit_sign[q] = (1 - 2 * ((outcome >> pos) & 1)).astype(np.int8)
 
     outcomes = {}
     for p in parties:
         sign = np.ones(n_rounds, dtype=np.int8)
         for q in topo.party(p).qubits:
-            sign *= qubit_sign[q]
+            if q in qubit_sign:
+                sign *= qubit_sign[q]
         outcomes[p] = sign
-    return RoundBatch(tuple(parties), vocab,
-                      {p: a.astype(np.int64) for p, a in input_idx.items()},
+    return RoundBatch(parties, dict(zip(parties, index.vocab)), input_idx,
                       outcomes, seed)
 
 
@@ -319,90 +350,91 @@ class EstimateReport:
         }
 
 
+_DIRECT_CELLS = 1 << 16
+
+
+def _delta_se(slot: np.ndarray, deriv: np.ndarray, var: np.ndarray) -> float:
+    """sqrt(sum over cells of d^2 var), d the cell's summed derivative.
+
+    Cells are added one after another in order of first appearance in
+    ``slot``.  A cell whose derivatives cancel to 0 (or the padding slot)
+    adds nothing, even when it is empty.
+    """
+    d = np.bincount(slot.ravel(), weights=deriv.ravel(), minlength=len(var))
+    cells, first = np.unique(slot, return_index=True)
+    order = cells[np.argsort(first)]
+    order = order[d[order] != 0.0]
+    return math.sqrt(sum((d[order] * d[order] * var[order]).tolist()))
+
+
 def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
     """Reconstruct correlators and the expression value from rounds."""
-    parties = expr.topology.party_ids()
-    if batch.parties != tuple(parties):
+    index = expr.input_index
+    if batch.parties != index.parties:
         raise ValueError("round batch does not match the scenario's parties")
-    sizes = [len(batch.vocab[p]) for p in parties]
-    strides = np.cumprod([1] + sizes[::-1])[::-1][1:]
-    code = np.zeros(batch.n_rounds, dtype=np.int64)
-    prod = np.ones(batch.n_rounds, dtype=np.float64)
-    for p, stride in zip(parties, strides):
+    if any(tuple(batch.vocab[p]) != v for p, v in zip(index.parties, index.vocab)):
+        raise ValueError("round batch inputs do not match the scenario's")
+    # one code per input profile, for the rounds and the terms' cells alike;
+    # a code range wider than _DIRECT_CELLS is renumbered to the profiles
+    # present before it grows further
+    cell_inputs, signs = index.cells
+    n = batch.n_rounds
+    sizes = [len(v) for v in index.vocab]
+    code = np.zeros(n + signs.size, dtype=np.int8)
+    n_cells = 1
+    prod = np.ones(n, dtype=np.float64)
+    for j in sorted(range(len(sizes)), key=lambda j: -sizes[j]):
+        p = index.parties[j]
         idx = batch.input_idx[p]
-        if idx.max(initial=0) >= len(batch.vocab[p]):
+        if idx.size and (idx.min() < 0 or idx.max() >= sizes[j]):
             raise ValueError(f"input index out of range for {p}")
-        code += idx * stride
+        if n_cells * sizes[j] > _DIRECT_CELLS:
+            code, present = _renumber(code, n_cells)
+            n_cells = len(present)
+        code = (code.astype(small_int(n_cells * sizes[j])) * sizes[j]
+                + np.concatenate([idx, cell_inputs[j].ravel()]))
+        n_cells *= sizes[j]
         prod *= batch.outcomes[p]
-    n_cells = int(np.prod(sizes))
-    counts = np.bincount(code, minlength=n_cells).astype(np.float64)
-    sums = np.bincount(code, weights=prod, minlength=n_cells)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0)
-        var = np.where(counts > 0, (1.0 - mean ** 2) / np.maximum(counts, 1.0),
-                       np.inf)
+    slot = np.where(signs != 0, code[n:].reshape(signs.shape), n_cells)
+    counts = np.bincount(code[:n], minlength=n_cells).astype(np.float64)
+    sums = np.bincount(code[:n], weights=prod, minlength=n_cells)
+    mean = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0)
+    var = np.where(counts > 0, (1.0 - mean ** 2) / np.maximum(counts, 1.0),
+                   np.inf)
+    # the padding slot: no weight, no variance, never the smallest count
+    counts, mean, var = (np.append(a, pad) for a, pad in
+                         ((counts, np.inf), (mean, 0.0), (var, 0.0)))
 
-    def cell_of(term, xprofile) -> int:
-        fam = term.family
-        cell = 0
-        xiter = iter(xprofile)
-        for p, stride in zip(parties, strides):
-            corr = term.correlator
-            if p in corr.exponent_map:
-                raw = str(next(xiter))
-            else:
-                raw = corr.joint_map[p]
-            cell += batch.vocab[p].index(expr.input_label(fam, p, raw)) * stride
-        return int(cell)
-
-    term_cells = []
-    term_values = []
-    empty = 0
-    for t in expr.terms:
-        corr = t.correlator
-        exps = [e for _, e in corr.exponents]
-        norm = float(corr.normalization)
-        cells = []
-        est = 0.0
-        min_n = math.inf
-        for xprofile in itertools.product((0, 1), repeat=len(exps)):
-            sign = -1.0 if sum(x * e for x, e in zip(xprofile, exps)) % 2 else 1.0
-            c = cell_of(t, xprofile)
-            cells.append((c, norm * sign))
-            est += norm * sign * mean[c]
-            min_n = min(min_n, counts[c])
-            if counts[c] == 0:
-                empty += 1
-        term_cells.append(cells)
-        term_values.append(est)
+    norms = np.array([float(t.correlator.normalization) for t in expr.terms])
+    weights = norms[:, None] * signs
+    est = np.zeros(len(expr.terms))
+    se2 = np.zeros(len(expr.terms))
+    for c in range(signs.shape[1]):  # profile by profile, as the sums run
+        w, cell = weights[:, c], slot[:, c]
+        est = est + w * mean[cell]
+        se2 = se2 + w * w * var[cell]
+    cell_counts = counts[slot]
+    min_n = cell_counts.min(axis=1)
+    empty = int(np.count_nonzero(cell_counts == 0))
 
     # delta-method error propagation with per-cell weight aggregation
-    cell_deriv: dict[int, float] = {}
-    fam_cell_deriv: dict[str, dict[int, float]] = {f: {} for f in expr.families()}
     value = 0.0
     fam_value = {f: 0.0 for f in expr.families()}
+    outer = np.zeros(len(expr.terms))
     term_reports = []
-    for t, cells, est in zip(expr.terms, term_cells, term_values):
-        est = float(est)
-        value += t.coefficient * expr.power(est)
-        fam_value[t.family] += t.coefficient * expr.power(est)
-        outer = t.coefficient * expr.power_slope(est)
-        se2 = 0.0
-        min_n = math.inf
-        for c, w in cells:
-            cell_deriv[c] = cell_deriv.get(c, 0.0) + outer * w
-            fd = fam_cell_deriv[t.family]
-            fd[c] = fd.get(c, 0.0) + outer * w
-            se2 += w * w * var[c]
-            min_n = min(min_n, counts[c])
+    for i, t in enumerate(expr.terms):
+        e = float(est[i])
+        value += t.coefficient * expr.power(e)
+        fam_value[t.family] += t.coefficient * expr.power(e)
+        outer[i] = t.coefficient * expr.power_slope(e)
         term_reports.append(TermEstimate(
-            t.correlator.label, t.family, est, float(math.sqrt(se2)), int(min_n)))
-
-    se = math.sqrt(sum(float(d * d * var[c]) for c, d in cell_deriv.items()))
+            t.correlator.label, t.family, e, float(math.sqrt(se2[i])),
+            int(min_n[i])))
+    deriv = outer[:, None] * weights
+    se = _delta_se(slot, deriv, var)
     families = {}
     for f in expr.families():
-        fse = math.sqrt(sum(float(d * d * var[c])
-                            for c, d in fam_cell_deriv[f].items()))
-        families[f] = (float(fam_value[f]), fse)
+        rows = [i for i, t in enumerate(expr.terms) if t.family == f]
+        families[f] = (float(fam_value[f]), _delta_se(slot[rows], deriv[rows], var))
     return EstimateReport(float(value), se, batch.n_rounds, tuple(term_reports),
                           families, empty)

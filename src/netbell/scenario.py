@@ -25,11 +25,14 @@ family prefix bit, and angles are independent).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
+
+import numpy as np
 
 from . import network
 from .network import NetworkTopology
@@ -127,6 +130,52 @@ class Term:
             raise ValueError("term coefficients are +-1")
 
 
+def small_int(n: int) -> np.dtype:
+    """The narrowest signed integer dtype holding 0..n."""
+    return np.min_scalar_type(-n - 1)
+
+
+@dataclass(frozen=True, eq=False)
+class InputIndex:
+    """One expression's inputs in topology party order, as small integers.
+
+    ``vocab[j]`` holds party j's qualified input labels (what
+    ``party_inputs`` returns).  ``inputs[t, j, x]`` is the vocabulary
+    position of party j's input in term t for bit x; a joint party's one
+    input fills both slots.  ``exponents[t, j]`` is the exponent bit of a
+    single party (0 for a joint one) and ``single[t, j]`` marks the singles.
+    """
+
+    parties: tuple[str, ...]
+    vocab: tuple[tuple[str, ...], ...]
+    inputs: np.ndarray
+    exponents: np.ndarray
+    single: np.ndarray
+
+    @functools.cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every term's input cells: per-party inputs and sign (-1)^(x.e).
+
+        Column c of a term with s singles is the input profile whose bits,
+        in party order, are the binary digits of c (most significant first,
+        the ``itertools.product`` order); ``inputs[j, t, c]`` is party j's
+        vocabulary position there.  Columns from 2^s on are padding, with
+        sign 0.
+        """
+        n_single = self.single.sum(axis=1)
+        col = np.arange(1 << int(n_single.max(initial=0)))
+        rank = n_single[:, None] - np.cumsum(self.single, axis=1)  # bit shift
+        valid = col < (1 << n_single)[:, None]
+        inputs = np.empty((len(self.parties),) + valid.shape, dtype=self.inputs.dtype)
+        parity = np.zeros(valid.shape, dtype=np.int64)
+        for j in range(len(self.parties)):
+            bit = np.where(valid & self.single[:, j, None],
+                           (col >> rank[:, j, None]) & 1, 0)
+            inputs[j] = np.take_along_axis(self.inputs[:, j, :], bit, axis=1)
+            parity += bit * self.exponents[:, j, None]
+        return inputs, np.where(valid, 1.0 - 2.0 * (parity & 1), 0.0)
+
+
 @dataclass(frozen=True)
 class InequalityExpr:
     """A +-1-weighted sum of (possibly power-transformed) correlators."""
@@ -211,20 +260,36 @@ class InequalityExpr:
 
     def party_inputs(self, party: str) -> tuple[str, ...]:
         """All distinct qualified input labels a party can receive."""
-        seen: list[str] = []
-        for t in self.terms:
-            corr = t.correlator
-            if party in corr.exponent_map:
-                raws = ("0", "1")
-            elif party in corr.joint_map:
-                raws = (corr.joint_map[party],)
-            else:  # pragma: no cover - coverage enforced in __post_init__
-                continue
-            for raw in raws:
-                q = self.input_label(t.family, party, raw)
-                if q not in seen:
-                    seen.append(q)
-        return tuple(seen)
+        index = self.input_index
+        return dict(zip(index.parties, index.vocab)).get(party, ())
+
+    @functools.cached_property
+    def input_index(self) -> InputIndex:
+        """Every term's inputs as vocabulary positions; built on first use."""
+        parties = self.topology.party_ids()
+        fam_pos = {f: str(i) for i, f in enumerate(self.families())}
+        prefixed = [len(self.party_variants(p)) > 1 for p in parties]
+        vocab: list[dict[str, int]] = [{} for _ in parties]
+        shape = (len(self.terms), len(parties))
+        inputs = np.zeros(shape + (2,), dtype=np.int64)
+        exponents = np.zeros(shape, dtype=np.int8)
+        single = np.zeros(shape, dtype=bool)
+        for t, term in enumerate(self.terms):
+            exps = term.correlator.exponent_map
+            joints = term.correlator.joint_map
+            for j, p in enumerate(parties):
+                if p in exps:
+                    raws = ("0", "1")
+                    exponents[t, j] = exps[p]
+                    single[t, j] = True
+                else:
+                    raws = (joints[p],) * 2
+                for x, raw in enumerate(raws):
+                    label = fam_pos[term.family] + raw if prefixed[j] else raw
+                    inputs[t, j, x] = vocab[j].setdefault(label, len(vocab[j]))
+        width = max(len(v) for v in vocab)
+        return InputIndex(parties, tuple(tuple(v) for v in vocab),
+                          inputs.astype(small_int(width)), exponents, single)
 
     def n_strategies_raw(self) -> int:
         count = 1

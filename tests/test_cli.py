@@ -160,6 +160,15 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["certify", "--scenario", "nkm", *bad_flag])
         assert exc.value.code == 2
+    for i, bad_config in enumerate(({"wiring": [3]}, {"wiring": [[2, 0]]},
+                                    {"wiring": [["2", 0, 1]]},
+                                    {"inter_bits": [3]}, {"inter_bits": {"x": 1}})):
+        path = tmp_path / f"bad_nkm{i}.json"
+        path.write_text(json.dumps({"scenario": "nkm", **bad_config}))
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--config", str(path)])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_nkm_wiring_parsing(capsys):

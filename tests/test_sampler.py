@@ -1,24 +1,56 @@
 """Round simulation and statistical reconstruction."""
 
 import io
+import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from netbell import sampler, states
 from netbell.pauli import from_letters, word
-from netbell.sampler import estimate, simulate_rounds
+from netbell.sampler import RoundBatch, estimate, simulate_rounds
 from netbell.scenario import (
+    SCENARIOS,
     UNPRIMED,
     build_bilocal_baseline,
     build_chsh,
     build_ghz_a,
     build_ghz_b,
+    build_star_combined,
     build_star_first,
     build_two_source_linear,
 )
 from netbell.states import bell_pair, ghz3, network_state, product_group, smolin
+from sampler_oracle import csv_reference, estimate_reference
+
+
+def _oracle_cases():
+    """Every catalog expression, star K=2 and K=3 at r=1/3, star K=2..6."""
+    builds = [(name, {}) for name in SCENARIOS]
+    builds += [("star", {"k": 2}), ("star", {"k": 3, "r": Fraction(1, 3)})]
+    cases = []
+    for name, params in builds:
+        tag = name + "".join(f"-{k}{v}" for k, v in params.items())
+        for family, expr in SCENARIOS[name].build(**params).items():
+            cases.append(pytest.param(expr, id=f"{tag}/{family}"))
+    for k in range(2, 7):
+        cases.append(pytest.param(build_star_first(k), id=f"star-first-k{k}"))
+        cases.append(pytest.param(build_star_combined(k), id=f"star-combined-k{k}"))
+    return cases
+
+
+def _hand_batch(expr, rows):
+    """A batch with one round per (inputs, outcomes) row, both keyed by party."""
+    parties = expr.topology.party_ids()
+    vocab = {p: expr.party_inputs(p) for p in parties}
+    input_idx = {p: np.array([vocab[p].index(inp[p]) for inp, _ in rows])
+                 for p in parties}
+    outcomes = {p: np.array([out[p] for _, out in rows], dtype=np.int8)
+                for p in parties}
+    return RoundBatch(parties, vocab, input_idx, outcomes, seed=0)
 
 
 def test_source_distribution_respects_stabilizers():
@@ -165,6 +197,15 @@ def test_estimate_rejects_mismatched_batch():
                                  network_state(build_chsh().topology), 10, seed=1)
     with pytest.raises(ValueError, match="parties"):
         estimate(build_ghz_b(), chsh_batch)
+    reordered = RoundBatch(chsh_batch.parties, {"A": ("1", "0"), "B": ("0", "1")},
+                           chsh_batch.input_idx, chsh_batch.outcomes, seed=1)
+    with pytest.raises(ValueError, match="inputs"):
+        estimate(build_chsh(), reordered)
+    out_of_range = RoundBatch(chsh_batch.parties, chsh_batch.vocab,
+                              {**chsh_batch.input_idx, "A": np.full(10, 2)},
+                              chsh_batch.outcomes, seed=1)
+    with pytest.raises(ValueError, match="out of range"):
+        estimate(build_chsh(), out_of_range)
 
 
 def test_angles_shift_input_distributions():
@@ -187,3 +228,94 @@ def test_report_dict_round_trips_to_json():
     data = json.loads(json.dumps(rep.as_dict()))
     assert data["n_rounds"] == 1000
     assert len(data["terms"]) == 2
+
+
+@pytest.mark.parametrize("expr", _oracle_cases())
+def test_estimate_and_round_log_match_reference_loops(expr):
+    state = network_state(expr.topology)
+    for rounds, seed in ((40, 1), (3000, 2)):
+        batch = simulate_rounds(expr, state, rounds, seed=seed)
+        assert estimate(expr, batch).as_dict() == estimate_reference(expr, batch).as_dict()
+        got, want = io.StringIO(newline=""), io.StringIO(newline="")
+        batch.to_csv(got)
+        csv_reference(batch, want)
+        assert got.getvalue() == want.getvalue()
+
+
+def test_round_log_file_bytes_match_reference(tmp_path):
+    expr = build_star_combined(3)
+    batch = simulate_rounds(expr, network_state(expr.topology), 20000, seed=4)
+    batch.to_csv(tmp_path / "log.csv")
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        csv_reference(batch, fh)
+    assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_cancelling_derivatives_of_two_empty_cells_keep_se_infinite():
+    # CHSH term "1" reads cells (A0, B1) and (A1, B1) with weights +1 and -1;
+    # with B=1 never drawn both are empty, and each alone must make se infinite
+    expr = build_chsh()
+    rows = [({"A": a, "B": "0"}, {"A": 1, "B": 1 - 2 * (i % 2)})
+            for i, a in enumerate("0101")]
+    rep = estimate(expr, _hand_batch(expr, rows))
+    assert rep.empty_cells == 2
+    assert math.isinf(rep.se) and math.isinf(rep.families[UNPRIMED][1])
+    assert rep.as_dict() == estimate_reference(expr, _hand_batch(expr, rows)).as_dict()
+
+
+def test_empty_cell_whose_derivatives_cancel_adds_nothing():
+    # ghz-b's plain and primed terms share every cell; on half of them their
+    # weights cancel, so leaving those empty keeps the total se finite
+    expr = build_ghz_b()
+    parties = expr.topology.party_ids()
+    singles = [p for p in parties if p != "B"]
+    rows = []
+    for y in ("00", "01", "10", "11"):
+        pair = [t for t in expr.terms if t.correlator.joint_map["B"] == y]
+        for x in itertools.product((0, 1), repeat=len(singles)):
+            signs = [(-1) ** sum(xi * t.correlator.exponent_map[p]
+                                 for xi, p in zip(x, singles)) for t in pair]
+            if sum(t.coefficient * s for t, s in zip(pair, signs)) == 0:
+                continue  # a cancelling cell: leave it empty
+            inputs = {"B": y, **{p: str(xi) for p, xi in zip(singles, x)}}
+            for out in (1, -1):
+                rows.append((inputs, {p: out if p == "B" else 1 for p in parties}))
+    rep = estimate(expr, _hand_batch(expr, rows))
+    assert rep.empty_cells == 32  # 16 cells, each read by two terms
+    assert math.isfinite(rep.se) and rep.se > 0
+    assert all(math.isinf(t.se) for t in rep.terms)
+    assert rep.as_dict() == estimate_reference(expr, _hand_batch(expr, rows)).as_dict()
+
+
+def test_star_first_k10_term_reads_its_own_cells():
+    # from K=10 on, sorted party names (A1, A10, A2, ...) differ from the
+    # topology order; one round per cell of one term, with outcome products
+    # (-1)^(x.e), must give that term exactly normalization * 2^s
+    expr = build_star_first(10)
+    term = next(t for t in expr.terms if t.correlator.label == "0100000001")
+    corr = term.correlator
+    branches = [p for p in expr.topology.party_ids() if p in corr.exponent_map]
+    rows = []
+    for x in itertools.product((0, 1), repeat=len(branches)):
+        parity = sum(xi * corr.exponent_map[p] for xi, p in zip(x, branches)) % 2
+        inputs = {"B": corr.joint_map["B"], **{p: str(xi) for p, xi in zip(branches, x)}}
+        outcomes = {"B": 1 - 2 * parity, **{p: 1 for p in branches}}
+        rows.append((inputs, outcomes))
+    rep = estimate(expr, _hand_batch(expr, rows))
+    got = next(t for t in rep.terms if t.label == corr.label)
+    assert got.estimate == float(corr.normalization) * 2 ** len(branches)
+    assert got.min_cell_rounds == 1
+
+
+def test_sparse_estimate_memory_at_star_combined_k8():
+    # 2^25 dense input cells; the estimate touches only the terms' cells
+    expr = build_star_combined(8)
+    batch = simulate_rounds(expr, network_state(expr.topology), 20000, seed=5)
+    tracemalloc.start()
+    try:
+        rep = estimate(expr, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert rep.n_rounds == 20000 and len(rep.terms) == 512
