@@ -10,7 +10,7 @@ Subcommands:
 
 Reports are JSON with sorted keys, so identical invocations produce
 byte-identical output.  Exit codes: 0 success (PASS or INFO verdicts),
-1 a check failed, 2 usage errors.
+1 a check failed or a bound is UNPROVEN, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -25,9 +25,20 @@ from fractions import Fraction
 from . import __version__, lhv, quantum, sampler, states
 from .scenario import SCENARIOS, InequalityExpr
 
-_CONFIG_KEYS = ("scenario", "family", "k", "n", "m", "r_num", "r_den",
-                "wiring", "inter_bits", "state", "angles", "rounds", "seed",
-                "tolerance", "starts", "format")
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
+# every config-file key with the check argparse gives its flag; wiring,
+# inter_bits and angles are checked where they are parsed
+_CONFIG_KEYS = {"scenario": _text, "family": _text, "k": int, "n": int,
+                "m": int, "r_num": int, "r_den": int, "wiring": None,
+                "inter_bits": None, "state": _text, "angles": None,
+                "rounds": int, "seed": int, "tolerance": float, "starts": int,
+                "format": _text}
 
 
 def _parse_wiring(text: str) -> tuple[tuple[int, int, int], ...]:
@@ -74,6 +85,12 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         if dest not in _CONFIG_KEYS:
             parser.error(f"unknown config key {key!r}")
         if getattr(args, dest, None) is None:
+            convert = _CONFIG_KEYS[dest]
+            if convert is not None and value is not None:
+                try:
+                    value = convert(value)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    parser.error(f"bad config value {key}={value!r}: {exc}")
             setattr(args, dest, value)
 
 
@@ -83,14 +100,11 @@ def _build_scenario(args, parser) -> tuple[dict[str, InequalityExpr], dict]:
                      f"choices: {', '.join(sorted(SCENARIOS))}")
     info = SCENARIOS[args.scenario]
     params: dict = {}
-    if args.k is not None:
-        params["k"] = int(args.k)
-    if args.n is not None:
-        params["n"] = int(args.n)
-    if args.m is not None:
-        params["m"] = int(args.m)
+    for key in ("k", "n", "m"):
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
     if args.r_num is not None or args.r_den is not None:
-        params["r"] = Fraction(int(args.r_num or 1), int(args.r_den or 1))
+        params["r"] = Fraction(args.r_num or 1, args.r_den or 1)
     if args.wiring is not None:
         wiring = args.wiring
         if isinstance(wiring, str):
@@ -155,9 +169,13 @@ def _angles_for(args, parser):
             parser.error(f"bad angles: {exc}")
     else:
         parsed = {}
-        for key, value in raw.items():
-            party, _, plane = key.partition(":")
-            parsed[(party, plane)] = float(value)
+        try:
+            for key, value in raw.items():
+                party, _, plane = key.partition(":")
+                parsed[(party, plane)] = float(value)
+        except (AttributeError, TypeError, ValueError):
+            parser.error(f"bad angles {raw!r}: expected a mapping from "
+                         "'party:plane' to a number")
     return raw if isinstance(raw, str) else dict(raw), parsed
 
 
@@ -247,8 +265,8 @@ def _cmd_optimize(args, parser) -> int:
     expr = built["expr"]
     state_text, state = _state_for(args, expr, parser)
     tolerance = args.tolerance if args.tolerance is not None else 1e-6
-    starts = int(args.starts) if args.starts is not None else 8
-    seed = int(args.seed) if args.seed is not None else 11
+    starts = args.starts if args.starts is not None else 8
+    seed = args.seed if args.seed is not None else 11
     config.update(state=state_text, tolerance=tolerance, starts=starts,
                   seed=seed)
     check = quantum.claimed_max_check(expr, state, tolerance=tolerance,
@@ -270,8 +288,8 @@ def _cmd_simulate(args, parser) -> int:
     angles_text, angles = _angles_for(args, parser)
     if args.rounds is None:
         parser.error("simulate needs --rounds")
-    rounds = int(args.rounds)
-    seed = int(args.seed) if args.seed is not None else 1
+    rounds = args.rounds
+    seed = args.seed if args.seed is not None else 1
     fmt = args.format or "json"
     if fmt not in ("json", "csv"):
         parser.error("--format must be json or csv")

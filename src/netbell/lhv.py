@@ -22,6 +22,12 @@ Two routes compute the vertex geometry:
   at full scale.  The block's vertices are then +-scale * e_label without
   enumerating anything, which covers hub counts where enumeration would not
   fit in memory.
+
+Power forms are maximized over the hull by projected-gradient ascent from a
+uniform start and seeded Dirichlet starts, all advanced together as the rows
+of one array.  On a cross-polytope block this only confirms the closed form;
+on a mixture of enumerated vertices it is a lower estimate, so a genuine
+bound resting on it is reported ``UNPROVEN``, never ``PASS``.
 """
 
 from __future__ import annotations
@@ -249,32 +255,40 @@ def linear_lhv_max(expr: InequalityExpr,
     return best
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > (css - 1.0))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+def _project_rows(w: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row onto the probability simplex."""
+    u = np.sort(w, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    hit = u * np.arange(1, w.shape[1] + 1) > css - 1.0
+    rho = w.shape[1] - 1 - np.argmax(hit[:, ::-1], axis=1)  # last hit per row
+    theta = (css[np.arange(len(w)), rho] - 1.0) / (rho + 1.0)
+    return np.maximum(w - theta[:, None], 0.0)
 
 
 def _maximize_on_simplex(f_grad, dim: int, restarts: int, seed: int,
                          iters: int = 300) -> float:
+    """Projected-gradient ascent from every start at once, one row per start.
+
+    ``f_grad`` maps a (starts, dim) batch of points to per-row values and
+    gradients.  A row whose gradient norm falls below 1e-14 stops and is
+    never stepped again; the result is the best row's final value.
+    """
     rng = np.random.Generator(np.random.Philox(key=seed))
-    best = -math.inf
-    starts = [np.full(dim, 1.0 / dim)]
-    starts += [rng.dirichlet(np.ones(dim)) for _ in range(restarts)]
-    for w in starts:
-        w = np.asarray(w, dtype=float)
-        for k in range(iters):
-            val, grad = f_grad(w)
-            gn = np.linalg.norm(grad)
-            if gn < 1e-14:
-                break
-            step = 0.5 / math.sqrt(k + 1.0)
-            w = _project_simplex(w + step * grad / gn)
-        val, _ = f_grad(w)
-        best = max(best, val)
-    return best
+    w = np.vstack([np.full(dim, 1.0 / dim),
+                   rng.dirichlet(np.ones(dim), size=restarts)])
+    live = np.arange(len(w))
+    for k in range(iters):
+        _, grad = f_grad(w[live])
+        # per-row BLAS dot: the sum np.linalg.norm takes for a single vector
+        gn = np.sqrt(np.vecdot(grad, grad))
+        moving = gn >= 1e-14
+        live, grad, gn = live[moving], grad[moving], gn[moving]
+        if live.size == 0:
+            break
+        step = 0.5 / math.sqrt(k + 1.0)
+        w[live] = _project_rows(w[live] + step * grad / gn[:, None])
+    vals, _ = f_grad(w)
+    return float(vals.max())
 
 
 def _block_numeric(scale: float, k: int, r: float, restarts: int, seed: int) -> float:
@@ -284,7 +298,7 @@ def _block_numeric(scale: float, k: int, r: float, restarts: int, seed: int) -> 
         wc = np.maximum(w, 1e-15)
         vals = (scale * wc) ** r
         grad = r * scale * (scale * wc) ** (r - 1.0)
-        return float(vals.sum()), grad
+        return vals.sum(axis=1), grad
 
     return _maximize_on_simplex(f_grad, dim, restarts, seed)
 
@@ -305,7 +319,7 @@ def _mixture_numeric(expr: InequalityExpr, vertices: VertexSet,
         else:
             vals = coeffs * np.copysign(aw ** r, w)
             dphi = coeffs * r * aw ** (r - 1.0)
-        return float(vals.sum()), v @ dphi
+        return vals.sum(axis=1), dphi @ v.T
 
     return _maximize_on_simplex(f_grad, len(vertices.vectors), restarts, seed)
 
@@ -319,9 +333,11 @@ def nonlinear_lhv_max(expr: InequalityExpr,
     Returns analytic and numeric values.  With cross-polytope structure the
     hull is a product of L1 balls and the concave power sum is maximized by
     the uniform mixture per block: sum_f scale_f^r * 2^(k_f (1-r)).  The
-    numeric value is a projected-gradient confirmation (or the only estimate
-    when the structure is absent and mixtures of enumerated vertices are
-    optimized directly).
+    numeric value is a projected-gradient confirmation (or, when the
+    structure is absent and mixtures of enumerated vertices are optimized
+    directly, the only value: a lower estimate of the maximum).  The
+    uniform start and ``restarts`` Dirichlet starts drawn from ``seed`` run
+    as one batch, 300 steps each.
     """
     r = float(expr.exponent)
     blocks = cross_polytope_structure(expr)
@@ -430,9 +446,14 @@ def certify(expr: InequalityExpr, budget: int = DEFAULT_BUDGET,
         report["note"] = (
             "declared bound assumes the bilocal model; the shared-randomness "
             "maximum shown may exceed it")
-    elif gap <= tolerance:
+    elif gap > tolerance:
+        report["verdict"] = "FAIL"  # lhv_max is attained, so it refutes the bound
+    elif report.get("nonlinear", {}).get("method") == "vertex-mixture":
+        report["verdict"] = "UNPROVEN"
+        report["note"] = (
+            "the vertex-mixture value is a lower estimate of the "
+            "shared-randomness maximum, so it cannot prove the bound")
+    else:
         report["verdict"] = "PASS"
         report["tight"] = abs(gap) <= tolerance
-    else:
-        report["verdict"] = "FAIL"
     return report

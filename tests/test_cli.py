@@ -1,5 +1,6 @@
 """End-to-end command-line checks, including golden report files."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -7,6 +8,7 @@ import pathlib
 import pytest
 
 from netbell.cli import main
+from netbell.scenario import SCENARIOS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -47,6 +49,17 @@ def test_certify_bilocal_is_informational(capsys):
     cert = data["results"]["certification"]
     assert cert["verdict"] == "INFO"
     assert "note" in cert
+
+
+def test_certify_unproven_exits_1(capsys, monkeypatch):
+    info = SCENARIOS["bilocal"]
+    bi = info.build()["bi"]
+    held = dataclasses.replace(bi, bound_model="genuine", classical_bound=2)
+    monkeypatch.setitem(SCENARIOS, "bilocal", dataclasses.replace(
+        info, build=lambda **_: {"bi": held}))
+    code, data = run_json(capsys, "certify", "--scenario", "bilocal")
+    assert code == 1
+    assert data["results"]["certification"]["verdict"] == "UNPROVEN"
 
 
 def test_certify_star_structure(capsys):
@@ -169,6 +182,25 @@ def test_usage_errors_exit_2(capsys, tmp_path):
             main(["certify", "--config", str(path)])
         assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+    for i, (command, bad_config) in enumerate((
+            ("certify", {"scenario": "star", "k": "x"}),
+            ("certify", {"scenario": "nkm", "n": "x"}),
+            ("certify", {"scenario": "nkm", "m": [2]}),
+            ("certify", {"scenario": "star", "r_num": "x"}),
+            ("certify", {"scenario": "star", "r_den": 1e999}),
+            ("certify", {"scenario": "chsh", "tolerance": "x"}),
+            ("certify", {"scenario": ["chsh"]}),
+            ("simulate", {"scenario": "chsh", "rounds": "x"}),
+            ("simulate", {"scenario": "chsh", "rounds": 5, "seed": "x"}),
+            ("simulate", {"scenario": "chsh", "rounds": 5, "angles": [1]}),
+            ("optimize", {"scenario": "chsh", "starts": "x"}))):
+        path = tmp_path / f"bad_value{i}.json"
+        path.write_text(json.dumps(bad_config))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "bad" in err
 
 
 def test_nkm_wiring_parsing(capsys):

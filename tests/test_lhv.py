@@ -5,8 +5,14 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from lhv_oracle import (
+    block_numeric_reference,
+    maximize_on_simplex,
+    mixture_numeric_reference,
+)
 from netbell import lhv, scenario
 from netbell.lhv import (
     BudgetExceeded,
@@ -200,3 +206,56 @@ def test_certify_nonlinear_report():
     assert rep["nonlinear"]["method"] == "cross-polytope"
     assert rep["lhv_max"] == pytest.approx(4.0)
     assert rep["verdict"] == "PASS"
+
+
+def test_vertex_mixture_never_passes_a_genuine_bound():
+    bi = build_bilocal_baseline()["bi"]
+    held = dataclasses.replace(bi, bound_model="genuine", classical_bound=2)
+    rep = certify(held)
+    assert rep["nonlinear"]["method"] == "vertex-mixture"
+    assert rep["lhv_max"] <= 2
+    assert rep["verdict"] == "UNPROVEN" and "tight" not in rep
+    assert "lower estimate" in rep["note"]
+    # a lower estimate above the bound is an achieved mixture: still FAIL
+    broken = dataclasses.replace(bi, bound_model="genuine", classical_bound=1)
+    assert certify(broken)["verdict"] == "FAIL"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("r", [1 / 3, 1 / 5, 3 / 5], ids=["1/3", "1/5", "3/5"])
+def test_batched_block_ascent_matches_serial_loop(k, r):
+    for seed in (3, 7, 8):
+        got = lhv._block_numeric(0.5, k, r, 12, seed)
+        assert got == block_numeric_reference(0.5, k, r, 12, seed)
+
+
+@pytest.mark.parametrize("restarts,seed", [(100, 7), (60, 5), (40, 7)])
+def test_batched_mixture_ascent_matches_serial_loop(restarts, seed):
+    bi = build_bilocal_baseline()["bi"]
+    vertices = enumerate_vertices(bi)
+    got = lhv._mixture_numeric(bi, vertices, restarts, seed)
+    want = mixture_numeric_reference(bi, vertices, restarts, seed)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_row_with_vanishing_gradient_is_frozen():
+    # value w_0; the gradient e_0 vanishes on rows with w_0 < 1/4, which
+    # includes Dirichlet starts but not the uniform start
+    calls = []
+
+    def f_grad(w):
+        calls.append(w.copy())
+        grad = np.zeros_like(w)
+        grad[:, 0] = w[:, 0] >= 0.25
+        return w[:, 0].copy(), grad
+
+    best = lhv._maximize_on_simplex(f_grad, 4, 20, 5)
+    first, last = calls[0], calls[-1]
+    frozen = first[:, 0] < 0.25
+    assert 0 < frozen.sum() < len(first)
+    assert len(calls[1]) == len(first) - frozen.sum()  # never evaluated again
+    assert np.array_equal(last[frozen], first[frozen])  # never stepped
+    assert np.all(last[~frozen, 0] == 1.0)
+    assert best == 1.0
+    assert best == maximize_on_simplex(
+        lambda w: tuple(x[0] for x in f_grad(w[None])), 4, 20, 5)
