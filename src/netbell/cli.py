@@ -32,12 +32,21 @@ def _text(value) -> str:
     return value
 
 
+def _integer(value) -> int:
+    """``int`` as argparse applies it, minus JSON's booleans and fractions."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise TypeError("expected an integer")
+    return int(value)
+
+
 # every config-file key with the check argparse gives its flag; wiring,
 # inter_bits and angles are checked where they are parsed
-_CONFIG_KEYS = {"scenario": _text, "family": _text, "k": int, "n": int,
-                "m": int, "r_num": int, "r_den": int, "wiring": None,
-                "inter_bits": None, "state": _text, "angles": None,
-                "rounds": int, "seed": int, "tolerance": float, "starts": int,
+_CONFIG_KEYS = {"scenario": _text, "family": _text, "k": _integer,
+                "n": _integer, "m": _integer, "r_num": _integer,
+                "r_den": _integer, "wiring": None, "inter_bits": None,
+                "state": _text, "angles": None, "rounds": _integer,
+                "seed": _integer, "tolerance": float, "starts": _integer,
                 "format": _text}
 
 
@@ -266,6 +275,8 @@ def _cmd_optimize(args, parser) -> int:
     state_text, state = _state_for(args, expr, parser)
     tolerance = args.tolerance if args.tolerance is not None else 1e-6
     starts = args.starts if args.starts is not None else 8
+    if starts < 1:
+        parser.error(f"starts must be at least 1, got {starts}")
     seed = args.seed if args.seed is not None else 11
     config.update(state=state_text, tolerance=tolerance, starts=starts,
                   seed=seed)

@@ -14,8 +14,10 @@ must be optimized over the hull.
 Two routes compute the vertex geometry:
 
 * enumeration: per party, deduplicate output assignments by their vector of
-  per-term factors, then take products.  Exact and exhaustive, used when the
-  raw strategy count is small enough.
+  per-term factors; then fold the parties in topology order, multiplying the
+  distinct partial rows by the next party's factors and keeping each distinct
+  product once, with the lowest-code strategy reaching it as its witness.
+  Exact and exhaustive, used when the raw strategy count is small enough.
 * cross-polytope structure: when each family's labels map bijectively onto
   the single-party exponent patterns (and families share no inputs), every
   deterministic strategy concentrates each family block on exactly one label
@@ -44,6 +46,7 @@ from .scenario import InequalityExpr, SingleQubitObservable, Term
 
 DEFAULT_BUDGET = 1 << 25
 ENUM_THRESHOLD = 1 << 16
+_CHUNK = 1 << 18  # candidate rows per dedup call in enumerate_vertices
 
 
 class BudgetExceeded(RuntimeError):
@@ -133,43 +136,57 @@ class VertexSet:
     n_reduced: int
 
 
+def _first_distinct(rows: np.ndarray, codes: np.ndarray):
+    """Each distinct row once with its first code, in the order given."""
+    _, first = np.unique(rows, axis=0, return_index=True)
+    first.sort()
+    return rows[first], codes[first]
+
+
 def enumerate_vertices(expr: InequalityExpr,
                        budget: int = DEFAULT_BUDGET) -> VertexSet:
+    """Distinct correlator vectors of the deterministic strategies.
+
+    A reduced strategy picks one ``_party_behaviors`` row per party; its code
+    is the row-major number of those picks, parties in topology order.  The
+    parties are folded in that order: each stage multiplies the distinct
+    partial rows so far by the party's keys, in code order, and keeps every
+    distinct product once with its smallest code.  A vector's smallest full
+    code extends the smallest code of its own partial row (the prefix is the
+    most significant part), so each witness is the lowest-code strategy that
+    reaches its vertex.  The work is sum_j distinct_j * count_j rows instead
+    of prod_j count_j; candidates are made ``_CHUNK`` rows at a time and the
+    survivors of the slices deduplicated once more.
+    """
     parties = expr.topology.party_ids()
-    behaviors = [ _party_behaviors(expr, p) for p in parties ]
+    behaviors = [_party_behaviors(expr, p) for p in parties]
     counts = [b[1].shape[0] for b in behaviors]
     n_reduced = math.prod(counts)
     if n_reduced > budget:
         raise BudgetExceeded(
             f"{n_reduced} reduced strategies exceed the budget {budget}")
-    n_terms = len(expr.terms)
+    rows = np.ones((1, len(expr.terms)), dtype=np.int64)
+    codes = np.zeros(1, dtype=np.int64)
+    for (_, keys, _), count in zip(behaviors, counts):
+        n_cand = len(rows) * count
+        slices = []
+        for start in range(0, n_cand, _CHUNK):
+            prefix, digit = np.divmod(
+                np.arange(start, min(start + _CHUNK, n_cand)), count)
+            slices.append(_first_distinct(rows[prefix] * keys[digit],
+                                          codes[prefix] * count + digit))
+        rows, codes = _first_distinct(
+            *(np.concatenate(part) for part in zip(*slices)))
     norms = [t.correlator.normalization for t in expr.terms]
-    strides = np.cumprod([1] + counts[::-1])[::-1][1:]  # row-major digits
-    seen: dict[bytes, int] = {}
-    rows: list[np.ndarray] = []
-    witness_codes: list[int] = []
-    chunk = 1 << 18
-    for start in range(0, n_reduced, chunk):
-        idx = np.arange(start, min(start + chunk, n_reduced))
-        v = np.ones((idx.size, n_terms), dtype=np.int64)
-        for (_, keys, _), stride, count in zip(behaviors, strides, counts):
-            v *= keys[(idx // stride) % count]
-        uniq, first = np.unique(v, axis=0, return_index=True)
-        for row, f in zip(uniq, first):
-            key = row.tobytes()
-            if key not in seen:
-                seen[key] = len(rows)
-                rows.append(row)
-                witness_codes.append(int(idx[f]))
     vectors = []
     witnesses = []
-    for row, code in zip(rows, witness_codes):
+    for row, code in zip(rows, codes.tolist()):
         vectors.append(tuple(n * int(x) for n, x in zip(norms, row)))
-        digits = [(code // int(s)) % c for s, c in zip(strides, counts)]
         outputs = []
-        for party, (inputs, _, wits), d in zip(parties, behaviors, digits):
-            for inp, val in zip(inputs, wits[d]):
-                outputs.append(((party, inp), val))
+        for party, (inputs, _, wits), count in reversed(
+                list(zip(parties, behaviors, counts))):
+            code, d = divmod(code, count)
+            outputs.extend(((party, inp), val) for inp, val in zip(inputs, wits[d]))
         witnesses.append(Strategy(tuple(outputs)))
     order = sorted(range(len(vectors)), key=lambda i: vectors[i], reverse=True)
     return VertexSet(

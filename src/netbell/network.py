@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .pauli import MAX_QUBITS
+
 BELL = "bell_pair"
 GHZ3 = "ghz3"
 _SOURCE_SIZES = {BELL: 2, GHZ3: 3}
@@ -106,6 +108,10 @@ def validate(topology: NetworkTopology) -> list[str]:
 
 
 def _check(topology: NetworkTopology) -> NetworkTopology:
+    # before anything sized by the register (hub labels, Pauli words) is built
+    if topology.n_qubits > MAX_QUBITS:
+        raise ValueError(f"{topology.n_qubits} qubits exceed the "
+                         f"{MAX_QUBITS}-qubit register")
     problems = validate(topology)
     if problems:
         raise ValueError("; ".join(problems))

@@ -174,6 +174,8 @@ def optimize_angles(expr: InequalityExpr, state: State,
     draws.  Ties resolve to the earliest start, so results are deterministic
     for a given seed.
     """
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts}")
     compiled = compile_expression(expr, state)
     keys = expr.angle_keys()
     if not keys:
@@ -182,7 +184,7 @@ def optimize_angles(expr: InequalityExpr, state: State,
     rng = np.random.Generator(np.random.Philox(key=seed))
     lo, hi = ANGLE_MARGIN, math.pi / 2 - ANGLE_MARGIN
     start_points = [{k: QUARTER_PI for k in keys}]
-    for _ in range(max(0, starts - 1)):
+    for _ in range(starts - 1):
         start_points.append(
             {k: float(rng.uniform(lo, hi)) for k in keys})
     results = [_ascend(compiled, p, max_sweeps) for p in start_points]

@@ -1,4 +1,4 @@
-"""Shared dense-matrix oracles, independent of the package internals."""
+"""Shared dense-vector oracles, independent of the package internals."""
 
 import numpy as np
 
@@ -18,5 +18,19 @@ def dense_word(p) -> np.ndarray:
     return p.phase * m
 
 
+def apply_word(p, vec: np.ndarray) -> np.ndarray:
+    """``dense_word(p) @ vec`` without the matrix: each 2x2 letter acts on its
+    own tensor axis.  Bit q of the index is axis n-1-q of the (2,)*n view."""
+    n = p.n_qubits
+    psi = np.asarray(vec, dtype=complex).reshape((2,) * n)
+    for q in range(n):
+        letter = p.letter(q)
+        if letter != "I":
+            axis = n - 1 - q
+            psi = np.moveaxis(np.tensordot(LETTERS[letter], psi, axes=(1, axis)),
+                              0, axis)
+    return p.phase * psi.reshape(-1)
+
+
 def dense_expectation(vec: np.ndarray, p) -> complex:
-    return complex(vec.conj() @ (dense_word(p) @ vec))
+    return complex(vec.conj() @ apply_word(p, vec))

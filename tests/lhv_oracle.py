@@ -1,17 +1,72 @@
-"""Reference loop for the projected-gradient ascent of ``lhv``.
+"""Reference loops for ``lhv``: the vertex product table and the ascent.
 
-This is the serial ascent that ``lhv._maximize_on_simplex`` replaces: one
-start at a time (the uniform point, then the Philox Dirichlet draws in
-order), 300 steps of size 0.5/sqrt(k+1) along the normalised gradient, a
-start stopping when its gradient norm drops below 1e-14, each iterate put
-back on the simplex by the 1-D sort-and-threshold projection.  The batched
-code advances every start at once and must agree with it: bit for bit on a
-cross-polytope block, within 1e-12 relative on a vertex mixture.
+``enumerate_vertices_reference`` is the loop that ``lhv.enumerate_vertices``
+replaces: it builds the full product table of the per-party behaviours,
+every reduced strategy one row in row-major code order, 2^18 rows at a time,
+and keeps each distinct correlator row with the first (lowest) code that
+reaches it.  The party-by-party fold must return an equal ``VertexSet``.
+
+``maximize_on_simplex`` is the serial ascent that
+``lhv._maximize_on_simplex`` replaces: one start at a time (the uniform
+point, then the Philox Dirichlet draws in order), 300 steps of size
+0.5/sqrt(k+1) along the normalised gradient, a start stopping when its
+gradient norm drops below 1e-14, each iterate put back on the simplex by
+the 1-D sort-and-threshold projection.  The batched code advances every
+start at once and must agree with it: bit for bit on a cross-polytope
+block, within 1e-12 relative on a vertex mixture.
 """
 
 import math
 
 import numpy as np
+
+from netbell import lhv
+
+
+def enumerate_vertices_reference(expr, budget: int = lhv.DEFAULT_BUDGET):
+    parties = expr.topology.party_ids()
+    behaviors = [lhv._party_behaviors(expr, p) for p in parties]
+    counts = [b[1].shape[0] for b in behaviors]
+    n_reduced = math.prod(counts)
+    if n_reduced > budget:
+        raise lhv.BudgetExceeded(
+            f"{n_reduced} reduced strategies exceed the budget {budget}")
+    n_terms = len(expr.terms)
+    norms = [t.correlator.normalization for t in expr.terms]
+    strides = np.cumprod([1] + counts[::-1])[::-1][1:]  # row-major digits
+    seen: dict[bytes, int] = {}
+    rows: list[np.ndarray] = []
+    witness_codes: list[int] = []
+    chunk = 1 << 18
+    for start in range(0, n_reduced, chunk):
+        idx = np.arange(start, min(start + chunk, n_reduced))
+        v = np.ones((idx.size, n_terms), dtype=np.int64)
+        for (_, keys, _), stride, count in zip(behaviors, strides, counts):
+            v *= keys[(idx // stride) % count]
+        uniq, first = np.unique(v, axis=0, return_index=True)
+        for row, f in zip(uniq, first):
+            key = row.tobytes()
+            if key not in seen:
+                seen[key] = len(rows)
+                rows.append(row)
+                witness_codes.append(int(idx[f]))
+    vectors = []
+    witnesses = []
+    for row, code in zip(rows, witness_codes):
+        vectors.append(tuple(n * int(x) for n, x in zip(norms, row)))
+        digits = [(code // int(s)) % c for s, c in zip(strides, counts)]
+        outputs = []
+        for party, (inputs, _, wits), d in zip(parties, behaviors, digits):
+            for inp, val in zip(inputs, wits[d]):
+                outputs.append(((party, inp), val))
+        witnesses.append(lhv.Strategy(tuple(outputs)))
+    order = sorted(range(len(vectors)), key=lambda i: vectors[i], reverse=True)
+    return lhv.VertexSet(
+        labels=tuple(t.correlator.label for t in expr.terms),
+        vectors=tuple(vectors[i] for i in order),
+        witnesses=tuple(witnesses[i] for i in order),
+        n_raw=expr.n_strategies_raw(),
+        n_reduced=n_reduced)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:

@@ -193,7 +193,16 @@ def test_usage_errors_exit_2(capsys, tmp_path):
             ("simulate", {"scenario": "chsh", "rounds": "x"}),
             ("simulate", {"scenario": "chsh", "rounds": 5, "seed": "x"}),
             ("simulate", {"scenario": "chsh", "rounds": 5, "angles": [1]}),
-            ("optimize", {"scenario": "chsh", "starts": "x"}))):
+            ("optimize", {"scenario": "chsh", "starts": "x"}),
+            # non-integral numbers and booleans are not truncated to an int
+            ("certify", {"scenario": "star", "k": 2.7}),
+            ("certify", {"scenario": "nkm", "n": 3.5}),
+            ("certify", {"scenario": "nkm", "m": True}),
+            ("certify", {"scenario": "star", "r_num": 1.5}),
+            ("certify", {"scenario": "star", "r_den": False}),
+            ("simulate", {"scenario": "chsh", "rounds": 5.5}),
+            ("simulate", {"scenario": "chsh", "rounds": 5, "seed": True}),
+            ("optimize", {"scenario": "chsh", "starts": 2.5}))):
         path = tmp_path / f"bad_value{i}.json"
         path.write_text(json.dumps(bad_config))
         with pytest.raises(SystemExit) as exc:
@@ -201,6 +210,33 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and "bad" in err
+    starts_zero = tmp_path / "starts_zero.json"
+    starts_zero.write_text(json.dumps({"scenario": "chsh", "starts": 0}))
+    for argv in (["optimize", "--scenario", "chsh", "--starts", "0"],
+                 ["optimize", "--scenario", "chsh", "--starts", "-3"],
+                 ["optimize", "--config", str(starts_zero)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "starts must be at least 1" in err and "Traceback" not in err
+
+
+def test_integral_float_config_value_is_accepted(capsys, tmp_path):
+    path = tmp_path / "k2.json"
+    path.write_text(json.dumps({"scenario": "star", "k": 2.0}))
+    code, data = run_json(capsys, "certify", "--config", str(path))
+    assert code == 0 and data["config"]["k"] == 2
+
+
+@pytest.mark.parametrize("k", ["33", "40"])
+def test_star_beyond_the_register_exits_2_at_once(capsys, k):
+    # the register check fires before 2^K hub labels are built
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--scenario", "star", "--k", k])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].endswith(f"{2 * int(k)} qubits exceed the 64-qubit register")
 
 
 def test_nkm_wiring_parsing(capsys):

@@ -10,10 +10,11 @@ import pytest
 
 from lhv_oracle import (
     block_numeric_reference,
+    enumerate_vertices_reference,
     maximize_on_simplex,
     mixture_numeric_reference,
 )
-from netbell import lhv, scenario
+from netbell import lhv, network, scenario
 from netbell.lhv import (
     BudgetExceeded,
     Strategy,
@@ -30,9 +31,11 @@ from netbell.scenario import (
     build_chsh,
     build_ghz_a,
     build_ghz_b,
+    build_nkm,
     build_star_combined,
     build_star_first,
     build_star_nonlinear,
+    build_star_second,
     build_two_source_linear,
 )
 
@@ -174,6 +177,45 @@ def test_nonlinear_baselines_via_vertex_mixture():
     assert detail["numeric"] == pytest.approx(math.sqrt(2.0), abs=1e-6)
     bil = build_bilocal_baseline()["bil"]
     assert linear_lhv_max(bil, enumerate_vertices(bil)) == 1
+
+
+def _enumerated_inputs():
+    """Catalog expressions certified by enumeration, star K = 2, 3, nkm wirings."""
+    exprs = []
+    for info in scenario.SCENARIOS.values():
+        for expr in info.build().values():
+            if (expr.n_strategies_raw() <= lhv.ENUM_THRESHOLD
+                    or cross_polytope_structure(expr) is None):
+                exprs.append(expr)
+    for k in (2, 3):
+        exprs += [build_star_first(k), build_star_second(k),
+                  build_star_combined(k)]
+    for args, kwargs, bits in (
+            ((3, 2, 2, ((2, 0, 1),)), {}, None),
+            ((2, 2, 1, ()), {"alice_recipients": (0, 0)}, None),
+            ((4, 2, 3, ((2, 0, 2), (3, 1, 2))), {}, {2: 1}),
+            ((5, 3, 3, ((3, 0, 1), (4, 1, 2))), {}, None)):
+        exprs += build_nkm(network.nkm(*args, **kwargs), bits).values()
+    return exprs
+
+
+def test_enumeration_matches_product_table(monkeypatch):
+    exprs = _enumerated_inputs()
+    assert len(exprs) >= 25
+    for expr in exprs:
+        try:
+            want = enumerate_vertices_reference(expr)
+        except BudgetExceeded:
+            # star combined K = 3: 2^28 reduced strategies
+            with pytest.raises(BudgetExceeded):
+                enumerate_vertices(expr)
+            continue
+        # equal vectors, order, counts and lowest-code witnesses
+        assert enumerate_vertices(expr) == want, expr.name
+        # five candidate rows per dedup call: slices cut through prefixes
+        with monkeypatch.context() as m:
+            m.setattr(lhv, "_CHUNK", 5)
+            assert enumerate_vertices(expr) == want, expr.name
 
 
 def test_budget_guard():

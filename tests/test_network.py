@@ -51,6 +51,9 @@ def test_star_layout():
             assert t.source_of(k + i).id == i
     with pytest.raises(ValueError):
         star(1)
+    assert star(32).n_qubits == 64
+    with pytest.raises(ValueError, match="66 qubits exceed the 64-qubit register"):
+        star(33)
 
 
 def test_nkm_layout():

@@ -126,6 +126,9 @@ def test_optimize_chsh():
     assert res.angles[("A", "ZX")] == pytest.approx(QUARTER_PI, abs=1e-6)
     assert len(res.start_values) == 4
     assert max(res.start_values) == res.value
+    for starts in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            optimize_angles(expr, natural(expr), starts=starts)
 
 
 @pytest.mark.parametrize("build,k", [

@@ -23,7 +23,7 @@ from netbell.states import (
     two_component_mixture,
 )
 
-from conftest import dense_expectation, dense_word
+from conftest import apply_word, dense_expectation, dense_word
 
 RNG = np.random.default_rng(20240814)
 
@@ -118,6 +118,20 @@ def test_apply_pauli_matches_matrix():
                             [1, -1, 1j, -1j][rng.integers(4)])
             assert np.allclose(states.apply_pauli(p, vec), dense_word(p) @ vec,
                                atol=1e-12)
+
+
+def test_matrix_free_oracle_matches_kronecker_matrix():
+    # the tensor-axis oracle behind dense_expectation agrees with the matrix
+    rng = np.random.default_rng(5)
+    for n in range(1, 8):
+        vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        for _ in range(20):
+            full = (1 << n) - 1
+            p = PauliString(n, int(rng.integers(0, full + 1)),
+                            int(rng.integers(0, full + 1)),
+                            [1, -1, 1j, -1j][rng.integers(4)])
+            assert np.allclose(apply_word(p, vec), dense_word(p) @ vec,
+                               rtol=0, atol=1e-12)
 
 
 def test_smolin_expectations():
