@@ -10,7 +10,7 @@ Subcommands:
 
 Reports are JSON with sorted keys, so identical invocations produce
 byte-identical output.  Exit codes: 0 success (PASS or INFO verdicts),
-1 a check failed or a bound is UNPROVEN, 2 usage errors.
+1 a check failed or a bound is UNPROVEN, 2 usage errors, 3 out of memory.
 """
 
 from __future__ import annotations
@@ -409,4 +409,9 @@ def main(argv=None) -> int:
         _merge_config(args, parser)
         if args.scenario is None:
             parser.error("--scenario is required (or supply it via --config)")
-    return args.handler(args, parser)
+    try:
+        return args.handler(args, parser)
+    except MemoryError:
+        print(f"{parser.prog} {args.command}: error: out of memory; "
+              "ask for fewer rounds or a smaller scenario", file=sys.stderr)
+        return 3

@@ -10,9 +10,8 @@ and the measurement assignment lives in the scenario layer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .pauli import MAX_QUBITS
 
@@ -59,18 +58,6 @@ class NetworkTopology:
             if p.id == party_id:
                 return p
         raise KeyError(party_id)
-
-    def owner_of(self, qubit: int) -> str:
-        for p in self.parties:
-            if qubit in p.qubits:
-                return p.id
-        raise KeyError(qubit)
-
-    def single_parties(self) -> tuple[str, ...]:
-        return tuple(p.id for p in self.parties if len(p.qubits) == 1)
-
-    def joint_parties(self) -> tuple[str, ...]:
-        return tuple(p.id for p in self.parties if len(p.qubits) > 1)
 
     def source_of(self, qubit: int) -> SourceSpec:
         for s in self.sources:
@@ -222,32 +209,3 @@ def ghz_case_b() -> NetworkTopology:
                Party("C1", (3,)), Party("C2", (4,)))
     return _check(NetworkTopology(5, sources, parties))
 
-
-# -- serialization -----------------------------------------------------------
-
-def to_dict(topology: NetworkTopology) -> dict:
-    return {
-        "n_qubits": topology.n_qubits,
-        "sources": [
-            {"id": s.id, "kind": s.kind, "qubits": list(s.qubits),
-             "recipients": list(s.recipients)}
-            for s in topology.sources
-        ],
-        "parties": [{"id": p.id, "qubits": list(p.qubits)} for p in topology.parties],
-    }
-
-
-def from_dict(data: Mapping) -> NetworkTopology:
-    sources = tuple(
-        SourceSpec(s["id"], s["kind"], tuple(s["qubits"]), tuple(s["recipients"]))
-        for s in data["sources"])
-    parties = tuple(Party(p["id"], tuple(p["qubits"])) for p in data["parties"])
-    return _check(NetworkTopology(data["n_qubits"], sources, parties))
-
-
-def to_json(topology: NetworkTopology) -> str:
-    return json.dumps(to_dict(topology), indent=2, sort_keys=True)
-
-
-def from_json(text: str) -> NetworkTopology:
-    return from_dict(json.loads(text))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 MAX_QUBITS = 64
 
@@ -127,20 +127,6 @@ class PauliString:
             raise ValueError("cannot compare words on different register sizes")
         return ((self.x_mask & other.z_mask).bit_count()
                 + (self.z_mask & other.x_mask).bit_count()) % 2 == 0
-
-    def embed(self, qubit_map: Sequence[int], n_total: int) -> "PauliString":
-        """Move qubit q of this word to qubit_map[q] of a larger register."""
-        if len(qubit_map) != self.n_qubits:
-            raise ValueError("qubit_map must list a target for every qubit")
-        if len(set(qubit_map)) != len(qubit_map):
-            raise ValueError("qubit_map targets must be distinct")
-        x = z = 0
-        for q, target in enumerate(qubit_map):
-            if not 0 <= target < n_total:
-                raise ValueError(f"target qubit {target} outside register of {n_total}")
-            x |= ((self.x_mask >> q) & 1) << target
-            z |= ((self.z_mask >> q) & 1) << target
-        return PauliString(n_total, x, z, self.phase)
 
     # -- text form ----------------------------------------------------------
 

@@ -77,11 +77,12 @@ class JointPauliObservable:
              mapping: Mapping[str, str]) -> "JointPauliObservable":
         return cls(tuple(qubits), tuple(sorted(mapping.items())))
 
+    @functools.cached_property
+    def _letter_map(self) -> dict[str, str]:
+        return dict(self.letters)
+
     def letters_for(self, inp: str) -> str:
-        for key, ls in self.letters:
-            if key == inp:
-                return ls
-        raise KeyError(inp)
+        return self._letter_map[inp]  # KeyError on an unknown input
 
     def inputs(self) -> tuple[str, ...]:
         return tuple(inp for inp, _ in self.letters)
@@ -296,14 +297,6 @@ class InequalityExpr:
         for party in self.topology.party_ids():
             count *= 2 ** len(self.party_inputs(party))
         return count
-
-    def value_scale(self, family: str) -> float:
-        """|correlator| of a firing deterministic strategy (norm * 2^#singles)."""
-        scales = {float(t.correlator.normalization * 2 ** t.correlator.n_single)
-                  for t in self.terms_for(family)}
-        if len(scales) != 1:
-            raise ValueError(f"family {family!r} mixes correlator scales")
-        return scales.pop()
 
     def power(self, v):
         """The correlator transform: identity, sign-preserving v^r, or |v|^r.

@@ -1,4 +1,4 @@
-"""Stabilizer-group states, mixtures of them, and a dense state-vector backend.
+"""Stabilizer-group states and mixtures of them.
 
 A ``StabilizerGroup`` holds k <= n independent, pairwise commuting Hermitian
 Pauli generators and represents the uniform (maximally mixed) state on the
@@ -8,9 +8,7 @@ mixed state.  Expectation values of Hermitian Pauli words are exact:
     <P> = +1 if P is in the group, -1 if -P is, 0 otherwise,
 
 decided by GF(2) elimination over the symplectic rows with exact phase
-accumulation.  ``StabilizerMixture`` takes convex combinations.  ``DenseState``
-is a (slow, n <= 14) state-vector test oracle used to cross-check the group
-backend; sampling never uses it.
+accumulation.  ``StabilizerMixture`` takes convex combinations.
 """
 
 from __future__ import annotations
@@ -18,14 +16,10 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
-
-import numpy as np
+from typing import Iterable, Union
 
 from . import network
 from .pauli import PauliString, word
-
-DENSE_MAX_QUBITS = 14
 
 # generator signs (z_sign, x_sign) for the four two-qubit pair states
 PAIR_SIGNS = {
@@ -124,28 +118,13 @@ class StabilizerMixture:
             raise ValueError(f"weights sum to {total}, not 1")
 
 
-@dataclass(frozen=True)
-class DenseState:
-    """Normalized state vector, qubit q <-> bit q of the amplitude index."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.amplitudes.shape != (1 << self.n_qubits,):
-            raise ValueError("amplitude vector has wrong length")
-        nrm = float(np.linalg.norm(self.amplitudes))
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValueError(f"state vector norm {nrm} != 1")
-
-
-State = Union[StabilizerGroup, StabilizerMixture, DenseState]
+State = Union[StabilizerGroup, StabilizerMixture]
 
 
 # -- expectation values -------------------------------------------------------
 
 def expectation(state: State, p: PauliString) -> float:
-    """Exact (group/mixture) or dense expectation of a Hermitian Pauli word."""
+    """Exact expectation of a Hermitian Pauli word in a group or mixture."""
     if not p.is_hermitian:
         raise ValueError(f"{p} is not Hermitian")
     if isinstance(state, StabilizerGroup):
@@ -153,52 +132,7 @@ def expectation(state: State, p: PauliString) -> float:
         return float(sign) if sign is not None else 0.0
     if isinstance(state, StabilizerMixture):
         return float(sum(w * expectation(g, p) for w, g in state.components))
-    if isinstance(state, DenseState):
-        if p.n_qubits != state.n_qubits:
-            raise ValueError("register size mismatch")
-        bra = state.amplitudes.conj()
-        val = complex(np.dot(bra, apply_pauli(p, state.amplitudes)))
-        return float(val.real)
     raise TypeError(f"unsupported state type {type(state)!r}")
-
-
-def _parity(a: np.ndarray) -> np.ndarray:
-    a = a.astype(np.uint64, copy=True)
-    for shift in (32, 16, 8, 4, 2, 1):
-        a ^= a >> np.uint64(shift)
-    return (a & np.uint64(1)).astype(np.int64)
-
-
-def apply_pauli(p: PauliString, amplitudes: np.ndarray) -> np.ndarray:
-    """Apply a phased Pauli word to a dense amplitude vector."""
-    n = p.n_qubits
-    dim = 1 << n
-    if amplitudes.shape != (dim,):
-        raise ValueError("amplitude vector has wrong length")
-    idx = np.arange(dim, dtype=np.uint64)
-    # P|b> = phase * i^{|x&z|} * (-1)^{|z&b|} |b ^ x>
-    front = p.phase * (1j ** ((p.x_mask & p.z_mask).bit_count()))
-    signs = 1.0 - 2.0 * _parity(idx & np.uint64(p.z_mask))
-    out = np.zeros(dim, dtype=complex)
-    out[idx ^ np.uint64(p.x_mask)] = front * signs * np.asarray(amplitudes)
-    return out
-
-
-def to_dense(group: StabilizerGroup) -> DenseState:
-    """Project a computational basis state into the stabilized subspace."""
-    n = group.n_qubits
-    if n > DENSE_MAX_QUBITS:
-        raise ValueError(f"dense backend capped at {DENSE_MAX_QUBITS} qubits")
-    dim = 1 << n
-    for basis in range(dim):
-        psi = np.zeros(dim, dtype=complex)
-        psi[basis] = 1.0
-        for g in group.generators:
-            psi = (psi + apply_pauli(g, psi)) / 2.0
-        nrm = float(np.linalg.norm(psi))
-        if nrm > 1e-6:
-            return DenseState(n, psi / nrm)
-    raise ValueError("generators stabilize no state")
 
 
 # -- state builders -----------------------------------------------------------

@@ -34,3 +34,18 @@ def apply_word(p, vec: np.ndarray) -> np.ndarray:
 
 def dense_expectation(vec: np.ndarray, p) -> complex:
     return complex(vec.conj() @ apply_word(p, vec))
+
+
+def stabilizer_vector(group) -> np.ndarray:
+    """Unit vector of a pure stabilizer group: the first computational basis
+    state whose projection through prod_g (1 + g)/2 survives, normalised."""
+    dim = 1 << group.n_qubits
+    for basis in range(dim):
+        psi = np.zeros(dim, dtype=complex)
+        psi[basis] = 1.0
+        for g in group.generators:
+            psi = (psi + apply_word(g, psi)) / 2.0
+        nrm = float(np.linalg.norm(psi))
+        if nrm > 1e-6:
+            return psi / nrm
+    raise ValueError("generators stabilize no state")

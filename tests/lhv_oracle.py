@@ -12,8 +12,10 @@ point, then the Philox Dirichlet draws in order), 300 steps of size
 0.5/sqrt(k+1) along the normalised gradient, a start stopping when its
 gradient norm drops below 1e-14, each iterate put back on the simplex by
 the 1-D sort-and-threshold projection.  The batched code advances every
-start at once and must agree with it: bit for bit on a cross-polytope
-block, within 1e-12 relative on a vertex mixture.
+start at once and must agree with it within 1e-12 relative on a vertex
+mixture.  ``block_numeric_reference`` runs it on one cross-polytope block,
+a numeric second opinion on the closed form ``lhv.nonlinear_lhv_max``
+reports there: it must stay under that bound and reach it.
 """
 
 import math

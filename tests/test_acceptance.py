@@ -38,7 +38,7 @@ from netbell.scenario import (
 )
 from netbell.states import bell_pair, ghz3, network_state, product_group, smolin
 
-from conftest import dense_expectation
+from conftest import dense_expectation, stabilizer_vector
 
 SQRT2 = math.sqrt(2.0)
 
@@ -210,7 +210,7 @@ def test_criterion_8_property_suites():
             for _ in range(triples):
                 groups.append(ghz3(next(qs), next(qs), next(qs), n))
             g = product_group(groups)
-            vec = states.to_dense(g).amplitudes
+            vec = stabilizer_vector(g)
             for _ in range(50):
                 full = (1 << n) - 1
                 p = PauliString(n, int(rng.integers(0, full + 1)),

@@ -7,6 +7,7 @@ import pathlib
 
 import pytest
 
+from netbell import sampler
 from netbell.cli import main
 from netbell.scenario import SCENARIOS
 
@@ -237,6 +238,18 @@ def test_star_beyond_the_register_exits_2_at_once(capsys, k):
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].endswith(f"{2 * int(k)} qubits exceed the 64-qubit register")
+
+
+def test_out_of_memory_exits_3_in_one_line(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(sampler, "simulate_rounds", exhausted)
+    code = main(["simulate", "--scenario", "chsh", "--rounds", "1000000000000"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "out of memory" in err[0]
 
 
 def test_nkm_wiring_parsing(capsys):

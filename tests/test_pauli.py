@@ -58,19 +58,8 @@ def test_ghz_generator_product():
     # XZZ * ZXZ * ZZX = -XXX, locally and embedded on a larger register
     gens = [from_letters(s) for s in ("XZZ", "ZXZ", "ZZX")]
     assert pauli.product(gens) == from_letters("XXX", phase=-1)
-    embedded = [g.embed([1, 2, 3], 5) for g in gens]
+    embedded = [word({1: a, 2: b, 3: c}, 5) for a, b, c in ("XZZ", "ZXZ", "ZZX")]
     assert pauli.product(embedded) == word({1: "X", 2: "X", 3: "X"}, 5, phase=-1)
-
-
-def test_embed_is_faithful():
-    p = from_letters("YZ", phase=-1)
-    q = p.embed([4, 0], 6)
-    assert q.letter(4) == "Y" and q.letter(0) == "Z"
-    assert q.weight == 2 and q.phase == -1
-    with pytest.raises(ValueError):
-        p.embed([0, 0], 4)
-    with pytest.raises(ValueError):
-        p.embed([0], 4)
 
 
 def test_text_round_trip_and_errors():

@@ -28,7 +28,6 @@ from netbell.scenario import (
     build_star_first,
     build_star_nonlinear,
     build_two_source_linear,
-    resolve_angles,
 )
 from netbell.states import network_state, parse_state_spec, smolin
 

@@ -9,8 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from netbell import sampler, states
-from netbell.pauli import from_letters, word
+from netbell import sampler
 from netbell.sampler import RoundBatch, estimate, simulate_rounds
 from netbell.scenario import (
     SCENARIOS,
@@ -24,6 +23,7 @@ from netbell.scenario import (
     build_two_source_linear,
 )
 from netbell.states import bell_pair, ghz3, network_state, product_group, smolin
+from conftest import stabilizer_vector
 from sampler_oracle import csv_reference, estimate_reference
 
 
@@ -82,7 +82,7 @@ def test_source_distribution_mixed_basis():
 
 def test_simulate_rejects_dense_and_non_product():
     expr = build_chsh()
-    dense = states.to_dense(network_state(expr.topology))
+    dense = stabilizer_vector(network_state(expr.topology))
     with pytest.raises(ValueError, match="stabilizer"):
         simulate_rounds(expr, dense, 10, seed=1)
     crossed = product_group([bell_pair(0, 2, 4), bell_pair(1, 3, 4)])

@@ -109,7 +109,8 @@ def test_ghz_a_labels_and_exponents():
 def test_star_first_shape():
     expr = build_star_first(3)
     assert len(expr.terms) == 8
-    assert expr.value_scale(UNPRIMED) == 1.0
+    assert {t.correlator.normalization * 2 ** t.correlator.n_single
+            for t in expr.terms} == {1}
     assert expr.claimed_quantum_max == pytest.approx(2.0 ** 1.5)
     b = expr.observables_for(UNPRIMED)["B"]
     assert b.letters_for("101") == "XZX"
@@ -232,13 +233,6 @@ def test_expr_validation():
         SingleQubitObservable(0, "XY")
     with pytest.raises(KeyError):
         JointPauliObservable.make((1,), {"0": "Z"}).letters_for("1")
-
-
-def test_value_scales():
-    assert build_chsh().value_scale(UNPRIMED) == 2.0
-    assert build_ghz_b().value_scale(UNPRIMED) == 1.0
-    assert build_star_first(4).value_scale(UNPRIMED) == 1.0
-    assert scenario.build_bilocal_baseline()["bi"].value_scale(UNPRIMED) == 1.0
 
 
 def test_registry_builds_everything():

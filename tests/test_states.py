@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from netbell import network, states
 from netbell.pauli import PauliString, from_letters, word
 from netbell.states import (
-    DenseState,
     StabilizerGroup,
     bell_pair,
     expectation,
@@ -19,11 +18,10 @@ from netbell.states import (
     parse_state_spec,
     product_group,
     smolin,
-    to_dense,
     two_component_mixture,
 )
 
-from conftest import apply_word, dense_expectation, dense_word
+from conftest import apply_word, dense_expectation, dense_word, stabilizer_vector
 
 RNG = np.random.default_rng(20240814)
 
@@ -50,7 +48,7 @@ def test_bell_pair_vectors():
         (-1, -1): [0, 1, -1, 0],
     }
     for (zs, xs), target in want.items():
-        vec = fixed_phase(to_dense(bell_pair(0, 1, 2, zs, xs)).amplitudes)
+        vec = fixed_phase(stabilizer_vector(bell_pair(0, 1, 2, zs, xs)))
         assert np.allclose(vec, np.array(target) / math.sqrt(2))
 
 
@@ -63,7 +61,7 @@ def test_pair_sign_labels():
 
 def test_ghz3_dense_vector():
     # eight equal-magnitude amplitudes with signs (-1)^(b1 b2 + b1 b3 + b2 b3)
-    vec = fixed_phase(to_dense(ghz3(0, 1, 2, 3)).amplitudes)
+    vec = fixed_phase(stabilizer_vector(ghz3(0, 1, 2, 3)))
     want = np.empty(8)
     for b in range(8):
         b1, b2, b3 = b & 1, (b >> 1) & 1, (b >> 2) & 1
@@ -98,26 +96,12 @@ def test_group_expectation_matches_dense():
                            bell_pair(1, 4, 5, zs2, xs2),
                            StabilizerGroup(
                                5, (word({3: "Z"}, 5, int(rng.choice([-1, 1]))),))])
-        vec = to_dense(g).amplitudes
+        vec = stabilizer_vector(g)
         for _ in range(40):
             p = random_hermitian_word(5, rng)
             got = expectation(g, p)
             want = dense_expectation(vec, p).real
             assert abs(got - want) < 1e-12
-
-
-def test_apply_pauli_matches_matrix():
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 3, 4):
-        vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        vec /= np.linalg.norm(vec)
-        for _ in range(30):
-            full = (1 << n) - 1
-            p = PauliString(n, int(rng.integers(0, full + 1)),
-                            int(rng.integers(0, full + 1)),
-                            [1, -1, 1j, -1j][rng.integers(4)])
-            assert np.allclose(states.apply_pauli(p, vec), dense_word(p) @ vec,
-                               atol=1e-12)
 
 
 def test_matrix_free_oracle_matches_kronecker_matrix():
@@ -189,13 +173,6 @@ def test_group_validation():
         expectation(bell_pair(0, 1, 2), from_letters("XY", phase=1j))
 
 
-def test_dense_state_validation():
-    with pytest.raises(ValueError):
-        DenseState(2, np.ones(4))
-    ok = DenseState(2, np.ones(4) / 2.0)
-    assert expectation(ok, from_letters("XX")) == pytest.approx(1.0)
-
-
 def test_parse_state_spec():
     topo = network.two_source()
     nat = parse_state_spec("natural", topo)
@@ -233,7 +210,7 @@ def test_pair_products_agree_with_dense(i, j):
     zi, xi = states.PAIR_SIGNS[labels[i]]
     zj, xj = states.PAIR_SIGNS[labels[j]]
     g = product_group([bell_pair(0, 1, 4, zi, xi), bell_pair(2, 3, 4, zj, xj)])
-    vec = to_dense(g).amplitudes
+    vec = stabilizer_vector(g)
     rng = np.random.default_rng(i * 4 + j)
     for _ in range(25):
         p = random_hermitian_word(4, rng)
