@@ -10,7 +10,9 @@ Subcommands:
 
 Reports are JSON with sorted keys, so identical invocations produce
 byte-identical output.  Exit codes: 0 success (PASS or INFO verdicts),
-1 a check failed or a bound is UNPROVEN, 2 usage errors, 3 out of memory.
+1 a check failed or a bound is UNPROVEN, 2 usage errors, 3 out of memory or
+any other uncaught error (one line on stderr, ``netbell <cmd>: error:
+<Type>: <message>``, never a traceback).
 """
 
 from __future__ import annotations
@@ -414,4 +416,8 @@ def main(argv=None) -> int:
     except MemoryError:
         print(f"{parser.prog} {args.command}: error: out of memory; "
               "ask for fewer rounds or a smaller scenario", file=sys.stderr)
+        return 3
+    except Exception as exc:  # one line, never a traceback
+        print(f"{parser.prog} {args.command}: error: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -10,10 +10,13 @@ every source the joint +-1 outcome distribution of its qubits is
 with m_T the expectation of the product of the chosen per-qubit observables
 over T, expanded into Pauli words and evaluated on the stabilizer backend.
 No dense state vectors are built, so register size is not the limit.  Rounds
-that share a source's (mixture component, qubit settings) form a group; the
-groups are numbered through small lookup tables, one qubit at a time, without
-sorting the rounds, and every round then reads its outcome off its group's
-row of one CDF table.
+that share a source's (mixture component, qubit settings) form a group.  A
+source's settings depend only on the component, the term and the x bits of
+the a single parties among its recipients, so one group table per source,
+n_components * n_terms * 2^a entries built once per call, maps that key to
+its group.  Each round then costs one intp gather for its group and reads its
+outcome off the group's row of one CDF table; a row's distribution is worked
+out only when a drawn round reaches it.  Nothing sorts the rounds.
 
 Estimation inverts the correlator definition: cells are the distinct input
 profiles, and
@@ -45,7 +48,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import pauli, states
-from .network import NetworkTopology
+from .network import NetworkTopology, SourceSpec
 from .scenario import (AngleMap, InequalityExpr, SingleQubitObservable,
                        resolve_angles, small_int)
 from .states import StabilizerGroup, StabilizerMixture, State
@@ -202,6 +205,27 @@ def _renumber(code: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return (np.cumsum(seen) - 1).astype(small_int(len(codes)))[code], codes
 
 
+def _group_table(spec_of: dict[int, np.ndarray], n_comp: int, src: SourceSpec,
+                 owners: list[str]) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """One source's distinct (component, qubit setting...) rows, and the row
+    of every key (comp * n_terms + term) * 2^a + bits.
+
+    Bit i of ``bits`` is the x of ``owners[i]``, the a parties with x bits
+    among the source's recipients; the other qubits read column 0 of their
+    ``spec_of`` table.  The rows are the groups that share one outcome
+    distribution.
+    """
+    bits = np.arange(1 << len(owners))
+    columns = [np.arange(n_comp)[:, None, None]]
+    for q, p in zip(src.qubits, src.recipients):
+        x = (bits >> owners.index(p)) & 1 if p in owners else np.zeros_like(bits)
+        columns.append(spec_of[q][:, x][None])
+    settings = np.stack(np.broadcast_arrays(*columns), axis=-1)
+    keys, group_of = np.unique(settings.reshape(-1, len(columns)), axis=0,
+                               return_inverse=True)
+    return [tuple(k) for k in keys.tolist()], group_of.reshape(-1).astype(np.intp)
+
+
 def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
                     seed: int, angles: AngleMap | None = None) -> RoundBatch:
     """Simulate rounds; identical arguments give identical batches."""
@@ -253,7 +277,6 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
                 for table, letter in zip(tables, obs.letters_for(raw)):
                     table[t] = spec_id(((letter, 1.0),))
         spec_of.update(zip(qubits, tables))
-    spec_type = small_int(len(specs))
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     fam = rng.integers(0, n_fam, size=n_rounds)
@@ -263,45 +286,54 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
     singles = index.single.any(axis=0)
     xbits = {p: rng.integers(0, 2, size=n_rounds).astype(np.int8)
              for p, single in zip(parties, singles) if single}
-    if len(components) > 1:
+    # input positions: flat (term, x) gathers, 2 * term + x for a single
+    input_idx = {}
+    slot = term << 1
+    buf = np.empty_like(slot)
+    for j, p in enumerate(parties):
+        flat = index.inputs[:, j, :].ravel()
+        input_idx[p] = flat.take(np.add(slot, xbits[p], out=buf)
+                                 if p in xbits else slot)
+    del slot, buf
+    if len(components) > 1:  # fold the component in: comp * n_terms + term
         comp = np.searchsorted(np.cumsum([w for w, _ in components]),
                                rng.random(n_rounds), side="right")
-        comp = np.minimum(comp, len(components) - 1).astype(small_int(len(components)))
-    else:
-        comp = np.zeros(n_rounds, dtype=np.int8)
+        np.minimum(comp, len(components) - 1, out=comp)
+        comp *= len(expr.terms)
+        comp += term
+        term = comp
+        del comp
 
-    input_idx = {}
-    qubit_spec = {}
-    for j, p in enumerate(parties):
-        x = xbits.get(p, 0)
-        input_idx[p] = index.inputs[:, j, :][term, x]
-        for q in topo.party(p).qubits:
-            qubit_spec[q] = spec_of[q].astype(spec_type)[term, x]
-    del term, xbits
-
-    # per source: compact the (component, spec...) groups one qubit at a
-    # time, then draw every round from its group's row of one CDF table
+    # per source: one intp key per round, (comp, term, owners' x bits), read
+    # through the source's group table, then each round's outcome off its
+    # group's row of one CDF table
     qubit_sign = {}
-    width = len(specs)
     for src in topo.sources:
         qs = list(src.qubits)
-        group = comp
-        keys = [(c,) for c in range(len(components))]
-        for q in qs:
-            bound = len(keys) * width
-            group, codes = _renumber(
-                group.astype(small_int(bound)) * width + qubit_spec[q], bound)
-            keys = [keys[c // width] + (c % width,) for c in codes.tolist()]
-        cdf = np.array([np.cumsum(_source_distribution(
-            components[key[0]][1], qs, [specs[i] for i in key[1:]]))
-            for key in keys])
-        target = rng.random(n_rounds) * cdf[group, -1]
+        owners = list(dict.fromkeys(p for p in src.recipients if p in xbits))
+        keys, group_of = _group_table(spec_of, len(components), src, owners)
+        key = term << len(owners)
+        for i, p in enumerate(owners):
+            key += xbits[p] << i
+        # in place; "clip" skips the bounds-checked copy (keys are in range)
+        group = np.take(group_of, key, out=key, mode="clip")
+        reached = np.zeros(len(keys), dtype=bool)
+        reached[group] = True
+        cdf = np.zeros((len(keys), 1 << len(qs)))
+        for row in np.flatnonzero(reached).tolist():
+            c, *setting = keys[row]
+            cdf[row] = np.cumsum(_source_distribution(
+                components[c][1], qs, [specs[i] for i in setting]))
+        target = rng.random(n_rounds)
+        target *= cdf[:, -1][group]
         outcome = np.zeros(n_rounds, dtype=small_int(1 << len(qs)))
-        for column in cdf.T:  # count the CDF entries <= target
+        # the last column counts only where u * total rounds up to total,
+        # and then every earlier column has counted already
+        for column in cdf.T[:-1]:
             outcome += column[group] <= target
-        np.minimum(outcome, (1 << len(qs)) - 1, out=outcome)
         for pos, q in enumerate(qs):
             qubit_sign[q] = (1 - 2 * ((outcome >> pos) & 1)).astype(np.int8)
+    del term, xbits
 
     outcomes = {}
     for p in parties:

@@ -6,6 +6,13 @@ every input cell, one ``input_label`` lookup per (term, profile), dict
 accumulation of the delta-method weights, and one ``csv.writer`` row per
 (round, party).  The vectorised code must agree with them bit for bit.
 
+``simulate_rounds_reference`` is the sampler before its group table: it
+gathers every qubit's setting per round and numbers the (component,
+setting...) groups one qubit at a time.  It draws from the same Philox
+stream in the same order, so ``sampler.simulate_rounds`` must return the
+same arrays, values and dtypes.  It calls ``sampler._source_distribution``
+through the module, once per distinct group of the drawn rounds.
+
 Two rules differ from the first version of that loop, and the package
 follows both: a term's single parties take their profile bits and their
 exponents in the same (topology) party order, and a cell whose derivatives
@@ -19,7 +26,9 @@ import math
 
 import numpy as np
 
-from netbell.sampler import EstimateReport, TermEstimate
+from netbell import sampler
+from netbell.sampler import EstimateReport, RoundBatch, TermEstimate
+from netbell.scenario import SingleQubitObservable, resolve_angles, small_int
 
 
 def estimate_reference(expr, batch) -> EstimateReport:
@@ -109,3 +118,113 @@ def csv_reference(batch, target) -> None:
         for p in batch.parties:
             writer.writerow([i, p, batch.vocab[p][batch.input_idx[p][i]],
                              int(batch.outcomes[p][i])])
+
+
+def simulate_rounds_reference(expr, state, n_rounds, seed, angles=None) -> RoundBatch:
+    if n_rounds <= 0:
+        raise ValueError("need a positive number of rounds")
+    resolved = resolve_angles(expr, angles)
+    topo = expr.topology
+    components = sampler._components(state)
+    sampler._validate_product(topo, components)
+    index = expr.input_index
+    parties = index.parties
+    families = expr.families()
+    n_fam = len(families)
+
+    # term_of[f, l]: the l-th term of family f
+    fam_terms = [[t for t, term in enumerate(expr.terms) if term.family == f]
+                 for f in families]
+    fam_counts = np.array([len(ts) for ts in fam_terms])
+    term_of = np.zeros((n_fam, int(fam_counts.max())), dtype=np.intp)
+    for fi, ts in enumerate(fam_terms):
+        term_of[fi, :len(ts)] = ts
+
+    # observable spec registry: letter/coefficient sums per qubit setting
+    specs = []
+    spec_ids = {}
+
+    def spec_id(spec) -> int:
+        if spec not in spec_ids:
+            spec_ids[spec] = len(specs)
+            specs.append(spec)
+        return spec_ids[spec]
+
+    # spec_of[q][t, x]: the setting of qubit q in term t for its party's bit x
+    spec_of = {}
+    for p in parties:
+        qubits = topo.party(p).qubits
+        tables = [np.zeros((len(expr.terms), 2), dtype=np.int64) for _ in qubits]
+        for fi, f in enumerate(families):
+            obs = expr.observables_for(f)[p]
+            if isinstance(obs, SingleQubitObservable):
+                theta = resolved[(p, obs.plane)]
+                for x, sign in ((0, 1.0), (1, -1.0)):
+                    tables[0][fam_terms[fi], x] = spec_id((
+                        ("Z", math.cos(theta)),
+                        (obs.plane[1], sign * math.sin(theta))))
+                continue
+            for t in fam_terms[fi]:
+                raw = expr.terms[t].correlator.joint_map[p]
+                for table, letter in zip(tables, obs.letters_for(raw)):
+                    table[t] = spec_id(((letter, 1.0),))
+        spec_of.update(zip(qubits, tables))
+    spec_type = small_int(len(specs))
+
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    fam = rng.integers(0, n_fam, size=n_rounds)
+    label = np.floor(rng.random(n_rounds) * fam_counts[fam]).astype(np.int64)
+    term = term_of[fam, label]
+    del fam, label
+    singles = index.single.any(axis=0)
+    xbits = {p: rng.integers(0, 2, size=n_rounds).astype(np.int8)
+             for p, single in zip(parties, singles) if single}
+    if len(components) > 1:
+        comp = np.searchsorted(np.cumsum([w for w, _ in components]),
+                               rng.random(n_rounds), side="right")
+        comp = np.minimum(comp, len(components) - 1).astype(small_int(len(components)))
+    else:
+        comp = np.zeros(n_rounds, dtype=np.int8)
+
+    input_idx = {}
+    qubit_spec = {}
+    for j, p in enumerate(parties):
+        x = xbits.get(p, 0)
+        input_idx[p] = index.inputs[:, j, :][term, x]
+        for q in topo.party(p).qubits:
+            qubit_spec[q] = spec_of[q].astype(spec_type)[term, x]
+    del term, xbits
+
+    # per source: compact the (component, spec...) groups one qubit at a
+    # time, then draw every round from its group's row of one CDF table
+    qubit_sign = {}
+    width = len(specs)
+    for src in topo.sources:
+        qs = list(src.qubits)
+        group = comp
+        keys = [(c,) for c in range(len(components))]
+        for q in qs:
+            bound = len(keys) * width
+            group, codes = sampler._renumber(
+                group.astype(small_int(bound)) * width + qubit_spec[q], bound)
+            keys = [keys[c // width] + (c % width,) for c in codes.tolist()]
+        cdf = np.array([np.cumsum(sampler._source_distribution(
+            components[key[0]][1], qs, [specs[i] for i in key[1:]]))
+            for key in keys])
+        target = rng.random(n_rounds) * cdf[group, -1]
+        outcome = np.zeros(n_rounds, dtype=small_int(1 << len(qs)))
+        for column in cdf.T:  # count the CDF entries <= target
+            outcome += column[group] <= target
+        np.minimum(outcome, (1 << len(qs)) - 1, out=outcome)
+        for pos, q in enumerate(qs):
+            qubit_sign[q] = (1 - 2 * ((outcome >> pos) & 1)).astype(np.int8)
+
+    outcomes = {}
+    for p in parties:
+        sign = np.ones(n_rounds, dtype=np.int8)
+        for q in topo.party(p).qubits:
+            if q in qubit_sign:
+                sign *= qubit_sign[q]
+        outcomes[p] = sign
+    return RoundBatch(parties, dict(zip(parties, index.vocab)), input_idx,
+                      outcomes, seed)

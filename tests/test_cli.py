@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from netbell import sampler
+from netbell import cli, sampler
 from netbell.cli import main
 from netbell.scenario import SCENARIOS
 
@@ -250,6 +250,18 @@ def test_out_of_memory_exits_3_in_one_line(capsys, monkeypatch):
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and "out of memory" in err[0]
+
+
+def test_uncaught_error_exits_3_in_one_line(capsys, monkeypatch):
+    def broken(args, parser):
+        raise RuntimeError("table out of step")
+    monkeypatch.setattr(cli, "_cmd_certify", broken)
+    code = main(["certify", "--scenario", "chsh"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "netbell certify: error: RuntimeError: table out of step"]
 
 
 def test_nkm_wiring_parsing(capsys):

@@ -22,24 +22,46 @@ from netbell.scenario import (
     build_star_first,
     build_two_source_linear,
 )
-from netbell.states import bell_pair, ghz3, network_state, product_group, smolin
+from netbell.states import (bell_pair, ghz3, network_state, parse_state_spec,
+                            product_group, smolin)
 from conftest import stabilizer_vector
-from sampler_oracle import csv_reference, estimate_reference
+from sampler_oracle import csv_reference, estimate_reference, simulate_rounds_reference
 
 
 def _oracle_cases():
-    """Every catalog expression, star K=2 and K=3 at r=1/3, star K=2..6."""
+    """Every catalog expression, star K=2 and K=3 at r=1/3, star K=2..6 on
+    the natural state; then mixtures of 2 and 4 components, the maximally
+    mixed state and skewed angles."""
     builds = [(name, {}) for name in SCENARIOS]
     builds += [("star", {"k": 2}), ("star", {"k": 3, "r": Fraction(1, 3)})]
     cases = []
     for name, params in builds:
         tag = name + "".join(f"-{k}{v}" for k, v in params.items())
         for family, expr in SCENARIOS[name].build(**params).items():
-            cases.append(pytest.param(expr, id=f"{tag}/{family}"))
+            cases.append(pytest.param(expr, "natural", None, id=f"{tag}/{family}"))
     for k in range(2, 7):
-        cases.append(pytest.param(build_star_first(k), id=f"star-first-k{k}"))
-        cases.append(pytest.param(build_star_combined(k), id=f"star-combined-k{k}"))
+        cases.append(pytest.param(build_star_first(k), "natural", None,
+                                  id=f"star-first-k{k}"))
+        cases.append(pytest.param(build_star_combined(k), "natural", None,
+                                  id=f"star-combined-k{k}"))
+    for name, family, spec, angles in (
+            ("two-source", "combined", "rho1(0.4)", None),
+            ("bilocal", "bi", "smolin", None),
+            ("ghz-b", "first", "mixed", None),
+            ("chsh", "first", "natural", {("A", "ZX"): 0.3})):
+        tag = f"{name}/{family}-{'skewed' if angles else spec}"
+        cases.append(pytest.param(SCENARIOS[name].build()[family], spec, angles,
+                                  id=tag))
     return cases
+
+
+def _assert_same_batch(got, want):
+    """Same parties, vocabularies and arrays, values and dtypes."""
+    assert got.parties == want.parties and got.vocab == want.vocab
+    for p in want.parties:
+        for a, b in ((got.input_idx[p], want.input_idx[p]),
+                     (got.outcomes[p], want.outcomes[p])):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def _hand_batch(expr, rows):
@@ -230,16 +252,56 @@ def test_report_dict_round_trips_to_json():
     assert len(data["terms"]) == 2
 
 
-@pytest.mark.parametrize("expr", _oracle_cases())
-def test_estimate_and_round_log_match_reference_loops(expr):
-    state = network_state(expr.topology)
+@pytest.mark.parametrize("expr,spec,angles", _oracle_cases())
+def test_estimate_and_round_log_match_reference_loops(expr, spec, angles):
+    state = parse_state_spec(spec, expr.topology)
     for rounds, seed in ((40, 1), (3000, 2)):
-        batch = simulate_rounds(expr, state, rounds, seed=seed)
+        batch = simulate_rounds(expr, state, rounds, seed=seed, angles=angles)
+        _assert_same_batch(batch, simulate_rounds_reference(
+            expr, state, rounds, seed, angles))
         assert estimate(expr, batch).as_dict() == estimate_reference(expr, batch).as_dict()
         got, want = io.StringIO(newline=""), io.StringIO(newline="")
         batch.to_csv(got)
         csv_reference(batch, want)
         assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("expr,state", [
+    pytest.param(build_star_first(6), None, id="star-first-k6"),
+    pytest.param(build_bilocal_baseline()["bi"], smolin(), id="bilocal/bi-smolin"),
+])
+def test_simulate_builds_only_the_distributions_its_rounds_reach(
+        expr, state, monkeypatch):
+    # the group table spans every (component, term, owner bits) key, but at
+    # 40 rounds only the rows the rounds reach get a CDF
+    state = state or network_state(expr.topology)
+    calls = []
+    real = sampler._source_distribution
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sampler, "_source_distribution", counted)
+    simulate_rounds_reference(expr, state, 40, seed=1)
+    reference_calls = len(calls)
+    calls.clear()
+    simulate_rounds(expr, state, 40, seed=1)
+    assert 0 < len(calls) <= reference_calls
+
+
+def test_simulate_memory_at_star_combined_k3():
+    # one intp key per source, gathered into its own buffer
+    expr = build_star_combined(3)
+    state = network_state(expr.topology)
+    tracemalloc.start()
+    try:
+        batch = simulate_rounds(expr, state, 1_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 46 * 2 ** 20
+    assert len(batch) == 1_000_000
 
 
 def test_round_log_file_bytes_match_reference(tmp_path):
