@@ -10,8 +10,9 @@ Subcommands:
 
 Reports are JSON with sorted keys, so identical invocations produce
 byte-identical output.  Exit codes: 0 success (PASS or INFO verdicts),
-1 a check failed or a bound is UNPROVEN, 2 usage errors, 3 out of memory or
-any other uncaught error (one line on stderr, ``netbell <cmd>: error:
+1 a check failed or a bound is UNPROVEN, 2 usage errors (among them an
+``--out`` whose directory does not exist, caught before any work), 3 out of
+memory or any other uncaught error (one line on stderr, ``netbell <cmd>: error:
 <Type>: <message>``, never a traceback).
 """
 
@@ -21,6 +22,7 @@ import argparse
 import json
 import math
 import operator
+import os
 import sys
 from fractions import Fraction
 
@@ -411,6 +413,9 @@ def main(argv=None) -> int:
         _merge_config(args, parser)
         if args.scenario is None:
             parser.error("--scenario is required (or supply it via --config)")
+    # before any work, so a bad path does not cost a whole run
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        parser.error(f"--out {args.out!r}: no such directory")
     try:
         return args.handler(args, parser)
     except MemoryError:

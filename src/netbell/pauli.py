@@ -1,8 +1,8 @@
 """Phased n-qubit Pauli strings in binary symplectic form.
 
-A Pauli word is stored as two machine-word bitmasks plus a phase:
+A Pauli word is stored as two machine-word bitmasks plus a phase exponent:
 
-    P = phase * W(x_mask, z_mask),    phase in {+1, -1, +i, -i}
+    P = i^phase_pow * W(x_mask, z_mask),    phase_pow in {0, 1, 2, 3}
 
 where bit q of ``x_mask``/``z_mask`` says whether qubit q carries an X/Z
 factor and ``W`` is the tensor product of single-qubit letters
@@ -11,9 +11,9 @@ factor and ``W`` is the tensor product of single-qubit letters
 
 The global convention is Y = i X Z, so W(x, z) = i^{|x & z|} * prod X^x Z^z
 with X applied before Z on each site.  All letters are Hermitian, hence a
-word is Hermitian iff its phase is +-1.  Multiplication tracks the phase
-exactly through integer powers of i; no floating point is involved anywhere
-in this module.
+word is Hermitian iff its phase is +-1 (phase_pow even).  Multiplication
+tracks the phase exactly through integer powers of i; the complex ``phase``
+is only a read-only view, and constructors take +-1/+-i for it.
 
 Text form: sign prefix followed by letter-index tokens, e.g. ``+X0 Z3 Y5``
 (identity renders as ``+I``).  Signs are ``+``, ``-``, ``+i``, ``-i``.
@@ -28,7 +28,7 @@ from typing import Iterable, Mapping
 MAX_QUBITS = 64
 
 _POW_TO_PHASE = (1 + 0j, 1j, -1 + 0j, -1j)
-_PHASE_TO_POW = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+_PHASE_TO_POW = {1: 0, 1j: 1, -1: 2, -1j: 3}
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_TO_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
@@ -39,12 +39,12 @@ _POW_TO_SIGN = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _TOKEN_RE = re.compile(r"([IXYZ])(\d*)$")
 
 
-def _phase_pow(phase: complex) -> int:
-    """Map a phase value onto its power of i; reject anything else."""
-    key = (int(phase.real), int(phase.imag)) if isinstance(phase, complex) else (int(phase), 0)
-    if complex(phase) != _POW_TO_PHASE[_PHASE_TO_POW.get(key, 0)] or key not in _PHASE_TO_POW:
-        raise ValueError(f"phase must be one of +1, -1, +i, -i, got {phase!r}")
-    return _PHASE_TO_POW[key]
+def _pow_of(phase: complex) -> int:
+    """The power of i that a phase of +1, -1, +i or -i is; reject anything else."""
+    try:
+        return _PHASE_TO_POW[phase]
+    except (KeyError, TypeError):
+        raise ValueError(f"phase must be one of +1, -1, +i, -i, got {phase!r}") from None
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class PauliString:
     n_qubits: int
     x_mask: int
     z_mask: int
-    phase: complex = 1
+    phase_pow: int = 0  # phase = i^phase_pow
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_qubits <= MAX_QUBITS:
@@ -64,15 +64,15 @@ class PauliString:
             raise ValueError("x_mask/z_mask have bits outside the register")
         if self.x_mask < 0 or self.z_mask < 0:
             raise ValueError("masks must be non-negative")
-        # normalize the stored phase to a canonical complex value
-        object.__setattr__(self, "phase", _POW_TO_PHASE[_phase_pow(self.phase)])
+        if self.phase_pow not in (0, 1, 2, 3):
+            raise ValueError(f"phase_pow must be 0..3, got {self.phase_pow!r}")
 
     # -- basic predicates ---------------------------------------------------
 
     @property
-    def phase_pow(self) -> int:
-        """Exponent k with phase = i^k."""
-        return _PHASE_TO_POW[(int(self.phase.real), int(self.phase.imag))]
+    def phase(self) -> complex:
+        """The phase i^phase_pow as a complex number."""
+        return _POW_TO_PHASE[self.phase_pow]
 
     @property
     def is_hermitian(self) -> bool:
@@ -111,15 +111,15 @@ class PauliString:
         # W(x1,z1) W(x2,z2) = i^(g1+g2-g3) (-1)^|z1&x2| W(x3,z3)
         k = (self.phase_pow + other.phase_pow + g1 + g2 - g3
              + 2 * (self.z_mask & other.x_mask).bit_count()) % 4
-        return PauliString(self.n_qubits, x3, z3, _POW_TO_PHASE[k])
+        return PauliString(self.n_qubits, x3, z3, k)
 
     def __neg__(self) -> "PauliString":
         return self.scaled(-1)
 
     def scaled(self, factor: complex) -> "PauliString":
         """Multiply the phase by +-1 or +-i."""
-        k = (self.phase_pow + _phase_pow(factor)) % 4
-        return PauliString(self.n_qubits, self.x_mask, self.z_mask, _POW_TO_PHASE[k])
+        k = (self.phase_pow + _pow_of(factor)) % 4
+        return PauliString(self.n_qubits, self.x_mask, self.z_mask, k)
 
     def commutes(self, other: "PauliString") -> bool:
         """Symplectic inner product == 0 mod 2."""
@@ -169,13 +169,13 @@ class PauliString:
             xb, zb = _LETTER_TO_BITS[letter]
             x |= xb << q
             z |= zb << q
-        return cls(n_qubits, x, z, _POW_TO_PHASE[_SIGN_TO_POW[sign]])
+        return cls(n_qubits, x, z, _SIGN_TO_POW[sign])
 
 
 # -- convenience constructors ----------------------------------------------
 
 def identity(n_qubits: int) -> PauliString:
-    return PauliString(n_qubits, 0, 0, 1)
+    return PauliString(n_qubits, 0, 0)
 
 
 def single(letter: str, qubit: int, n_qubits: int) -> PauliString:
@@ -192,7 +192,7 @@ def word(letters_by_qubit: Mapping[int, str], n_qubits: int,
         xb, zb = _LETTER_TO_BITS[letter]
         x |= xb << qubit
         z |= zb << qubit
-    return PauliString(n_qubits, x, z, phase)
+    return PauliString(n_qubits, x, z, _pow_of(phase))
 
 
 def from_letters(letter_string: str, phase: complex = 1) -> PauliString:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -214,42 +214,3 @@ def claimed_max_check(expr: InequalityExpr, state: State | None = None,
         "start_values": list(result.start_values),
     }
 
-
-# -- analytic helpers -------------------------------------------------------------
-
-
-def f_theta(theta: float, t: float) -> float:
-    """Per-source trade-off cos^t + sin^t for power parameter t in (0, 2)."""
-    return math.cos(theta) ** t + math.sin(theta) ** t
-
-
-def f_theta_max(t: float) -> float:
-    """max_theta f_theta = 2^(1 - t/2), attained at pi/4 for t < 2."""
-    if not 0.0 < t < 2.0:
-        raise ValueError("trade-off maximum needs 0 < t < 2")
-    return 2.0 ** (1.0 - t / 2.0)
-
-
-def mahler_check(xs: Sequence[float], ys: Sequence[float],
-                 tolerance: float = 1e-12) -> dict:
-    """Superadditivity of the geometric mean on nonnegative vectors.
-
-    (prod (x_i + y_i))^(1/n) >= (prod x_i)^(1/n) + (prod y_i)^(1/n),
-    with equality iff the vectors are proportional.  This is the inequality
-    behind the uniform-mixture classical maximum of the power forms.
-    """
-    if len(xs) != len(ys) or not xs:
-        raise ValueError("need two equal-length nonempty vectors")
-    if any(x < 0 for x in xs) or any(y < 0 for y in ys):
-        raise ValueError("vectors must be nonnegative")
-    n = len(xs)
-    gm = lambda vs: math.prod(vs) ** (1.0 / n)
-    lhs = gm([x + y for x, y in zip(xs, ys)])
-    rhs = gm(xs) + gm(ys)
-    if lhs < rhs - tolerance:
-        raise AssertionError(f"geometric-mean superadditivity violated: "
-                             f"{lhs} < {rhs}")
-    cross = [x * sum(ys) - y * sum(xs) for x, y in zip(xs, ys)]
-    proportional = all(abs(c) <= 1e-9 * (sum(xs) + sum(ys)) for c in cross)
-    return {"lhs": lhs, "rhs": rhs, "gap": lhs - rhs,
-            "equality": abs(lhs - rhs) <= 1e-9, "proportional": proportional}

@@ -21,6 +21,16 @@ Observables are grouped into families ("unprimed"/"primed").  Two families may
 share a party's physical observable (then inputs and angles are shared) or
 declare different ones (then combined tests relabel the party's inputs with a
 family prefix bit, and angles are independent).
+
+Star, two-source and (N, K, m) inequalities are one hub-and-branch
+construction, built by one function from the topology alone (star and
+two-source are one-hub (N, K, m) shapes).  A branch source is one that
+reaches a single-qubit party; the i-th branch source, in source order, sets
+label bit i, which is that party's exponent.  The hubs are the multi-qubit
+parties, and each hub qubit reads its branch source's bit, or the fixed bit
+of its hub-hub source.  A hub measures Z for bit 0 and, for bit 1, X (first
+family) or Y (second) on branch qubits and X on hub-hub ones.  Every
+correlator carries 1/2^K; the second family adds the parity sign (-1)^|y|.
 """
 
 from __future__ import annotations
@@ -28,7 +38,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
@@ -374,10 +385,6 @@ def _letter_word(bits: str, one_letter: str) -> str:
     return "".join("Z" if b == "0" else one_letter for b in bits)
 
 
-def _pow2(e: float) -> float:
-    return 2.0 ** e
-
-
 # -- CHSH and bilocal baselines ------------------------------------------------
 
 def build_chsh() -> InequalityExpr:
@@ -432,69 +439,101 @@ def build_bilocal_baseline() -> dict[str, InequalityExpr]:
     return {"bi": bi, "bil": bil}
 
 
-# -- star networks -------------------------------------------------------------
+# -- hub-and-branch networks: star, two-source, (N, K, m) ---------------------
 
-def _star_family(k: int, plane: str):
-    """Observable map for one star family: branches in a plane, hub letters."""
-    one = plane[1]
-    labels = _bit_labels(k)
-    hub = tuple(range(k))
-    obs = [("B", JointPauliObservable.make(
-        hub, {y: _letter_word(y, one) for y in labels}))]
-    for i in range(k):
-        obs.append((f"A{i + 1}", SingleQubitObservable(k + i, plane)))
-    return tuple(sorted(obs)), labels
+# which -> (family, plane, signed, label prefix) per family it holds
+_HUB_FAMILIES = {
+    "first": ((UNPRIMED, "ZX", False, ""),),
+    "second": ((PRIMED, "ZY", True, ""),),
+    "combined": ((UNPRIMED, "ZX", False, "0"), (PRIMED, "ZY", True, "1")),
+}
 
 
-def _star_terms(k: int, family: str, signed: bool,
-                label_prefix: str = "") -> tuple[Term, ...]:
+def _hub_family(topology: NetworkTopology, family: str, plane: str,
+                signed: bool, prefix: str, inter_bits: Mapping[int, int] | None):
+    """One hub-and-branch family: (sorted observables, terms, K).
+
+    Branch source i (the i-th source, in source order, that reaches a
+    single-qubit party) sets label bit i, which is that party's exponent.
+    Each hub qubit reads its branch source's bit, or the fixed
+    ``inter_bits`` bit (default 0) of its hub-hub source: Z for 0, the
+    plane's letter (branch) or X (hub-hub) for 1.
+    """
+    single = {p.id for p in topology.parties if len(p.qubits) == 1}
+    branches = [s for s in topology.sources if single.intersection(s.recipients)]
+    k = len(branches)
+    if k < 1:
+        raise ValueError("need at least one branch source")
+    fixed = dict(inter_bits or {})
+    if not set(fixed.values()) <= {0, 1}:
+        raise ValueError(f"inter bits must be 0 or 1, got {fixed}")
+    # hub qubit -> position in label + "01" (the fixed bits sit at k, k + 1)
+    position = {q: k + fixed.get(s.id, 0) for s in topology.sources for q in s.qubits}
+    names = []
+    for i, s in enumerate(branches):
+        names.append(next(r for r in s.recipients if r in single))
+        position.update(dict.fromkeys(s.qubits, i))
+    hubs = [(p.id, p.qubits, operator.itemgetter(*(position[q] for q in p.qubits)))
+            for p in topology.parties if len(p.qubits) > 1]
+    letter = str.maketrans("01", "Z" + plane[1])
+    maps: list[dict[str, str]] = [{} for _ in hubs]
     terms = []
     for y in _bit_labels(k):
-        coeff = (-1) ** y.count("1") if signed else 1
-        corr = Correlator(label_prefix + y,
-                          tuple((f"A{i + 1}", int(y[i])) for i in range(k)),
-                          (("B", y),), Fraction(1, 2 ** k))
-        terms.append(Term(coeff, corr, family))
-    return tuple(terms)
+        bits, letters = y + "01", y.translate(letter) + "ZX"
+        inputs = []
+        for (hub, _, pick), mapping in zip(hubs, maps):
+            inp = "".join(pick(bits))
+            mapping[inp] = "".join(pick(letters))
+            inputs.append((hub, inp))
+        corr = Correlator(prefix + y, tuple(zip(names, map(int, y))),
+                          tuple(inputs), Fraction(1, 1 << k))
+        terms.append(Term((-1) ** y.count("1") if signed else 1, corr, family))
+    obs = [(name, SingleQubitObservable(topology.party(name).qubits[0], plane))
+           for name in names]
+    obs += [(hub, JointPauliObservable.make(qubits, mapping))
+            for (hub, qubits, _), mapping in zip(hubs, maps)]
+    return tuple(sorted(obs)), tuple(terms), k
+
+
+def _hub_expr(topology: NetworkTopology, which: str, name: str, tag: str,
+              inter_bits: Mapping[int, int] | None = None) -> InequalityExpr:
+    """The first (Z/X), second (Z/Y, signed) or combined hub inequality.
+
+    Each family has bound 1 and maximum 2^(K/2); combined adds both.
+    """
+    observables, terms = [], ()
+    for family, plane, signed, prefix in _HUB_FAMILIES[which]:
+        obs, fam_terms, k = _hub_family(topology, family, plane, signed,
+                                        prefix, inter_bits)
+        observables.append((family, obs))
+        terms += fam_terms
+    n = len(observables)
+    return InequalityExpr(
+        name=name, tag=tag, topology=topology, observables=tuple(observables),
+        terms=terms, classical_bound=float(n),
+        claimed_quantum_max=n * 2.0 ** (k / 2))
+
+
+def _star_expr(k: int, which: str) -> InequalityExpr:
+    if k < 2:
+        raise ValueError("star scenarios need K >= 2")
+    return _hub_expr(network.star(k), which, f"star-{which}-k{k}",
+                     f"star-linear-{which}[K={k}]")
 
 
 def build_star_first(k: int) -> InequalityExpr:
     """Hub-and-branch family with Z/X letters: bound 1, maximum 2^(K/2)."""
-    if k < 2:
-        raise ValueError("star scenarios need K >= 2")
-    topo = network.star(k)
-    obs, _ = _star_family(k, "ZX")
-    return InequalityExpr(
-        name=f"star-first-k{k}", tag=f"star-linear-first[K={k}]", topology=topo,
-        observables=((UNPRIMED, obs),), terms=_star_terms(k, UNPRIMED, False),
-        classical_bound=1.0, claimed_quantum_max=_pow2(k / 2))
+    return _star_expr(k, "first")
 
 
 def build_star_second(k: int) -> InequalityExpr:
     """Hub-and-branch family with Z/Y letters and parity signs."""
-    if k < 2:
-        raise ValueError("star scenarios need K >= 2")
-    topo = network.star(k)
-    obs, _ = _star_family(k, "ZY")
-    return InequalityExpr(
-        name=f"star-second-k{k}", tag=f"star-linear-second[K={k}]", topology=topo,
-        observables=((PRIMED, obs),), terms=_star_terms(k, PRIMED, True),
-        classical_bound=1.0, claimed_quantum_max=_pow2(k / 2))
+    return _star_expr(k, "second")
 
 
 def build_star_combined(k: int) -> InequalityExpr:
     """Both star families at once; branch inputs are relabeled with a family bit."""
-    if k < 2:
-        raise ValueError("star scenarios need K >= 2")
-    topo = network.star(k)
-    obs_zx, _ = _star_family(k, "ZX")
-    obs_zy, _ = _star_family(k, "ZY")
-    terms = (_star_terms(k, UNPRIMED, False, label_prefix="0")
-             + _star_terms(k, PRIMED, True, label_prefix="1"))
-    return InequalityExpr(
-        name=f"star-combined-k{k}", tag=f"star-linear-combined[K={k}]", topology=topo,
-        observables=((UNPRIMED, obs_zx), (PRIMED, obs_zy)), terms=terms,
-        classical_bound=2.0, claimed_quantum_max=2.0 * _pow2(k / 2))
+    return _star_expr(k, "combined")
 
 
 def build_star_nonlinear(k: int, r: Fraction,
@@ -507,70 +546,24 @@ def build_star_nonlinear(k: int, r: Fraction,
     t = r * k
     if not t < 2:
         raise ValueError(f"t = rK = {t} must be < 2")
-    base = {
-        "first": build_star_first(k),
-        "second": build_star_second(k),
-        "combined": build_star_combined(k),
-    }[family]
+    base = _star_expr(k, family)
     extra = 1 if family == "combined" else 0
-    return InequalityExpr(
+    return replace(
+        base,
         name=f"star-nonlinear-{family}-k{k}-r{r.numerator}over{r.denominator}",
         tag=f"star-nonlinear-{family}[K={k},r={r}]",
-        topology=base.topology, observables=base.observables, terms=base.terms,
         exponent=r,
-        classical_bound=_pow2(k + extra - float(t)),
-        claimed_quantum_max=_pow2(k + extra - float(t) / 2))
-
-
-# -- two-source line scenario ---------------------------------------------------
-
-def _two_source_family(plane: str):
-    one = plane[1]
-    obs = (
-        ("A", SingleQubitObservable(0, plane)),
-        ("B", JointPauliObservable.make(
-            (1, 2), {y: _letter_word(y, one) for y in _bit_labels(2)})),
-        ("C", SingleQubitObservable(3, plane)),
-    )
-    return obs
-
-
-def _two_source_terms(family: str, signed: bool,
-                      label_prefix: str = "") -> tuple[Term, ...]:
-    terms = []
-    for y in _bit_labels(2):
-        coeff = (-1) ** y.count("1") if signed else 1
-        corr = Correlator(label_prefix + y,
-                          (("A", int(y[0])), ("C", int(y[1]))),
-                          (("B", y),), Fraction(1, 4))
-        terms.append(Term(coeff, corr, family))
-    return tuple(terms)
+        classical_bound=2.0 ** (k + extra - float(t)),
+        claimed_quantum_max=2.0 ** (k + extra - float(t) / 2))
 
 
 def build_two_source_linear() -> dict[str, InequalityExpr]:
     """Line-network families: Z/X letters, Z/Y letters with signs, and both."""
     topo = network.two_source()
-    first = InequalityExpr(
-        name="two-source-first", tag="two-source-linear-first", topology=topo,
-        observables=((UNPRIMED, _two_source_family("ZX")),),
-        terms=_two_source_terms(UNPRIMED, False),
-        classical_bound=1.0, claimed_quantum_max=2.0)
-    second = InequalityExpr(
-        name="two-source-second", tag="two-source-linear-second", topology=topo,
-        observables=((PRIMED, _two_source_family("ZY")),),
-        terms=_two_source_terms(PRIMED, True),
-        classical_bound=1.0, claimed_quantum_max=2.0)
-    combined = InequalityExpr(
-        name="two-source-combined", tag="two-source-linear-combined", topology=topo,
-        observables=((UNPRIMED, _two_source_family("ZX")),
-                     (PRIMED, _two_source_family("ZY"))),
-        terms=(_two_source_terms(UNPRIMED, False, "0")
-               + _two_source_terms(PRIMED, True, "1")),
-        classical_bound=2.0, claimed_quantum_max=4.0)
-    return {"first": first, "second": second, "combined": combined}
+    return {which: _hub_expr(topo, which, f"two-source-{which}",
+                             f"two-source-linear-{which}")
+            for which in ("first", "second", "combined")}
 
-
-# -- general (N, K, m) networks --------------------------------------------------
 
 def build_nkm(topology: NetworkTopology,
               inter_bits: Mapping[int, int] | None = None) -> dict[str, InequalityExpr]:
@@ -583,63 +576,12 @@ def build_nkm(topology: NetworkTopology,
     maxima are unchanged, whereas a Y letter on the fixed pair would flip the
     signed family's correlators.
     """
-    inter_bits = dict(inter_bits or {})
-    branch_sources = [s for s in topology.sources
-                      if any(r.startswith("A") for r in s.recipients)]
-    k = len(branch_sources)
-    if k < 1:
-        raise ValueError("need at least one branch source")
-    branch_index = {s.id: i for i, s in enumerate(branch_sources)}
-    hubs = [p for p in topology.parties if p.id.startswith("B")]
-    labels = _bit_labels(k)
-
-    def hub_input(hub: network.Party, y: str) -> str:
-        bits = []
-        for q in hub.qubits:
-            src = topology.source_of(q)
-            if src.id in branch_index:
-                bits.append(y[branch_index[src.id]])
-            else:
-                bits.append(str(inter_bits.get(src.id, 0)))
-        return "".join(bits)
-
-    def family_expr(fam: str, plane: str, signed: bool) -> InequalityExpr:
-        one = plane[1]
-        obs: list[tuple[str, Observable]] = []
-        for i in range(k):
-            qubit = topology.party(f"A{i + 1}").qubits[0]
-            obs.append((f"A{i + 1}", SingleQubitObservable(qubit, plane)))
-        for hub in hubs:
-            mapping: dict[str, str] = {}
-            for y in labels:
-                inp = hub_input(hub, y)
-                letters = []
-                for q, bit in zip(hub.qubits, inp):
-                    src = topology.source_of(q)
-                    letter_one = one if src.id in branch_index else "X"
-                    letters.append("Z" if bit == "0" else letter_one)
-                mapping[inp] = "".join(letters)
-            obs.append((hub.id, JointPauliObservable.make(hub.qubits, mapping)))
-        terms = []
-        for y in labels:
-            coeff = (-1) ** y.count("1") if signed else 1
-            corr = Correlator(
-                y,
-                tuple((f"A{i + 1}", int(y[i])) for i in range(k)),
-                tuple((hub.id, hub_input(hub, y)) for hub in hubs),
-                Fraction(1, 2 ** k))
-            terms.append(Term(coeff, corr, fam))
-        n = len(topology.sources)
-        m = len(hubs)
-        return InequalityExpr(
-            name=f"nkm-{fam}-n{n}k{k}m{m}",
-            tag=f"nkm-{('first' if not signed else 'second')}[N={n},K={k},m={m}]",
-            topology=topology,
-            observables=((fam, tuple(sorted(obs))),), terms=tuple(terms),
-            classical_bound=1.0, claimed_quantum_max=_pow2(k / 2))
-
-    return {"first": family_expr(UNPRIMED, "ZX", False),
-            "second": family_expr(PRIMED, "ZY", True)}
+    n = len(topology.sources)
+    k = sum(1 for p in topology.parties if len(p.qubits) == 1)
+    m = len(topology.parties) - k
+    return {which: _hub_expr(topology, which, f"nkm-{fam}-n{n}k{k}m{m}",
+                             f"nkm-{which}[N={n},K={k},m={m}]", inter_bits)
+            for which, fam in (("first", UNPRIMED), ("second", PRIMED))}
 
 
 # -- GHZ-source scenarios ---------------------------------------------------------

@@ -95,7 +95,7 @@ class StabilizerGroup:
         for idx, g in enumerate(self.generators):
             if (combo >> idx) & 1:
                 element = element * g
-        return 1 if element.phase == p.phase else -1
+        return 1 if element.phase_pow == p.phase_pow else -1
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from netbell import cli, sampler
+from netbell import cli, lhv, sampler
 from netbell.cli import main
 from netbell.scenario import SCENARIOS
 
@@ -262,6 +262,25 @@ def test_uncaught_error_exits_3_in_one_line(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "netbell certify: error: RuntimeError: table out of step"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--scenario", "chsh", "--rounds", "1000"),
+    ("simulate", "--scenario", "chsh", "--rounds", "1000", "--format", "csv"),
+    ("certify", "--scenario", "chsh"),
+])
+def test_out_in_a_missing_directory_exits_2_before_any_work(
+        capsys, monkeypatch, tmp_path, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+    monkeypatch.setattr(sampler, "simulate_rounds", unreachable)
+    monkeypatch.setattr(lhv, "certify", unreachable)
+    out = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].endswith(f"--out {str(out)!r}: no such directory")
 
 
 def test_nkm_wiring_parsing(capsys):

@@ -13,9 +13,6 @@ from netbell.quantum import (
     claimed_max_check,
     compile_expression,
     evaluate,
-    f_theta,
-    f_theta_max,
-    mahler_check,
     optimize_angles,
 )
 from netbell.scenario import (
@@ -213,40 +210,6 @@ def test_gradient_matches_finite_differences():
                 dn = {**angles, key: angles[key] - h}
                 fd = (compiled.value(up) - compiled.value(dn)) / (2.0 * h)
                 assert grad[key] == pytest.approx(fd, abs=1e-6)
-
-
-def test_f_theta_trade_off():
-    for t in (0.5, 1.0, 1.5):
-        grid = np.linspace(1e-4, math.pi / 2 - 1e-4, 20001)
-        best = max(f_theta(x, t) for x in grid)
-        assert f_theta_max(t) == pytest.approx(2.0 ** (1.0 - t / 2.0), abs=0)
-        assert best <= f_theta_max(t) + 1e-12
-        assert f_theta(QUARTER_PI, t) == pytest.approx(f_theta_max(t), abs=1e-12)
-    with pytest.raises(ValueError):
-        f_theta_max(2.0)
-    with pytest.raises(ValueError):
-        f_theta_max(0.0)
-
-
-def test_mahler_inequality_basics():
-    res = mahler_check([1.0, 4.0], [2.0, 8.0])
-    assert res["equality"] and res["proportional"]
-    res = mahler_check([1.0, 4.0], [4.0, 1.0])
-    assert res["gap"] > 0 and not res["equality"]
-    with pytest.raises(ValueError):
-        mahler_check([1.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        mahler_check([-1.0], [1.0])
-
-
-@given(st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
-                min_size=1, max_size=6))
-@settings(max_examples=300)
-def test_mahler_inequality_random(pairs):
-    xs = [x for x, _ in pairs]
-    ys = [y for _, y in pairs]
-    res = mahler_check(xs, ys)
-    assert res["lhs"] >= res["rhs"] - 1e-12
 
 
 def test_evaluate_rejects_unknown_angles():

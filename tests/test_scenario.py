@@ -28,6 +28,8 @@ from netbell.scenario import (
     segmented_operator,
 )
 
+import scenario_oracle
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -188,6 +190,13 @@ def test_nkm_inter_source_letters():
     assert obs["B1"].letters_for("11") == "YX"
 
 
+def test_nkm_inter_bits_are_bits():
+    topo = network.nkm(3, 2, 2, wiring=((2, 0, 1),))
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match="inter bits must be 0 or 1"):
+            build_nkm(topo, inter_bits={2: bad})
+
+
 def test_bilocal_baseline_flags():
     exprs = scenario.build_bilocal_baseline()
     bi, bil = exprs["bi"], exprs["bil"]
@@ -243,3 +252,75 @@ def test_registry_builds_everything():
             assert expr.terms and expr.classical_bound > 0
     star_nl = SCENARIOS["star"].build(k=3, r=Fraction(1, 3))
     assert star_nl["first"].exponent == Fraction(1, 3)
+
+
+def _nkm_case(n, k, m, wiring=(), alice_recipients=None, inter_bits=None):
+    topo = network.nkm(n, k, m, wiring, alice_recipients)
+    return (lambda mod: mod.build_nkm(topo, inter_bits))
+
+
+def _registry_case(name, **params):
+    # star, two-source and nkm come from the reference; the rest are shared
+    def build(mod):
+        if mod is scenario:
+            return SCENARIOS[name].build(**params)
+        return {"star": mod._build_star_scenario, "nkm": mod._build_nkm_scenario,
+                "two-source": lambda **_: mod.build_two_source_linear()}.get(
+                    name, SCENARIOS[name].build)(**params)
+    return build
+
+
+HUB_BUILDS = {
+    **{f"star-{fam}-k{k}": (lambda mod, f=fam, k=k: getattr(mod, f"build_star_{f}")(k))
+       for fam in ("first", "second", "combined") for k in range(-1, 11)},
+    **{f"star-nonlinear-{fam}-k{k}-r{r}": (
+        lambda mod, f=fam, k=k, r=r: mod.build_star_nonlinear(k, r, f))
+       for k, r in ((2, Fraction(1, 3)), (3, Fraction(1, 3)), (3, Fraction(1, 5)),
+                    (5, Fraction(1, 3)))
+       for fam in ("first", "second", "combined")},
+    **{f"two-source-{fam}": (lambda mod, f=fam: mod.build_two_source_linear()[f])
+       for fam in ("first", "second", "combined")},
+    "nkm-3-2-2": _nkm_case(3, 2, 2, ((2, 0, 1),)),
+    "nkm-3-2-2-inter": _nkm_case(3, 2, 2, ((2, 0, 1),), inter_bits={2: 1}),
+    "nkm-2-2-1-collapse": _nkm_case(2, 2, 1, (), [0, 0]),
+    "nkm-4-3-2": _nkm_case(4, 3, 2, ((3, 0, 1),), [0, 1, 1]),
+    "nkm-5-3-3-inter": _nkm_case(5, 3, 3, ((3, 0, 1), (4, 1, 2)),
+                                 inter_bits={3: 1, 4: 0}),
+    "nkm-4-2-2-recipients": _nkm_case(4, 2, 2, ((2, 0, 1), (3, 0, 1)), [1, 1],
+                                      inter_bits={3: 1}),
+    "nkm-4-1-2": _nkm_case(4, 1, 2, ((1, 0, 1), (2, 0, 1), (3, 0, 1)),
+                           inter_bits={1: 1, 3: 1}),
+    **{f"registry-{name}": _registry_case(name) for name in SCENARIOS},
+    "registry-star-k3-r1/3": _registry_case("star", k=3, r=Fraction(1, 3)),
+    "registry-star-k4": _registry_case("star", k=4),
+    "registry-nkm-4-3-2": _registry_case("nkm", n=4, k=3, m=2, wiring=((3, 0, 1),),
+                                         alice_recipients=(0, 1, 1),
+                                         inter_bits={3: 1}),
+    # errors: K below 2, then powers that are not odd/odd in (0, 1] or give rK >= 2
+    **{f"star-nonlinear-k{k}-r{r}": (
+        lambda mod, k=k, r=r: mod.build_star_nonlinear(k, r, "combined"))
+       for k, r in ((1, Fraction(1, 3)), (0, Fraction(1, 3)), (-1, Fraction(1, 3)),
+                    (3, Fraction(1, 2)), (3, Fraction(2, 3)), (3, Fraction(1)),
+                    (3, Fraction(5, 3)))},
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUB_BUILDS))
+def test_hub_builders_match_reference(case):
+    def outcome(mod):
+        try:
+            built = HUB_BUILDS[case](mod)
+        except Exception as exc:  # compared by type and message
+            return type(exc), str(exc)
+        return built if isinstance(built, dict) else {None: built}
+
+    got, want = outcome(scenario), outcome(scenario_oracle)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert list(got) == list(want)
+    for family, expr in want.items():
+        assert got[family] == expr
+        assert repr(got[family]) == repr(expr)
+        assert (got[family].classical_bound, got[family].claimed_quantum_max) == \
+            (expr.classical_bound, expr.claimed_quantum_max)

@@ -30,7 +30,7 @@ def random_hermitian_word(n, rng=RNG):
     full = (1 << n) - 1
     x = int(rng.integers(0, full + 1))
     z = int(rng.integers(0, full + 1))
-    return PauliString(n, x, z, 1 if rng.integers(2) else -1)
+    return PauliString(n, x, z, 0 if rng.integers(2) else 2)
 
 
 def fixed_phase(vec):
@@ -113,7 +113,7 @@ def test_matrix_free_oracle_matches_kronecker_matrix():
             full = (1 << n) - 1
             p = PauliString(n, int(rng.integers(0, full + 1)),
                             int(rng.integers(0, full + 1)),
-                            [1, -1, 1j, -1j][rng.integers(4)])
+                            [0, 2, 1, 3][rng.integers(4)])
             assert np.allclose(apply_word(p, vec), dense_word(p) @ vec,
                                rtol=0, atol=1e-12)
 
