@@ -44,13 +44,22 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _tolerance(value) -> float:
+    """A finite, non-negative float; NaN, inf and negatives are usage errors."""
+    tolerance = float(value)
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite number >= 0, got {value!r}")
+    return tolerance
+
+
 # every config-file key with the check argparse gives its flag; wiring,
 # inter_bits and angles are checked where they are parsed
 _CONFIG_KEYS = {"scenario": _text, "family": _text, "k": _integer,
                 "n": _integer, "m": _integer, "r_num": _integer,
                 "r_den": _integer, "wiring": None, "inter_bits": None,
                 "state": _text, "angles": None, "rounds": _integer,
-                "seed": _integer, "tolerance": float, "starts": _integer,
+                "seed": _integer, "tolerance": _tolerance, "starts": _integer,
                 "format": _text}
 
 
@@ -102,7 +111,8 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             if convert is not None and value is not None:
                 try:
                     value = convert(value)
-                except (TypeError, ValueError, OverflowError) as exc:
+                except (TypeError, ValueError, OverflowError,
+                        argparse.ArgumentTypeError) as exc:
                     parser.error(f"bad config value {key}={value!r}: {exc}")
             setattr(args, dest, value)
 
@@ -378,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="compute the classical bound")
     add_common(p_cert, with_state=False)
-    p_cert.add_argument("--tolerance", type=float,
+    p_cert.add_argument("--tolerance", type=_tolerance,
                         help="verdict tolerance (default 1e-6)")
     p_cert.set_defaults(handler=_cmd_certify)
 
@@ -391,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_opt, with_state=True)
     p_opt.add_argument("--starts", type=int, help="multi-start count (default 8)")
     p_opt.add_argument("--seed", type=int, help="start seed (default 11)")
-    p_opt.add_argument("--tolerance", type=float,
+    p_opt.add_argument("--tolerance", type=_tolerance,
                        help="claimed-max tolerance (default 1e-6)")
     p_opt.set_defaults(handler=_cmd_optimize)
 

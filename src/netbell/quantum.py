@@ -6,13 +6,35 @@ function of angles is a weighted product of cosines and sines:
 
     value = sum_t c_t * powr( base_t * prod_j trig(theta_{k_j}, e_j) * E_t )
 
-with powr the identity, a sign-preserving odd power, or |.|^r.  When every
-angle equals pi/4 the trig product is evaluated as 2^(-s/2) so power-of-two
-values come out exact.
+with powr the identity, a sign-preserving odd power, or |.|^r.
+
+``compile_expression`` holds the expression as arrays over the T terms and
+the J angle keys (sorted, so column order is the party order of every
+term's factors): ``exps[t, j]`` is -1 where term t has no factor of angle
+j, 0 for cos and 1 for sin, and ``coefficient``, ``base`` and
+``expectation`` are per-term vectors.  ``values`` maps an (S, J) array of
+angle rows to S values.  Each row is worked out as the serial loop would:
+the factors of a term multiply in column order, a term whose present
+angles all equal pi/4 takes the exact 2^(-s/2) instead (so power-of-two
+values come out exact), base * product * expectation multiply in that
+order, and the terms add in term order (``np.cumsum``, not the pairwise
+``np.sum``).  ``value``, ``step`` and ``gradient`` are one-row calls on the
+same arrays.
+
+The optimizer keeps one row per start and steps one angle of every live row
+at once.  A step scores its candidate angles (current, pi/4, the two
+margins, the interior stationary point) by a closed form in A, B and C
+sums over the terms, keeps the first maximum (ties keep the current angle,
+then pi/4, so a start at pi/4 stays exactly there when nothing beats it),
+and recomputes the row's value in full.  A row leaves the batch after a
+sweep that gains less than 1e-12.  Starts run in blocks whose trig factor
+array (block x T x J x 8 bytes) stays under ``_BLOCK_BYTES``; every block
+draws its start points from the one Philox stream, in start order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -26,61 +48,138 @@ from .scenario import (QUARTER_PI, AngleMap, InequalityExpr,
 from .states import State
 
 ANGLE_MARGIN = 1e-3  # keep searches inside the open quadrant
+_BLOCK_BYTES = 1 << 24  # factor array (starts x terms x angles floats) per block
 
 
-@dataclass(frozen=True)
-class _CompiledTerm:
-    coefficient: int
-    base: float                      # normalization * 2^s, exact in binary
-    trig: tuple[tuple[tuple[str, str], int], ...]  # (angle key, exponent bit)
-    expectation: float
+def _ordered_sum(x: np.ndarray) -> np.ndarray:
+    """Row sums of an (S, T) array, added left to right from 0.0."""
+    return np.cumsum(x, axis=-1)[..., -1] + 0.0  # 0.0 + -0.0 is 0.0
 
 
-def _trig_product(trig, angles: Mapping[tuple[str, str], float]) -> float:
-    """prod_j trig(theta_j, e_j), exactly 2^(-s/2) when every angle is pi/4."""
-    if all(angles[k] == QUARTER_PI for k, _ in trig):
-        return 2.0 ** (-len(trig) / 2)
-    prod = 1.0
-    for key, e in trig:
-        theta = angles[key]
-        prod *= math.sin(theta) if e else math.cos(theta)
-    return prod
+@dataclass(eq=False)
+class _Rows:
+    """Angle rows with their factors, per-term sums and values.
+
+    ``factors[j]`` is the (S, T) trig factor of angle j (1.0 where a term
+    lacks it); ``off_quarter[s, t]`` counts term t's present angles in row s
+    that differ from pi/4; ``terms`` holds c_t * powr(...) per row and term.
+    """
+
+    theta: np.ndarray
+    factors: np.ndarray
+    off_quarter: np.ndarray
+    terms: np.ndarray
+    value: np.ndarray
+
+    def take(self, keep: np.ndarray) -> "_Rows":
+        return _Rows(self.theta[keep], self.factors[:, keep],
+                     self.off_quarter[keep], self.terms[keep], self.value[keep])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompiledExpression:
     """Expression with per-term expectations frozen against one state."""
 
     expr: InequalityExpr
-    terms: tuple[_CompiledTerm, ...]
+    keys: tuple[tuple[str, str], ...]   # angle keys, one column each
+    exps: np.ndarray                    # (T, J) int8: -1 absent, 0 cos, 1 sin
+    coefficient: np.ndarray             # (T,) +-1.0
+    base: np.ndarray                    # (T,) normalization * 2^s, exact in binary
+    expectation: np.ndarray             # (T,)
+
+    @functools.cached_property
+    def _quarter(self) -> tuple[np.ndarray, np.ndarray]:
+        """2^(-s/2) per term and 2^(-(s-1)/2), its value without one factor."""
+        n = (self.exps >= 0).sum(axis=1).tolist()
+        return (np.array([2.0 ** (-s / 2) for s in n]),
+                np.array([2.0 ** (-(s - 1) / 2) for s in n]))
+
+    def _row(self, angles: Mapping[tuple[str, str], float]) -> np.ndarray:
+        return np.array([[angles[key] for key in self.keys]], dtype=float)
+
+    def _factor(self, j: int, theta: np.ndarray) -> np.ndarray:
+        """(S, T) factors of angle j at the per-row angles ``theta``."""
+        e = self.exps[:, j]
+        f = np.where(e == 1, np.sin(theta)[:, None], np.cos(theta)[:, None])
+        f[:, e < 0] = 1.0
+        return f
+
+    def _terms(self, factors: np.ndarray, off_quarter: np.ndarray,
+               quarter: np.ndarray, skip: int | None = None) -> np.ndarray:
+        """c_t * powr(base_t * prod * E_t) per row and term, factor ``skip`` left out."""
+        prod = np.ones(factors.shape[1:])
+        for j, f in enumerate(factors):
+            if j != skip:
+                prod *= f  # 1.0 * f is f, and f * 1.0 is f: the serial order
+        prod = np.where(off_quarter == 0, quarter, prod)
+        return self.coefficient * self.expr.power(self.base * prod * self.expectation)
+
+    def _rows(self, theta: np.ndarray) -> _Rows:
+        theta = np.array(theta, dtype=float, ndmin=2)  # a copy: steps write to it
+        factors = np.empty((len(self.keys), len(theta), len(self.exps)))
+        for j in range(len(self.keys)):
+            factors[j] = self._factor(j, theta[:, j])
+        off_quarter = (theta != QUARTER_PI).astype(np.int64) @ (self.exps >= 0).T
+        terms = self._terms(factors, off_quarter, self._quarter[0])
+        return _Rows(theta, factors, off_quarter, terms, _ordered_sum(terms))
+
+    def values(self, theta: np.ndarray) -> np.ndarray:
+        """Values at each row of an (S, J) angle array, columns in ``keys`` order."""
+        return self._rows(theta).value
 
     def value(self, angles: Mapping[tuple[str, str], float]) -> float:
-        total = 0.0
-        for t in self.terms:
-            v = t.base * _trig_product(t.trig, angles) * t.expectation
-            total += t.coefficient * self.expr.power(v)
-        return total
+        return float(self.values(self._row(angles))[0])
 
     def gradient(self, angles: Mapping[tuple[str, str], float]) -> dict[tuple[str, str], float]:
         """d(value)/d(theta_key); smooth wherever no correlator sits at 0."""
-        grad = {key: 0.0 for key in self.expr.angle_keys()}
-        for t in self.terms:
-            factors = []
-            for key, e in t.trig:
-                theta = angles[key]
-                f = math.sin(theta) if e else math.cos(theta)
-                df = math.cos(theta) if e else -math.sin(theta)
-                factors.append((key, f, df))
-            prod = 1.0
-            for _, f, _ in factors:
-                prod *= f
-            outer = self.expr.power_slope(t.base * prod * t.expectation)
-            for i, (key, f, df) in enumerate(factors):
-                rest = t.base * t.expectation
-                for j, (_, fj, _) in enumerate(factors):
-                    rest *= df if j == i else fj
-                grad[key] += t.coefficient * outer * rest
+        theta = self._row(angles)[0]
+        e = self.exps
+        f = np.where(e == 1, np.sin(theta), np.cos(theta))
+        df = np.where(e == 1, np.cos(theta), -np.sin(theta))
+        f[e < 0], df[e < 0] = 1.0, 0.0
+        outer = self.coefficient * self.expr.power_slope(
+            self.base * f.prod(axis=1) * self.expectation)
+        grad = {}
+        for j, key in enumerate(self.keys):
+            g = f.copy()
+            g[:, j] = df[:, j]
+            grad[key] = float(np.sum(
+                outer * self.base * g.prod(axis=1) * self.expectation))
         return grad
+
+    def _step(self, rows: _Rows, j: int) -> None:
+        """``step`` on angle j of every row at once, in place."""
+        e = self.exps[:, j]
+        held = e >= 0
+        off = rows.theta[:, j] != QUARTER_PI
+        rest = self._terms(rows.factors, rows.off_quarter - off[:, None] * held,
+                           self._quarter[1], skip=j)
+        a = _ordered_sum(np.where(e == 0, rest, 0.0))
+        b = _ordered_sum(np.where(e == 1, rest, 0.0))
+        c = _ordered_sum(np.where(held, 0.0, rows.terms))
+        lo, hi = ANGLE_MARGIN, math.pi / 2 - ANGLE_MARGIN
+        cand = np.empty((len(rows.theta), 5))  # theta* defaults to a placeholder
+        cand[:, 0], cand[:, 1:] = rows.theta[:, j], (QUARTER_PI, lo, hi, QUARTER_PI)
+        r = float(self.expr.exponent)
+        interior = (a > 0) & (b > 0) & (r != 2)
+        if interior.any():
+            p = 1.0 / (2.0 - r)
+            # Python floats: numpy's vectorised pow and atan2 can differ in
+            # the last bit, and theta* becomes the stored angle
+            cand[interior, 4] = [min(hi, max(lo, math.atan2(bb ** p, aa ** p)))
+                                 for aa, bb in zip(a[interior].tolist(),
+                                                   b[interior].tolist())]
+        cos, sin = np.cos(cand), np.sin(cand)
+        if r != 1:
+            cos, sin = cos ** r, sin ** r
+        score = a[:, None] * cos + b[:, None] * sin + c[:, None]
+        score[~interior, 4] = -np.inf
+        new = cand[np.arange(len(cand)), np.argmax(score, axis=1)]
+        rows.theta[:, j] = new
+        rows.factors[j] = self._factor(j, new)
+        rows.off_quarter += ((new != QUARTER_PI).astype(np.int64) - off)[:, None] * held
+        rows.terms = self._terms(rows.factors, rows.off_quarter, self._quarter[0])
+        rows.value = _ordered_sum(rows.terms)
 
     def step(self, key: tuple[str, str],
              angles: Mapping[tuple[str, str], float]) -> tuple[float, float]:
@@ -91,44 +190,68 @@ class CompiledExpression:
 
             value(theta) = A cos^r theta + B sin^r theta + C
 
-        exactly.  For A, B > 0 and r < 2 its one interior stationary point,
-        tan theta* = (B/A)^(1/(2-r)), is the maximum; otherwise the maximum
-        is at a margin endpoint.  Ties keep the current angle, then pi/4.
+        exactly: A (B) sums the cos (sin) terms holding the angle, each
+        without that factor, and C the terms without it.  For A, B > 0 and
+        r < 2 its one interior stationary point, tan theta* = (B/A)^(1/(2-r)),
+        is the maximum; otherwise the maximum is at a margin endpoint.  The
+        candidates (current, pi/4, the two margins, theta*) are scored by
+        this closed form and the first maximum wins, so ties keep the current
+        angle, then pi/4.  The value returned is then worked out in full and
+        equals ``value({**angles, key: theta})`` bit for bit.  This is one
+        row of the step that ``_coordinate_ascent`` takes on every live start
+        at once.
         """
-        sums = [0.0, 0.0]  # A from the cos terms, B from the sin terms
-        for t in self.terms:
-            for i, (k, e) in enumerate(t.trig):
-                if k == key:
-                    rest = t.trig[:i] + t.trig[i + 1:]
-                    sums[e] += t.coefficient * self.expr.power(
-                        t.base * _trig_product(rest, angles) * t.expectation)
-        a, b = sums
-        lo, hi = ANGLE_MARGIN, math.pi / 2 - ANGLE_MARGIN
-        candidates = [angles[key], QUARTER_PI, lo, hi]
-        r = float(self.expr.exponent)
-        if a > 0 and b > 0 and r != 2:
-            p = 1.0 / (2.0 - r)
-            candidates.append(min(hi, max(lo, math.atan2(b ** p, a ** p))))
-        values = [self.value({**angles, key: theta}) for theta in candidates]
-        i = values.index(max(values))
-        return candidates[i], values[i]
+        rows = self._rows(self._row(angles))
+        j = self.keys.index(key)
+        self._step(rows, j)
+        return float(rows.theta[0, j]), float(rows.value[0])
+
+    def _coordinate_ascent(self, theta: np.ndarray, max_sweeps: int
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coordinate ascent from every row of ``theta`` at once.
+
+        A sweep steps each angle in key order.  A row stops after the first
+        sweep that improves its value by less than 1e-12 at every step, or
+        after ``max_sweeps``.  Returns the final values, angles and sweep
+        counts per row.
+        """
+        rows = self._rows(theta)
+        value, theta = rows.value.copy(), rows.theta.copy()
+        sweeps = np.zeros(len(theta), dtype=np.int64)
+        live = np.arange(len(theta))
+        for sweep in range(1, max_sweeps + 1):
+            improved = np.zeros(len(live))
+            for j in range(len(self.keys)):
+                before = rows.value
+                self._step(rows, j)
+                improved = np.fmax(improved, rows.value - before)
+            value[live], theta[live], sweeps[live] = rows.value, rows.theta, sweep
+            moving = ~(improved < 1e-12)
+            if not moving.any():
+                break
+            live, rows = live[moving], rows.take(moving)
+        return value, theta, sweeps
 
 
 def compile_expression(expr: InequalityExpr, state: State) -> CompiledExpression:
-    compiled = []
-    for t in expr.terms:
-        obs_map = expr.observables_for(t.family)
-        corr = t.correlator
-        trig = []
+    keys = expr.angle_keys()
+    column = {key: j for j, key in enumerate(keys)}
+    obs_maps = {family: expr.observables_for(family) for family in expr.families()}
+    exps = np.full((len(expr.terms), len(keys)), -1, dtype=np.int8)
+    base, expectation = [], []
+    for t, term in enumerate(expr.terms):
+        obs_map = obs_maps[term.family]
+        corr = term.correlator
         for party, e in corr.exponents:
             obs = obs_map[party]
             assert isinstance(obs, SingleQubitObservable)
-            trig.append(((party, obs.plane), e))
+            exps[t, column[(party, obs.plane)]] = e
         _, w = segmented_operator(corr, obs_map, expr.topology.n_qubits)
-        base = float(corr.normalization * (1 << corr.n_single))
-        compiled.append(_CompiledTerm(
-            t.coefficient, base, tuple(trig), states.expectation(state, w)))
-    return CompiledExpression(expr, tuple(compiled))
+        base.append(float(corr.normalization * (1 << corr.n_single)))
+        expectation.append(states.expectation(state, w))
+    coefficient = [float(t.coefficient) for t in expr.terms]
+    return CompiledExpression(expr, keys, exps, np.array(coefficient),
+                              np.array(base), np.array(expectation, dtype=float))
 
 
 def evaluate(expr: InequalityExpr, state: State,
@@ -149,51 +272,40 @@ class OptimizeResult:
     sweeps: int
 
 
-def _ascend(compiled: CompiledExpression, start: dict,
-            max_sweeps: int) -> tuple[float, dict, int]:
-    angles = dict(start)
-    value = compiled.value(angles)
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        improved = 0.0
-        for key in start:
-            angles[key], val = compiled.step(key, angles)
-            improved = max(improved, val - value)
-            value = val
-        if improved < 1e-12:
-            break
-    return value, angles, sweeps
-
-
 def optimize_angles(expr: InequalityExpr, state: State,
                     starts: int = 8, seed: int = 11,
                     max_sweeps: int = 60) -> OptimizeResult:
     """Multi-start coordinate ascent with an exact step per angle.
 
     Start 0 is the symmetric all-pi/4 point; the rest are seeded uniform
-    draws.  Ties resolve to the earliest start, so results are deterministic
-    for a given seed.
+    draws, start by start and key by key from one Philox stream.  The starts
+    ascend together in blocks (``CompiledExpression._coordinate_ascent``).
+    Ties resolve to the earliest start, so results are deterministic for a
+    given seed.
     """
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
     compiled = compile_expression(expr, state)
-    keys = expr.angle_keys()
+    keys = compiled.keys
     if not keys:
         v = compiled.value({})
         return OptimizeResult(v, {}, (v,), 0)
     rng = np.random.Generator(np.random.Philox(key=seed))
     lo, hi = ANGLE_MARGIN, math.pi / 2 - ANGLE_MARGIN
-    start_points = [{k: QUARTER_PI for k in keys}]
-    for _ in range(starts - 1):
-        start_points.append(
-            {k: float(rng.uniform(lo, hi)) for k in keys})
-    results = [_ascend(compiled, p, max_sweeps) for p in start_points]
-    best_value, best_angles, best_sweeps = results[0]
-    for value, angles, sweeps in results[1:]:
-        if value > best_value:
-            best_value, best_angles, best_sweeps = value, angles, sweeps
-    return OptimizeResult(best_value, best_angles,
-                          tuple(rv for rv, _, _ in results), best_sweeps)
+    block = max(1, _BLOCK_BYTES // (8 * compiled.exps.size))
+    values, angles, sweeps = [], [], []
+    for first in range(0, starts, block):
+        n = min(block, starts - first)
+        points = np.full((n, len(keys)), QUARTER_PI)
+        drawn = 1 if first == 0 else 0
+        points[drawn:] = rng.uniform(lo, hi, size=(n - drawn, len(keys)))
+        v, theta, sw = compiled._coordinate_ascent(points, max_sweeps)
+        values += v.tolist()
+        angles += theta.tolist()
+        sweeps += sw.tolist()
+    best = max(range(starts), key=values.__getitem__)  # first of the maxima
+    return OptimizeResult(values[best], dict(zip(keys, angles[best])),
+                          tuple(values), sweeps[best])
 
 
 def claimed_max_check(expr: InequalityExpr, state: State | None = None,
@@ -213,4 +325,3 @@ def claimed_max_check(expr: InequalityExpr, state: State | None = None,
                    for (party, plane), theta in result.angles.items()},
         "start_values": list(result.start_values),
     }
-

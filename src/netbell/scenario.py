@@ -212,21 +212,22 @@ class InequalityExpr:
         if self.exponent != 1 and not self.absolute:
             if self.exponent.numerator % 2 == 0 or self.exponent.denominator % 2 == 0:
                 raise ValueError("sign-preserving powers need odd/odd rationals")
-        fam_names = [f for f, _ in self.observables]
+        obs_maps = {f: dict(obs) for f, obs in reversed(self.observables)}
         party_set = set(self.topology.party_ids())
         for t in self.terms:
-            if t.family not in fam_names:
+            obs = obs_maps.get(t.family)
+            if obs is None:
                 raise ValueError(f"term family {t.family!r} has no observables")
-            obs = self.observables_for(t.family)
-            covered = set(t.correlator.exponent_map) | set(t.correlator.joint_map)
+            exps, joints = t.correlator.exponent_map, t.correlator.joint_map
+            covered = set(exps) | set(joints)
             if covered != party_set:
                 raise ValueError(
                     f"correlator {t.correlator.label!r} covers {covered}, "
                     f"expected {party_set}")
-            for party in t.correlator.exponent_map:
+            for party in exps:
                 if not isinstance(obs.get(party), SingleQubitObservable):
                     raise ValueError(f"{party} is not single-qubit in {t.family}")
-            for party, inp in t.correlator.joint_map.items():
+            for party, inp in joints.items():
                 o = obs.get(party)
                 if not isinstance(o, JointPauliObservable):
                     raise ValueError(f"{party} is not a joint party in {t.family}")
@@ -312,21 +313,26 @@ class InequalityExpr:
     def power(self, v):
         """The correlator transform: identity, sign-preserving v^r, or |v|^r.
 
-        At r = 1 an exact Fraction stays exact.
+        At r = 1 an exact Fraction stays exact.  A float array maps entry by
+        entry; each |v|^r goes through Python's ``pow``, because numpy's
+        vectorised one can round the last bit differently, so an entry
+        equals the scalar result bit for bit.
         """
         if self.exponent == 1:
             return abs(v) if self.absolute else v
         r = float(self.exponent)
-        v = float(v)
-        return abs(v) ** r if self.absolute else math.copysign(abs(v) ** r, v)
+        v = np.asarray(v, dtype=float)
+        mag = np.array([x ** r for x in np.abs(v).ravel().tolist()]).reshape(v.shape)
+        out = mag if self.absolute else np.copysign(mag, v)
+        return float(out) if out.ndim == 0 else out
 
-    def power_slope(self, v: float) -> float:
+    def power_slope(self, v):
         """d power(v) / dv, with |v| floored at 1e-12 where v^(r-1) diverges."""
         if self.exponent == 1:
-            return math.copysign(1.0, v) if self.absolute else 1.0
+            return np.copysign(1.0, v) if self.absolute else 1.0
         r = float(self.exponent)
-        d = r * max(abs(v), 1e-12) ** (r - 1.0)
-        return math.copysign(d, v) if self.absolute else d
+        d = r * np.maximum(np.abs(v), 1e-12) ** (r - 1.0)
+        return np.copysign(d, v) if self.absolute else d
 
 
 AngleMap = Mapping[tuple[str, str], float]

@@ -221,6 +221,21 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "starts must be at least 1" in err and "Traceback" not in err
+    # a negative or non-finite tolerance is refused before any work, from the
+    # flag or a config file (json.dumps writes NaN and Infinity as such)
+    for i, (command, bad) in enumerate((("certify", "-1"), ("certify", "nan"),
+                                        ("certify", "inf"), ("optimize", "-1e-9"),
+                                        ("optimize", "nan"), ("optimize", "-inf"))):
+        path = tmp_path / f"bad_tolerance{i}.json"
+        path.write_text(json.dumps({"scenario": "chsh", "tolerance": float(bad)}))
+        for argv in ([command, "--scenario", "chsh", f"--tolerance={bad}"],
+                     [command, "--config", str(path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "tolerance must be a finite number >= 0" in err
+            assert "Traceback" not in err
 
 
 def test_integral_float_config_value_is_accepted(capsys, tmp_path):

@@ -17,6 +17,7 @@ from netbell.quantum import (
 )
 from netbell.scenario import (
     QUARTER_PI,
+    SCENARIOS,
     build_bilocal_baseline,
     build_chsh,
     build_ghz_a,
@@ -25,8 +26,10 @@ from netbell.scenario import (
     build_star_first,
     build_star_nonlinear,
     build_two_source_linear,
+    resolve_angles,
 )
 from netbell.states import network_state, parse_state_spec, smolin
+from quantum_oracle import compile_reference, optimize_angles_reference
 
 SQRT2 = math.sqrt(2.0)
 
@@ -129,8 +132,11 @@ def test_optimize_chsh():
 
 @pytest.mark.parametrize("build,k", [
     (build_star_first, 3), (build_star_first, 5), (build_star_first, 6),
+    (build_star_first, 7), (build_star_first, 8),
     (build_star_combined, 4), (build_star_combined, 5),
-], ids=["first-3", "first-5", "first-6", "combined-4", "combined-5"])
+    (build_star_combined, 6), (build_star_combined, 7),
+], ids=["first-3", "first-5", "first-6", "first-7", "first-8", "combined-4",
+        "combined-5", "combined-6", "combined-7"])
 def test_optimize_lands_exactly_on_quarter_pi(build, k):
     # the symmetric start is kept whenever no step can beat it
     expr = build(k)
@@ -168,8 +174,51 @@ def test_coordinate_step_beats_dense_grid(case, thetas, which):
     key = keys[which % len(keys)]
     theta, value = compiled.step(key, angles)
     assert value == compiled.value({**angles, key: theta})
-    best = max(compiled.value({**angles, key: float(x)}) for x in STEP_GRID)
+    grid = np.tile([angles[k] for k in keys], (len(STEP_GRID), 1))
+    grid[:, keys.index(key)] = STEP_GRID
+    best = compiled.values(grid).max()
     assert value >= best - 1e-12
+
+
+def _ascent_cases():
+    """Every catalog input, the star ladder, and two mixed-state inputs."""
+    builds = [(name, {}) for name in SCENARIOS]
+    builds += [("star", {"k": 2}), ("star", {"k": 3, "r": Fraction(1, 3)})]
+    cases = []
+    for name, params in builds:
+        tag = name + "".join(f"-{k}{v}" for k, v in params.items())
+        for family, expr in SCENARIOS[name].build(**params).items():
+            cases.append(pytest.param(expr, natural(expr), id=f"{tag}/{family}"))
+    for label, build, ks in (("first", build_star_first, range(2, 9)),
+                             ("combined", build_star_combined, range(2, 8))):
+        for k in ks:
+            expr = build(k)
+            cases.append(pytest.param(expr, natural(expr), id=f"star-{label}-k{k}"))
+    two_source = build_two_source_linear()["combined"]
+    cases.append(pytest.param(two_source,
+                              parse_state_spec("rho1(0.4)", two_source.topology),
+                              id="two-source/combined-rho1(0.4)"))
+    cases.append(pytest.param(build_bilocal_baseline()["bi"], smolin(),
+                              id="bilocal/bi-smolin"))
+    return cases
+
+
+@pytest.mark.parametrize("expr,state", _ascent_cases())
+def test_batched_ascent_matches_serial(expr, state, monkeypatch):
+    # the serial loop it replaces: same best start, bit for bit; every start
+    # within 1e-12 (the closed-form score can break a near-tie the other way)
+    reference = compile_reference(expr, state)
+    assert evaluate(expr, state) == reference.value(resolve_angles(expr, None))
+    seeds = (1, 2, 3)
+    want = [optimize_angles_reference(expr, state, starts=8, seed=s) for s in seeds]
+    per_start = 8 * len(expr.terms) * len(expr.angle_keys())
+    for cap in (quantum._BLOCK_BYTES, per_start, 3 * per_start):  # 8, 1, 3 a block
+        monkeypatch.setattr(quantum, "_BLOCK_BYTES", cap)
+        for seed, ref in zip(seeds, want):
+            got = optimize_angles(expr, state, starts=8, seed=seed)
+            assert (got.value, got.angles, got.sweeps) == \
+                (ref.value, ref.angles, ref.sweeps)
+            assert got.start_values == pytest.approx(ref.start_values, rel=0, abs=1e-12)
 
 
 def test_optimize_ghz_scenarios():
