@@ -33,6 +33,9 @@ _PHASE_TO_POW = {1: 0, 1j: 1, -1: 2, -1j: 3}
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_TO_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 
+# a letter as a small integer for arrays of words: code = x + 2 z
+LETTER_CODE = {letter: x + 2 * z for letter, (x, z) in _LETTER_TO_BITS.items()}
+
 _SIGN_TO_POW = {"": 0, "+": 0, "-": 2, "+i": 1, "i": 1, "-i": 3}
 _POW_TO_SIGN = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 

@@ -1,25 +1,32 @@
 """Exact quantum values and measurement-angle optimization.
 
 A segmented operator's Pauli word depends only on the exponent pattern, not
-on the angles, so expectations are computed once per term and the value as a
-function of angles is a weighted product of cosines and sines:
+on the angles, so each term's expectation E_t is fixed by the state and the
+value as a function of angles is a weighted product of cosines and sines:
 
     value = sum_t c_t * powr( base_t * prod_j trig(theta_{k_j}, e_j) * E_t )
 
 with powr the identity, a sign-preserving odd power, or |.|^r.
 
-``compile_expression`` holds the expression as arrays over the T terms and
-the J angle keys (sorted, so column order is the party order of every
-term's factors): ``exps[t, j]`` is -1 where term t has no factor of angle
-j, 0 for cos and 1 for sin, and ``coefficient``, ``base`` and
-``expectation`` are per-term vectors.  ``values`` maps an (S, J) array of
-angle rows to S values.  Each row is worked out as the serial loop would:
-the factors of a term multiply in column order, a term whose present
-angles all equal pi/4 takes the exact 2^(-s/2) instead (so power-of-two
-values come out exact), base * product * expectation multiply in that
-order, and the terms add in term order (``np.cumsum``, not the pairwise
-``np.sum``).  ``value``, ``step`` and ``gradient`` are one-row calls on the
-same arrays.
+``compile_expression`` joins two parts.  The expression's
+``term_table``, built once per expression and cached on it, holds every
+term's Pauli word as letter codes per qubit, its trig pattern, base and
+coefficient.  ``states.word_expectations`` then reads E_t for all terms
+from the state: per block of qubits that the state's generators connect,
+it looks up each distinct restricted word once and multiplies the blocks'
++-1/0 factors per term, so no Pauli word is built per term.  The arrays
+run over the T terms and the J angle keys (sorted, so column order is the
+party order of every term's factors): ``exps[t, j]`` is -1 where term t
+has no factor of angle j, 0 for cos and 1 for sin, and ``coefficient``,
+``base`` and ``expectation`` are per-term vectors.
+
+``values`` maps an (S, J) array of angle rows to S values.  Each row is
+worked out as the serial loop would: the factors of a term multiply in
+column order, a term whose present angles all equal pi/4 takes the exact
+2^(-s/2) instead (so power-of-two values come out exact), base * product
+* expectation multiply in that order, and the terms add in term order
+(``np.cumsum``, not the pairwise ``np.sum``).  ``value``, ``step`` and
+``gradient`` are one-row calls on the same arrays.
 
 The optimizer keeps one row per start and steps one angle of every live row
 at once.  A step scores its candidate angles (current, pi/4, the two
@@ -42,9 +49,7 @@ from typing import Mapping
 import numpy as np
 
 from . import states
-from .scenario import (QUARTER_PI, AngleMap, InequalityExpr,
-                       SingleQubitObservable, resolve_angles,
-                       segmented_operator)
+from .scenario import QUARTER_PI, AngleMap, InequalityExpr, resolve_angles
 from .states import State
 
 ANGLE_MARGIN = 1e-3  # keep searches inside the open quadrant
@@ -234,24 +239,10 @@ class CompiledExpression:
 
 
 def compile_expression(expr: InequalityExpr, state: State) -> CompiledExpression:
-    keys = expr.angle_keys()
-    column = {key: j for j, key in enumerate(keys)}
-    obs_maps = {family: expr.observables_for(family) for family in expr.families()}
-    exps = np.full((len(expr.terms), len(keys)), -1, dtype=np.int8)
-    base, expectation = [], []
-    for t, term in enumerate(expr.terms):
-        obs_map = obs_maps[term.family]
-        corr = term.correlator
-        for party, e in corr.exponents:
-            obs = obs_map[party]
-            assert isinstance(obs, SingleQubitObservable)
-            exps[t, column[(party, obs.plane)]] = e
-        _, w = segmented_operator(corr, obs_map, expr.topology.n_qubits)
-        base.append(float(corr.normalization * (1 << corr.n_single)))
-        expectation.append(states.expectation(state, w))
-    coefficient = [float(t.coefficient) for t in expr.terms]
-    return CompiledExpression(expr, keys, exps, np.array(coefficient),
-                              np.array(base), np.array(expectation, dtype=float))
+    table = expr.term_table
+    expectation = states.word_expectations(state, table.letters)
+    return CompiledExpression(expr, table.keys, table.exps, table.coefficient,
+                              table.base, expectation)
 
 
 def evaluate(expr: InequalityExpr, state: State,

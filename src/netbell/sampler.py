@@ -16,7 +16,9 @@ the a single parties among its recipients, so one group table per source,
 n_components * n_terms * 2^a entries built once per call, maps that key to
 its group.  Each round then costs one intp gather for its group and reads its
 outcome off the group's row of one CDF table; a row's distribution is worked
-out only when a drawn round reaches it.  Nothing sorts the rounds.
+out only when a drawn round reaches it, and the reached rows of one source
+and component share one ``states.word_expectations`` call for all their
+Pauli words.  Nothing sorts the rounds.
 
 Estimation inverts the correlator definition: cells are the distinct input
 profiles, and
@@ -86,35 +88,45 @@ def _validate_product(topology: NetworkTopology,
 Spec = tuple[tuple[str, float], ...]  # per-qubit observable as letter/coeff sum
 
 
-def _source_distribution(group: StabilizerGroup, qubits: Sequence[int],
-                         specs: Sequence[Spec]) -> np.ndarray:
-    """Exact outcome distribution for one source; bit b=1 means outcome -1."""
+def _source_distributions(group: StabilizerGroup, qubits: Sequence[int],
+                          settings: Sequence[Sequence[Spec]]) -> np.ndarray:
+    """Exact outcome distributions of one source, one row per qubit setting.
+
+    Column bit b = 1 means outcome -1 on ``qubits[b]``.  The words of every
+    setting's expansion go to one ``states.word_expectations`` call.
+    """
     k = len(qubits)
-    m = np.zeros(1 << k)
-    m[0] = 1.0
-    for t in range(1, 1 << k):
-        members = [i for i in range(k) if (t >> i) & 1]
-        total = 0.0
-        for choice in itertools.product(*(specs[i] for i in members)):
-            coeff = 1.0
-            letters = {}
-            for i, (letter, c) in zip(members, choice):
-                coeff *= c
-                letters[qubits[i]] = letter
-            if coeff == 0.0:
-                continue
-            total += coeff * states.expectation(group, pauli.word(letters, group.n_qubits))
-        m[t] = total
-    p = np.zeros(1 << k)
-    for s in range(1 << k):
-        acc = 0.0
-        for t in range(1 << k):
-            acc += m[t] * (1.0 if bin(s & t).count("1") % 2 == 0 else -1.0)
-        p[s] = acc / (1 << k)
+    # every word of the expansion: setting r, subset t of the qubits, a letter each
+    terms, words = [], []
+    for r, specs in enumerate(settings):
+        for t in range(1, 1 << k):
+            members = [i for i in range(k) if (t >> i) & 1]
+            for choice in itertools.product(*(specs[i] for i in members)):
+                coeff = 1.0
+                letters = [0] * k
+                for i, (letter, c) in zip(members, choice):
+                    coeff *= c
+                    letters[i] = pauli.LETTER_CODE[letter]
+                if coeff != 0.0:
+                    terms.append((r, t, coeff))
+                    words.append(letters)
+    expectations = states.word_expectations(
+        group, np.array(words, dtype=np.int8).reshape(-1, k), qubits)
+    m = [[1.0] + [0.0] * ((1 << k) - 1) for _ in settings]
+    for (r, t, coeff), e in zip(terms, expectations.tolist()):
+        m[r][t] += coeff * e
+    # p(s) = 2^(-k) sum_t (-1)^|s & t| m_t, added in t order
+    s_and_t = np.arange(1 << k)[:, None] & np.arange(1 << k)
+    parity = np.zeros_like(s_and_t)
+    for bit in range(k):
+        parity ^= (s_and_t >> bit) & 1
+    signs = np.where(parity == 1, -1.0, 1.0)
+    p = np.cumsum(signs * np.array(m)[:, None, :], axis=2)[:, :, -1] / (1 << k)
     if p.min() < -1e-9:
         raise AssertionError(f"negative probability {p.min()} in source sampling")
     p = np.clip(p, 0.0, None)
-    p /= p.sum()
+    for row in p:
+        row /= row.sum()
     return p
 
 
@@ -320,10 +332,13 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
         reached = np.zeros(len(keys), dtype=bool)
         reached[group] = True
         cdf = np.zeros((len(keys), 1 << len(qs)))
+        rows_of: dict[int, list[int]] = {}  # component -> reached rows
         for row in np.flatnonzero(reached).tolist():
-            c, *setting = keys[row]
-            cdf[row] = np.cumsum(_source_distribution(
-                components[c][1], qs, [specs[i] for i in setting]))
+            rows_of.setdefault(keys[row][0], []).append(row)
+        for c, rows in rows_of.items():
+            cdf[rows] = np.cumsum(_source_distributions(
+                components[c][1], qs,
+                [[specs[i] for i in keys[row][1:]] for row in rows]), axis=1)
         target = rng.random(n_rounds)
         target *= cdf[:, -1][group]
         outcome = np.zeros(n_rounds, dtype=small_int(1 << len(qs)))

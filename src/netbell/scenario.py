@@ -46,8 +46,8 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from . import network
-from .network import NetworkTopology
-from .pauli import PauliString, word
+from .network import NetworkTopology, SourceSpec
+from .pauli import LETTER_CODE, PauliString, word
 
 QUARTER_PI = math.pi / 4
 
@@ -188,6 +188,24 @@ class InputIndex:
         return inputs, np.where(valid, 1.0 - 2.0 * (parity & 1), 0.0)
 
 
+@dataclass(frozen=True, eq=False)
+class TermTable:
+    """Every term's segmented operator and trig pattern, as read-only arrays.
+
+    ``letters[t, q]`` is the ``pauli.LETTER_CODE`` of term t's Pauli word on
+    qubit q (what ``segmented_operator`` returns).  ``exps[t, j]`` is -1
+    where term t has no factor of angle ``keys[j]``, 0 for cos and 1 for sin.
+    ``base`` is normalization * 2^s, exact in binary, and ``coefficient``
+    the term's +-1.0.
+    """
+
+    keys: tuple[tuple[str, str], ...]
+    letters: np.ndarray   # (T, n) int8
+    exps: np.ndarray      # (T, J) int8
+    base: np.ndarray      # (T,)
+    coefficient: np.ndarray  # (T,)
+
+
 @dataclass(frozen=True)
 class InequalityExpr:
     """A +-1-weighted sum of (possibly power-transformed) correlators."""
@@ -303,6 +321,49 @@ class InequalityExpr:
         width = max(len(v) for v in vocab)
         return InputIndex(parties, tuple(tuple(v) for v in vocab),
                           inputs.astype(small_int(width)), exponents, single)
+
+    @functools.cached_property
+    def term_table(self) -> TermTable:
+        """The terms' words and angle patterns, read off ``input_index``.
+
+        Family by family and party by party: a single party writes its
+        exponent into its angle's column and Z (exponent 0) or its plane's
+        letter (1) on its qubit; a joint party's input selects its letters.
+        """
+        index = self.input_index
+        keys = self.angle_keys()
+        column = {key: j for j, key in enumerate(keys)}
+        families = self.families()
+        family = np.array([families.index(t.family) for t in self.terms])
+        letters = np.zeros((len(self.terms), self.topology.n_qubits), dtype=np.int8)
+        exps = np.full((len(self.terms), len(keys)), -1, dtype=np.int8)
+        for f in sorted(set(family.tolist())):
+            rows = np.flatnonzero(family == f)
+            obs_map = self.observables_for(families[f])
+            for j, party in enumerate(index.parties):
+                obs = obs_map[party]
+                if isinstance(obs, SingleQubitObservable):
+                    e = index.exponents[rows, j]
+                    exps[rows, column[(party, obs.plane)]] = e
+                    letters[rows, obs.qubit] = np.where(
+                        e == 0, LETTER_CODE["Z"], LETTER_CODE[obs.plane[1]])
+                    continue
+                vocab = {label: v for v, label in enumerate(index.vocab[j])}
+                prefix = self.input_label(families[f], party, "")  # family bit, if any
+                by_input = np.zeros((len(vocab), len(obs.qubits)), dtype=np.int8)
+                for raw, word_letters in obs.letters:
+                    if prefix + raw in vocab:
+                        by_input[vocab[prefix + raw]] = [
+                            LETTER_CODE[c] for c in word_letters]
+                letters[np.ix_(rows, obs.qubits)] = by_input[index.inputs[rows, j, 0]]
+        # int / int rounds once, as float(normalization * 2^s) does
+        norms = [t.correlator.normalization for t in self.terms]
+        base = np.array([(norm.numerator << s) / norm.denominator for norm, s in
+                         zip(norms, index.single.sum(axis=1).tolist())])
+        coefficient = np.array([t.coefficient for t in self.terms], dtype=float)
+        for a in (letters, exps, base, coefficient):
+            a.flags.writeable = False  # shared by every compile of this expression
+        return TermTable(keys, letters, exps, base, coefficient)
 
     def n_strategies_raw(self) -> int:
         count = 1
@@ -455,6 +516,15 @@ _HUB_FAMILIES = {
 }
 
 
+_MAX_HUB_TERMS = 1 << 17  # star combined K=16; one more branch doubles it
+
+
+def _branch_sources(topology: NetworkTopology) -> list[SourceSpec]:
+    """The sources, in source order, that reach a single-qubit party."""
+    single = {p.id for p in topology.parties if len(p.qubits) == 1}
+    return [s for s in topology.sources if single.intersection(s.recipients)]
+
+
 def _hub_family(topology: NetworkTopology, family: str, plane: str,
                 signed: bool, prefix: str, inter_bits: Mapping[int, int] | None):
     """One hub-and-branch family: (sorted observables, terms, K).
@@ -466,7 +536,7 @@ def _hub_family(topology: NetworkTopology, family: str, plane: str,
     plane's letter (branch) or X (hub-hub) for 1.
     """
     single = {p.id for p in topology.parties if len(p.qubits) == 1}
-    branches = [s for s in topology.sources if single.intersection(s.recipients)]
+    branches = _branch_sources(topology)
     k = len(branches)
     if k < 1:
         raise ValueError("need at least one branch source")
@@ -505,8 +575,13 @@ def _hub_expr(topology: NetworkTopology, which: str, name: str, tag: str,
               inter_bits: Mapping[int, int] | None = None) -> InequalityExpr:
     """The first (Z/X), second (Z/Y, signed) or combined hub inequality.
 
-    Each family has bound 1 and maximum 2^(K/2); combined adds both.
+    Each family has bound 1 and maximum 2^(K/2); combined adds both.  The
+    term count, families x 2^K, is checked before anything is built.
     """
+    n_terms = len(_HUB_FAMILIES[which]) << len(_branch_sources(topology))
+    if n_terms > _MAX_HUB_TERMS:
+        raise ValueError(f"{name} would have {n_terms} terms, over the "
+                         f"limit of {_MAX_HUB_TERMS}")
     observables, terms = [], ()
     for family, plane, signed, prefix in _HUB_FAMILIES[which]:
         obs, fam_terms, k = _hub_family(topology, family, plane, signed,
@@ -690,11 +765,15 @@ class ScenarioInfo:
 
 
 def _build_star_scenario(k: int = 3, r: Fraction = Fraction(1), **_):
+    # combined first: it has the most terms, so a K over the limit fails
+    # before the other families are built
     if r == 1:
+        combined = build_star_combined(k)
         return {"first": build_star_first(k), "second": build_star_second(k),
-                "combined": build_star_combined(k)}
-    return {fam: build_star_nonlinear(k, r, fam)
-            for fam in ("first", "second", "combined")}
+                "combined": combined}
+    combined = build_star_nonlinear(k, r, "combined")
+    return {"first": build_star_nonlinear(k, r, "first"),
+            "second": build_star_nonlinear(k, r, "second"), "combined": combined}
 
 
 def _build_nkm_scenario(n: int = 3, k: int = 2, m: int = 2,

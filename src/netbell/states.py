@@ -9,6 +9,21 @@ mixed state.  Expectation values of Hermitian Pauli words are exact:
 
 decided by GF(2) elimination over the symplectic rows with exact phase
 accumulation.  ``StabilizerMixture`` takes convex combinations.
+
+``word_expectations`` evaluates many words at once.  It splits the qubits
+into blocks, the connected components of the generator supports taken over
+all mixture components (a qubit no generator touches is a block of its
+own).  Every component's generators then lie in single blocks, so the
+component is a product over blocks, and so is its group: a word W is in +-G
+exactly when each restriction W_b of W to a block is in +-G_b, and the sign
+of W is the product of the signs of the W_b (words on disjoint qubits
+multiply with no phase).  Each factor is +1, -1 or 0, so a component's
+value is one exact product.  A block's restricted words take few distinct
+values over many words (a pair source sees a handful), so each distinct
+W_b is looked up once per component, and the components' weighted values
+add in the order ``expectation`` adds them: the result equals
+``expectation`` word by word, bit for bit.  A state whose generators span
+several sources just forms a larger block.
 """
 
 from __future__ import annotations
@@ -16,7 +31,9 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from . import network
 from .pauli import PauliString, word
@@ -51,6 +68,10 @@ class StabilizerGroup:
             raise ValueError("more generators than qubits")
         if len(self._echelon) != len(self.generators):
             raise ValueError("generators are not independent over GF(2)")
+
+    @functools.cached_property
+    def _blocks(self) -> list[int]:
+        return _qubit_blocks(self.n_qubits, self.generators)
 
     @functools.cached_property
     def _echelon(self) -> list[tuple[int, int, int]]:
@@ -117,11 +138,52 @@ class StabilizerMixture:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total}, not 1")
 
+    @functools.cached_property
+    def _blocks(self) -> list[int]:
+        return _qubit_blocks(self.n_qubits, (
+            gen for _, g in self.components for gen in g.generators))
+
 
 State = Union[StabilizerGroup, StabilizerMixture]
 
 
+def _qubit_blocks(n_qubits: int, generators: Iterable[PauliString]) -> list[int]:
+    """Qubit masks of the connected components of the generator supports.
+
+    Qubits that no generator touches form one block each.
+    """
+    blocks: list[int] = []
+    for g in generators:
+        block, apart = g.x_mask | g.z_mask, []
+        for b in blocks:
+            if b & block:
+                block |= b
+            else:
+                apart.append(b)
+        blocks = apart + [block] if block else apart
+    covered = 0
+    for b in blocks:
+        covered |= b
+    blocks += [1 << q for q in range(n_qubits) if not (covered >> q) & 1]
+    return blocks
+
+
 # -- expectation values -------------------------------------------------------
+
+_WORD_TABLE = 1 << 16  # largest code range numbered through a lookup table
+
+
+def _number(code: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct codes (all below ``bound``) in increasing order.
+
+    Returns each code's number and, per number, a position holding it.
+    """
+    holder = np.full(bound, -1, dtype=np.intp)
+    holder[code] = np.arange(len(code))
+    held = holder[holder >= 0]
+    number = np.cumsum(holder >= 0) - 1
+    return number[code], held
+
 
 def expectation(state: State, p: PauliString) -> float:
     """Exact expectation of a Hermitian Pauli word in a group or mixture."""
@@ -133,6 +195,64 @@ def expectation(state: State, p: PauliString) -> float:
     if isinstance(state, StabilizerMixture):
         return float(sum(w * expectation(g, p) for w, g in state.components))
     raise TypeError(f"unsupported state type {type(state)!r}")
+
+
+def word_expectations(state: State, letters: np.ndarray,
+                      qubits: Sequence[int] | None = None) -> np.ndarray:
+    """``expectation`` of many words at once, one per row of ``letters``.
+
+    ``letters[w, i]`` is the ``pauli.LETTER_CODE`` of word w on
+    ``qubits[i]`` (default: the whole register, one column per qubit), with
+    phase +1 and I on every other qubit.  Each block's distinct restricted
+    words are looked up once per component, and a row's sign is the
+    product of its blocks' signs; the result equals ``expectation`` of each
+    word exactly.
+    """
+    if isinstance(state, StabilizerGroup):
+        components: tuple = ((1.0, state),)
+    elif isinstance(state, StabilizerMixture):
+        components = state.components
+    else:
+        raise TypeError(f"unsupported state type {type(state)!r}")
+    n = state.n_qubits
+    if qubits is None:
+        if letters.shape[1] != n:
+            raise ValueError("register size mismatch")
+        qubits = range(n)
+    listed = 0
+    for q in qubits:
+        listed |= 1 << q
+    signs = np.ones((len(components), len(letters)), dtype=np.int8)
+    for block in state._blocks:
+        if not block & listed:
+            continue
+        cols = [i for i, q in enumerate(qubits) if (block >> q) & 1]
+        # a code per row, two bits per letter, renumbered to the words
+        # present whenever its range would outgrow the lookup table
+        row_word, n_words = letters[:, cols[0]].astype(np.intp), 4
+        for i in cols[1:]:
+            if 4 * n_words > _WORD_TABLE:
+                row_word, held = _number(row_word, n_words)
+                n_words = len(held)
+            row_word = row_word * 4 + letters[:, i]
+            n_words *= 4
+        row_word, held = _number(row_word, n_words)
+        lookup = np.empty((len(components), len(held)), dtype=np.int8)
+        for w, codes in enumerate(letters[held][:, cols].tolist()):
+            x = z = 0
+            for i, c in zip(cols, codes):
+                x |= (c & 1) << qubits[i]
+                z |= (c >> 1) << qubits[i]
+            p = PauliString(n, x, z)
+            for c, (_, group) in enumerate(components):
+                lookup[c, w] = group.membership_sign(p) or 0
+        signs *= lookup[:, row_word]
+    if isinstance(state, StabilizerGroup):
+        return signs[0].astype(float)
+    total = np.zeros(len(letters))
+    for (w, _), s in zip(components, signs):
+        total = total + float(w) * s.astype(float)  # the order of ``expectation``
+    return total
 
 
 # -- state builders -----------------------------------------------------------

@@ -10,8 +10,10 @@ accumulation of the delta-method weights, and one ``csv.writer`` row per
 gathers every qubit's setting per round and numbers the (component,
 setting...) groups one qubit at a time.  It draws from the same Philox
 stream in the same order, so ``sampler.simulate_rounds`` must return the
-same arrays, values and dtypes.  It calls ``sampler._source_distribution``
-through the module, once per distinct group of the drawn rounds.
+same arrays, values and dtypes.  It calls ``_source_distribution`` once per
+distinct group of the drawn rounds: the per-word loop that the package's
+version replaces, one ``states.expectation`` call per Pauli word, which must
+give the same distribution bit for bit.
 
 Two rules differ from the first version of that loop, and the package
 follows both: a term's single parties take their profile bits and their
@@ -23,12 +25,14 @@ multiplied 0 by the infinite variance of an empty cell and got NaN).
 import csv
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 
-from netbell import sampler
+from netbell import pauli, sampler, states
 from netbell.sampler import EstimateReport, RoundBatch, TermEstimate
 from netbell.scenario import SingleQubitObservable, resolve_angles, small_int
+from netbell.states import StabilizerGroup
 
 
 def estimate_reference(expr, batch) -> EstimateReport:
@@ -120,6 +124,41 @@ def csv_reference(batch, target) -> None:
                              int(batch.outcomes[p][i])])
 
 
+Spec = tuple[tuple[str, float], ...]  # per-qubit observable as letter/coeff sum
+
+
+def _source_distribution(group: StabilizerGroup, qubits: Sequence[int],
+                         specs: Sequence[Spec]) -> np.ndarray:
+    """Exact outcome distribution for one source; bit b=1 means outcome -1."""
+    k = len(qubits)
+    m = np.zeros(1 << k)
+    m[0] = 1.0
+    for t in range(1, 1 << k):
+        members = [i for i in range(k) if (t >> i) & 1]
+        total = 0.0
+        for choice in itertools.product(*(specs[i] for i in members)):
+            coeff = 1.0
+            letters = {}
+            for i, (letter, c) in zip(members, choice):
+                coeff *= c
+                letters[qubits[i]] = letter
+            if coeff == 0.0:
+                continue
+            total += coeff * states.expectation(group, pauli.word(letters, group.n_qubits))
+        m[t] = total
+    p = np.zeros(1 << k)
+    for s in range(1 << k):
+        acc = 0.0
+        for t in range(1 << k):
+            acc += m[t] * (1.0 if bin(s & t).count("1") % 2 == 0 else -1.0)
+        p[s] = acc / (1 << k)
+    if p.min() < -1e-9:
+        raise AssertionError(f"negative probability {p.min()} in source sampling")
+    p = np.clip(p, 0.0, None)
+    p /= p.sum()
+    return p
+
+
 def simulate_rounds_reference(expr, state, n_rounds, seed, angles=None) -> RoundBatch:
     if n_rounds <= 0:
         raise ValueError("need a positive number of rounds")
@@ -208,7 +247,7 @@ def simulate_rounds_reference(expr, state, n_rounds, seed, angles=None) -> Round
             group, codes = sampler._renumber(
                 group.astype(small_int(bound)) * width + qubit_spec[q], bound)
             keys = [keys[c // width] + (c % width,) for c in codes.tolist()]
-        cdf = np.array([np.cumsum(sampler._source_distribution(
+        cdf = np.array([np.cumsum(_source_distribution(
             components[key[0]][1], qs, [specs[i] for i in key[1:]]))
             for key in keys])
         target = rng.random(n_rounds) * cdf[group, -1]

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import time
 
 import pytest
 
@@ -169,6 +170,15 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["certify"])  # scenario neither on the line nor in a config
     assert exc.value.code == 2
+    # 2^24 terms fit the 64-qubit register but not the term limit: refused
+    # from the topology before any term is built
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--scenario", "star", "--k", "24"])
+    assert exc.value.code == 2 and time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].endswith("star-combined-k24 would have 33554432 terms, "
+                            "over the limit of 131072")
     for bad_flag in (["--wiring", "3:x"], ["--wiring", "3"],
                      ["--inter-bits", "3:1:2"]):
         with pytest.raises(SystemExit) as exc:

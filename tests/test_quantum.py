@@ -28,6 +28,7 @@ from netbell.scenario import (
     build_two_source_linear,
     resolve_angles,
 )
+from netbell.pauli import from_letters
 from netbell.states import network_state, parse_state_spec, smolin
 from quantum_oracle import compile_reference, optimize_angles_reference
 
@@ -219,6 +220,85 @@ def test_batched_ascent_matches_serial(expr, state, monkeypatch):
             assert (got.value, got.angles, got.sweeps) == \
                 (ref.value, ref.angles, ref.sweeps)
             assert got.start_values == pytest.approx(ref.start_values, rel=0, abs=1e-12)
+
+
+def _block_compile_cases():
+    """Every catalog input, the star ladder with combined K=10, two-source
+    under mixtures, and states whose generators span several sources."""
+    builds = [(name, {}) for name in SCENARIOS]
+    builds += [("star", {"k": 2}), ("star", {"k": 3, "r": Fraction(1, 3)})]
+    cases = []
+    for name, params in builds:
+        tag = name + "".join(f"-{k}{v}" for k, v in params.items())
+        for family, expr in SCENARIOS[name].build(**params).items():
+            cases.append(pytest.param(expr, natural(expr), id=f"{tag}/{family}"))
+    for label, build, ks in (("first", build_star_first, range(2, 9)),
+                             ("combined", build_star_combined, [*range(2, 8), 10])):
+        for k in ks:
+            expr = build(k)
+            cases.append(pytest.param(expr, natural(expr), id=f"star-{label}-k{k}"))
+    for family, expr in build_two_source_linear().items():
+        for spec in ("rho1(0.4)", "rho2(0.3)", "smolin", "mixed"):
+            cases.append(pytest.param(expr, parse_state_spec(spec, expr.topology),
+                                      id=f"two-source/{family}-{spec}"))
+    # a 4-qubit GHZ state across both sources of star K=2: one block, two sources
+    star2 = build_star_combined(2)
+    ghz4 = states.StabilizerGroup(4, (
+        from_letters("XXXX"), from_letters("ZZII"), from_letters("IZZI"),
+        from_letters("IIZZ")))
+    cases.append(pytest.param(star2, ghz4, id="star-combined-k2/ghz4"))
+    cases.append(pytest.param(star2, states.two_component_mixture(
+        0.3, ghz4, natural(star2)), id="star-combined-k2/ghz4-mix"))
+    # a 10-qubit block: its words outgrow the 4^8-entry lookup table
+    star5 = build_star_combined(5)
+    ghz10 = states.StabilizerGroup(10, (from_letters("X" * 10),) + tuple(
+        from_letters("I" * i + "ZZ" + "I" * (8 - i)) for i in range(9)))
+    cases.append(pytest.param(star5, ghz10, id="star-combined-k5/ghz10"))
+    return cases
+
+
+@pytest.mark.parametrize("expr,state", _block_compile_cases())
+def test_block_compile_matches_reference(expr, state):
+    # the per-term loop: one Pauli word and one states.expectation per term
+    reference = compile_reference(expr, state)
+    compiled = compile_expression(expr, state)
+    keys = expr.angle_keys()
+    exps = np.full((len(expr.terms), len(keys)), -1, dtype=np.int8)
+    for t, term in enumerate(reference.terms):
+        for key, e in term.trig:
+            exps[t, keys.index(key)] = e
+    want = np.array([t.expectation for t in reference.terms])
+    assert compiled.expectation.tobytes() == want.tobytes()
+    assert compiled.keys == keys
+    assert np.array_equal(compiled.exps, exps) and compiled.exps.dtype == np.int8
+    assert compiled.base.tolist() == [t.base for t in reference.terms]
+    assert compiled.coefficient.tolist() == [float(t.coefficient)
+                                             for t in reference.terms]
+    assert evaluate(expr, state) == reference.value(resolve_angles(expr, None))
+
+
+def test_compile_looks_up_each_distinct_block_word_once(monkeypatch):
+    # star combined K=10: 2048 terms, 10 pair blocks of 3 distinct words each
+    expr = build_star_combined(10)
+    state = natural(expr)
+    calls = []
+    real = states.StabilizerGroup.membership_sign
+
+    def counted(self, p):
+        calls.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(states.StabilizerGroup, "membership_sign", counted)
+    compile_expression(expr, state)
+    assert len(calls) == 30
+
+
+def test_compile_rejects_a_state_on_another_register():
+    expr = build_chsh()
+    with pytest.raises(ValueError, match="register size"):
+        compile_expression(expr, states.maximally_mixed(3))
+    with pytest.raises(TypeError, match="unsupported state"):
+        compile_expression(expr, np.ones(4))
 
 
 def test_optimize_ghz_scenarios():

@@ -25,6 +25,7 @@ from netbell.scenario import (
 from netbell.states import (bell_pair, ghz3, network_state, parse_state_spec,
                             product_group, smolin)
 from conftest import stabilizer_vector
+import sampler_oracle
 from sampler_oracle import csv_reference, estimate_reference, simulate_rounds_reference
 
 
@@ -79,7 +80,7 @@ def test_source_distribution_respects_stabilizers():
     # measuring X,Z,Z on a three-qubit GHZ source: XZZ outcome product is +1
     g = ghz3(0, 1, 2, 3)
     specs = [(("X", 1.0),), (("Z", 1.0),), (("Z", 1.0),)]
-    p = sampler._source_distribution(g, (0, 1, 2), specs)
+    p = sampler._source_distributions(g, (0, 1, 2), [specs])[0]
     assert p.shape == (8,)
     for s in range(8):
         parity = bin(s).count("1") % 2
@@ -92,14 +93,38 @@ def test_source_distribution_mixed_basis():
     # Z on one half of a pair: both outcomes equally likely, independent
     g = bell_pair(0, 1, 2)
     specs = [(("Z", 1.0),), (("Z", 1.0),)]
-    p = sampler._source_distribution(g, (0, 1), specs)
+    p = sampler._source_distributions(g, (0, 1), [specs])[0]
     # perfect ZZ correlation: only 00 and 11
     assert p[0] == pytest.approx(0.5) and p[3] == pytest.approx(0.5)
     assert p[1] == p[2] == pytest.approx(0.0)
     tilted = [(("Z", math.cos(0.7)), ("X", math.sin(0.7))), (("Z", 1.0),)]
-    p = sampler._source_distribution(g, (0, 1), tilted)
+    p = sampler._source_distributions(g, (0, 1), [tilted])[0]
     assert p.sum() == pytest.approx(1.0)
     assert np.all(p >= 0.0)
+
+
+def test_source_distribution_matches_the_per_word_loop():
+    # one states.expectation per word and one call per setting in the
+    # reference; one call for all settings here, bit for bit
+    tilt = ("Z", math.cos(0.3)), ("X", -math.sin(0.3))
+    skew = ("Z", math.cos(1.1)), ("Y", math.sin(1.1))
+    pair_and_ghz = product_group([bell_pair(3, 0, 6), ghz3(1, 5, 2, 6)])
+    cases = [
+        (pair_and_ghz, (3, 0), [[tilt, (("X", 1.0),)], [skew, skew]]),
+        (pair_and_ghz, (1, 5, 2), [[(("Z", 1.0),), skew, tilt],
+                                   [tilt, tilt, (("Y", 1.0),)]]),
+        (pair_and_ghz, (2, 4), [[skew, (("Y", 1.0),)]]),      # 4 is untouched
+        (bell_pair(0, 1, 2, -1, -1), (0, 1), [[skew, (("Y", 1.0),)]]),
+        (bell_pair(0, 1, 2), (0, 1), [[(("Z", 0.0), ("X", 1.0)), tilt],
+                                      [(("Z", 1.0),), (("Z", 1.0),)]]),
+        (parse_state_spec("mixed", build_chsh().topology), (0, 1), [[tilt, skew]]),
+    ]
+    for group, qubits, settings in cases:
+        got = sampler._source_distributions(group, qubits, settings)
+        assert got.shape == (len(settings), 1 << len(qubits))
+        for row, specs in zip(got, settings):
+            want = sampler_oracle._source_distribution(group, qubits, specs)
+            assert row.tobytes() == want.tobytes()
 
 
 def test_simulate_rejects_dense_and_non_product():
@@ -275,19 +300,22 @@ def test_simulate_builds_only_the_distributions_its_rounds_reach(
     # the group table spans every (component, term, owner bits) key, but at
     # 40 rounds only the rows the rounds reach get a CDF
     state = state or network_state(expr.topology)
-    calls = []
-    real = sampler._source_distribution
+    built = {sampler: [], sampler_oracle: []}  # one entry per distribution
+    real = sampler._source_distributions, sampler_oracle._source_distribution
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def batch(group, qubits, settings):
+        built[sampler].extend(settings)
+        return real[0](group, qubits, settings)
 
-    monkeypatch.setattr(sampler, "_source_distribution", counted)
+    def single(group, qubits, specs):
+        built[sampler_oracle].append(specs)
+        return real[1](group, qubits, specs)
+
+    monkeypatch.setattr(sampler, "_source_distributions", batch)
+    monkeypatch.setattr(sampler_oracle, "_source_distribution", single)
     simulate_rounds_reference(expr, state, 40, seed=1)
-    reference_calls = len(calls)
-    calls.clear()
     simulate_rounds(expr, state, 40, seed=1)
-    assert 0 < len(calls) <= reference_calls
+    assert 0 < len(built[sampler]) <= len(built[sampler_oracle])
 
 
 def test_simulate_memory_at_star_combined_k3():

@@ -197,6 +197,17 @@ def test_nkm_inter_bits_are_bits():
             build_nkm(topo, inter_bits={2: bad})
 
 
+def test_hub_term_count_is_checked_before_building():
+    # families x 2^K terms, predicted from the topology; 2^17 is the limit
+    with pytest.raises(ValueError, match="star-first-k18 would have 262144 terms"):
+        build_star_first(18)
+    with pytest.raises(ValueError, match="star-combined-k17 would have 262144 terms"):
+        scenario.SCENARIOS["star"].build(k=17)
+    wide = network.nkm(20, 20, 1, alice_recipients=[0] * 20)
+    with pytest.raises(ValueError, match="would have 1048576 terms"):
+        build_nkm(wide)
+
+
 def test_bilocal_baseline_flags():
     exprs = scenario.build_bilocal_baseline()
     bi, bil = exprs["bi"], exprs["bil"]
