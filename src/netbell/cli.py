@@ -122,6 +122,12 @@ def _build_scenario(args, parser) -> tuple[dict[str, InequalityExpr], dict]:
         parser.error(f"unknown scenario {args.scenario!r}; "
                      f"choices: {', '.join(sorted(SCENARIOS))}")
     info = SCENARIOS[args.scenario]
+    family = args.family
+    if family is None:
+        family = "bi" if args.scenario == "bilocal" else "first"
+    if family not in info.families:
+        parser.error(f"scenario {args.scenario!r} has families "
+                     f"{', '.join(info.families)}; got {family!r}")
     params: dict = {}
     for key in ("k", "n", "m"):
         if getattr(args, key) is not None:
@@ -158,19 +164,13 @@ def _build_scenario(args, parser) -> tuple[dict[str, InequalityExpr], dict]:
                              "mapping from source to bit")
         params["inter_bits"] = bits
     try:
-        exprs = info.build(**params)
+        expr = info.build_family(family, **params)
     except (ValueError, KeyError) as exc:
         parser.error(f"cannot build scenario: {exc}")
-    family = args.family
-    if family is None:
-        family = "bi" if args.scenario == "bilocal" else "first"
-    if family not in exprs:
-        parser.error(f"scenario {args.scenario!r} has families "
-                     f"{', '.join(exprs)}; got {family!r}")
     resolved = {"scenario": args.scenario, "family": family}
     for key, value in params.items():
         resolved[key] = str(value) if isinstance(value, Fraction) else value
-    return {"expr": exprs[family]}, resolved
+    return {"expr": expr}, resolved
 
 
 def _state_for(args, expr, parser):

@@ -18,6 +18,11 @@ Two routes compute the vertex geometry:
   distinct partial rows by the next party's factors and keeping each distinct
   product once, with the lowest-code strategy reaching it as its witness.
   Exact and exhaustive, used when the raw strategy count is small enough.
+  Rows stay integers throughout: each dedup sorts one byte key per row, and
+  the vertices are kept as int64 numerators over one common denominator
+  (the lcm of the normalizations' denominators), so ordering them, the
+  linear maximum and the normalization check are integer arithmetic.  A
+  numerator that could overflow int64 raises instead of wrapping.
 * cross-polytope structure: when each family's labels map bijectively onto
   the single-party exponent patterns (and families share no inputs), every
   deterministic strategy concentrates each family block on exactly one label
@@ -35,13 +40,14 @@ genuine bound resting on it is reported ``UNPROVEN``, never ``PASS``.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .scenario import InequalityExpr, Term
+from .scenario import InequalityExpr, Term, ordered_sum, unique_rows
 
 DEFAULT_BUDGET = 1 << 25
 ENUM_THRESHOLD = 1 << 16
@@ -97,8 +103,9 @@ def correlator_value(expr: InequalityExpr, term: Term,
 
 def evaluate_strategy(expr: InequalityExpr, strategy: Strategy):
     """Expression value for one strategy: exact Fraction when r = 1, else float."""
-    return sum(t.coefficient * expr.power(correlator_value(expr, t, strategy))
-               for t in expr.terms)
+    values = [t.coefficient * expr.power(correlator_value(expr, t, strategy))
+              for t in expr.terms]
+    return sum(values) if expr.exponent == 1 else float(ordered_sum(values))
 
 
 # -- reduced enumeration -------------------------------------------------------
@@ -119,27 +126,51 @@ def _party_behaviors(expr: InequalityExpr, party: str):
     signs = 1 - 2 * ((codes[:, None] >> np.arange(m)) & 1)  # (2^m, m)
     bracket = np.where(index.single[:, j], 1 - 2 * index.exponents[:, j], 0)
     keys = signs[:, index.inputs[:, j, 0]] + bracket * signs[:, index.inputs[:, j, 1]]
-    uniq, first = np.unique(keys, axis=0, return_index=True)
-    witnesses = [tuple(int(v) for v in signs[i]) for i in first]
-    return inputs, uniq.astype(np.int64), witnesses
+    uniq, first = unique_rows(keys, return_index=True)
+    return inputs, uniq, list(map(tuple, signs[first].tolist()))
 
 
 @dataclass(frozen=True)
 class VertexSet:
-    """Distinct correlator vectors over deterministic strategies."""
+    """Distinct correlator vectors over deterministic strategies.
+
+    ``numerators`` holds the same vectors in the same order as one int64
+    row each over the common ``denominator``: ``vectors[v][t]`` equals
+    ``Fraction(numerators[v, t], denominator)``.  Every row sum fits in
+    int64.
+    """
 
     labels: tuple[str, ...]
     vectors: tuple[tuple[Fraction, ...], ...]
     witnesses: tuple[Strategy, ...]
     n_raw: int
     n_reduced: int
+    numerators: np.ndarray = field(compare=False, repr=False)
+    denominator: int = field(compare=False)
 
 
 def _first_distinct(rows: np.ndarray, codes: np.ndarray):
     """Each distinct row once with its first code, in the order given."""
-    _, first = np.unique(rows, axis=0, return_index=True)
+    _, first = unique_rows(rows, return_index=True)
     first.sort()
     return rows[first], codes[first]
+
+
+def _numerators(expr: InequalityExpr, rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Correlator rows as int64 numerators over the normalizations' lcm.
+
+    Raises ``OverflowError`` unless every entry, and so every row sum over
+    the terms, stays below 2^63 in magnitude.
+    """
+    norms = [t.correlator.normalization for t in expr.terms]
+    denominator = math.lcm(*(n.denominator for n in norms))
+    scale = [int(n * denominator) for n in norms]
+    largest = int(np.abs(rows).max()) * max(map(abs, scale))
+    if largest * len(scale) >= 1 << 63:
+        raise OverflowError(
+            f"vertex numerators up to {largest} over {len(scale)} terms "
+            "overflow int64")
+    return rows * np.array(scale, dtype=np.int64), denominator
 
 
 def enumerate_vertices(expr: InequalityExpr,
@@ -176,24 +207,34 @@ def enumerate_vertices(expr: InequalityExpr,
                                           codes[prefix] * count + digit))
         rows, codes = _first_distinct(
             *(np.concatenate(part) for part in zip(*slices)))
-    norms = [t.correlator.normalization for t in expr.terms]
-    vectors = []
-    witnesses = []
-    for row, code in zip(rows, codes.tolist()):
-        vectors.append(tuple(n * int(x) for n, x in zip(norms, row)))
-        outputs = []
-        for party, (inputs, _, wits), count in reversed(
-                list(zip(parties, behaviors, counts))):
-            code, d = divmod(code, count)
-            outputs.extend(((party, inp), val) for inp, val in zip(inputs, wits[d]))
-        witnesses.append(Strategy(tuple(outputs)))
-    order = sorted(range(len(vectors)), key=lambda i: vectors[i], reverse=True)
+    numerators, denominator = _numerators(expr, rows)
+    # descending lexicographic, ties (a zero normalization) in fold order:
+    # what sorting the Fraction tuples with reverse=True gives
+    order = np.lexsort(-numerators.T[::-1])
+    numerators = numerators[order]
+    # one Fraction per distinct numerator, shared by every vector holding it
+    values, value_of = np.unique(numerators, return_inverse=True)
+    fractions = [Fraction(v, denominator) for v in values.tolist()]
+    vectors = tuple(tuple(map(fractions.__getitem__, row))
+                    for row in value_of.reshape(numerators.shape).tolist())
+    # a code's digits, most significant first, pick each party's witness
+    strides = [math.prod(counts[j + 1:]) for j in range(len(counts))]
+    digits = (codes[order, None] // strides) % counts
+    slots = [[(party, inp) for inp in inputs]
+             for party, (inputs, _, _) in zip(parties, behaviors)]
+    witnesses = tuple(
+        Strategy(tuple(itertools.chain.from_iterable(
+            zip(party_slots, wits[d])
+            for party_slots, (_, _, wits), d in zip(slots, behaviors, row))))
+        for row in digits.tolist())
     return VertexSet(
         labels=tuple(t.correlator.label for t in expr.terms),
-        vectors=tuple(vectors[i] for i in order),
-        witnesses=tuple(witnesses[i] for i in order),
+        vectors=vectors,
+        witnesses=witnesses,
         n_raw=expr.n_strategies_raw(),
-        n_reduced=n_reduced)
+        n_reduced=n_reduced,
+        numerators=numerators,
+        denominator=denominator)
 
 
 # -- cross-polytope structure ----------------------------------------------------
@@ -257,18 +298,23 @@ def linear_lhv_max(expr: InequalityExpr,
     if vertices is None:
         blocks = cross_polytope_structure(expr)
         if blocks is not None:
-            return sum((b.scale for b in blocks), Fraction(0))
+            return _structural_max(blocks)
         vertices = enumerate_vertices(expr, budget)
-    coeffs = [t.coefficient for t in expr.terms]
-    best = None
-    for vec in vertices.vectors:
-        if expr.absolute:
-            val = sum(abs(v) for v in vec)
-        else:
-            val = sum(c * v for c, v in zip(coeffs, vec))
-        if best is None or val > best:
-            best = val
-    return best
+    return _vertex_max(expr, vertices)
+
+
+def _structural_max(blocks: tuple[FamilyBlock, ...]) -> Fraction:
+    return sum((b.scale for b in blocks), Fraction(0))
+
+
+def _vertex_max(expr: InequalityExpr, vertices: VertexSet) -> Fraction:
+    """max over vertices of sum_t c_t v_t (sum_t |v_t| when absolute)."""
+    num = vertices.numerators
+    if expr.absolute:
+        values = np.abs(num).sum(axis=1)
+    else:
+        values = num @ np.array([t.coefficient for t in expr.terms], dtype=np.int64)
+    return Fraction(int(values.max()), vertices.denominator)
 
 
 def _project_rows(w: np.ndarray) -> np.ndarray:
@@ -350,11 +396,19 @@ def nonlinear_lhv_max(expr: InequalityExpr,
     ``seed``, as one batch of 300 steps each); ``numeric`` is then the only
     value and a lower estimate of the maximum.
     """
+    return _nonlinear_max(expr, cross_polytope_structure(expr), vertices,
+                          restarts, seed, budget)
+
+
+def _nonlinear_max(expr: InequalityExpr, blocks: tuple[FamilyBlock, ...] | None,
+                   vertices: VertexSet | None, restarts: int, seed: int,
+                   budget: int) -> dict:
+    """``nonlinear_lhv_max`` given the expression's cross-polytope structure."""
     r = float(expr.exponent)
-    blocks = cross_polytope_structure(expr)
     if blocks is not None and not expr.absolute:
-        analytic = sum(float(b.scale) ** r * 2.0 ** (b.n_singles * (1.0 - r))
-                       for b in blocks)
+        analytic = float(ordered_sum(
+            [float(b.scale) ** r * 2.0 ** (b.n_singles * (1.0 - r))
+             for b in blocks]))
         numeric = 0.0
         for b in blocks:
             share = b.scale / (1 << b.n_singles)
@@ -378,27 +432,31 @@ def normalization_check(expr: InequalityExpr,
     makes sum_y |I_y| equal the scale exactly; baselines that keep only part
     of the label set fail it.
     """
-    fam_indices = {
-        fam: [i for i, t in enumerate(expr.terms) if t.family == fam]
-        for fam in expr.families()}
-    fam_scale = {}
+    num = np.abs(vertices.numerators)
+    fam_indices = []
+    broken = []  # per family: the vertices that break the property
     for fam in expr.families():
-        terms = expr.terms_for(fam)
-        fam_scale[fam] = {t.correlator.normalization * (1 << t.correlator.n_single)
-                          for t in terms}
-    for vec, wit in zip(vertices.vectors, vertices.witnesses):
-        for fam, indices in fam_indices.items():
-            scales = fam_scale[fam]
-            full = sum(1 for i in indices if abs(vec[i]) in scales)
-            zero = sum(1 for i in indices if vec[i] == 0)
-            if full != 1 or zero != len(indices) - 1:
-                return {
-                    "family": fam,
-                    "values": {expr.terms[i].correlator.label: str(vec[i])
-                               for i in indices},
-                    "strategy": wit.grouped(),
-                }
-    return None
+        indices = [i for i, t in enumerate(expr.terms) if t.family == fam]
+        scales = [int(t.correlator.normalization * vertices.denominator)
+                  << t.correlator.n_single for t in expr.terms_for(fam)]
+        block = num[:, indices]
+        full = np.isin(block, scales)
+        zero = block == 0
+        broken.append((full.sum(axis=1) != 1)
+                      | (zero.sum(axis=1) != len(indices) - 1))
+        fam_indices.append((fam, indices))
+    broken = np.array(broken)  # (families, vertices)
+    hit = broken.any(axis=0)
+    if not hit.any():
+        return None
+    v = int(np.argmax(hit))
+    fam, indices = fam_indices[int(np.argmax(broken[:, v]))]
+    vec = vertices.vectors[v]
+    return {
+        "family": fam,
+        "values": {expr.terms[i].correlator.label: str(vec[i]) for i in indices},
+        "strategy": vertices.witnesses[v].grouped(),
+    }
 
 
 # -- certification report ------------------------------------------------------------
@@ -436,16 +494,19 @@ def certify(expr: InequalityExpr, budget: int = DEFAULT_BUDGET,
         report["normalization"] = "structural"
 
     if expr.exponent == 1:
-        exact = linear_lhv_max(expr, vertices, budget)
-        if vertices is not None and blocks is not None and not expr.absolute:
-            structural = sum((b.scale for b in blocks), Fraction(0))
-            if structural != exact:
-                raise AssertionError(
-                    f"structure bound {structural} != enumerated {exact}")
+        if vertices is None:
+            exact = _structural_max(blocks)
+        else:
+            exact = _vertex_max(expr, vertices)
+            if blocks is not None and not expr.absolute:
+                structural = _structural_max(blocks)
+                if structural != exact:
+                    raise AssertionError(
+                        f"structure bound {structural} != enumerated {exact}")
         report["lhv_max"] = float(exact)
         report["lhv_max_exact"] = str(exact)
     else:
-        detail = nonlinear_lhv_max(expr, vertices, restarts, seed, budget)
+        detail = _nonlinear_max(expr, blocks, vertices, restarts, seed, budget)
         report["nonlinear"] = {
             "analytic": detail["analytic"],
             "numeric": detail["numeric"],

@@ -49,16 +49,12 @@ from typing import Mapping
 import numpy as np
 
 from . import states
-from .scenario import QUARTER_PI, AngleMap, InequalityExpr, resolve_angles
+from .scenario import (QUARTER_PI, AngleMap, InequalityExpr, ordered_sum,
+                       resolve_angles)
 from .states import State
 
 ANGLE_MARGIN = 1e-3  # keep searches inside the open quadrant
 _BLOCK_BYTES = 1 << 24  # factor array (starts x terms x angles floats) per block
-
-
-def _ordered_sum(x: np.ndarray) -> np.ndarray:
-    """Row sums of an (S, T) array, added left to right from 0.0."""
-    return np.cumsum(x, axis=-1)[..., -1] + 0.0  # 0.0 + -0.0 is 0.0
 
 
 @dataclass(eq=False)
@@ -126,7 +122,7 @@ class CompiledExpression:
             factors[j] = self._factor(j, theta[:, j])
         off_quarter = (theta != QUARTER_PI).astype(np.int64) @ (self.exps >= 0).T
         terms = self._terms(factors, off_quarter, self._quarter[0])
-        return _Rows(theta, factors, off_quarter, terms, _ordered_sum(terms))
+        return _Rows(theta, factors, off_quarter, terms, ordered_sum(terms))
 
     def values(self, theta: np.ndarray) -> np.ndarray:
         """Values at each row of an (S, J) angle array, columns in ``keys`` order."""
@@ -159,9 +155,9 @@ class CompiledExpression:
         off = rows.theta[:, j] != QUARTER_PI
         rest = self._terms(rows.factors, rows.off_quarter - off[:, None] * held,
                            self._quarter[1], skip=j)
-        a = _ordered_sum(np.where(e == 0, rest, 0.0))
-        b = _ordered_sum(np.where(e == 1, rest, 0.0))
-        c = _ordered_sum(np.where(held, 0.0, rows.terms))
+        a = ordered_sum(np.where(e == 0, rest, 0.0))
+        b = ordered_sum(np.where(e == 1, rest, 0.0))
+        c = ordered_sum(np.where(held, 0.0, rows.terms))
         lo, hi = ANGLE_MARGIN, math.pi / 2 - ANGLE_MARGIN
         cand = np.empty((len(rows.theta), 5))  # theta* defaults to a placeholder
         cand[:, 0], cand[:, 1:] = rows.theta[:, j], (QUARTER_PI, lo, hi, QUARTER_PI)
@@ -184,7 +180,7 @@ class CompiledExpression:
         rows.factors[j] = self._factor(j, new)
         rows.off_quarter += ((new != QUARTER_PI).astype(np.int64) - off)[:, None] * held
         rows.terms = self._terms(rows.factors, rows.off_quarter, self._quarter[0])
-        rows.value = _ordered_sum(rows.terms)
+        rows.value = ordered_sum(rows.terms)
 
     def step(self, key: tuple[str, str],
              angles: Mapping[tuple[str, str], float]) -> tuple[float, float]:

@@ -52,7 +52,7 @@ import numpy as np
 from . import pauli, states
 from .network import NetworkTopology, SourceSpec
 from .scenario import (AngleMap, InequalityExpr, SingleQubitObservable,
-                       resolve_angles, small_int)
+                       ordered_sum, resolve_angles, small_int, unique_rows)
 from .states import StabilizerGroup, StabilizerMixture, State
 
 
@@ -233,9 +233,9 @@ def _group_table(spec_of: dict[int, np.ndarray], n_comp: int, src: SourceSpec,
         x = (bits >> owners.index(p)) & 1 if p in owners else np.zeros_like(bits)
         columns.append(spec_of[q][:, x][None])
     settings = np.stack(np.broadcast_arrays(*columns), axis=-1)
-    keys, group_of = np.unique(settings.reshape(-1, len(columns)), axis=0,
-                               return_inverse=True)
-    return [tuple(k) for k in keys.tolist()], group_of.reshape(-1).astype(np.intp)
+    keys, group_of = unique_rows(settings.reshape(-1, len(columns)),
+                                 return_inverse=True)
+    return [tuple(k) for k in keys.tolist()], group_of
 
 
 def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
@@ -411,7 +411,7 @@ def _delta_se(slot: np.ndarray, deriv: np.ndarray, var: np.ndarray) -> float:
     cells, first = np.unique(slot, return_index=True)
     order = cells[np.argsort(first)]
     order = order[d[order] != 0.0]
-    return math.sqrt(sum((d[order] * d[order] * var[order]).tolist()))
+    return math.sqrt(ordered_sum(d[order] * d[order] * var[order]))
 
 
 def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:

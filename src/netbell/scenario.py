@@ -147,6 +147,44 @@ def small_int(n: int) -> np.dtype:
     return np.min_scalar_type(-n - 1)
 
 
+def ordered_sum(x) -> np.ndarray:
+    """Sums over the last axis, added left to right from 0.0.
+
+    Each equals ``functools.reduce(operator.add, row, 0.0)`` bit for bit on
+    every Python.  The builtin ``sum`` of floats is compensated from Python
+    3.12 on and ``np.sum`` adds pairwise, so neither can give a float that
+    reaches a report.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] == 0:
+        return np.zeros(x.shape[:-1])[()]
+    return np.cumsum(x, axis=-1)[..., -1] + 0.0  # 0.0 + -0.0 is 0.0
+
+
+def unique_rows(a: np.ndarray, return_index: bool = False,
+                return_inverse: bool = False):
+    """``np.unique(a, axis=0, ...)`` of a nonempty 2-D integer array.
+
+    The same rows in the same numeric order, the same first indices and
+    the same (flat) inverse.  Each entry, less the array's minimum, is
+    written big-endian in the narrowest unsigned width, so one row is one
+    ``np.void`` key whose byte order is the rows' numeric order; one sort
+    of those keys replaces the field-by-field structured sort.
+    """
+    lo = int(a.min())
+    span = int(a.max()) - lo
+    width = next(w for w in (1, 2, 4, 8) if span >> (8 * w) == 0)
+    # modulo 2^64, so a span past the int64 range still shifts exactly
+    shifted = (a.astype(np.int64, copy=False).view(np.uint64)
+               - np.uint64(lo % (1 << 64)))
+    keys = shifted.astype(f">u{width}", order="C").view(
+        np.dtype((np.void, width * a.shape[1]))).ravel()
+    _, index, *inverse = np.unique(keys, return_index=True,
+                                   return_inverse=return_inverse)
+    out = (a[index],) + ((index,) if return_index else ()) + tuple(inverse)
+    return out if len(out) > 1 else out[0]
+
+
 @dataclass(frozen=True, eq=False)
 class InputIndex:
     """One expression's inputs in topology party order, as small integers.
@@ -638,11 +676,14 @@ def build_star_nonlinear(k: int, r: Fraction,
         claimed_quantum_max=2.0 ** (k + extra - float(t) / 2))
 
 
+def _two_source_expr(which: str) -> InequalityExpr:
+    return _hub_expr(network.two_source(), which, f"two-source-{which}",
+                     f"two-source-linear-{which}")
+
+
 def build_two_source_linear() -> dict[str, InequalityExpr]:
     """Line-network families: Z/X letters, Z/Y letters with signs, and both."""
-    topo = network.two_source()
-    return {which: _hub_expr(topo, which, f"two-source-{which}",
-                             f"two-source-linear-{which}")
+    return {which: _two_source_expr(which)
             for which in ("first", "second", "combined")}
 
 
@@ -657,12 +698,18 @@ def build_nkm(topology: NetworkTopology,
     maxima are unchanged, whereas a Y letter on the fixed pair would flip the
     signed family's correlators.
     """
+    return {which: _nkm_expr(topology, which, inter_bits)
+            for which in ("first", "second")}
+
+
+def _nkm_expr(topology: NetworkTopology, which: str,
+              inter_bits: Mapping[int, int] | None) -> InequalityExpr:
     n = len(topology.sources)
     k = sum(1 for p in topology.parties if len(p.qubits) == 1)
     m = len(topology.parties) - k
-    return {which: _hub_expr(topology, which, f"nkm-{fam}-n{n}k{k}m{m}",
-                             f"nkm-{which}[N={n},K={k},m={m}]", inter_bits)
-            for which, fam in (("first", UNPRIMED), ("second", PRIMED))}
+    fam = {"first": UNPRIMED, "second": PRIMED}[which]
+    return _hub_expr(topology, which, f"nkm-{fam}-n{n}k{k}m{m}",
+                     f"nkm-{which}[N={n},K={k},m={m}]", inter_bits)
 
 
 # -- GHZ-source scenarios ---------------------------------------------------------
@@ -756,62 +803,70 @@ def build_ghz_b() -> InequalityExpr:
 
 @dataclass(frozen=True)
 class ScenarioInfo:
+    """A catalog entry; ``build_family(family, **params)`` builds one family."""
+
     name: str
     tag: str
     summary: str
     params: str
     families: tuple[str, ...]
-    build: Callable[..., Mapping[str, InequalityExpr]] = field(repr=False)
+    build_family: Callable[..., InequalityExpr] = field(repr=False)
+
+    def build(self, **params) -> dict[str, InequalityExpr]:
+        """Every family, keyed in ``families`` order.
+
+        They are built last family first: star's last family, combined, has
+        the most terms, so a K over the term limit fails before any other
+        family is built.
+        """
+        built = {f: self.build_family(f, **params) for f in reversed(self.families)}
+        return {f: built[f] for f in self.families}
 
 
-def _build_star_scenario(k: int = 3, r: Fraction = Fraction(1), **_):
-    # combined first: it has the most terms, so a K over the limit fails
-    # before the other families are built
+def _build_star_family(family: str, k: int = 3, r: Fraction = Fraction(1), **_):
     if r == 1:
-        combined = build_star_combined(k)
-        return {"first": build_star_first(k), "second": build_star_second(k),
-                "combined": combined}
-    combined = build_star_nonlinear(k, r, "combined")
-    return {"first": build_star_nonlinear(k, r, "first"),
-            "second": build_star_nonlinear(k, r, "second"), "combined": combined}
+        return {"first": build_star_first, "second": build_star_second,
+                "combined": build_star_combined}[family](k)
+    return build_star_nonlinear(k, r, family)
 
 
-def _build_nkm_scenario(n: int = 3, k: int = 2, m: int = 2,
-                        wiring: Sequence[tuple[int, int, int]] = ((2, 0, 1),),
-                        alice_recipients: Sequence[int] | None = None,
-                        inter_bits: Mapping[int, int] | None = None, **_):
+def _build_nkm_family(family: str, n: int = 3, k: int = 2, m: int = 2,
+                      wiring: Sequence[tuple[int, int, int]] = ((2, 0, 1),),
+                      alice_recipients: Sequence[int] | None = None,
+                      inter_bits: Mapping[int, int] | None = None, **_):
     topo = network.nkm(n, k, m, wiring, alice_recipients)
-    return build_nkm(topo, inter_bits)
+    return _nkm_expr(topo, family, inter_bits)
 
 
 SCENARIOS: dict[str, ScenarioInfo] = {
     "chsh": ScenarioInfo(
         "chsh", "chsh", "two-party baseline, bound 2, max 2*sqrt(2)",
-        "none", ("first",), lambda **_: {"first": build_chsh()}),
+        "none", ("first",), lambda family, **_: build_chsh()),
     "two-source": ScenarioInfo(
         "two-source", "two-source-linear",
         "line network A-B-C with two pair sources",
         "none", ("first", "second", "combined"),
-        lambda **_: build_two_source_linear()),
+        lambda family, **_: _two_source_expr(family)),
     "star": ScenarioInfo(
         "star", "star-linear/nonlinear",
         "K pair sources sharing a hub; r != 1 switches to the power form",
         "k (branches, >=2); r-num/r-den (odd/odd, rK < 2)",
-        ("first", "second", "combined"), _build_star_scenario),
+        ("first", "second", "combined"), _build_star_family),
     "nkm": ScenarioInfo(
         "nkm", "nkm", "N pair sources, K branch parties, m hubs",
         "n, k, m; wiring 'src:hubA-hubB,...' (1-based) for sources > K; "
         "inter-bits 'src:bit,...'",
-        ("first", "second"), _build_nkm_scenario),
+        ("first", "second"), _build_nkm_family),
     "ghz-a": ScenarioInfo(
         "ghz-a", "ghz-hub", "pair + three-qubit source, hub holds three qubits",
         "none", ("first", "second", "combined"),
-        lambda **_: {v: build_ghz_a(v) for v in ("first", "second", "combined")}),
+        lambda family, **_: build_ghz_a(family)),
     "ghz-b": ScenarioInfo(
         "ghz-b", "ghz-fanout", "pair + three-qubit source fanned out to 4 parties",
-        "none", ("first",), lambda **_: {"first": build_ghz_b()}),
+        "none", ("first",), lambda family, **_: build_ghz_b()),
     "bilocal": ScenarioInfo(
         "bilocal", "bilocal-baseline",
         "square-root and linear two-source baselines (bilocal-model bounds)",
-        "none", ("bi", "bil"), lambda **_: build_bilocal_baseline()),
+        "none", ("bi", "bil"),
+        lambda family, **_: build_bilocal_baseline()[family]),
 }

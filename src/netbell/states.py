@@ -37,6 +37,7 @@ import numpy as np
 
 from . import network
 from .pauli import PauliString, word
+from .scenario import ordered_sum
 
 # generator signs (z_sign, x_sign) for the four two-qubit pair states
 PAIR_SIGNS = {
@@ -193,7 +194,8 @@ def expectation(state: State, p: PauliString) -> float:
         sign = state.membership_sign(p)
         return float(sign) if sign is not None else 0.0
     if isinstance(state, StabilizerMixture):
-        return float(sum(w * expectation(g, p) for w, g in state.components))
+        return float(ordered_sum(
+            [w * expectation(g, p) for w, g in state.components]))
     raise TypeError(f"unsupported state type {type(state)!r}")
 
 

@@ -1,4 +1,8 @@
-"""Shared dense-vector oracles, independent of the package internals."""
+"""Shared dense-vector oracles, independent of the package internals, and the
+compensated float ``sum`` of Python 3.12 and later."""
+
+import builtins
+import math
 
 import numpy as np
 
@@ -49,3 +53,21 @@ def stabilizer_vector(group) -> np.ndarray:
         if nrm > 1e-6:
             return psi / nrm
     raise ValueError("generators stabilize no state")
+
+
+def compensated_sum(xs, start=0):
+    """``sum`` as Python 3.12 and later add floats: Neumaier compensation.
+
+    Anything but a sequence of plain floats goes to ``builtins.sum``.  Set as
+    a module global named ``sum`` it shadows the builtin in that module, so a
+    float sum the module still leaves to ``sum`` reads the 3.12 result.
+    """
+    xs = list(xs)
+    if not all(type(x) is float for x in xs):
+        return builtins.sum(xs, start)
+    total, comp = float(start), 0.0
+    for x in xs:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total

@@ -1,10 +1,18 @@
-"""Reference loops for ``lhv``: the vertex product table and the ascent.
+"""Reference loops for ``lhv``: the vertex product table, the maxima and the ascent.
 
 ``enumerate_vertices_reference`` is the loop that ``lhv.enumerate_vertices``
-replaces: it builds the full product table of the per-party behaviours,
-every reduced strategy one row in row-major code order, 2^18 rows at a time,
-and keeps each distinct correlator row with the first (lowest) code that
-reaches it.  The party-by-party fold must return an equal ``VertexSet``.
+replaces: it builds the full product table of the per-party behaviours
+(``party_behaviors_reference``, each party's output table deduplicated by the
+structured ``np.unique(axis=0)`` sort), every reduced strategy one row in
+row-major code order, 2^18 rows at a time, and keeps each distinct correlator
+row with the first (lowest) code that reaches it.  Its vectors are Fraction
+tuples sorted in descending order, and its numerators are read back off those
+Fractions.  The party-by-party fold must return an equal ``VertexSet`` with
+equal numerators.
+
+``linear_lhv_max_reference`` and ``normalization_check_reference`` are the
+per-vertex Fraction loops that ``lhv`` replaces with integer arithmetic on the
+numerators; they must return the same value and the same first counterexample.
 
 ``maximize_on_simplex`` is the serial ascent that
 ``lhv._maximize_on_simplex`` replaces: one start at a time (the uniform
@@ -25,9 +33,23 @@ import numpy as np
 from netbell import lhv
 
 
+def party_behaviors_reference(expr, party):
+    index = expr.input_index
+    j = index.parties.index(party)
+    inputs = index.vocab[j]
+    m = len(inputs)
+    codes = np.arange(1 << m, dtype=np.int64)
+    signs = 1 - 2 * ((codes[:, None] >> np.arange(m)) & 1)  # (2^m, m)
+    bracket = np.where(index.single[:, j], 1 - 2 * index.exponents[:, j], 0)
+    keys = signs[:, index.inputs[:, j, 0]] + bracket * signs[:, index.inputs[:, j, 1]]
+    uniq, first = np.unique(keys, axis=0, return_index=True)
+    witnesses = [tuple(int(v) for v in signs[i]) for i in first]
+    return inputs, uniq.astype(np.int64), witnesses
+
+
 def enumerate_vertices_reference(expr, budget: int = lhv.DEFAULT_BUDGET):
     parties = expr.topology.party_ids()
-    behaviors = [lhv._party_behaviors(expr, p) for p in parties]
+    behaviors = [party_behaviors_reference(expr, p) for p in parties]
     counts = [b[1].shape[0] for b in behaviors]
     n_reduced = math.prod(counts)
     if n_reduced > budget:
@@ -63,12 +85,54 @@ def enumerate_vertices_reference(expr, budget: int = lhv.DEFAULT_BUDGET):
                 outputs.append(((party, inp), val))
         witnesses.append(lhv.Strategy(tuple(outputs)))
     order = sorted(range(len(vectors)), key=lambda i: vectors[i], reverse=True)
+    vectors = tuple(vectors[i] for i in order)
+    denominator = math.lcm(*(n.denominator for n in norms))
     return lhv.VertexSet(
         labels=tuple(t.correlator.label for t in expr.terms),
-        vectors=tuple(vectors[i] for i in order),
+        vectors=vectors,
         witnesses=tuple(witnesses[i] for i in order),
         n_raw=expr.n_strategies_raw(),
-        n_reduced=n_reduced)
+        n_reduced=n_reduced,
+        numerators=np.array([[int(v * denominator) for v in vec]
+                             for vec in vectors], dtype=np.int64),
+        denominator=denominator)
+
+
+def linear_lhv_max_reference(expr, vertices):
+    coeffs = [t.coefficient for t in expr.terms]
+    best = None
+    for vec in vertices.vectors:
+        if expr.absolute:
+            val = sum(abs(v) for v in vec)
+        else:
+            val = sum(c * v for c, v in zip(coeffs, vec))
+        if best is None or val > best:
+            best = val
+    return best
+
+
+def normalization_check_reference(expr, vertices):
+    fam_indices = {
+        fam: [i for i, t in enumerate(expr.terms) if t.family == fam]
+        for fam in expr.families()}
+    fam_scale = {}
+    for fam in expr.families():
+        terms = expr.terms_for(fam)
+        fam_scale[fam] = {t.correlator.normalization * (1 << t.correlator.n_single)
+                          for t in terms}
+    for vec, wit in zip(vertices.vectors, vertices.witnesses):
+        for fam, indices in fam_indices.items():
+            scales = fam_scale[fam]
+            full = sum(1 for i in indices if abs(vec[i]) in scales)
+            zero = sum(1 for i in indices if vec[i] == 0)
+            if full != 1 or zero != len(indices) - 1:
+                return {
+                    "family": fam,
+                    "values": {expr.terms[i].correlator.label: str(vec[i])
+                               for i in indices},
+                    "strategy": wit.grouped(),
+                }
+    return None
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:

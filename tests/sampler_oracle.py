@@ -15,6 +15,10 @@ distinct group of the drawn rounds: the per-word loop that the package's
 version replaces, one ``states.expectation`` call per Pauli word, which must
 give the same distribution bit for bit.
 
+``group_table_reference`` is ``sampler._group_table`` as it was built on
+the structured ``np.unique(axis=0)`` sort; the package's one-key-per-row
+sort must give the same rows and the same row per key.
+
 Two rules differ from the first version of that loop, and the package
 follows both: a term's single parties take their profile bits and their
 exponents in the same (topology) party order, and a cell whose derivatives
@@ -267,3 +271,15 @@ def simulate_rounds_reference(expr, state, n_rounds, seed, angles=None) -> Round
         outcomes[p] = sign
     return RoundBatch(parties, dict(zip(parties, index.vocab)), input_idx,
                       outcomes, seed)
+
+
+def group_table_reference(spec_of, n_comp, src, owners):
+    bits = np.arange(1 << len(owners))
+    columns = [np.arange(n_comp)[:, None, None]]
+    for q, p in zip(src.qubits, src.recipients):
+        x = (bits >> owners.index(p)) & 1 if p in owners else np.zeros_like(bits)
+        columns.append(spec_of[q][:, x][None])
+    settings = np.stack(np.broadcast_arrays(*columns), axis=-1)
+    keys, group_of = np.unique(settings.reshape(-1, len(columns)), axis=0,
+                               return_inverse=True)
+    return [tuple(k) for k in keys.tolist()], group_of.reshape(-1).astype(np.intp)

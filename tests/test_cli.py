@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from netbell import cli, lhv, sampler
+from netbell import cli, lhv, sampler, scenario
 from netbell.cli import main
 from netbell.scenario import SCENARIOS
 
@@ -58,10 +58,29 @@ def test_certify_unproven_exits_1(capsys, monkeypatch):
     bi = info.build()["bi"]
     held = dataclasses.replace(bi, bound_model="genuine", classical_bound=2)
     monkeypatch.setitem(SCENARIOS, "bilocal", dataclasses.replace(
-        info, build=lambda **_: {"bi": held}))
+        info, build_family=lambda family, **_: held))
     code, data = run_json(capsys, "certify", "--scenario", "bilocal")
     assert code == 1
     assert data["results"]["certification"]["verdict"] == "UNPROVEN"
+
+
+def test_cli_builds_only_the_selected_family(capsys, monkeypatch):
+    def refuse(k):
+        raise AssertionError("a family other than the selected one was built")
+
+    monkeypatch.setattr(scenario, "build_star_combined", refuse)
+    code, data = run_json(capsys, "certify", "--scenario", "star", "--k", "3",
+                          "--family", "first")
+    assert code == 0
+    assert data["results"]["inequality"] == "star-first-k3"
+    # an unknown family is refused before anything is built
+    monkeypatch.setattr(scenario, "build_star_first", refuse)
+    monkeypatch.setattr(scenario, "build_star_second", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--scenario", "star", "--k", "3", "--family", "third"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().endswith(
+        "scenario 'star' has families first, second, combined; got 'third'")
 
 
 def test_certify_star_structure(capsys):
@@ -171,13 +190,14 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         main(["certify"])  # scenario neither on the line nor in a config
     assert exc.value.code == 2
     # 2^24 terms fit the 64-qubit register but not the term limit: refused
-    # from the topology before any term is built
+    # from the topology before any term is built; only the default family,
+    # first, is built at all
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
         main(["certify", "--scenario", "star", "--k", "24"])
     assert exc.value.code == 2 and time.perf_counter() - start < 1.0
     err = capsys.readouterr().err.strip().splitlines()
-    assert err[-1].endswith("star-combined-k24 would have 33554432 terms, "
+    assert err[-1].endswith("star-first-k24 would have 16777216 terms, "
                             "over the limit of 131072")
     for bad_flag in (["--wiring", "3:x"], ["--wiring", "3"],
                      ["--inter-bits", "3:1:2"]):

@@ -1,18 +1,23 @@
 """Classical (shared-randomness) maxima: enumeration, structure, certification."""
 
 import dataclasses
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import compensated_sum
 from lhv_oracle import (
     block_numeric_reference,
     enumerate_vertices_reference,
+    linear_lhv_max_reference,
     maximize_on_simplex,
     mixture_numeric_reference,
+    normalization_check_reference,
 )
 from netbell import lhv, network, scenario
 from netbell.lhv import (
@@ -210,11 +215,82 @@ def test_enumeration_matches_product_table(monkeypatch):
                 enumerate_vertices(expr)
             continue
         # equal vectors, order, counts and lowest-code witnesses
-        assert enumerate_vertices(expr) == want, expr.name
+        got = enumerate_vertices(expr)
+        assert got == want, expr.name
+        assert got.denominator == want.denominator, expr.name
+        assert got.numerators.dtype == np.int64
+        assert np.array_equal(got.numerators, want.numerators), expr.name
         # five candidate rows per dedup call: slices cut through prefixes
         with monkeypatch.context() as m:
             m.setattr(lhv, "_CHUNK", 5)
             assert enumerate_vertices(expr) == want, expr.name
+
+
+def _certified_by_enumeration():
+    """Every input that ``certify`` enumerates: the catalog (every scenario
+    at its defaults, star K=2 and star K=3 at r=1/3), star first K=2..8 and
+    combined K=2..7, and bilocal variants with a genuine bound or signed
+    terms."""
+    exprs = []
+    for name, params in [(name, {}) for name in scenario.SCENARIOS] + [
+            ("star", {"k": 2}), ("star", {"k": 3, "r": Fraction(1, 3)})]:
+        exprs += scenario.SCENARIOS[name].build(**params).values()
+    exprs += [build_star_first(k) for k in range(2, 9)]
+    exprs += [build_star_combined(k) for k in range(2, 8)]
+    bilocal = build_bilocal_baseline()
+    exprs += [dataclasses.replace(bilocal["bi"], bound_model="genuine",
+                                  classical_bound=bound) for bound in (2, 1)]
+    exprs.append(dataclasses.replace(bilocal["bil"], absolute=False))
+    return [e for e in exprs if e.n_strategies_raw() <= lhv.ENUM_THRESHOLD
+            or cross_polytope_structure(e) is None]
+
+
+def test_integer_maxima_match_fraction_loops():
+    exprs = _certified_by_enumeration()
+    assert len(exprs) >= 20
+    counterexamples = 0
+    for expr in exprs:
+        vertices = enumerate_vertices(expr)
+        want = normalization_check_reference(expr, vertices)
+        assert normalization_check(expr, vertices) == want, expr.name
+        counterexamples += want is not None
+        if expr.exponent == 1:
+            got = linear_lhv_max(expr, vertices)
+            assert type(got) is Fraction, expr.name
+            assert got == linear_lhv_max_reference(expr, vertices), expr.name
+    assert counterexamples >= 3  # bilocal bi and its two genuine variants
+
+
+def test_vertex_numerators_refuse_to_wrap():
+    expr = build_chsh()  # two terms, normalization 1
+    num, den = lhv._numerators(expr, np.array([[1 << 61, -(1 << 61)]]))
+    assert den == 1 and num.tolist() == [[1 << 61, -(1 << 61)]]
+    # 2^62 fits in int64, but a row sum over the two terms may not
+    with pytest.raises(OverflowError, match="overflow int64"):
+        lhv._numerators(expr, np.array([[1 << 62, 0]]))
+
+
+def test_float_sums_add_left_to_right(monkeypatch):
+    # values whose compensated sum (Python 3.12's builtin) differs from the
+    # left-to-right one; ``sum`` shadowed in lhv reads the 3.12 result
+    left = functools.partial(functools.reduce, operator.add)
+    monkeypatch.setattr(lhv, "sum", compensated_sum, raising=False)
+    expr = build_star_nonlinear(2, Fraction(1, 3), "first")
+    values = [Fraction(1), Fraction(1, 10 ** 9), Fraction(1, 10 ** 9),
+              Fraction(1, 10 ** 9)]
+    monkeypatch.setattr(lhv, "correlator_value",
+                        lambda e, t, s: values[e.terms.index(t)])
+    powered = [t.coefficient * expr.power(v) for t, v in zip(expr.terms, values)]
+    assert left(powered, 0.0) != compensated_sum(powered)
+    assert evaluate_strategy(expr, constant_strategy(expr)) == left(powered, 0.0)
+    # the closed form adds its blocks' values in block order
+    scales = [Fraction(1)] + [Fraction(1, 10 ** 6)] * 3
+    blocks = tuple(lhv.FamilyBlock(f"f{i}", (), 1, v) for i, v in enumerate(scales))
+    r = float(expr.exponent)
+    parts = [float(v) ** r * 2.0 ** (1.0 - r) for v in scales]
+    assert left(parts, 0.0) != compensated_sum(parts)
+    detail = lhv._nonlinear_max(expr, blocks, None, 1, 7, lhv.DEFAULT_BUDGET)
+    assert detail["analytic"] == left(parts, 0.0)
 
 
 def test_budget_guard():

@@ -1,8 +1,10 @@
 """Round simulation and statistical reconstruction."""
 
+import functools
 import io
 import itertools
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from netbell import sampler
+from netbell.network import SourceSpec
 from netbell.sampler import RoundBatch, estimate, simulate_rounds
 from netbell.scenario import (
     SCENARIOS,
@@ -24,7 +27,7 @@ from netbell.scenario import (
 )
 from netbell.states import (bell_pair, ghz3, network_state, parse_state_spec,
                             product_group, smolin)
-from conftest import stabilizer_vector
+from conftest import compensated_sum, stabilizer_vector
 import sampler_oracle
 from sampler_oracle import csv_reference, estimate_reference, simulate_rounds_reference
 
@@ -289,6 +292,44 @@ def test_estimate_and_round_log_match_reference_loops(expr, spec, angles):
         batch.to_csv(got)
         csv_reference(batch, want)
         assert got.getvalue() == want.getvalue()
+
+
+def test_group_table_matches_the_structured_sort(monkeypatch):
+    real, calls = sampler._group_table, []
+
+    def checked(*args):
+        got = real(*args)
+        want = sampler_oracle.group_table_reference(*args)
+        assert got[0] == want[0]
+        assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+        calls.append(len(want[0]))
+        return got
+
+    monkeypatch.setattr(sampler, "_group_table", checked)
+    for case in _oracle_cases():
+        expr, spec, angles = case.values
+        simulate_rounds(expr, parse_state_spec(spec, expr.topology), 40, seed=3,
+                        angles=angles)
+    assert calls
+    # setting ids past one and two bytes, as a long catalog of specs gives
+    rng = np.random.default_rng(5)
+    for high in (300, 70000):
+        spec_of = {q: rng.integers(0, high, size=(64, 2)) for q in range(3)}
+        src = SourceSpec(0, "ghz3", (0, 1, 2), ("A", "B", "C"))
+        checked(spec_of, 2, src, ["C", "A"])
+
+
+def test_delta_se_adds_cells_left_to_right(monkeypatch):
+    # d^2 var of the cells is 1, 1e-16 x 4: left to right the tail is lost,
+    # while Python 3.12's compensated sum keeps it
+    slot = np.array([[0, 1, 2], [3, 4, 0]])
+    deriv = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    var = np.array([1.0, 1e-16, 1e-16, 1e-16, 1e-16])
+    terms = [1.0, 1e-16, 1e-16, 1e-16, 1e-16]
+    want = math.sqrt(functools.reduce(operator.add, terms, 0.0))
+    assert want != math.sqrt(compensated_sum(terms))
+    monkeypatch.setattr(sampler, "sum", compensated_sum, raising=False)
+    assert sampler._delta_se(slot, deriv, var) == want
 
 
 @pytest.mark.parametrize("expr,state", [

@@ -1,8 +1,11 @@
 """Inequality construction: segmented operators, labels, validation."""
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from netbell import network, scenario
@@ -24,11 +27,14 @@ from netbell.scenario import (
     build_star_first,
     build_star_nonlinear,
     build_two_source_linear,
+    ordered_sum,
     resolve_angles,
     segmented_operator,
+    unique_rows,
 )
 
 import scenario_oracle
+from conftest import compensated_sum
 
 SQRT2 = math.sqrt(2.0)
 
@@ -335,3 +341,49 @@ def test_hub_builders_match_reference(case):
         assert repr(got[family]) == repr(expr)
         assert (got[family].classical_bound, got[family].claimed_quantum_max) == \
             (expr.classical_bound, expr.claimed_quantum_max)
+
+
+def _unique_rows_cases():
+    rng = np.random.default_rng(11)
+    big = np.iinfo(np.int64)
+    extremes = rng.integers(big.min, big.max, size=(60, 3), dtype=np.int64)
+    extremes[0, 0], extremes[1, 1] = big.min, big.max  # span 2^64 - 1
+    cases = {
+        "one-row": np.array([[3, -1, 2]]),
+        "one-column": rng.integers(-3, 4, size=(40, 1)),
+        "all-equal": np.full((7, 4), -5),
+        "negative": rng.integers(-9, -1, size=(200, 3)),
+        "span-256": rng.integers(-128, 128, size=(300, 3)),
+        "span-65536": rng.integers(-40000, 25536, size=(300, 2)),
+        "span-over-2^32": rng.integers(-(1 << 33), 1 << 33, size=(300, 2)),
+        "span-of-int64": extremes,
+        "small-dtype": rng.integers(-2, 3, size=(500, 5)).astype(np.int8),
+    }
+    # repeat rows, out of order, so first indices and inverses are tested
+    return {name: np.concatenate([a, a[::-3], a[:2]]) for name, a in cases.items()}
+
+
+@pytest.mark.parametrize("name", list(_unique_rows_cases()))
+def test_unique_rows_matches_structured_unique(name):
+    a = _unique_rows_cases()[name]
+    want, index, inverse = np.unique(a, axis=0, return_index=True,
+                                     return_inverse=True)
+    got = unique_rows(a, return_index=True, return_inverse=True)
+    assert got[0].dtype == want.dtype and np.array_equal(got[0], want)
+    assert np.array_equal(got[1], index)
+    assert np.array_equal(got[2], inverse.reshape(-1))
+    assert np.array_equal(unique_rows(a), want)
+    assert np.array_equal(unique_rows(a, return_inverse=True)[1],
+                          inverse.reshape(-1))
+
+
+def test_ordered_sum_adds_left_to_right():
+    left = functools.partial(functools.reduce, operator.add)
+    for xs in ([0.6, 0.3, 0.1], [1.0, 1e-16, 1e-16, 1e-16], [1e16, 1.0, -1e16],
+               [-0.0], [-0.0, -0.0], [], [math.inf, 1.0]):
+        got = ordered_sum(xs)
+        assert math.copysign(1.0, got) == math.copysign(1.0, left(xs, 0.0))
+        assert got == left(xs, 0.0)
+    assert ordered_sum([0.6, 0.3, 0.1]) != compensated_sum([0.6, 0.3, 0.1])
+    rows = np.array([[0.6, 0.3, 0.1], [1e16, 1.0, -1e16]])
+    assert ordered_sum(rows).tolist() == [left(r, 0.0) for r in rows.tolist()]

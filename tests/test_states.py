@@ -1,13 +1,15 @@
 """Stabilizer-group expectations against dense linear algebra."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netbell import network, states
+from netbell import network, pauli, states
 from netbell.pauli import PauliString, from_letters, word
 from netbell.states import (
     StabilizerGroup,
@@ -21,7 +23,8 @@ from netbell.states import (
     two_component_mixture,
 )
 
-from conftest import apply_word, dense_expectation, dense_word, stabilizer_vector
+from conftest import (apply_word, compensated_sum, dense_expectation, dense_word,
+                      stabilizer_vector)
 
 RNG = np.random.default_rng(20240814)
 
@@ -159,6 +162,20 @@ def test_mixture_linearity():
         assert expectation(mix, zz) == pytest.approx(q - (1 - q), abs=1e-15)
     with pytest.raises(ValueError):
         two_component_mixture(1.5, a, b)
+
+
+def test_mixture_expectation_adds_left_to_right(monkeypatch):
+    # weights 0.6, 0.3, 0.1 on +ZZ: left to right 0.9999999999999999, while
+    # Python 3.12's compensated sum gives 1.0
+    a = bell_pair(0, 1, 2)
+    mix = states.StabilizerMixture(2, ((0.6, a), (0.3, a), (0.1, a)))
+    zz = from_letters("ZZ")
+    want = functools.reduce(operator.add, [0.6, 0.3, 0.1], 0.0)
+    assert want != compensated_sum([0.6, 0.3, 0.1])
+    monkeypatch.setattr(states, "sum", compensated_sum, raising=False)
+    assert expectation(mix, zz) == want
+    letters = np.array([[pauli.LETTER_CODE["Z"]] * 2], dtype=np.int8)
+    assert states.word_expectations(mix, letters).tolist() == [want]
 
 
 def test_group_validation():
