@@ -117,7 +117,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             setattr(args, dest, value)
 
 
-def _build_scenario(args, parser) -> tuple[dict[str, InequalityExpr], dict]:
+def _build_scenario(args, parser) -> tuple[InequalityExpr, dict]:
     if args.scenario not in SCENARIOS:
         parser.error(f"unknown scenario {args.scenario!r}; "
                      f"choices: {', '.join(sorted(SCENARIOS))}")
@@ -170,7 +170,7 @@ def _build_scenario(args, parser) -> tuple[dict[str, InequalityExpr], dict]:
     resolved = {"scenario": args.scenario, "family": family}
     for key, value in params.items():
         resolved[key] = str(value) if isinstance(value, Fraction) else value
-    return {"expr": expr}, resolved
+    return expr, resolved
 
 
 def _state_for(args, expr, parser):
@@ -220,6 +220,11 @@ def _wrap(command: str, config: dict, results: dict) -> dict:
     }
 
 
+def _results(expr: InequalityExpr, **fields) -> dict:
+    return {"inequality": expr.name, "tag": expr.tag,
+            "declared_bound": expr.classical_bound, **fields}
+
+
 def _finite(value: float) -> float | str:
     return value if math.isfinite(value) else "inf"
 
@@ -243,25 +248,18 @@ def _cmd_list(args, parser) -> int:
 
 
 def _cmd_certify(args, parser) -> int:
-    built, config = _build_scenario(args, parser)
-    expr = built["expr"]
+    expr, config = _build_scenario(args, parser)
     tolerance = args.tolerance if args.tolerance is not None else 1e-6
     config["tolerance"] = tolerance
     report = lhv.certify(expr, tolerance=tolerance)
-    results = {
-        "inequality": expr.name,
-        "tag": expr.tag,
-        "declared_bound": expr.classical_bound,
-        "claimed_quantum_max": expr.claimed_quantum_max,
-        "certification": report,
-    }
+    results = _results(expr, claimed_quantum_max=expr.claimed_quantum_max,
+                       certification=report)
     _emit(_wrap("certify", config, results), args.out)
     return 0 if report["verdict"] in ("PASS", "INFO") else 1
 
 
 def _cmd_evaluate(args, parser) -> int:
-    built, config = _build_scenario(args, parser)
-    expr = built["expr"]
+    expr, config = _build_scenario(args, parser)
     state_text, state = _state_for(args, expr, parser)
     angles_text, angles = _angles_for(args, parser)
     config["state"] = state_text
@@ -271,21 +269,15 @@ def _cmd_evaluate(args, parser) -> int:
         value = quantum.evaluate(expr, state, angles)
     except (KeyError, ValueError) as exc:
         parser.error(str(exc))
-    results = {
-        "inequality": expr.name,
-        "tag": expr.tag,
-        "value": value,
-        "declared_bound": expr.classical_bound,
-        "claimed_quantum_max": expr.claimed_quantum_max,
-        "exceeds_bound": value > expr.classical_bound + 1e-12,
-    }
+    results = _results(expr, value=value,
+                       claimed_quantum_max=expr.claimed_quantum_max,
+                       exceeds_bound=value > expr.classical_bound + 1e-12)
     _emit(_wrap("evaluate", config, results), args.out)
     return 0
 
 
 def _cmd_optimize(args, parser) -> int:
-    built, config = _build_scenario(args, parser)
-    expr = built["expr"]
+    expr, config = _build_scenario(args, parser)
     state_text, state = _state_for(args, expr, parser)
     tolerance = args.tolerance if args.tolerance is not None else 1e-6
     starts = args.starts if args.starts is not None else 8
@@ -296,19 +288,13 @@ def _cmd_optimize(args, parser) -> int:
                   seed=seed)
     check = quantum.claimed_max_check(expr, state, tolerance=tolerance,
                                       starts=starts, seed=seed)
-    results = {
-        "inequality": expr.name,
-        "tag": expr.tag,
-        "optimization": check,
-        "declared_bound": expr.classical_bound,
-    }
+    results = _results(expr, optimization=check)
     _emit(_wrap("optimize", config, results), args.out)
     return 0 if check["achieved"] else 1
 
 
 def _cmd_simulate(args, parser) -> int:
-    built, config = _build_scenario(args, parser)
-    expr = built["expr"]
+    expr, config = _build_scenario(args, parser)
     state_text, state = _state_for(args, expr, parser)
     angles_text, angles = _angles_for(args, parser)
     if args.rounds is None:
@@ -332,18 +318,10 @@ def _cmd_simulate(args, parser) -> int:
     report = sampler.estimate(expr, batch)
     payload = report.as_dict()
     payload["value"] = _finite(payload["value"])
-    payload["se"] = _finite(payload["se"])
-    for t in payload["terms"]:
-        t["se"] = _finite(t["se"])
-    for f in payload["families"].values():
-        f["se"] = _finite(f["se"])
-    results = {
-        "inequality": expr.name,
-        "tag": expr.tag,
-        "declared_bound": expr.classical_bound,
-        "claimed_quantum_max": expr.claimed_quantum_max,
-        "estimate": payload,
-    }
+    for part in (payload, *payload["terms"], *payload["families"].values()):
+        part["se"] = _finite(part["se"])
+    results = _results(expr, claimed_quantum_max=expr.claimed_quantum_max,
+                       estimate=payload)
     if fmt == "csv":
         results["round_log"] = args.out
         _emit(_wrap("simulate", config, results), None)

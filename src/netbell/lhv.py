@@ -437,8 +437,9 @@ def normalization_check(expr: InequalityExpr,
     broken = []  # per family: the vertices that break the property
     for fam in expr.families():
         indices = [i for i, t in enumerate(expr.terms) if t.family == fam]
-        scales = [int(t.correlator.normalization * vertices.denominator)
-                  << t.correlator.n_single for t in expr.terms_for(fam)]
+        corrs = [expr.terms[i].correlator for i in indices]
+        scales = [int(c.normalization * vertices.denominator) << c.n_single
+                  for c in corrs]
         block = num[:, indices]
         full = np.isin(block, scales)
         zero = block == 0
@@ -482,7 +483,9 @@ def certify(expr: InequalityExpr, budget: int = DEFAULT_BUDGET,
         "exponent": str(expr.exponent),
         "absolute": expr.absolute,
         "method": method,
-        "n_strategies_raw": n_raw,
+        # a power of two: a JSON integer below 2^64, else exactly "2^E"
+        "n_strategies_raw": (n_raw if n_raw < 1 << 64
+                             else f"2^{n_raw.bit_length() - 1}"),
         "cross_polytope": blocks is not None,
     }
     if vertices is not None:

@@ -25,16 +25,16 @@ profiles, and
 
     I_label = normalization * sum_x (-1)^(x . e) mean_cell(x)
 
-It touches only the sum_t 2^(s_t) cells the terms use, found through the
-expression's cached input index, never the product of all vocabulary sizes.
-Several correlators may reuse a cell (fanned-out scenarios do); standard
-errors therefore aggregate the per-cell weight across terms, applying the
-delta method when the expression raises correlators to a power r != 1.  An
-empty cell makes the affected standard error infinite rather than silently
-dropping the term; a cell whose weights cancel to zero affects nothing.
-Every sum runs in the order of the per-cell loop it replaces, so reports
-are reproducible bit for bit, and the CSV round log is byte for byte what
-``csv.writer`` gives row by row.
+It walks only the profiles the rounds reach, each joined to the terms whose
+x = 0 inputs it gives with every single's input set back to x = 0, never a
+table of every term's 2^s cells.  Several correlators may reuse a cell
+(fanned-out scenarios do); standard errors therefore aggregate the per-cell
+weight across terms, applying the delta method when the expression raises
+correlators to a power r != 1.  An empty cell makes the affected standard
+error infinite rather than silently dropping the term; a cell whose weights
+cancel to zero affects nothing.  Every sum runs in the order of the per-cell
+loop it replaces, so reports are reproducible bit for bit, and the CSV round
+log is byte for byte what ``csv.writer`` gives row by row.
 """
 
 from __future__ import annotations
@@ -45,14 +45,15 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import pauli, states
 from .network import NetworkTopology, SourceSpec
 from .scenario import (AngleMap, InequalityExpr, SingleQubitObservable,
-                       ordered_sum, resolve_angles, small_int, unique_rows)
+                       fold_rows, ordered_sum, resolve_angles, small_int,
+                       unique_rows)
 from .states import StabilizerGroup, StabilizerMixture, State
 
 
@@ -170,10 +171,6 @@ class RoundBatch:
             {p: self.vocab[p][self.input_idx[p][i]] for p in self.parties},
             {p: int(self.outcomes[p][i]) for p in self.parties})
 
-    def __iter__(self) -> Iterator[RoundRecord]:
-        for i in range(self.n_rounds):
-            yield self[i]
-
     def to_csv(self, target) -> None:
         """Write long-format rows: round,party,input,outcome."""
         if isinstance(target, (str, bytes, os.PathLike)):
@@ -203,18 +200,6 @@ def _csv_row(fields) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerow(fields)
     return buf.getvalue()
-
-
-def _renumber(code: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct codes (all below ``bound``) in increasing order.
-
-    Returns each element's number and the code each number stands for.  No
-    sort: the lookup table has ``bound`` entries, not one per element.
-    """
-    seen = np.zeros(bound, dtype=bool)
-    seen[code] = True
-    codes = np.flatnonzero(seen)
-    return (np.cumsum(seen) - 1).astype(small_int(len(codes)))[code], codes
 
 
 def _group_table(spec_of: dict[int, np.ndarray], n_comp: int, src: SourceSpec,
@@ -260,17 +245,9 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
     for fi, ts in enumerate(fam_terms):
         term_of[fi, :len(ts)] = ts
 
-    # observable spec registry: letter/coefficient sums per qubit setting
-    specs: list[Spec] = []
+    # spec_of[q][t, x]: the setting id of qubit q in term t for its party's
+    # bit x; ids number the distinct letter/coefficient sums in first use
     spec_ids: dict[Spec, int] = {}
-
-    def spec_id(spec: Spec) -> int:
-        if spec not in spec_ids:
-            spec_ids[spec] = len(specs)
-            specs.append(spec)
-        return spec_ids[spec]
-
-    # spec_of[q][t, x]: the setting of qubit q in term t for its party's bit x
     spec_of = {}
     for p in parties:
         qubits = topo.party(p).qubits
@@ -280,15 +257,17 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
             if isinstance(obs, SingleQubitObservable):
                 theta = resolved[(p, obs.plane)]
                 for x, sign in ((0, 1.0), (1, -1.0)):
-                    tables[0][fam_terms[fi], x] = spec_id((
+                    tables[0][fam_terms[fi], x] = spec_ids.setdefault((
                         ("Z", math.cos(theta)),
-                        (obs.plane[1], sign * math.sin(theta))))
+                        (obs.plane[1], sign * math.sin(theta))), len(spec_ids))
                 continue
             for t in fam_terms[fi]:
                 raw = expr.terms[t].correlator.joint_map[p]
                 for table, letter in zip(tables, obs.letters_for(raw)):
-                    table[t] = spec_id(((letter, 1.0),))
+                    table[t] = spec_ids.setdefault(((letter, 1.0),),
+                                                   len(spec_ids))
         spec_of.update(zip(qubits, tables))
+    specs = list(spec_ids)
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     fam = rng.integers(0, n_fam, size=n_rounds)
@@ -397,19 +376,16 @@ class EstimateReport:
         }
 
 
-_DIRECT_CELLS = 1 << 16
-
-
-def _delta_se(slot: np.ndarray, deriv: np.ndarray, var: np.ndarray) -> float:
-    """sqrt(sum over cells of d^2 var), d the cell's summed derivative.
-
-    Cells are added one after another in order of first appearance in
-    ``slot``.  A cell whose derivatives cancel to 0 (or the padding slot)
-    adds nothing, even when it is empty.
+def _cell_se(cells: np.ndarray, deriv: np.ndarray, var: np.ndarray) -> float:
+    """sqrt(sum over cells of d^2 var), d the cell's summed derivative:
+    ``deriv[i]`` adds to ``cells[i]`` in order, and the cells add in order of
+    first appearance.  A cell whose d is 0 adds nothing, even if var is inf.
     """
-    d = np.bincount(slot.ravel(), weights=deriv.ravel(), minlength=len(var))
-    cells, first = np.unique(slot, return_index=True)
-    order = cells[np.argsort(first)]
+    d = np.bincount(cells, weights=deriv, minlength=len(var))
+    at = np.arange(len(cells))
+    first = np.full(len(var), len(cells))
+    np.minimum.at(first, cells, at)
+    order = cells[first[cells] == at]
     order = order[d[order] != 0.0]
     return math.sqrt(ordered_sum(d[order] * d[order] * var[order]))
 
@@ -421,53 +397,76 @@ def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
         raise ValueError("round batch does not match the scenario's parties")
     if any(tuple(batch.vocab[p]) != v for p, v in zip(index.parties, index.vocab)):
         raise ValueError("round batch inputs do not match the scenario's")
-    # one code per input profile, for the rounds and the terms' cells alike;
-    # a code range wider than _DIRECT_CELLS is renumbered to the profiles
-    # present before it grows further
-    cell_inputs, signs = index.cells
-    n = batch.n_rounds
     sizes = [len(v) for v in index.vocab]
-    code = np.zeros(n + signs.size, dtype=np.int8)
-    n_cells = 1
-    prod = np.ones(n, dtype=np.float64)
-    for j in sorted(range(len(sizes)), key=lambda j: -sizes[j]):
-        p = index.parties[j]
-        idx = batch.input_idx[p]
-        if idx.size and (idx.min() < 0 or idx.max() >= sizes[j]):
+    columns = [batch.input_idx[p] for p in index.parties]
+    for p, idx, size in zip(index.parties, columns, sizes):
+        if idx.size and (idx.min() < 0 or idx.max() >= size):
             raise ValueError(f"input index out of range for {p}")
-        if n_cells * sizes[j] > _DIRECT_CELLS:
-            code, present = _renumber(code, n_cells)
-            n_cells = len(present)
-        code = (code.astype(small_int(n_cells * sizes[j])) * sizes[j]
-                + np.concatenate([idx, cell_inputs[j].ravel()]))
-        n_cells *= sizes[j]
-        prod *= batch.outcomes[p]
-    slot = np.where(signs != 0, code[n:].reshape(signs.shape), n_cells)
-    counts = np.bincount(code[:n], minlength=n_cells).astype(np.float64)
-    sums = np.bincount(code[:n], weights=prod, minlength=n_cells)
-    mean = np.where(counts > 0, sums / np.maximum(counts, 1.0), 0.0)
-    var = np.where(counts > 0, (1.0 - mean ** 2) / np.maximum(counts, 1.0),
-                   np.inf)
-    # the padding slot: no weight, no variance, never the smallest count
-    counts, mean, var = (np.append(a, pad) for a, pad in
-                         ((counts, np.inf), (mean, 0.0), (var, 0.0)))
+    # the input profiles the rounds reach, and per profile its rounds with
+    # outcome product +1 and -1: their difference is the sum of the +-1.0
+    # products, exactly, whatever order adds them
+    code, present, profiles = fold_rows(columns, sizes)
+    sign = np.ones(batch.n_rounds, dtype=np.int8)
+    for p in index.parties:
+        sign *= batch.outcomes[p]
+    code += code
+    code += sign < 0
+    by_sign = np.bincount(code, minlength=2 * int(present.max(initial=-1)) + 2)
+    plus, minus = by_sign[0::2][present], by_sign[1::2][present]
+    counts = (plus + minus).astype(np.float64)
+    mean = (plus - minus) / counts
+    var = (1.0 - mean ** 2) / counts
+
+    # terms with one x = 0 row read the same cells: a profile belongs to the
+    # row it gives when each single's input is set back to x = 0 (its key),
+    # in the column its singles' x bits spell in party order
+    n_terms, n_prof = len(expr.terms), len(present)
+    rows, row_sizes = [], []  # the terms' x = 0 inputs, then the profiles'
+    col = np.zeros(n_prof, dtype=np.int64)
+    emask = np.zeros(n_terms, dtype=np.int64)  # the terms' exponent bits
+    for j, size in enumerate(sizes):
+        x0, x1, single = (index.inputs[:, j, 0], index.inputs[:, j, 1],
+                          index.single[:, j])
+        zero, bit, kind = np.arange(size), np.zeros(size, int), np.zeros(size, int)
+        zero[x1], bit[x1], kind[x0], kind[x1] = x0, single, single, single
+        levels, zero = np.unique(zero, return_inverse=True)
+        v = profiles[j].astype(np.intp)
+        if len(levels) > 1:  # else every row has the same input here
+            rows.append(np.concatenate([zero[x0], zero[v]]))
+            row_sizes.append(len(levels))
+        col = col << kind[v] | bit[v]
+        emask = emask << single | index.exponents[:, j]
+    key = (fold_rows(rows, row_sizes)[0] if rows
+           else np.zeros(n_terms + n_prof, dtype=np.intp))
+    term_key, prof_key = key[:n_terms], key[n_terms:]
+
+    # every (term, reached cell) pair, in (term, column) order: a term's
+    # pairs are its key's block of the profiles sorted by (key, column)
+    n_single = index.single.sum(axis=1)
+    by_cell = np.argsort(prof_key << int(n_single.max()) | col)  # keys distinct
+    reached = np.bincount(prof_key, minlength=int(key.max()) + 1)
+    n_pairs = reached[term_key]
+    pair_term = np.repeat(np.arange(n_terms), n_pairs)
+    shift = (np.cumsum(reached) - reached)[term_key] - np.cumsum(n_pairs) + n_pairs
+    pair_prof = by_cell[np.arange(len(pair_term)) + np.repeat(shift, n_pairs)]
 
     norms = np.array([float(t.correlator.normalization) for t in expr.terms])
-    weights = norms[:, None] * signs
-    est = np.zeros(len(expr.terms))
-    se2 = np.zeros(len(expr.terms))
-    for c in range(signs.shape[1]):  # profile by profile, as the sums run
-        w, cell = weights[:, c], slot[:, c]
-        est = est + w * mean[cell]
-        se2 = se2 + w * w * var[cell]
-    cell_counts = counts[slot]
-    min_n = cell_counts.min(axis=1)
-    empty = int(np.count_nonzero(cell_counts == 0))
+    parity = np.bitwise_count(col[pair_prof] & emask[pair_term]) & 1  # x . e
+    w = norms[pair_term] * (1.0 - 2.0 * parity)
+    # left to right over each term's reached cells; an empty cell's mean is
+    # 0, so adding it too would change no bit
+    est = np.bincount(pair_term, weights=w * mean[pair_prof], minlength=n_terms)
+    se2 = np.bincount(pair_term, weights=w * w * var[pair_prof],
+                      minlength=n_terms)
+    full = n_pairs == 1 << n_single
+    min_n = np.full(n_terms, np.inf)
+    np.minimum.at(min_n, pair_term, counts[pair_prof])
+    min_n[~full] = 0
 
     # delta-method error propagation with per-cell weight aggregation
     value = 0.0
     fam_value = {f: 0.0 for f in expr.families()}
-    outer = np.zeros(len(expr.terms))
+    outer = np.zeros(n_terms)
     term_reports = []
     for i, t in enumerate(expr.terms):
         e = float(est[i])
@@ -475,13 +474,39 @@ def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
         fam_value[t.family] += t.coefficient * expr.power(e)
         outer[i] = t.coefficient * expr.power_slope(e)
         term_reports.append(TermEstimate(
-            t.correlator.label, t.family, e, float(math.sqrt(se2[i])),
-            int(min_n[i])))
-    deriv = outer[:, None] * weights
-    se = _delta_se(slot, deriv, var)
+            t.correlator.label, t.family, e,
+            math.sqrt(se2[i]) if full[i] else math.inf, int(min_n[i])))
+    deriv = outer[pair_term] * w
+
+    def se_of(keep: np.ndarray) -> float:
+        """The delta-method se of the ``keep`` terms' sum: the reached cells,
+        then one cell of variance inf per unreached one whose summed
+        derivative d is not 0.  A key one kept term reads has the same |d|
+        on every cell; only keys several read need their full sums."""
+        sel = keep[pair_term]
+        short = keep & ~full
+        readers = np.bincount(term_key[keep], minlength=len(reached))[term_key]
+        unreached = [(outer * norms)[short & (readers == 1)]]
+        for k in np.unique(term_key[short & (readers > 1)]).tolist():
+            ts = np.flatnonzero(keep & (term_key == k))
+            x = np.arange(1 << int(n_single[ts[0]]))
+            d = np.zeros(len(x))
+            for t in ts.tolist():
+                parity = np.bitwise_count(x & emask[t]) & 1
+                d = d + outer[t] * (norms[t] * (1.0 - 2.0 * parity))
+            d[col[prof_key == k]] = 0.0  # reached: summed with the pairs
+            unreached.append(d)
+        extra = np.concatenate(unreached)
+        return _cell_se(
+            np.concatenate([pair_prof[sel], n_prof + np.arange(len(extra))]),
+            np.concatenate([deriv[sel], extra]),
+            np.concatenate([var, np.full(len(extra), np.inf)]))
+
     families = {}
     for f in expr.families():
-        rows = [i for i, t in enumerate(expr.terms) if t.family == f]
-        families[f] = (float(fam_value[f]), _delta_se(slot[rows], deriv[rows], var))
-    return EstimateReport(float(value), se, batch.n_rounds, tuple(term_reports),
-                          families, empty)
+        keep = np.array([t.family == f for t in expr.terms])
+        families[f] = (float(fam_value[f]), se_of(keep))
+    return EstimateReport(
+        float(value), se_of(np.ones(n_terms, dtype=bool)), batch.n_rounds,
+        tuple(term_reports), families,
+        int((1 << n_single).sum()) - len(pair_term))

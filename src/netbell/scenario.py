@@ -185,6 +185,36 @@ def unique_rows(a: np.ndarray, return_index: bool = False,
     return out if len(out) > 1 else out[0]
 
 
+def fold_rows(columns: Sequence[np.ndarray], sizes: Sequence[int]
+              ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Code the rows of narrow integer columns (column i below ``sizes[i]``).
+
+    The columns fold mixed-radix, largest size first, and whenever the code
+    range would pass 2^16 the codes are renumbered to those present through
+    a lookup table, so nothing is sorted.  Returns each row's code (intp;
+    equal rows, equal codes), the codes present in increasing order, and per
+    column the value at each present code.
+    """
+    code = np.zeros(len(columns[0]), dtype=np.int8)
+    bound = 1
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        if bound * sizes[i] > 1 << 16:  # the largest lookup table
+            index = code.astype(np.intp)  # numpy indexes fastest by intp
+            seen = np.zeros(bound, dtype=bool)
+            seen[index] = True
+            code = (np.cumsum(seen) - 1)[index]
+            bound = int(np.count_nonzero(seen))
+        bound *= sizes[i]
+        code = code.astype(small_int(bound), copy=False)  # ours: fold in place
+        code *= sizes[i]
+        code += columns[i]
+    code = code.astype(np.intp)
+    holder = np.full(bound, -1, dtype=np.intp)
+    holder[code] = np.arange(len(code))
+    present = np.flatnonzero(holder >= 0)
+    return code, present, [c[holder[present]] for c in columns]
+
+
 @dataclass(frozen=True, eq=False)
 class InputIndex:
     """One expression's inputs in topology party order, as small integers.
@@ -194,6 +224,11 @@ class InputIndex:
     position of party j's input in term t for bit x; a joint party's one
     input fills both slots.  ``exponents[t, j]`` is the exponent bit of a
     single party (0 for a joint one) and ``single[t, j]`` marks the singles.
+
+    Term t reads the 2^s profiles (its cells) setting each single party j to
+    ``inputs[t, j, x]``, numbered by their x bits in party order.  Terms with
+    the same x = 0 row ``inputs[t, :, 0]`` read the same cells, and no term
+    reads another's: a position is a single's or a joint's input throughout.
     """
 
     parties: tuple[str, ...]
@@ -201,29 +236,6 @@ class InputIndex:
     inputs: np.ndarray
     exponents: np.ndarray
     single: np.ndarray
-
-    @functools.cached_property
-    def cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every term's input cells: per-party inputs and sign (-1)^(x.e).
-
-        Column c of a term with s singles is the input profile whose bits,
-        in party order, are the binary digits of c (most significant first,
-        the ``itertools.product`` order); ``inputs[j, t, c]`` is party j's
-        vocabulary position there.  Columns from 2^s on are padding, with
-        sign 0.
-        """
-        n_single = self.single.sum(axis=1)
-        col = np.arange(1 << int(n_single.max(initial=0)))
-        rank = n_single[:, None] - np.cumsum(self.single, axis=1)  # bit shift
-        valid = col < (1 << n_single)[:, None]
-        inputs = np.empty((len(self.parties),) + valid.shape, dtype=self.inputs.dtype)
-        parity = np.zeros(valid.shape, dtype=np.int64)
-        for j in range(len(self.parties)):
-            bit = np.where(valid & self.single[:, j, None],
-                           (col >> rank[:, j, None]) & 1, 0)
-            inputs[j] = np.take_along_axis(self.inputs[:, j, :], bit, axis=1)
-            parity += bit * self.exponents[:, j, None]
-        return inputs, np.where(valid, 1.0 - 2.0 * (parity & 1), 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,9 +311,6 @@ class InequalityExpr:
             if f == family:
                 return dict(obs)
         raise KeyError(family)
-
-    def terms_for(self, family: str) -> tuple[Term, ...]:
-        return tuple(t for t in self.terms if t.family == family)
 
     def angle_keys(self) -> tuple[tuple[str, str], ...]:
         """Distinct (party, plane) pairs; shared observables share an angle."""
@@ -404,10 +413,7 @@ class InequalityExpr:
         return TermTable(keys, letters, exps, base, coefficient)
 
     def n_strategies_raw(self) -> int:
-        count = 1
-        for party in self.topology.party_ids():
-            count *= 2 ** len(self.party_inputs(party))
-        return count
+        return 1 << sum(len(v) for v in self.input_index.vocab)
 
     def power(self, v):
         """The correlator transform: identity, sign-preserving v^r, or |v|^r.

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import network
 from .pauli import PauliString, word
-from .scenario import ordered_sum
+from .scenario import fold_rows, ordered_sum
 
 # generator signs (z_sign, x_sign) for the four two-qubit pair states
 PAIR_SIGNS = {
@@ -171,21 +171,6 @@ def _qubit_blocks(n_qubits: int, generators: Iterable[PauliString]) -> list[int]
 
 # -- expectation values -------------------------------------------------------
 
-_WORD_TABLE = 1 << 16  # largest code range numbered through a lookup table
-
-
-def _number(code: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct codes (all below ``bound``) in increasing order.
-
-    Returns each code's number and, per number, a position holding it.
-    """
-    holder = np.full(bound, -1, dtype=np.intp)
-    holder[code] = np.arange(len(code))
-    held = holder[holder >= 0]
-    number = np.cumsum(holder >= 0) - 1
-    return number[code], held
-
-
 def expectation(state: State, p: PauliString) -> float:
     """Exact expectation of a Hermitian Pauli word in a group or mixture."""
     if not p.is_hermitian:
@@ -229,18 +214,11 @@ def word_expectations(state: State, letters: np.ndarray,
         if not block & listed:
             continue
         cols = [i for i, q in enumerate(qubits) if (block >> q) & 1]
-        # a code per row, two bits per letter, renumbered to the words
-        # present whenever its range would outgrow the lookup table
-        row_word, n_words = letters[:, cols[0]].astype(np.intp), 4
-        for i in cols[1:]:
-            if 4 * n_words > _WORD_TABLE:
-                row_word, held = _number(row_word, n_words)
-                n_words = len(held)
-            row_word = row_word * 4 + letters[:, i]
-            n_words *= 4
-        row_word, held = _number(row_word, n_words)
-        lookup = np.empty((len(components), len(held)), dtype=np.int8)
-        for w, codes in enumerate(letters[held][:, cols].tolist()):
+        row_word, words, word_letters = fold_rows(
+            [letters[:, i] for i in cols], [4] * len(cols))
+        lookup = np.zeros((len(components), int(words.max(initial=-1)) + 1),
+                          dtype=np.int8)
+        for w, codes in zip(words.tolist(), np.transpose(word_letters).tolist()):
             x = z = 0
             for i, c in zip(cols, codes):
                 x |= (c & 1) << qubits[i]

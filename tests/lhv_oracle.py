@@ -117,7 +117,7 @@ def normalization_check_reference(expr, vertices):
         for fam in expr.families()}
     fam_scale = {}
     for fam in expr.families():
-        terms = expr.terms_for(fam)
+        terms = [t for t in expr.terms if t.family == fam]
         fam_scale[fam] = {t.correlator.normalization * (1 << t.correlator.n_single)
                           for t in terms}
     for vec, wit in zip(vertices.vectors, vertices.witnesses):

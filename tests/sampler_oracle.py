@@ -27,8 +27,10 @@ multiplied 0 by the infinite variance of an empty cell and got NaN).
 """
 
 import csv
+import functools
 import itertools
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -110,8 +112,8 @@ def estimate_reference(expr, batch) -> EstimateReport:
             t.correlator.label, t.family, est, float(math.sqrt(se2)), int(min_n)))
 
     def delta_se(derivs: dict[int, float]) -> float:
-        return math.sqrt(sum(float(d * d * var[c])
-                             for c, d in derivs.items() if d != 0.0))
+        return math.sqrt(functools.reduce(operator.add, (
+            float(d * d * var[c]) for c, d in derivs.items() if d != 0.0), 0.0))
 
     families = {f: (float(fam_value[f]), delta_se(fam_cell_deriv[f]))
                 for f in expr.families()}
@@ -247,9 +249,8 @@ def simulate_rounds_reference(expr, state, n_rounds, seed, angles=None) -> Round
         group = comp
         keys = [(c,) for c in range(len(components))]
         for q in qs:
-            bound = len(keys) * width
-            group, codes = sampler._renumber(
-                group.astype(small_int(bound)) * width + qubit_spec[q], bound)
+            codes, group = np.unique(group.astype(np.int64) * width + qubit_spec[q],
+                                     return_inverse=True)
             keys = [keys[c // width] + (c % width,) for c in codes.tolist()]
         cdf = np.array([np.cumsum(_source_distribution(
             components[key[0]][1], qs, [specs[i] for i in key[1:]]))

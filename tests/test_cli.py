@@ -92,6 +92,17 @@ def test_certify_star_structure(capsys):
     assert cert["lhv_max"] == 2.0
 
 
+def test_certify_star_k14_reports_the_strategy_count(capsys):
+    # 2^16412 raw strategies: past 2^64 the count is written as "2^E", so
+    # the report stays exact and json can write it
+    code, data = run_json(capsys, "certify", "--scenario", "star", "--k", "14",
+                          "--family", "first")
+    assert code == 0
+    cert = data["results"]["certification"]
+    assert cert["n_strategies_raw"] == "2^16412"
+    assert cert["verdict"] == "PASS"
+
+
 def test_evaluate_mixture_closed_form(capsys):
     code, data = run_json(capsys, "evaluate", "--scenario", "two-source",
                           "--family", "combined", "--state", "rho1(0.5)")

@@ -281,7 +281,11 @@ def test_report_dict_round_trips_to_json():
 
 
 @pytest.mark.parametrize("expr,spec,angles", _oracle_cases())
-def test_estimate_and_round_log_match_reference_loops(expr, spec, angles):
+def test_estimate_and_round_log_match_reference_loops(expr, spec, angles,
+                                                       monkeypatch):
+    # as on Python 3.12+: a float sum the oracle left to ``sum`` would be
+    # compensated, and the bits would then differ from the package's
+    monkeypatch.setattr(sampler_oracle, "sum", compensated_sum, raising=False)
     state = parse_state_spec(spec, expr.topology)
     for rounds, seed in ((40, 1), (3000, 2)):
         batch = simulate_rounds(expr, state, rounds, seed=seed, angles=angles)
@@ -329,7 +333,7 @@ def test_delta_se_adds_cells_left_to_right(monkeypatch):
     want = math.sqrt(functools.reduce(operator.add, terms, 0.0))
     assert want != math.sqrt(compensated_sum(terms))
     monkeypatch.setattr(sampler, "sum", compensated_sum, raising=False)
-    assert sampler._delta_se(slot, deriv, var) == want
+    assert sampler._cell_se(slot.ravel(), deriv.ravel(), var) == want
 
 
 @pytest.mark.parametrize("expr,state", [
@@ -450,3 +454,21 @@ def test_sparse_estimate_memory_at_star_combined_k8():
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
     assert rep.n_rounds == 20000 and len(rep.terms) == 512
+
+
+def test_estimate_memory_at_star_combined_k11():
+    # 2^12 terms of 2^11 cells each, 2^23 (term, cell) pairs in all; the
+    # estimate walks only the profiles that 1e5 rounds reach
+    expr = build_star_combined(11)
+    batch = simulate_rounds(expr, network_state(expr.topology), 100_000, seed=5)
+    tracemalloc.start()
+    try:
+        rep = estimate(expr, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert rep.n_rounds == 100_000 and len(rep.terms) == 4096
+    # at most one cell per round is reached, so no term has all its cells
+    assert rep.empty_cells >= 4096 * 2 ** 11 - 100_000
+    assert all(t.min_cell_rounds == 0 and math.isinf(t.se) for t in rep.terms)
