@@ -19,6 +19,7 @@ memory or any other uncaught error (one line on stderr, ``netbell <cmd>: error:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import operator
@@ -44,6 +45,15 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """An integer in [0, 2^128), the range of a Philox key."""
+    seed = _integer(value)
+    if not 0 <= seed < 1 << 128:
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer in [0, 2^128), got {value!r}")
+    return seed
+
+
 def _tolerance(value) -> float:
     """A finite, non-negative float; NaN, inf and negatives are usage errors."""
     tolerance = float(value)
@@ -59,7 +69,7 @@ _CONFIG_KEYS = {"scenario": _text, "family": _text, "k": _integer,
                 "n": _integer, "m": _integer, "r_num": _integer,
                 "r_den": _integer, "wiring": None, "inter_bits": None,
                 "state": _text, "angles": None, "rounds": _integer,
-                "seed": _integer, "tolerance": _tolerance, "starts": _integer,
+                "seed": _seed, "tolerance": _tolerance, "starts": _integer,
                 "format": _text}
 
 
@@ -163,6 +173,10 @@ def _build_scenario(args, parser) -> tuple[InequalityExpr, dict]:
                 parser.error(f"bad inter-bits {args.inter_bits!r}: expected a "
                              "mapping from source to bit")
         params["inter_bits"] = bits
+    taken = inspect.signature(info.build_family).parameters
+    for key in params:
+        if key not in taken:
+            parser.error(f"scenario {args.scenario!r} takes no parameter {key!r}")
     try:
         expr = info.build_family(family, **params)
     except (ValueError, KeyError) as exc:
@@ -378,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="optimize measurement angles")
     add_common(p_opt, with_state=True)
     p_opt.add_argument("--starts", type=int, help="multi-start count (default 8)")
-    p_opt.add_argument("--seed", type=int, help="start seed (default 11)")
+    p_opt.add_argument("--seed", type=_seed, help="start seed (default 11)")
     p_opt.add_argument("--tolerance", type=_tolerance,
                        help="claimed-max tolerance (default 1e-6)")
     p_opt.set_defaults(handler=_cmd_optimize)
@@ -387,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sim, with_state=True)
     p_sim.add_argument("--angles", help="e.g. 'A:ZX=0.7853'")
     p_sim.add_argument("--rounds", type=int, help="number of rounds")
-    p_sim.add_argument("--seed", type=int, help="sampler seed (default 1)")
+    p_sim.add_argument("--seed", type=_seed, help="sampler seed (default 1)")
     p_sim.add_argument("--format", choices=("json", "csv"),
                        help="round log format when --out is given")
     p_sim.set_defaults(handler=_cmd_simulate)

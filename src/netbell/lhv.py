@@ -162,15 +162,13 @@ def _numerators(expr: InequalityExpr, rows: np.ndarray) -> tuple[np.ndarray, int
     Raises ``OverflowError`` unless every entry, and so every row sum over
     the terms, stays below 2^63 in magnitude.
     """
-    norms = [t.correlator.normalization for t in expr.terms]
-    denominator = math.lcm(*(n.denominator for n in norms))
-    scale = [int(n * denominator) for n in norms]
-    largest = int(np.abs(rows).max()) * max(map(abs, scale))
-    if largest * len(scale) >= 1 << 63:
+    index = expr.input_index
+    largest = int(np.abs(rows).max()) * int(np.abs(index.scale).max())
+    if largest * len(index.scale) >= 1 << 63:
         raise OverflowError(
-            f"vertex numerators up to {largest} over {len(scale)} terms "
+            f"vertex numerators up to {largest} over {len(index.scale)} terms "
             "overflow int64")
-    return rows * np.array(scale, dtype=np.int64), denominator
+    return rows * index.scale, index.denominator
 
 
 def enumerate_vertices(expr: InequalityExpr,
@@ -254,35 +252,35 @@ def cross_polytope_structure(expr: InequalityExpr) -> tuple[FamilyBlock, ...] | 
     When it holds (and families share no inputs), every deterministic strategy
     zeroes all but one label per family and the surviving correlator equals
     +-scale, so the vertex set per block is exactly {+-scale * e_label}.
+    Per family: one single-party mask, 2^k terms whose exponent bits spell
+    the 2^k codes once each, one normalization, and (party, input) pairs
+    that no earlier family holds.
     """
     index = expr.input_index
     width = max(len(v) for v in index.vocab)
     # (party, input) pairs as integers; a joint party's input fills both slots
     pairs = np.arange(len(index.parties))[:, None] * width + index.inputs
+    owned = np.zeros(len(index.parties) * width, dtype=bool)
     blocks = []
-    owned = np.zeros(0, dtype=np.int64)
-    for fam in expr.families():
-        indices = tuple(i for i, t in enumerate(expr.terms) if t.family == fam)
-        terms = [expr.terms[i] for i in indices]
-        single_sets = {tuple(sorted(t.correlator.exponent_map)) for t in terms}
-        if len(single_sets) != 1:
+    for f, fam in enumerate(expr.families()):
+        rows = np.flatnonzero(index.family == f)
+        if rows.size == 0:
             return None
-        singles = single_sets.pop()
-        k = len(singles)
-        if k == 0 or len(terms) != 1 << k:
+        mask = index.single[rows[0]]
+        k = int(mask.sum())
+        if k == 0 or len(rows) != 1 << k or (index.single[rows] != mask).any():
             return None
-        patterns = {tuple(t.correlator.exponent_map[p] for p in singles)
-                    for t in terms}
-        if len(patterns) != 1 << k:
+        codes = index.exponents[rows][:, mask].astype(np.int64) @ (1 << np.arange(k))
+        scale = index.scale[rows]
+        if np.bincount(codes, minlength=1 << k).min() == 0 or (scale != scale[0]).any():
             return None
-        scales = {t.correlator.normalization * (1 << k) for t in terms}
-        if len(scales) != 1:
-            return None
-        fam_pairs = np.unique(pairs[list(indices)])
-        if np.intersect1d(fam_pairs, owned).size:
+        mine = np.zeros_like(owned)
+        mine[pairs[rows].ravel()] = True
+        if (mine & owned).any():
             return None  # families share an input: blocks not independent
-        owned = np.union1d(owned, fam_pairs)
-        blocks.append(FamilyBlock(fam, indices, k, scales.pop()))
+        owned |= mine
+        blocks.append(FamilyBlock(fam, tuple(rows.tolist()), k,
+                                  Fraction(int(scale[0]) << k, index.denominator)))
     return tuple(blocks)
 
 
@@ -313,7 +311,7 @@ def _vertex_max(expr: InequalityExpr, vertices: VertexSet) -> Fraction:
     if expr.absolute:
         values = np.abs(num).sum(axis=1)
     else:
-        values = num @ np.array([t.coefficient for t in expr.terms], dtype=np.int64)
+        values = num @ expr.input_index.coefficient.astype(np.int64)
     return Fraction(int(values.max()), vertices.denominator)
 
 
@@ -356,7 +354,7 @@ def _maximize_on_simplex(f_grad, dim: int, restarts: int, seed: int,
 def _mixture_numeric(expr: InequalityExpr, vertices: VertexSet,
                      restarts: int, seed: int) -> float:
     v = np.array([[float(x) for x in vec] for vec in vertices.vectors])
-    coeffs = np.array([t.coefficient for t in expr.terms], dtype=float)
+    coeffs = expr.input_index.coefficient
     r = float(expr.exponent)
     absolute = expr.absolute
 
@@ -409,13 +407,12 @@ def _nonlinear_max(expr: InequalityExpr, blocks: tuple[FamilyBlock, ...] | None,
         analytic = float(ordered_sum(
             [float(b.scale) ** r * 2.0 ** (b.n_singles * (1.0 - r))
              for b in blocks]))
-        numeric = 0.0
+        attained = []  # c_t * powr(c_t * share) per term, blocks in order
         for b in blocks:
-            share = b.scale / (1 << b.n_singles)
-            for i in b.term_indices:
-                c = expr.terms[i].coefficient
-                numeric += c * expr.power(c * share)
-        return {"analytic": analytic, "numeric": numeric,
+            c = expr.input_index.coefficient[list(b.term_indices)]
+            attained.append(c * expr.power(c * float(b.scale / (1 << b.n_singles))))
+        return {"analytic": analytic,
+                "numeric": float(ordered_sum(np.concatenate(attained))),
                 "method": "cross-polytope"}
     if vertices is None:
         vertices = enumerate_vertices(expr, budget)
@@ -432,30 +429,26 @@ def normalization_check(expr: InequalityExpr,
     makes sum_y |I_y| equal the scale exactly; baselines that keep only part
     of the label set fail it.
     """
+    index = expr.input_index
     num = np.abs(vertices.numerators)
-    fam_indices = []
+    full_scale = index.scale << index.single.sum(axis=1)
+    families = expr.families()
+    family_rows = [np.flatnonzero(index.family == f) for f in range(len(families))]
     broken = []  # per family: the vertices that break the property
-    for fam in expr.families():
-        indices = [i for i, t in enumerate(expr.terms) if t.family == fam]
-        corrs = [expr.terms[i].correlator for i in indices]
-        scales = [int(c.normalization * vertices.denominator) << c.n_single
-                  for c in corrs]
-        block = num[:, indices]
-        full = np.isin(block, scales)
-        zero = block == 0
-        broken.append((full.sum(axis=1) != 1)
-                      | (zero.sum(axis=1) != len(indices) - 1))
-        fam_indices.append((fam, indices))
+    for rows in family_rows:
+        block = num[:, rows]
+        broken.append((np.isin(block, full_scale[rows]).sum(axis=1) != 1)
+                      | ((block == 0).sum(axis=1) != len(rows) - 1))
     broken = np.array(broken)  # (families, vertices)
     hit = broken.any(axis=0)
     if not hit.any():
         return None
     v = int(np.argmax(hit))
-    fam, indices = fam_indices[int(np.argmax(broken[:, v]))]
+    f = int(np.argmax(broken[:, v]))
     vec = vertices.vectors[v]
     return {
-        "family": fam,
-        "values": {expr.terms[i].correlator.label: str(vec[i]) for i in indices},
+        "family": families[f],
+        "values": {vertices.labels[i]: str(vec[i]) for i in family_rows[f].tolist()},
         "strategy": vertices.witnesses[v].grouped(),
     }
 

@@ -9,12 +9,13 @@ value as a function of angles is a weighted product of cosines and sines:
 with powr the identity, a sign-preserving odd power, or |.|^r.
 
 ``compile_expression`` joins two parts.  The expression's
-``term_table``, built once per expression and cached on it, holds every
-term's Pauli word as letter codes per qubit, its trig pattern, base and
-coefficient.  ``states.word_expectations`` then reads E_t for all terms
-from the state: per block of qubits that the state's generators connect,
-it looks up each distinct restricted word once and multiplies the blocks'
-+-1/0 factors per term, so no Pauli word is built per term.  The arrays
+``input_index``, the term table built once per expression and cached on
+it, holds every term's Pauli word as letter codes per qubit, its trig
+pattern, base and coefficient.  ``states.word_expectations`` then reads
+E_t for all terms from the state: per block of qubits that the state's
+generators connect, it looks up each distinct restricted word once and
+multiplies the blocks' +-1/0 factors per term, so no Pauli word is built
+per term.  The arrays
 run over the T terms and the J angle keys (sorted, so column order is the
 party order of every term's factors): ``exps[t, j]`` is -1 where term t
 has no factor of angle j, 0 for cos and 1 for sin, and ``coefficient``,
@@ -235,10 +236,10 @@ class CompiledExpression:
 
 
 def compile_expression(expr: InequalityExpr, state: State) -> CompiledExpression:
-    table = expr.term_table
-    expectation = states.word_expectations(state, table.letters)
-    return CompiledExpression(expr, table.keys, table.exps, table.coefficient,
-                              table.base, expectation)
+    index = expr.input_index
+    expectation = states.word_expectations(state, index.letters)
+    return CompiledExpression(expr, index.keys, index.exps, index.coefficient,
+                              index.base, expectation)
 
 
 def evaluate(expr: InequalityExpr, state: State,

@@ -131,15 +131,9 @@ def _source_distributions(group: StabilizerGroup, qubits: Sequence[int],
     return p
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    index: int
-    inputs: dict[str, str]
-    outcomes: dict[str, int]
-
-
 class RoundBatch:
-    """Column-oriented simulated rounds with lazy per-round views."""
+    """Simulated rounds, column by column: per party, each round's input
+    position in ``vocab[party]`` and its +-1 outcome."""
 
     def __init__(self, parties: tuple[str, ...],
                  vocab: dict[str, tuple[str, ...]],
@@ -155,21 +149,6 @@ class RoundBatch:
 
     def __len__(self) -> int:
         return self.n_rounds
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return RoundBatch(
-                self.parties, self.vocab,
-                {p: a[i] for p, a in self.input_idx.items()},
-                {p: a[i] for p, a in self.outcomes.items()}, self.seed)
-        if i < 0:
-            i += self.n_rounds
-        if not 0 <= i < self.n_rounds:
-            raise IndexError(i)
-        return RoundRecord(
-            i,
-            {p: self.vocab[p][self.input_idx[p][i]] for p in self.parties},
-            {p: int(self.outcomes[p][i]) for p in self.parties})
 
     def to_csv(self, target) -> None:
         """Write long-format rows: round,party,input,outcome."""
@@ -238,34 +217,31 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
     n_fam = len(families)
 
     # term_of[f, l]: the l-th term of family f
-    fam_terms = [[t for t, term in enumerate(expr.terms) if term.family == f]
-                 for f in families]
-    fam_counts = np.array([len(ts) for ts in fam_terms])
+    fam_rows = [np.flatnonzero(index.family == f) for f in range(n_fam)]
+    fam_counts = np.array([len(rows) for rows in fam_rows])
     term_of = np.zeros((n_fam, int(fam_counts.max())), dtype=np.intp)
-    for fi, ts in enumerate(fam_terms):
-        term_of[fi, :len(ts)] = ts
+    for f, rows in enumerate(fam_rows):
+        term_of[f, :len(rows)] = rows
 
     # spec_of[q][t, x]: the setting id of qubit q in term t for its party's
-    # bit x; ids number the distinct letter/coefficient sums in first use
-    spec_ids: dict[Spec, int] = {}
+    # bit x.  Ids number the distinct letter/coefficient sums: a lone letter's
+    # id is its LETTER_CODE, so a qubit starts from its term's letters, and a
+    # single party's rows then take its cos/sin sums' ids, in first use.
+    codes = sorted(pauli.LETTER_CODE.items(), key=lambda item: item[1])
+    spec_ids: dict[Spec, int] = {((letter, 1.0),): code for letter, code in codes}
     spec_of = {}
     for p in parties:
         qubits = topo.party(p).qubits
-        tables = [np.zeros((len(expr.terms), 2), dtype=np.int64) for _ in qubits]
-        for fi, f in enumerate(families):
-            obs = expr.observables_for(f)[p]
+        tables = [np.repeat(index.letters[:, [q]], 2, axis=1).astype(np.int64)
+                  for q in qubits]
+        for f, rows in enumerate(fam_rows):
+            obs = expr.observables_for(families[f])[p]
             if isinstance(obs, SingleQubitObservable):
                 theta = resolved[(p, obs.plane)]
                 for x, sign in ((0, 1.0), (1, -1.0)):
-                    tables[0][fam_terms[fi], x] = spec_ids.setdefault((
+                    tables[0][rows, x] = spec_ids.setdefault((
                         ("Z", math.cos(theta)),
                         (obs.plane[1], sign * math.sin(theta))), len(spec_ids))
-                continue
-            for t in fam_terms[fi]:
-                raw = expr.terms[t].correlator.joint_map[p]
-                for table, letter in zip(tables, obs.letters_for(raw)):
-                    table[t] = spec_ids.setdefault(((letter, 1.0),),
-                                                   len(spec_ids))
         spec_of.update(zip(qubits, tables))
     specs = list(spec_ids)
 
@@ -450,7 +426,7 @@ def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
     shift = (np.cumsum(reached) - reached)[term_key] - np.cumsum(n_pairs) + n_pairs
     pair_prof = by_cell[np.arange(len(pair_term)) + np.repeat(shift, n_pairs)]
 
-    norms = np.array([float(t.correlator.normalization) for t in expr.terms])
+    norms = index.base / (1 << n_single)  # normalization, exactly
     parity = np.bitwise_count(col[pair_prof] & emask[pair_term]) & 1  # x . e
     w = norms[pair_term] * (1.0 - 2.0 * parity)
     # left to right over each term's reached cells; an empty cell's mean is
@@ -502,10 +478,8 @@ def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
             np.concatenate([deriv[sel], extra]),
             np.concatenate([var, np.full(len(extra), np.inf)]))
 
-    families = {}
-    for f in expr.families():
-        keep = np.array([t.family == f for t in expr.terms])
-        families[f] = (float(fam_value[f]), se_of(keep))
+    families = {f: (float(fam_value[f]), se_of(index.family == i))
+                for i, f in enumerate(expr.families())}
     return EstimateReport(
         float(value), se_of(np.ones(n_terms, dtype=bool)), batch.n_rounds,
         tuple(term_reports), families,

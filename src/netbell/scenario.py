@@ -31,6 +31,13 @@ parties, and each hub qubit reads its branch source's bit, or the fixed bit
 of its hub-hub source.  A hub measures Z for bit 0 and, for bit 1, X (first
 family) or Y (second) on branch qubits and X on hub-hub ones.  Every
 correlator carries 1/2^K; the second family adds the parity sign (-1)^|y|.
+
+Every layer reads the terms through one table, ``InequalityExpr.input_index``,
+built on first use and cached on the expression: per term its inputs as
+small integers, exponent bits, family, normalization (an integer over one
+common denominator), Pauli letters, trig pattern, base and coefficient.
+Certification, compilation and sampling read its arrays; only the builders,
+the validation and the reference evaluations walk the ``Term`` objects.
 """
 
 from __future__ import annotations
@@ -94,9 +101,6 @@ class JointPauliObservable:
 
     def letters_for(self, inp: str) -> str:
         return self._letter_map[inp]  # KeyError on an unknown input
-
-    def inputs(self) -> tuple[str, ...]:
-        return tuple(inp for inp, _ in self.letters)
 
 
 Observable = Union[SingleQubitObservable, JointPauliObservable]
@@ -217,42 +221,41 @@ def fold_rows(columns: Sequence[np.ndarray], sizes: Sequence[int]
 
 @dataclass(frozen=True, eq=False)
 class InputIndex:
-    """One expression's inputs in topology party order, as small integers.
+    """Every term of one expression as read-only arrays, the one table that
+    certification, compilation and sampling all read.
 
-    ``vocab[j]`` holds party j's qualified input labels (what
-    ``party_inputs`` returns).  ``inputs[t, j, x]`` is the vocabulary
-    position of party j's input in term t for bit x; a joint party's one
-    input fills both slots.  ``exponents[t, j]`` is the exponent bit of a
-    single party (0 for a joint one) and ``single[t, j]`` marks the singles.
+    Parties run in topology order.  ``vocab[j]`` holds party j's qualified
+    input labels (what ``party_inputs`` returns).  ``inputs[t, j, x]`` is
+    the vocabulary position of party j's input in term t for bit x; a joint
+    party's one input fills both slots.  ``exponents[t, j]`` is the exponent
+    bit of a single party (0 for a joint one), ``single[t, j]`` marks the
+    singles and ``family[t]`` is the term's position in ``families()``.
 
     Term t reads the 2^s profiles (its cells) setting each single party j to
     ``inputs[t, j, x]``, numbered by their x bits in party order.  Terms with
     the same x = 0 row ``inputs[t, :, 0]`` read the same cells, and no term
     reads another's: a position is a single's or a joint's input throughout.
+
+    Term t's normalization is ``scale[t] / denominator``: int64 numerators
+    over the lcm of the normalizations' denominators.  ``base`` is
+    normalization * 2^s rounded once, and ``coefficient`` the term's +-1.0.
+    ``letters[t, q]`` is the ``pauli.LETTER_CODE`` of term t's Pauli word on
+    qubit q (what ``segmented_operator`` returns).  ``exps[t, j]`` is -1
+    where term t has no factor of angle ``keys[j]``, 0 for cos and 1 for sin.
     """
 
     parties: tuple[str, ...]
     vocab: tuple[tuple[str, ...], ...]
-    inputs: np.ndarray
-    exponents: np.ndarray
-    single: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class TermTable:
-    """Every term's segmented operator and trig pattern, as read-only arrays.
-
-    ``letters[t, q]`` is the ``pauli.LETTER_CODE`` of term t's Pauli word on
-    qubit q (what ``segmented_operator`` returns).  ``exps[t, j]`` is -1
-    where term t has no factor of angle ``keys[j]``, 0 for cos and 1 for sin.
-    ``base`` is normalization * 2^s, exact in binary, and ``coefficient``
-    the term's +-1.0.
-    """
-
+    inputs: np.ndarray       # (T, parties, 2)
+    exponents: np.ndarray    # (T, parties) int8
+    single: np.ndarray       # (T, parties) bool
+    family: np.ndarray       # (T,)
+    scale: np.ndarray        # (T,) int64
+    denominator: int
     keys: tuple[tuple[str, str], ...]
-    letters: np.ndarray   # (T, n) int8
-    exps: np.ndarray      # (T, J) int8
-    base: np.ndarray      # (T,)
+    letters: np.ndarray      # (T, n) int8
+    exps: np.ndarray         # (T, J) int8
+    base: np.ndarray         # (T,)
     coefficient: np.ndarray  # (T,)
 
 
@@ -343,16 +346,25 @@ class InequalityExpr:
 
     @functools.cached_property
     def input_index(self) -> InputIndex:
-        """Every term's inputs as vocabulary positions; built on first use."""
+        """The term table; built on first use, then shared by every layer.
+
+        Family by family and party by party, a single party writes its
+        exponent into its angle's column and Z (exponent 0) or its plane's
+        letter (1) on its qubit; a joint party's input selects its letters.
+        """
         parties = self.topology.party_ids()
-        fam_pos = {f: str(i) for i, f in enumerate(self.families())}
+        families = self.families()
+        fam_pos = {f: i for i, f in enumerate(families)}
         prefixed = [len(self.party_variants(p)) > 1 for p in parties]
         vocab: list[dict[str, int]] = [{} for _ in parties]
         shape = (len(self.terms), len(parties))
         inputs = np.zeros(shape + (2,), dtype=np.int64)
         exponents = np.zeros(shape, dtype=np.int8)
         single = np.zeros(shape, dtype=bool)
+        family = np.zeros(len(self.terms), dtype=np.intp)
         for t, term in enumerate(self.terms):
+            f = fam_pos[term.family]
+            family[t], prefix = f, str(f)
             exps = term.correlator.exponent_map
             joints = term.correlator.joint_map
             for j, p in enumerate(parties):
@@ -363,54 +375,50 @@ class InequalityExpr:
                 else:
                     raws = (joints[p],) * 2
                 for x, raw in enumerate(raws):
-                    label = fam_pos[term.family] + raw if prefixed[j] else raw
+                    label = prefix + raw if prefixed[j] else raw
                     inputs[t, j, x] = vocab[j].setdefault(label, len(vocab[j]))
         width = max(len(v) for v in vocab)
-        return InputIndex(parties, tuple(tuple(v) for v in vocab),
-                          inputs.astype(small_int(width)), exponents, single)
+        inputs = inputs.astype(small_int(width))
 
-    @functools.cached_property
-    def term_table(self) -> TermTable:
-        """The terms' words and angle patterns, read off ``input_index``.
-
-        Family by family and party by party: a single party writes its
-        exponent into its angle's column and Z (exponent 0) or its plane's
-        letter (1) on its qubit; a joint party's input selects its letters.
-        """
-        index = self.input_index
         keys = self.angle_keys()
         column = {key: j for j, key in enumerate(keys)}
-        families = self.families()
-        family = np.array([families.index(t.family) for t in self.terms])
         letters = np.zeros((len(self.terms), self.topology.n_qubits), dtype=np.int8)
         exps = np.full((len(self.terms), len(keys)), -1, dtype=np.int8)
         for f in sorted(set(family.tolist())):
             rows = np.flatnonzero(family == f)
             obs_map = self.observables_for(families[f])
-            for j, party in enumerate(index.parties):
+            for j, party in enumerate(parties):
                 obs = obs_map[party]
                 if isinstance(obs, SingleQubitObservable):
-                    e = index.exponents[rows, j]
+                    e = exponents[rows, j]
                     exps[rows, column[(party, obs.plane)]] = e
                     letters[rows, obs.qubit] = np.where(
                         e == 0, LETTER_CODE["Z"], LETTER_CODE[obs.plane[1]])
                     continue
-                vocab = {label: v for v, label in enumerate(index.vocab[j])}
+                positions = {label: v for v, label in enumerate(vocab[j])}
                 prefix = self.input_label(families[f], party, "")  # family bit, if any
-                by_input = np.zeros((len(vocab), len(obs.qubits)), dtype=np.int8)
+                by_input = np.zeros((len(positions), len(obs.qubits)), dtype=np.int8)
                 for raw, word_letters in obs.letters:
-                    if prefix + raw in vocab:
-                        by_input[vocab[prefix + raw]] = [
+                    if prefix + raw in positions:
+                        by_input[positions[prefix + raw]] = [
                             LETTER_CODE[c] for c in word_letters]
-                letters[np.ix_(rows, obs.qubits)] = by_input[index.inputs[rows, j, 0]]
-        # int / int rounds once, as float(normalization * 2^s) does
+                letters[np.ix_(rows, obs.qubits)] = by_input[inputs[rows, j, 0]]
+
         norms = [t.correlator.normalization for t in self.terms]
-        base = np.array([(norm.numerator << s) / norm.denominator for norm, s in
-                         zip(norms, index.single.sum(axis=1).tolist())])
+        denominator = math.lcm(*(n.denominator for n in norms))
+        scale = [n.numerator * (denominator // n.denominator) for n in norms]
+        # int / int rounds once, as float(normalization * 2^s) does
+        base = np.array([(c << s) / denominator for c, s in
+                         zip(scale, single.sum(axis=1).tolist())])
         coefficient = np.array([t.coefficient for t in self.terms], dtype=float)
-        for a in (letters, exps, base, coefficient):
-            a.flags.writeable = False  # shared by every compile of this expression
-        return TermTable(keys, letters, exps, base, coefficient)
+        index = InputIndex(parties, tuple(tuple(v) for v in vocab), inputs,
+                           exponents, single, family,
+                           np.array(scale, dtype=np.int64), denominator, keys,
+                           letters, exps, base, coefficient)
+        for a in vars(index).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False  # shared by every layer
+        return index
 
     def n_strategies_raw(self) -> int:
         return 1 << sum(len(v) for v in self.input_index.vocab)
@@ -587,6 +595,10 @@ def _hub_family(topology: NetworkTopology, family: str, plane: str,
     fixed = dict(inter_bits or {})
     if not set(fixed.values()) <= {0, 1}:
         raise ValueError(f"inter bits must be 0 or 1, got {fixed}")
+    stray = sorted(set(fixed) - {s.id for s in topology.sources if s not in branches})
+    if stray:
+        raise ValueError(f"inter bits name source {stray[0]}, which is not a "
+                         "hub-hub source")
     # hub qubit -> position in label + "01" (the fixed bits sit at k, k + 1)
     position = {q: k + fixed.get(s.id, 0) for s in topology.sources for q in s.qubits}
     names = []
@@ -809,7 +821,8 @@ def build_ghz_b() -> InequalityExpr:
 
 @dataclass(frozen=True)
 class ScenarioInfo:
-    """A catalog entry; ``build_family(family, **params)`` builds one family."""
+    """A catalog entry; ``build_family(family, **params)`` builds one family
+    and raises ``TypeError`` on a parameter the scenario does not take."""
 
     name: str
     tag: str
@@ -829,7 +842,7 @@ class ScenarioInfo:
         return {f: built[f] for f in self.families}
 
 
-def _build_star_family(family: str, k: int = 3, r: Fraction = Fraction(1), **_):
+def _build_star_family(family: str, k: int = 3, r: Fraction = Fraction(1)):
     if r == 1:
         return {"first": build_star_first, "second": build_star_second,
                 "combined": build_star_combined}[family](k)
@@ -839,7 +852,7 @@ def _build_star_family(family: str, k: int = 3, r: Fraction = Fraction(1), **_):
 def _build_nkm_family(family: str, n: int = 3, k: int = 2, m: int = 2,
                       wiring: Sequence[tuple[int, int, int]] = ((2, 0, 1),),
                       alice_recipients: Sequence[int] | None = None,
-                      inter_bits: Mapping[int, int] | None = None, **_):
+                      inter_bits: Mapping[int, int] | None = None):
     topo = network.nkm(n, k, m, wiring, alice_recipients)
     return _nkm_expr(topo, family, inter_bits)
 
@@ -847,12 +860,12 @@ def _build_nkm_family(family: str, n: int = 3, k: int = 2, m: int = 2,
 SCENARIOS: dict[str, ScenarioInfo] = {
     "chsh": ScenarioInfo(
         "chsh", "chsh", "two-party baseline, bound 2, max 2*sqrt(2)",
-        "none", ("first",), lambda family, **_: build_chsh()),
+        "none", ("first",), lambda family: build_chsh()),
     "two-source": ScenarioInfo(
         "two-source", "two-source-linear",
         "line network A-B-C with two pair sources",
         "none", ("first", "second", "combined"),
-        lambda family, **_: _two_source_expr(family)),
+        lambda family: _two_source_expr(family)),
     "star": ScenarioInfo(
         "star", "star-linear/nonlinear",
         "K pair sources sharing a hub; r != 1 switches to the power form",
@@ -866,13 +879,13 @@ SCENARIOS: dict[str, ScenarioInfo] = {
     "ghz-a": ScenarioInfo(
         "ghz-a", "ghz-hub", "pair + three-qubit source, hub holds three qubits",
         "none", ("first", "second", "combined"),
-        lambda family, **_: build_ghz_a(family)),
+        lambda family: build_ghz_a(family)),
     "ghz-b": ScenarioInfo(
         "ghz-b", "ghz-fanout", "pair + three-qubit source fanned out to 4 parties",
-        "none", ("first",), lambda family, **_: build_ghz_b()),
+        "none", ("first",), lambda family: build_ghz_b()),
     "bilocal": ScenarioInfo(
         "bilocal", "bilocal-baseline",
         "square-root and linear two-source baselines (bilocal-model bounds)",
         "none", ("bi", "bil"),
-        lambda family, **_: build_bilocal_baseline()[family]),
+        lambda family: build_bilocal_baseline()[family]),
 }

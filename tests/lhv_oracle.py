@@ -24,6 +24,12 @@ start at once and must agree with it within 1e-12 relative on a vertex
 mixture.  ``block_numeric_reference`` runs it on one cross-polytope block,
 a numeric second opinion on the closed form ``lhv.nonlinear_lhv_max``
 reports there: it must stay under that bound and reach it.
+
+``cross_polytope_structure_reference`` is the per-term detection that
+``lhv.cross_polytope_structure`` replaces with array reads on the
+expression's ``input_index``: family by family it collects each term's
+single parties, exponent pattern and normalization as Python sets.  Both
+must return equal blocks, or both None.
 """
 
 import math
@@ -192,3 +198,41 @@ def mixture_numeric_reference(expr, vertices, restarts: int, seed: int) -> float
         return float(vals.sum()), v @ dphi
 
     return maximize_on_simplex(f_grad, len(vertices.vectors), restarts, seed)
+
+
+def cross_polytope_structure_reference(expr):
+    """Detect the label <-> exponent-pattern bijection per family.
+
+    When it holds (and families share no inputs), every deterministic strategy
+    zeroes all but one label per family and the surviving correlator equals
+    +-scale, so the vertex set per block is exactly {+-scale * e_label}.
+    """
+    index = expr.input_index
+    width = max(len(v) for v in index.vocab)
+    # (party, input) pairs as integers; a joint party's input fills both slots
+    pairs = np.arange(len(index.parties))[:, None] * width + index.inputs
+    blocks = []
+    owned = np.zeros(0, dtype=np.int64)
+    for fam in expr.families():
+        indices = tuple(i for i, t in enumerate(expr.terms) if t.family == fam)
+        terms = [expr.terms[i] for i in indices]
+        single_sets = {tuple(sorted(t.correlator.exponent_map)) for t in terms}
+        if len(single_sets) != 1:
+            return None
+        singles = single_sets.pop()
+        k = len(singles)
+        if k == 0 or len(terms) != 1 << k:
+            return None
+        patterns = {tuple(t.correlator.exponent_map[p] for p in singles)
+                    for t in terms}
+        if len(patterns) != 1 << k:
+            return None
+        scales = {t.correlator.normalization * (1 << k) for t in terms}
+        if len(scales) != 1:
+            return None
+        fam_pairs = np.unique(pairs[list(indices)])
+        if np.intersect1d(fam_pairs, owned).size:
+            return None  # families share an input: blocks not independent
+        owned = np.union1d(owned, fam_pairs)
+        blocks.append(lhv.FamilyBlock(fam, indices, k, scales.pop()))
+    return tuple(blocks)

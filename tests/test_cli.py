@@ -286,6 +286,64 @@ def test_integral_float_config_value_is_accepted(capsys, tmp_path):
     assert code == 0 and data["config"]["k"] == 2
 
 
+def test_parameters_a_scenario_does_not_use_exit_2(capsys, tmp_path):
+    # refused, not dropped while the report's config echoes them as applied
+    for i, (argv, config, message) in enumerate((
+            (["--scenario", "star", "--k", "2", "--wiring", "3:1-2"],
+             {"scenario": "star", "wiring": [[2, 0, 1]]},
+             "scenario 'star' takes no parameter 'wiring'"),
+            (["--scenario", "chsh", "--inter-bits", "3:1"],
+             {"scenario": "chsh", "inter_bits": {"2": 1}},
+             "scenario 'chsh' takes no parameter 'inter_bits'"),
+            (["--scenario", "ghz-b", "--k", "3"], {"scenario": "ghz-b", "k": 3},
+             "scenario 'ghz-b' takes no parameter 'k'"),
+            # the default nkm's sources 1 and 2 (1-based) are branch sources,
+            # and it has no source 9; config files number sources from 0
+            (["--scenario", "nkm", "--inter-bits", "1:1"],
+             {"scenario": "nkm", "inter_bits": {"0": 1}},
+             "inter bits name source 0, which is not a hub-hub source"),
+            (["--scenario", "nkm", "--inter-bits", "9:1"],
+             {"scenario": "nkm", "inter_bits": {"8": 1}},
+             "inter bits name source 8, which is not a hub-hub source"))):
+        path = tmp_path / f"unused{i}.json"
+        path.write_text(json.dumps(config))
+        for args in (["certify", *argv], ["certify", "--config", str(path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(args)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 2 and err[-1].endswith(message), err
+    # the hub-hub source of the default nkm takes its bit
+    code, data = run_json(capsys, "certify", "--scenario", "nkm", "--inter-bits", "3:1")
+    assert code == 0 and data["config"]["inter_bits"] == {"2": 1}
+
+
+@pytest.mark.parametrize("command", ["optimize", "simulate"])
+def test_seed_outside_the_philox_range_exits_2_before_any_work(
+        capsys, tmp_path, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the seed was checked")
+
+    monkeypatch.setattr(scenario, "build_chsh", refuse)
+    rounds = ["--rounds", "5"] if command == "simulate" else []
+    for i, bad in enumerate((-1, 1 << 128)):
+        path = tmp_path / f"seed{i}.json"
+        path.write_text(json.dumps({"scenario": "chsh", "seed": bad}))
+        for argv in ([command, "--scenario", "chsh", *rounds, "--seed", str(bad)],
+                     [command, "--config", str(path), *rounds]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "seed must be an integer in [0, 2^128)" in err
+            assert "Traceback" not in err
+    monkeypatch.undo()
+    largest = (1 << 128) - 1
+    code, data = run_json(capsys, command, "--scenario", "chsh",
+                          *(rounds or ["--starts", "1"]), "--seed", str(largest))
+    assert code == 0 and data["config"]["seed"] == largest
+
+
 @pytest.mark.parametrize("k", ["33", "40"])
 def test_star_beyond_the_register_exits_2_at_once(capsys, k):
     # the register check fires before 2^K hub labels are built

@@ -9,10 +9,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import compensated_sum
 from lhv_oracle import (
     block_numeric_reference,
+    cross_polytope_structure_reference,
     enumerate_vertices_reference,
     linear_lhv_max_reference,
     maximize_on_simplex,
@@ -141,6 +144,80 @@ def test_structure_agrees_with_enumeration():
         structural = sum(Fraction(b.scale) for b in blocks)
         enumerated = linear_lhv_max(expr, enumerate_vertices(expr))
         assert structural == enumerated, expr.name
+
+
+def _structure_agrees(expr):
+    """The table-read detection returns the per-term reference's blocks; an
+    enumerable structured input has the structural maximum and passes the
+    normalization check."""
+    blocks = cross_polytope_structure(expr)
+    assert blocks == cross_polytope_structure_reference(expr), expr.name
+    if blocks is not None and expr.n_strategies_raw() <= lhv.ENUM_THRESHOLD:
+        vertices = enumerate_vertices(expr)
+        assert lhv._structural_max(blocks) == lhv._vertex_max(expr, vertices)
+        assert normalization_check(expr, vertices) is None, expr.name
+
+
+def _structure_cases():
+    """The catalog, star K=2..10 in every family, the star power forms, and
+    star first K=3 broken four ways: a term dropped, a repeated exponent
+    pattern, one normalization changed, and a family with no terms."""
+    exprs = []
+    for name, params in [(name, {}) for name in scenario.SCENARIOS] + [
+            ("star", {"k": 2}), ("star", {"k": 3, "r": Fraction(1, 3)})]:
+        exprs += scenario.SCENARIOS[name].build(**params).values()
+    for k in range(2, 11):
+        exprs += [build_star_first(k), build_star_second(k), build_star_combined(k)]
+    for k, r in ((2, Fraction(1, 3)), (3, Fraction(1, 5)), (5, Fraction(1, 3))):
+        exprs += [build_star_nonlinear(k, r, family)
+                  for family in ("first", "second", "combined")]
+    star = build_star_first(3)
+    last = star.terms[-1]
+    corr = last.correlator
+
+    def with_last(correlator):
+        last_term = dataclasses.replace(last, correlator=correlator)
+        return dataclasses.replace(star, terms=star.terms[:-1] + (last_term,))
+
+    exprs.append(dataclasses.replace(star, terms=star.terms[:-1]))
+    exprs.append(with_last(dataclasses.replace(
+        corr, exponents=star.terms[0].correlator.exponents)))
+    exprs.append(with_last(dataclasses.replace(corr, normalization=Fraction(1, 3))))
+    exprs.append(dataclasses.replace(
+        star, observables=star.observables + (("idle", star.observables[0][1]),)))
+    return exprs
+
+
+def test_structure_detection_matches_per_term_reference():
+    for expr in _structure_cases():
+        _structure_agrees(expr)
+
+
+@st.composite
+def _nkm_wirings(draw):
+    """A valid (N, K, m) topology with random hub recipients, hub-hub
+    sources and inter bits on some of those sources."""
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    alice = draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k))
+    extra = draw(st.integers(0, 3)) if m >= 2 else 0
+    wiring = tuple((k + i, *draw(st.lists(st.integers(0, m - 1), min_size=2,
+                                          max_size=2, unique=True)))
+                   for i in range(extra))
+    try:
+        topo = network.nkm(k + extra, k, m, wiring, alice)
+    except ValueError:  # a hub with fewer than two qubits
+        assume(False)
+    bits = draw(st.dictionaries(st.integers(k, k + extra - 1), st.integers(0, 1))
+                if extra else st.just({}))
+    return topo, bits
+
+
+@settings(max_examples=40, deadline=None)
+@given(_nkm_wirings())
+def test_structure_detection_matches_reference_on_nkm_wirings(case):
+    topo, bits = case
+    for expr in build_nkm(topo, bits).values():
+        _structure_agrees(expr)
 
 
 def test_ghz_a_combined_lhv_by_enumeration():

@@ -140,23 +140,6 @@ def test_simulate_rejects_dense_and_non_product():
         simulate_rounds(build_two_source_linear()["first"], crossed, 10, seed=1)
 
 
-def test_round_batch_access():
-    expr = build_chsh()
-    batch = simulate_rounds(expr, network_state(expr.topology), 50, seed=3)
-    assert len(batch) == 50
-    rec = batch[0]
-    assert set(rec.inputs) == {"A", "B"}
-    assert rec.inputs["A"] in ("0", "1")
-    assert rec.outcomes["A"] in (1, -1)
-    assert batch[-1].index == 49
-    sliced = batch[10:20]
-    assert len(sliced) == 10
-    assert [r.index for r in sliced][:3] == [0, 1, 2]
-    with pytest.raises(IndexError):
-        batch[50]
-    assert len(list(iter(batch))) == 50
-
-
 def test_simulation_is_deterministic():
     expr = build_two_source_linear()["combined"]
     state = network_state(expr.topology)

@@ -203,6 +203,24 @@ def test_nkm_inter_bits_are_bits():
             build_nkm(topo, inter_bits={2: bad})
 
 
+def test_nkm_inter_bits_name_hub_hub_sources():
+    # sources 0 and 1 are branch sources and there is no source 3: a bit on
+    # any of them would be ignored, so it is refused
+    topo = network.nkm(3, 2, 2, wiring=((2, 0, 1),))
+    for source in (0, 1, 3):
+        with pytest.raises(ValueError, match=f"inter bits name source {source}, "
+                                             "which is not a hub-hub source"):
+            build_nkm(topo, inter_bits={2: 1, source: 0})
+
+
+def test_registry_refuses_parameters_a_scenario_does_not_take():
+    for name, params, unused in (("star", {"k": 2, "wiring": ((2, 0, 1),)}, "wiring"),
+                                 ("chsh", {"inter_bits": {2: 1}}, "inter_bits"),
+                                 ("two-source", {"k": 3}, "k")):
+        with pytest.raises(TypeError, match=f"'{unused}'"):
+            SCENARIOS[name].build(**params)
+
+
 def test_hub_term_count_is_checked_before_building():
     # families x 2^K terms, predicted from the topology; 2^17 is the limit
     with pytest.raises(ValueError, match="star-first-k18 would have 262144 terms"):
