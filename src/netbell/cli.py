@@ -64,7 +64,8 @@ def _tolerance(value) -> float:
 
 
 # every config-file key with the check argparse gives its flag; wiring,
-# inter_bits and angles are checked where they are parsed
+# inter_bits and angles are checked where they are parsed.  Sources and hubs
+# are numbered from 1 in flags, config files and the report's config echo.
 _CONFIG_KEYS = {"scenario": _text, "family": _text, "k": _integer,
                 "n": _integer, "m": _integer, "r_num": _integer,
                 "r_den": _integer, "wiring": None, "inter_bits": None,
@@ -79,7 +80,7 @@ def _parse_wiring(text: str) -> tuple[tuple[int, int, int], ...]:
     for part in text.split(","):
         src, _, hubs = part.strip().partition(":")
         a, _, b = hubs.partition("-")
-        out.append((int(src) - 1, int(a) - 1, int(b) - 1))
+        out.append((int(src), int(a), int(b)))
     return tuple(out)
 
 
@@ -88,7 +89,7 @@ def _parse_inter_bits(text: str) -> dict[int, int]:
     out = {}
     for part in text.split(","):
         src, _, bit = part.strip().partition(":")
-        out[int(src) - 1] = int(bit)
+        out[int(src)] = int(bit)
     return out
 
 
@@ -173,6 +174,14 @@ def _build_scenario(args, parser) -> tuple[InequalityExpr, dict]:
                 parser.error(f"bad inter-bits {args.inter_bits!r}: expected a "
                              "mapping from source to bit")
         params["inter_bits"] = bits
+    resolved = {"scenario": args.scenario, "family": family}
+    for key, value in params.items():
+        resolved[key] = str(value) if isinstance(value, Fraction) else value
+    # the builders number sources and hubs from 0
+    if "wiring" in params:
+        params["wiring"] = tuple((s - 1, a - 1, b - 1) for s, a, b in params["wiring"])
+    if "inter_bits" in params:
+        params["inter_bits"] = {s - 1: bit for s, bit in params["inter_bits"].items()}
     taken = inspect.signature(info.build_family).parameters
     for key in params:
         if key not in taken:
@@ -181,9 +190,6 @@ def _build_scenario(args, parser) -> tuple[InequalityExpr, dict]:
         expr = info.build_family(family, **params)
     except (ValueError, KeyError) as exc:
         parser.error(f"cannot build scenario: {exc}")
-    resolved = {"scenario": args.scenario, "family": family}
-    for key, value in params.items():
-        resolved[key] = str(value) if isinstance(value, Fraction) else value
     return expr, resolved
 
 

@@ -9,7 +9,7 @@ then takes the exact rational value
 with the single-party bracket in {-2, 0, 2}.  Shared randomness makes the
 reachable correlator vectors the convex hull of the deterministic ones, so
 linear bounds are maxima over vertices while power forms (r < 1, concave)
-must be optimized over the hull.
+may peak inside the hull.
 
 Two routes compute the vertex geometry:
 
@@ -30,12 +30,14 @@ Two routes compute the vertex geometry:
   enumerating anything, which covers hub counts where enumeration would not
   fit in memory.
 
-Power forms have a closed-form maximum on cross-polytope structure, reached
-by the uniform mixture of each block's vertices.  Otherwise they are
-maximized over mixtures of the enumerated vertices by projected-gradient
-ascent from a uniform start and seeded Dirichlet starts, all advanced
-together as the rows of one array; that value is a lower estimate, so a
-genuine bound resting on it is reported ``UNPROVEN``, never ``PASS``.
+Power forms (0 < r < 1) are bounded in one closed form.  By the power mean,
+each family's sum of c_t * power(w_t) is at most M_f^r * n_f^(1-r), where n_f
+counts the family's terms that can add anything and M_f is the largest
+sum_t |v_t| over them at any vertex (the scale of a cross-polytope block, or
+one integer maximum over the enumerated numerators).  One explicit mixture of
+vertices gives an attained value below it.  The two ends bracket the
+shared-randomness maximum; they meet on every power form in the catalog, and
+a genuine bound is ``UNPROVEN`` only when it falls inside an open bracket.
 """
 
 from __future__ import annotations
@@ -185,14 +187,21 @@ def enumerate_vertices(expr: InequalityExpr,
     reaches its vertex.  The work is sum_j distinct_j * count_j rows instead
     of prod_j count_j; candidates are made ``_CHUNK`` rows at a time and the
     survivors of the slices deduplicated once more.
+
+    Behaviour tables are built smallest vocabulary first and the budget is
+    checked after each, so no hub table is built once smaller parties exceed it.
     """
     parties = expr.topology.party_ids()
-    behaviors = [_party_behaviors(expr, p) for p in parties]
+    vocab = expr.input_index.vocab
+    behaviors = [None] * len(parties)
+    n_reduced = 1
+    for j in sorted(range(len(parties)), key=lambda j: len(vocab[j])):
+        behaviors[j] = _party_behaviors(expr, parties[j])
+        n_reduced *= behaviors[j][1].shape[0]
+        if n_reduced > budget:
+            raise BudgetExceeded(
+                f"at least {n_reduced} reduced strategies exceed the budget {budget}")
     counts = [b[1].shape[0] for b in behaviors]
-    n_reduced = math.prod(counts)
-    if n_reduced > budget:
-        raise BudgetExceeded(
-            f"{n_reduced} reduced strategies exceed the budget {budget}")
     rows = np.ones((1, len(expr.terms)), dtype=np.int64)
     codes = np.zeros(1, dtype=np.int64)
     for (_, keys, _), count in zip(behaviors, counts):
@@ -288,8 +297,7 @@ def cross_polytope_structure(expr: InequalityExpr) -> tuple[FamilyBlock, ...] | 
 
 
 def linear_lhv_max(expr: InequalityExpr,
-                   vertices: VertexSet | None = None,
-                   budget: int = DEFAULT_BUDGET) -> Fraction:
+                   vertices: VertexSet | None = None) -> Fraction:
     """Exact shared-randomness maximum for r = 1 expressions."""
     if expr.exponent != 1:
         raise ValueError("use nonlinear_lhv_max for power forms")
@@ -297,7 +305,7 @@ def linear_lhv_max(expr: InequalityExpr,
         blocks = cross_polytope_structure(expr)
         if blocks is not None:
             return _structural_max(blocks)
-        vertices = enumerate_vertices(expr, budget)
+        vertices = enumerate_vertices(expr)
     return _vertex_max(expr, vertices)
 
 
@@ -315,109 +323,71 @@ def _vertex_max(expr: InequalityExpr, vertices: VertexSet) -> Fraction:
     return Fraction(int(values.max()), vertices.denominator)
 
 
-def _project_rows(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    u = np.sort(w, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    hit = u * np.arange(1, w.shape[1] + 1) > css - 1.0
-    rho = w.shape[1] - 1 - np.argmax(hit[:, ::-1], axis=1)  # last hit per row
-    theta = (css[np.arange(len(w)), rho] - 1.0) / (rho + 1.0)
-    return np.maximum(w - theta[:, None], 0.0)
-
-
-def _maximize_on_simplex(f_grad, dim: int, restarts: int, seed: int,
-                         iters: int = 300) -> float:
-    """Projected-gradient ascent from every start at once, one row per start.
-
-    ``f_grad`` maps a (starts, dim) batch of points to per-row values and
-    gradients.  A row whose gradient norm falls below 1e-14 stops and is
-    never stepped again; the result is the best row's final value.
-    """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    w = np.vstack([np.full(dim, 1.0 / dim),
-                   rng.dirichlet(np.ones(dim), size=restarts)])
-    live = np.arange(len(w))
-    for k in range(iters):
-        _, grad = f_grad(w[live])
-        # per-row BLAS dot: the sum np.linalg.norm takes for a single vector
-        gn = np.sqrt(np.vecdot(grad, grad))
-        moving = gn >= 1e-14
-        live, grad, gn = live[moving], grad[moving], gn[moving]
-        if live.size == 0:
-            break
-        step = 0.5 / math.sqrt(k + 1.0)
-        w[live] = _project_rows(w[live] + step * grad / gn[:, None])
-    vals, _ = f_grad(w)
-    return float(vals.max())
-
-
-def _mixture_numeric(expr: InequalityExpr, vertices: VertexSet,
-                     restarts: int, seed: int) -> float:
-    v = np.array([[float(x) for x in vec] for vec in vertices.vectors])
-    coeffs = expr.input_index.coefficient
-    r = float(expr.exponent)
-    absolute = expr.absolute
-
-    def f_grad(p):
-        w = p @ v
-        aw = np.maximum(np.abs(w), 1e-12)
-        if absolute:
-            vals = coeffs * aw ** r
-            dphi = coeffs * r * aw ** (r - 1.0) * np.sign(w)
-        else:
-            vals = coeffs * np.copysign(aw ** r, w)
-            dphi = coeffs * r * aw ** (r - 1.0)
-        return vals.sum(axis=1), dphi @ v.T
-
-    return _maximize_on_simplex(f_grad, len(vertices.vectors), restarts, seed)
+def _power_mean(total: float, n: int, r: float) -> float:
+    """total^r * n^(1-r): the largest sum of n terms |w_i|^r with sum |w_i| <= total."""
+    return total ** r * 2.0 ** (math.log2(n) * (1.0 - r))
 
 
 def nonlinear_lhv_max(expr: InequalityExpr,
-                      vertices: VertexSet | None = None,
-                      restarts: int = 100, seed: int = 7,
-                      budget: int = DEFAULT_BUDGET) -> dict:
-    """Shared-randomness maximum for power forms.
+                      vertices: VertexSet | None = None) -> dict:
+    """Shared-randomness maximum for power forms, 0 < r < 1, in closed form.
 
-    With cross-polytope structure the maximum is closed-form.  Blocks share
-    no inputs, so they are maximized one by one.  A block's hull is the L1
-    ball sum_y |w_y| <= scale (its vertices are +-scale * e_y), and with
-    c_y = +-1 each term gives c_y * sign(w_y) |w_y|^r <= |w_y|^r.  For
-    0 < r < 1 the sum of |w_y|^r over the 2^k labels is concave and
-    symmetric, so by the power mean it is at most
-    2^k * (scale / 2^k)^r = scale^r * 2^(k (1-r)), the ``analytic`` value.
-    The uniform mixture of the vertices c_y * scale * e_y puts
-    w_y = c_y * scale / 2^k and reaches it; ``numeric`` is the objective at
-    that attained witness.
+    ``analytic`` is a proved upper bound and ``numeric`` the value at one
+    explicit mixture of vertices, so the maximum lies between them.
 
-    Without the structure, mixtures of the enumerated vertices are ascended
-    directly (the uniform start and ``restarts`` Dirichlet starts drawn from
-    ``seed``, as one batch of 300 steps each); ``numeric`` is then the only
-    value and a lower estimate of the maximum.
+    Bound.  Let w be any mixture of vertices and S_f the terms of family f;
+    for an absolute form keep only the terms with c_t > 0, since the others
+    add c_t |w_t|^r <= 0.  Each kept term gives c_t * power(w_t) <= |w_t|^r
+    (c_t = +-1).  x^r is concave, so by the power mean
+    sum_{S_f} |w_t|^r <= |S_f|^(1-r) * (sum_{S_f} |w_t|)^r.  The sum
+    sum_{S_f} |w_t| is convex in w, so it is at most M_f, its maximum over
+    the vertices.  The families' bounds M_f^r * |S_f|^(1-r) add.
+
+    With cross-polytope structure (a sign-preserving form) M_f is the block's
+    ``scale`` and |S_f| = 2^k; the uniform mixture of the vertices
+    c_y * scale * e_y puts every w_y at c_y * scale / 2^k and attains it.
+
+    Otherwise the vertices are enumerated.  The witness takes, for each kept
+    term t, the first vertex maximising c_t * v_t, and mixes those vertices
+    uniformly.  On bilocal-bi (M = 1, two terms, r = 1/2) that is the
+    mixture of (1, 0) and (0, 1) and closes the bracket at sqrt(2).
     """
-    return _nonlinear_max(expr, cross_polytope_structure(expr), vertices,
-                          restarts, seed, budget)
+    return _nonlinear_max(expr, cross_polytope_structure(expr), vertices)
 
 
 def _nonlinear_max(expr: InequalityExpr, blocks: tuple[FamilyBlock, ...] | None,
-                   vertices: VertexSet | None, restarts: int, seed: int,
-                   budget: int) -> dict:
+                   vertices: VertexSet | None) -> dict:
     """``nonlinear_lhv_max`` given the expression's cross-polytope structure."""
     r = float(expr.exponent)
+    index = expr.input_index
     if blocks is not None and not expr.absolute:
-        analytic = float(ordered_sum(
-            [float(b.scale) ** r * 2.0 ** (b.n_singles * (1.0 - r))
-             for b in blocks]))
+        analytic = [_power_mean(float(b.scale), 1 << b.n_singles, r) for b in blocks]
         attained = []  # c_t * powr(c_t * share) per term, blocks in order
         for b in blocks:
-            c = expr.input_index.coefficient[list(b.term_indices)]
+            c = index.coefficient[list(b.term_indices)]
             attained.append(c * expr.power(c * float(b.scale / (1 << b.n_singles))))
-        return {"analytic": analytic,
-                "numeric": float(ordered_sum(np.concatenate(attained))),
-                "method": "cross-polytope"}
-    if vertices is None:
-        vertices = enumerate_vertices(expr, budget)
-    numeric = _mixture_numeric(expr, vertices, restarts, seed)
-    return {"analytic": None, "numeric": numeric, "method": "vertex-mixture"}
+        numeric = np.concatenate(attained)
+        method = "cross-polytope"
+    else:
+        if vertices is None:
+            vertices = enumerate_vertices(expr)
+        num, den = vertices.numerators, vertices.denominator
+        c = index.coefficient.astype(np.int64)
+        kept = c > 0 if expr.absolute else np.ones(len(c), dtype=bool)
+        analytic = []
+        for f in range(len(expr.families())):
+            cols = np.flatnonzero((index.family == f) & kept)
+            if cols.size:
+                top = int(np.abs(num[:, cols]).sum(axis=1).max())
+                analytic.append(_power_mean(top / den, cols.size, r))
+        # per kept term, the first vertex maximising c_t v_t
+        best = np.argmax(num[:, kept] * c[kept], axis=0)
+        w = num[best].sum(axis=0) / (len(best) * den)
+        numeric = c * expr.power(w)
+        method = "vertex-mixture"
+    return {"analytic": float(ordered_sum(analytic)),
+            "numeric": float(ordered_sum(numeric)),
+            "method": method}
 
 
 def normalization_check(expr: InequalityExpr,
@@ -456,15 +426,15 @@ def normalization_check(expr: InequalityExpr,
 # -- certification report ------------------------------------------------------------
 
 
-def certify(expr: InequalityExpr, budget: int = DEFAULT_BUDGET,
-            enum_threshold: int = ENUM_THRESHOLD, restarts: int = 100,
-            seed: int = 7, tolerance: float = 1e-9) -> dict:
-    """Compute the classical bound and compare against the declared one."""
+def certify(expr: InequalityExpr, tolerance: float = 1e-9) -> dict:
+    """Compare the proved classical bound ``lhv_max`` (exact at r = 1) and an
+    attained value with the declared bound; UNPROVEN lies between the two.
+    """
     blocks = cross_polytope_structure(expr)
     n_raw = expr.n_strategies_raw()
     vertices = None
-    if n_raw <= enum_threshold or blocks is None:
-        vertices = enumerate_vertices(expr, budget)
+    if n_raw <= ENUM_THRESHOLD or blocks is None:
+        vertices = enumerate_vertices(expr)
         method = "enumeration"
     else:
         method = "cross-polytope"
@@ -501,30 +471,27 @@ def certify(expr: InequalityExpr, budget: int = DEFAULT_BUDGET,
                         f"structure bound {structural} != enumerated {exact}")
         report["lhv_max"] = float(exact)
         report["lhv_max_exact"] = str(exact)
+        attained = report["lhv_max"]
     else:
-        detail = _nonlinear_max(expr, blocks, vertices, restarts, seed, budget)
-        report["nonlinear"] = {
-            "analytic": detail["analytic"],
-            "numeric": detail["numeric"],
-            "method": detail["method"],
-        }
-        value = detail["analytic"] if detail["analytic"] is not None else detail["numeric"]
-        report["lhv_max"] = value
+        detail = _nonlinear_max(expr, blocks, vertices)
+        report["nonlinear"] = detail
+        report["lhv_max"] = detail["analytic"]
+        attained = detail["numeric"]
 
-    gap = report["lhv_max"] - expr.classical_bound
+    bound = expr.classical_bound
     if expr.bound_model != "genuine":
         report["verdict"] = "INFO"
         report["note"] = (
             "declared bound assumes the bilocal model; the shared-randomness "
             "maximum shown may exceed it")
-    elif gap > tolerance:
-        report["verdict"] = "FAIL"  # lhv_max is attained, so it refutes the bound
-    elif report.get("nonlinear", {}).get("method") == "vertex-mixture":
+    elif attained - bound > tolerance:
+        report["verdict"] = "FAIL"  # an attained value refutes the bound
+    elif report["lhv_max"] - bound <= tolerance:
+        report["verdict"] = "PASS"
+        report["tight"] = abs(report["lhv_max"] - bound) <= tolerance
+    else:
         report["verdict"] = "UNPROVEN"
         report["note"] = (
-            "the vertex-mixture value is a lower estimate of the "
-            "shared-randomness maximum, so it cannot prove the bound")
-    else:
-        report["verdict"] = "PASS"
-        report["tight"] = abs(gap) <= tolerance
+            f"the declared bound lies between the attained value {attained!r} "
+            f"and the proved upper bound {report['lhv_max']!r}")
     return report

@@ -280,6 +280,8 @@ class InequalityExpr:
         labels = [t.correlator.label for t in self.terms]
         if len(set(labels)) != len(labels):
             raise ValueError("correlator labels must be unique")
+        if not 0 < self.exponent <= 1:
+            raise ValueError(f"exponent must lie in (0, 1], got {self.exponent}")
         if self.exponent != 1 and not self.absolute:
             if self.exponent.numerator % 2 == 0 or self.exponent.denominator % 2 == 0:
                 raise ValueError("sign-preserving powers need odd/odd rationals")

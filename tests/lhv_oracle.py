@@ -1,4 +1,4 @@
-"""Reference loops for ``lhv``: the vertex product table, the maxima and the ascent.
+"""Reference loops for ``lhv``: the vertex product table, the maxima and an ascent.
 
 ``enumerate_vertices_reference`` is the loop that ``lhv.enumerate_vertices``
 replaces: it builds the full product table of the per-party behaviours
@@ -14,16 +14,15 @@ equal numerators.
 per-vertex Fraction loops that ``lhv`` replaces with integer arithmetic on the
 numerators; they must return the same value and the same first counterexample.
 
-``maximize_on_simplex`` is the serial ascent that
-``lhv._maximize_on_simplex`` replaces: one start at a time (the uniform
-point, then the Philox Dirichlet draws in order), 300 steps of size
-0.5/sqrt(k+1) along the normalised gradient, a start stopping when its
-gradient norm drops below 1e-14, each iterate put back on the simplex by
-the 1-D sort-and-threshold projection.  The batched code advances every
-start at once and must agree with it within 1e-12 relative on a vertex
-mixture.  ``block_numeric_reference`` runs it on one cross-polytope block,
-a numeric second opinion on the closed form ``lhv.nonlinear_lhv_max``
-reports there: it must stay under that bound and reach it.
+``maximize_on_simplex`` is a projected-gradient ascent over the probability
+simplex: one start at a time (the uniform point, then the Philox Dirichlet
+draws in order), 300 steps of size 0.5/sqrt(k+1) along the normalised
+gradient, a start stopping when its gradient norm drops below 1e-14, each
+iterate put back on the simplex by the sort-and-threshold projection.  It is
+the numeric second opinion on the closed forms of ``lhv.nonlinear_lhv_max``:
+``block_numeric_reference`` runs it on one cross-polytope block and
+``mixture_numeric_reference`` on mixtures of enumerated vertices, and
+neither may exceed the proved bound.
 
 ``cross_polytope_structure_reference`` is the per-term detection that
 ``lhv.cross_polytope_structure`` replaces with array reads on the

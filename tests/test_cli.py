@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -54,12 +55,13 @@ def test_certify_bilocal_is_informational(capsys):
 
 
 def test_certify_unproven_exits_1(capsys, monkeypatch):
-    info = SCENARIOS["bilocal"]
-    bi = info.build()["bi"]
-    held = dataclasses.replace(bi, bound_model="genuine", classical_bound=2)
-    monkeypatch.setitem(SCENARIOS, "bilocal", dataclasses.replace(
+    # an absolute power form whose bracket [3.936, 4.107] holds the bound
+    info = SCENARIOS["two-source"]
+    held = dataclasses.replace(info.build()["combined"], exponent=Fraction(1, 3),
+                               absolute=True, classical_bound=4.0)
+    monkeypatch.setitem(SCENARIOS, "two-source", dataclasses.replace(
         info, build_family=lambda family, **_: held))
-    code, data = run_json(capsys, "certify", "--scenario", "bilocal")
+    code, data = run_json(capsys, "certify", "--scenario", "two-source")
     assert code == 1
     assert data["results"]["certification"]["verdict"] == "UNPROVEN"
 
@@ -290,20 +292,20 @@ def test_parameters_a_scenario_does_not_use_exit_2(capsys, tmp_path):
     # refused, not dropped while the report's config echoes them as applied
     for i, (argv, config, message) in enumerate((
             (["--scenario", "star", "--k", "2", "--wiring", "3:1-2"],
-             {"scenario": "star", "wiring": [[2, 0, 1]]},
+             {"scenario": "star", "wiring": [[3, 1, 2]]},
              "scenario 'star' takes no parameter 'wiring'"),
             (["--scenario", "chsh", "--inter-bits", "3:1"],
-             {"scenario": "chsh", "inter_bits": {"2": 1}},
+             {"scenario": "chsh", "inter_bits": {"3": 1}},
              "scenario 'chsh' takes no parameter 'inter_bits'"),
             (["--scenario", "ghz-b", "--k", "3"], {"scenario": "ghz-b", "k": 3},
              "scenario 'ghz-b' takes no parameter 'k'"),
             # the default nkm's sources 1 and 2 (1-based) are branch sources,
-            # and it has no source 9; config files number sources from 0
+            # and it has no source 9; the builder's message numbers from 0
             (["--scenario", "nkm", "--inter-bits", "1:1"],
-             {"scenario": "nkm", "inter_bits": {"0": 1}},
+             {"scenario": "nkm", "inter_bits": {"1": 1}},
              "inter bits name source 0, which is not a hub-hub source"),
             (["--scenario", "nkm", "--inter-bits", "9:1"],
-             {"scenario": "nkm", "inter_bits": {"8": 1}},
+             {"scenario": "nkm", "inter_bits": {"9": 1}},
              "inter bits name source 8, which is not a hub-hub source"))):
         path = tmp_path / f"unused{i}.json"
         path.write_text(json.dumps(config))
@@ -315,7 +317,21 @@ def test_parameters_a_scenario_does_not_use_exit_2(capsys, tmp_path):
             assert len(err) == 2 and err[-1].endswith(message), err
     # the hub-hub source of the default nkm takes its bit
     code, data = run_json(capsys, "certify", "--scenario", "nkm", "--inter-bits", "3:1")
-    assert code == 0 and data["config"]["inter_bits"] == {"2": 1}
+    assert code == 0 and data["config"]["inter_bits"] == {"3": 1}
+
+
+def test_config_echo_round_trips_through_config(capsys, tmp_path):
+    # flags, config files and the echo all number sources and hubs from 1
+    argv = ["certify", "--scenario", "nkm", "--n", "4", "--k", "2", "--m", "3",
+            "--wiring", "3:1-3,4:2-3", "--inter-bits", "4:1"]
+    code, first = run_json(capsys, *argv)
+    assert code == 0
+    assert first["config"]["wiring"] == [[3, 1, 3], [4, 2, 3]]
+    assert first["config"]["inter_bits"] == {"4": 1}
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(first["config"]))
+    code, second = run_json(capsys, "certify", "--config", str(path))
+    assert code == 0 and second == first
 
 
 @pytest.mark.parametrize("command", ["optimize", "simulate"])

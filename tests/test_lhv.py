@@ -3,7 +3,6 @@
 import dataclasses
 import functools
 import itertools
-import math
 import operator
 from fractions import Fraction
 
@@ -18,7 +17,6 @@ from lhv_oracle import (
     cross_polytope_structure_reference,
     enumerate_vertices_reference,
     linear_lhv_max_reference,
-    maximize_on_simplex,
     mixture_numeric_reference,
     normalization_check_reference,
 )
@@ -241,21 +239,22 @@ def test_normalization_check():
 
 def test_nonlinear_star_analytic():
     expr = build_star_nonlinear(3, Fraction(1, 3), "first")
-    detail = nonlinear_lhv_max(expr, restarts=30, seed=3)
+    detail = nonlinear_lhv_max(expr)
     assert detail["method"] == "cross-polytope"
     assert detail["analytic"] == pytest.approx(4.0, abs=1e-12)
     assert detail["numeric"] == pytest.approx(4.0, rel=1e-12)
     comb = build_star_nonlinear(3, Fraction(1, 3), "combined")
-    detail = nonlinear_lhv_max(comb, restarts=30, seed=3)
+    detail = nonlinear_lhv_max(comb)
     assert detail["analytic"] == pytest.approx(8.0, abs=1e-12)
 
 
 def test_nonlinear_baselines_via_vertex_mixture():
     bi = build_bilocal_baseline()["bi"]
-    detail = nonlinear_lhv_max(bi, restarts=60, seed=5)
+    detail = nonlinear_lhv_max(bi)
     assert detail["method"] == "vertex-mixture"
-    assert detail["analytic"] is None
-    assert detail["numeric"] == pytest.approx(math.sqrt(2.0), abs=1e-6)
+    # the bracket closes: the uniform mixture of (1, 0) and (0, 1) attains
+    # the power-mean bound 1^(1/2) * 2^(1/2)
+    assert detail["analytic"] == detail["numeric"] == 2.0 ** 0.5
     bil = build_bilocal_baseline()["bil"]
     assert linear_lhv_max(bil, enumerate_vertices(bil)) == 1
 
@@ -366,13 +365,24 @@ def test_float_sums_add_left_to_right(monkeypatch):
     r = float(expr.exponent)
     parts = [float(v) ** r * 2.0 ** (1.0 - r) for v in scales]
     assert left(parts, 0.0) != compensated_sum(parts)
-    detail = lhv._nonlinear_max(expr, blocks, None, 1, 7, lhv.DEFAULT_BUDGET)
+    detail = lhv._nonlinear_max(expr, blocks, None)
     assert detail["analytic"] == left(parts, 0.0)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    # the singles (4 inputs each) exceed the budget before the K=3 hub's
+    # 2^16-row table is built
+    built = []
+    behaviors = lhv._party_behaviors
+
+    def spy(expr, party):
+        built.append(party)
+        return behaviors(expr, party)
+
+    monkeypatch.setattr(lhv, "_party_behaviors", spy)
     with pytest.raises(BudgetExceeded):
         enumerate_vertices(build_star_combined(3), budget=10)
+    assert built and "B" not in built
 
 
 def test_certify_reports():
@@ -388,7 +398,7 @@ def test_certify_reports():
     assert rep["normalization"] == "structural"
     assert rep["verdict"] == "PASS"
 
-    rep = certify(build_bilocal_baseline()["bi"], restarts=40)
+    rep = certify(build_bilocal_baseline()["bi"])
     assert rep["verdict"] == "INFO" and "note" in rep
 
     loose = dataclasses.replace(build_chsh(), classical_bound=1.5)
@@ -396,23 +406,58 @@ def test_certify_reports():
 
 
 def test_certify_nonlinear_report():
-    rep = certify(build_star_nonlinear(3, Fraction(1, 3)), restarts=20)
+    rep = certify(build_star_nonlinear(3, Fraction(1, 3)))
     assert rep["nonlinear"]["method"] == "cross-polytope"
     assert rep["lhv_max"] == pytest.approx(4.0)
     assert rep["verdict"] == "PASS"
 
 
 def test_vertex_mixture_never_passes_a_genuine_bound():
+    # a genuine bound passes on the proved upper end of the bracket, fails
+    # on its attained lower end, and is UNPROVEN strictly inside it
     bi = build_bilocal_baseline()["bi"]
     held = dataclasses.replace(bi, bound_model="genuine", classical_bound=2)
     rep = certify(held)
     assert rep["nonlinear"]["method"] == "vertex-mixture"
-    assert rep["lhv_max"] <= 2
-    assert rep["verdict"] == "UNPROVEN" and "tight" not in rep
-    assert "lower estimate" in rep["note"]
-    # a lower estimate above the bound is an achieved mixture: still FAIL
+    assert rep["lhv_max"] == rep["nonlinear"]["analytic"] == 2.0 ** 0.5
+    assert rep["verdict"] == "PASS" and not rep["tight"]
     broken = dataclasses.replace(bi, bound_model="genuine", classical_bound=1)
     assert certify(broken)["verdict"] == "FAIL"
+    # two-source combined as an absolute form at r = 1/3: bracket [3.936, 4.107]
+    open_form = dataclasses.replace(
+        build_two_source_linear()["combined"], exponent=Fraction(1, 3),
+        absolute=True, classical_bound=4.0)
+    rep = certify(open_form)
+    lower, upper = rep["nonlinear"]["numeric"], rep["nonlinear"]["analytic"]
+    assert lower < 4.0 < upper == rep["lhv_max"]
+    assert rep["verdict"] == "UNPROVEN" and "tight" not in rep
+    assert (f"between the attained value {lower!r} and the proved upper bound "
+            f"{upper!r}") in rep["note"]
+
+
+def _power_form_bases():
+    return (build_bilocal_baseline()["bi"], build_ghz_b(),
+            build_two_source_linear()["combined"],
+            *(build_ghz_a(v) for v in ("first", "second", "combined")))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_power_form_bases()),
+       st.sampled_from([Fraction(1, 3), Fraction(1, 5), Fraction(3, 5),
+                        Fraction(1, 7)]),
+       st.booleans())
+def test_power_form_bracket(base, r, absolute):
+    # the witness is attained and the bound proved, so neither it nor a
+    # numeric ascent over the vertex mixtures may exceed the bound
+    expr = dataclasses.replace(base, exponent=r, absolute=absolute)
+    detail = nonlinear_lhv_max(expr)
+    upper = detail["analytic"] * (1 + 1e-12)
+    assert detail["numeric"] <= upper
+    ascent = mixture_numeric_reference(expr, enumerate_vertices(expr), 3, 7)
+    assert ascent <= upper
+    # the bracket closes everywhere but on the absolute two-source form
+    if base.name != "two-source-combined" or not absolute:
+        assert detail["numeric"] == pytest.approx(detail["analytic"], rel=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -433,35 +478,3 @@ def test_block_ascent_stays_under_closed_form(k, r):
         detail = nonlinear_lhv_max(build_star_nonlinear(k, r, family))
         assert detail["method"] == "cross-polytope"
         assert detail["numeric"] == pytest.approx(detail["analytic"], rel=1e-12)
-
-
-@pytest.mark.parametrize("restarts,seed", [(100, 7), (60, 5), (40, 7)])
-def test_batched_mixture_ascent_matches_serial_loop(restarts, seed):
-    bi = build_bilocal_baseline()["bi"]
-    vertices = enumerate_vertices(bi)
-    got = lhv._mixture_numeric(bi, vertices, restarts, seed)
-    want = mixture_numeric_reference(bi, vertices, restarts, seed)
-    assert abs(got - want) <= 1e-12 * abs(want)
-
-
-def test_row_with_vanishing_gradient_is_frozen():
-    # value w_0; the gradient e_0 vanishes on rows with w_0 < 1/4, which
-    # includes Dirichlet starts but not the uniform start
-    calls = []
-
-    def f_grad(w):
-        calls.append(w.copy())
-        grad = np.zeros_like(w)
-        grad[:, 0] = w[:, 0] >= 0.25
-        return w[:, 0].copy(), grad
-
-    best = lhv._maximize_on_simplex(f_grad, 4, 20, 5)
-    first, last = calls[0], calls[-1]
-    frozen = first[:, 0] < 0.25
-    assert 0 < frozen.sum() < len(first)
-    assert len(calls[1]) == len(first) - frozen.sum()  # never evaluated again
-    assert np.array_equal(last[frozen], first[frozen])  # never stepped
-    assert np.all(last[~frozen, 0] == 1.0)
-    assert best == 1.0
-    assert best == maximize_on_simplex(
-        lambda w: tuple(x[0] for x in f_grad(w[None])), 4, 20, 5)

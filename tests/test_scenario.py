@@ -1,5 +1,6 @@
 """Inequality construction: segmented operators, labels, validation."""
 
+import dataclasses
 import functools
 import math
 import operator
@@ -269,6 +270,10 @@ def test_expr_validation():
     with pytest.raises(ValueError, match="odd"):
         InequalityExpr("x", "x", topo, ((UNPRIMED, obs),), ok,
                        exponent=Fraction(1, 2))
+    # the classical power-mean bound needs 0 < r <= 1
+    for bad in (Fraction(3), Fraction(0), Fraction(-1, 3)):
+        with pytest.raises(ValueError, match=r"exponent must lie in \(0, 1\]"):
+            dataclasses.replace(build_chsh(), exponent=bad)
     with pytest.raises(ValueError):
         Term(2, corr("0", "0"), UNPRIMED)
     with pytest.raises(ValueError):
