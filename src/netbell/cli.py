@@ -27,7 +27,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import __version__, lhv, quantum, sampler, states
+from . import __version__, lhv, network, quantum, sampler, states
 from .scenario import SCENARIOS, InequalityExpr
 
 
@@ -54,6 +54,11 @@ def _seed(value) -> int:
     return seed
 
 
+def _power(value) -> Fraction:
+    """A power as the report's config echo writes it: "p/q", or an integer."""
+    return Fraction(value if isinstance(value, str) else _integer(value))
+
+
 def _tolerance(value) -> float:
     """A finite, non-negative float; NaN, inf and negatives are usage errors."""
     tolerance = float(value)
@@ -65,10 +70,11 @@ def _tolerance(value) -> float:
 
 # every config-file key with the check argparse gives its flag; wiring,
 # inter_bits and angles are checked where they are parsed.  Sources and hubs
-# are numbered from 1 in flags, config files and the report's config echo.
+# are numbered from 1 in flags, config files, messages and the report's config
+# echo, and the echo's power "r" reads back as r_num/r_den.
 _CONFIG_KEYS = {"scenario": _text, "family": _text, "k": _integer,
                 "n": _integer, "m": _integer, "r_num": _integer,
-                "r_den": _integer, "wiring": None, "inter_bits": None,
+                "r_den": _integer, "r": _power, "wiring": None, "inter_bits": None,
                 "state": _text, "angles": None, "rounds": _integer,
                 "seed": _seed, "tolerance": _tolerance, "starts": _integer,
                 "format": _text}
@@ -122,7 +128,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             if convert is not None and value is not None:
                 try:
                     value = convert(value)
-                except (TypeError, ValueError, OverflowError,
+                except (TypeError, ValueError, OverflowError, ZeroDivisionError,
                         argparse.ArgumentTypeError) as exc:
                     parser.error(f"bad config value {key}={value!r}: {exc}")
             setattr(args, dest, value)
@@ -145,6 +151,10 @@ def _build_scenario(args, parser) -> tuple[InequalityExpr, dict]:
             params[key] = getattr(args, key)
     if args.r_num is not None or args.r_den is not None:
         params["r"] = Fraction(args.r_num or 1, args.r_den or 1)
+    if getattr(args, "r", None) is not None:
+        if "r" in params:
+            parser.error("give the power as r or as r_num/r_den, not both")
+        params["r"] = args.r
     if args.wiring is not None:
         wiring = args.wiring
         if isinstance(wiring, str):
@@ -188,6 +198,9 @@ def _build_scenario(args, parser) -> tuple[InequalityExpr, dict]:
             parser.error(f"scenario {args.scenario!r} takes no parameter {key!r}")
     try:
         expr = info.build_family(family, **params)
+    except network.SourceError as exc:
+        parser.error("cannot build scenario: "
+                     + exc.template.format(exc.source + 1))
     except (ValueError, KeyError) as exc:
         parser.error(f"cannot build scenario: {exc}")
     return expr, resolved

@@ -20,6 +20,15 @@ GHZ3 = "ghz3"
 _SOURCE_SIZES = {BELL: 2, GHZ3: 3}
 
 
+class SourceError(ValueError):
+    """A builder error naming one source, numbered from 0 as the builders'
+    arguments are; ``template.format(source + 1)`` numbers it from 1."""
+
+    def __init__(self, template: str, source: int):
+        super().__init__(template.format(source))
+        self.template, self.source = template, source
+
+
 @dataclass(frozen=True)
 class SourceSpec:
     """One source: kind, emitted qubit ids, and the receiving party per qubit."""
@@ -160,7 +169,7 @@ def nkm(n_sources: int, n_branches: int, n_hubs: int,
         raise ValueError("alice_recipients must list a hub per branch source")
     wired = {w[0] for w in wiring}
     if wired != set(range(n_branches, n_sources)) or len(wiring) != len(wired):
-        raise ValueError("wiring must cover exactly the sources K..N-1")
+        raise ValueError("wiring must list each hub-hub source once")
     hub_qubits: dict[int, list[int]] = {j: [] for j in range(n_hubs)}
     sources = []
     for i in range(n_branches):
@@ -174,9 +183,9 @@ def nkm(n_sources: int, n_branches: int, n_hubs: int,
     for i in range(n_branches, n_sources):
         _, ja, jb = by_source[i]
         if ja == jb:
-            raise ValueError(f"source {i} must connect two distinct hubs")
+            raise SourceError("source {} must connect two distinct hubs", i)
         if not (0 <= ja < n_hubs and 0 <= jb < n_hubs):
-            raise ValueError(f"hub index out of range in wiring for source {i}")
+            raise SourceError("hub index out of range in wiring for source {}", i)
         sources.append(SourceSpec(i, BELL, (2 * i, 2 * i + 1),
                                   (f"B{ja + 1}", f"B{jb + 1}")))
         hub_qubits[ja].append(2 * i)

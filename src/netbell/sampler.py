@@ -14,11 +14,21 @@ that share a source's (mixture component, qubit settings) form a group.  A
 source's settings depend only on the component, the term and the x bits of
 the a single parties among its recipients, so one group table per source,
 n_components * n_terms * 2^a entries built once per call, maps that key to
-its group.  Each round then costs one intp gather for its group and reads its
-outcome off the group's row of one CDF table; a row's distribution is worked
-out only when a drawn round reaches it, and the reached rows of one source
-and component share one ``states.word_expectations`` call for all their
-Pauli words.  Nothing sorts the rounds.
+its group.  A group's distribution is worked out only when a drawn round
+reaches it, and the reached groups of one source and component share one
+``states.word_expectations`` call for all their Pauli words.  Nothing sorts
+the rounds.  A round's outcome is the number of its group's CDF entries, all
+but the last (the total T > 0), that are <= fl(u * T), u its uniform.  Each
+reached group has a table of 2^b buckets: ``Generator.random`` gives
+u = m 2^-53, so bucket j = floor(u 2^b) holds u from j 2^-b to
+(j + 1) 2^-b - 2^-53.  Rounding is monotone, so fl(u * T), and the outcome
+with it, never falls as u rises: where the outcomes at a bucket's two ends
+agree, every u in the bucket gives that outcome, and its cell holds it.  A
+round then reads the search's outcome, bit for bit, with one intp gather of
+cell group << b | j.  The outcome rises at most 2^k - 1 times, so at most
+that many buckets of a group have ends that differ; their rounds search.
+b grows with the rounds per reached group, up to 2^10 buckets and never
+more cells than rounds; b = 0 is the search alone.
 
 Estimation inverts the correlator definition: cells are the distinct input
 profiles, and
@@ -52,8 +62,7 @@ import numpy as np
 from . import pauli, states
 from .network import NetworkTopology, SourceSpec
 from .scenario import (AngleMap, InequalityExpr, SingleQubitObservable,
-                       fold_rows, ordered_sum, resolve_angles, small_int,
-                       unique_rows)
+                       fold_rows, ordered_sum, resolve_angles, unique_rows)
 from .states import StabilizerGroup, StabilizerMixture, State
 
 
@@ -202,6 +211,19 @@ def _group_table(spec_of: dict[int, np.ndarray], n_comp: int, src: SourceSpec,
     return [tuple(k) for k in keys.tolist()], group_of
 
 
+def _bucket_table(cdf: np.ndarray, b: int) -> np.ndarray:
+    """Per CDF row and bucket of 2^b, row-major, the count of the row's
+    entries but the last that are <= u * total at both ends of the bucket
+    when they agree, else -1 (int16)."""
+    ends = np.arange(1 << b) * 2.0 ** -b
+    ends = np.stack([ends, ends + (2.0 ** -b - 2.0 ** -53)])  # both exact
+    target = ends * cdf[:, -1, None, None]  # (row, end, bucket)
+    count = np.zeros(target.shape, dtype=np.int16)
+    for column in cdf.T[:-1]:
+        count += column[:, None, None] <= target
+    return np.where(count[:, 0] == count[:, 1], count[:, 0], -1).ravel()
+
+
 def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
                     seed: int, angles: AngleMap | None = None) -> RoundBatch:
     """Simulate rounds; identical arguments give identical batches."""
@@ -216,12 +238,9 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
     families = expr.families()
     n_fam = len(families)
 
-    # term_of[f, l]: the l-th term of family f
+    # fam_rows[f][l]: the l-th term of family f
     fam_rows = [np.flatnonzero(index.family == f) for f in range(n_fam)]
-    fam_counts = np.array([len(rows) for rows in fam_rows])
-    term_of = np.zeros((n_fam, int(fam_counts.max())), dtype=np.intp)
-    for f, rows in enumerate(fam_rows):
-        term_of[f, :len(rows)] = rows
+    fam_counts = [len(rows) for rows in fam_rows]
 
     # spec_of[q][t, x]: the setting id of qubit q in term t for its party's
     # bit x.  Ids number the distinct letter/coefficient sums: a lone letter's
@@ -245,73 +264,77 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
         spec_of.update(zip(qubits, tables))
     specs = list(spec_ids)
 
+    # take reads intp indices fastest, so no narrower index reaches it
     rng = np.random.Generator(np.random.Philox(key=seed))
     fam = rng.integers(0, n_fam, size=n_rounds)
-    label = np.floor(rng.random(n_rounds) * fam_counts[fam]).astype(np.int64)
-    term = term_of[fam, label]
-    del fam, label
-    singles = index.single.any(axis=0)
-    xbits = {p: rng.integers(0, 2, size=n_rounds).astype(np.int8)
-             for p, single in zip(parties, singles) if single}
+    term = rng.random(n_rounds)
+    term *= (fam_counts[0] if len(set(fam_counts)) == 1
+             else np.array(fam_counts, dtype=float).take(fam))
+    term = term.astype(np.intp)  # the label: floor, as it is >= 0
+    if n_fam > 1:  # else the labels are the terms: family start + label
+        term += np.cumsum([0] + fam_counts[:-1]).take(fam)
+        np.take(np.concatenate(fam_rows), term, out=term, mode="clip")
+    del fam
     # input positions: flat (term, x) gathers, 2 * term + x for a single
-    input_idx = {}
-    slot = term << 1
-    buf = np.empty_like(slot)
+    key = np.left_shift(term, 1)  # the one intp buffer of every key
+    singles = index.single.any(axis=0)
+    input_idx, xbits = {}, {}
     for j, p in enumerate(parties):
-        flat = index.inputs[:, j, :].ravel()
-        input_idx[p] = flat.take(np.add(slot, xbits[p], out=buf)
-                                 if p in xbits else slot)
-    del slot, buf
+        slot = key
+        if singles[j]:
+            slot = rng.integers(0, 2, size=n_rounds)
+            xbits[p] = slot.astype(np.int8)
+            slot += key
+        input_idx[p] = index.inputs[:, j, :].ravel().take(slot)
+    del slot
+    u = np.empty(n_rounds)  # the one float buffer of every later draw
     if len(components) > 1:  # fold the component in: comp * n_terms + term
         comp = np.searchsorted(np.cumsum([w for w, _ in components]),
-                               rng.random(n_rounds), side="right")
+                               rng.random(n_rounds, out=u), side="right")
         np.minimum(comp, len(components) - 1, out=comp)
         comp *= len(expr.terms)
         comp += term
         term = comp
         del comp
 
-    # per source: one intp key per round, (comp, term, owners' x bits), read
-    # through the source's group table, then each round's outcome off its
-    # group's row of one CDF table
-    qubit_sign = {}
+    # per source: one key per round, (comp, term, owners' x bits), read
+    # through the source's group table as its reached group's first table
+    # cell, plus the bucket of its uniform; the cell holds the outcome
+    bucket = np.empty(n_rounds, dtype=np.int16)
+    parity = {p: np.zeros(n_rounds, dtype=np.int8) for p in parties}
     for src in topo.sources:
         qs = list(src.qubits)
         owners = list(dict.fromkeys(p for p in src.recipients if p in xbits))
         keys, group_of = _group_table(spec_of, len(components), src, owners)
-        key = term << len(owners)
+        np.left_shift(term, len(owners), out=key)
         for i, p in enumerate(owners):
             key += xbits[p] << i
+        seen = np.zeros(len(group_of), dtype=bool)
+        seen[key] = True
+        # the reached groups; keys sort by component first
+        rows = np.unique(group_of[seen]).tolist()
+        cdf = np.concatenate([
+            np.cumsum(_source_distributions(components[c][1], qs, [
+                [specs[i] for i in keys[row][1:]] for row in group]), axis=1)
+            for c, group in itertools.groupby(rows, lambda row: keys[row][0])])
+        # 2^b buckets per reached group: at most 2^10, at most one cell a round
+        b = min(10, (n_rounds // len(rows)).bit_length() - 1)
+        first = np.zeros(len(keys), dtype=np.intp)
+        first[rows] = np.arange(len(rows)) << b
         # in place; "clip" skips the bounds-checked copy (keys are in range)
-        group = np.take(group_of, key, out=key, mode="clip")
-        reached = np.zeros(len(keys), dtype=bool)
-        reached[group] = True
-        cdf = np.zeros((len(keys), 1 << len(qs)))
-        rows_of: dict[int, list[int]] = {}  # component -> reached rows
-        for row in np.flatnonzero(reached).tolist():
-            rows_of.setdefault(keys[row][0], []).append(row)
-        for c, rows in rows_of.items():
-            cdf[rows] = np.cumsum(_source_distributions(
-                components[c][1], qs,
-                [[specs[i] for i in keys[row][1:]] for row in rows]), axis=1)
-        target = rng.random(n_rounds)
-        target *= cdf[:, -1][group]
-        outcome = np.zeros(n_rounds, dtype=small_int(1 << len(qs)))
-        # the last column counts only where u * total rounds up to total,
-        # and then every earlier column has counted already
-        for column in cdf.T[:-1]:
-            outcome += column[group] <= target
-        for pos, q in enumerate(qs):
-            qubit_sign[q] = (1 - 2 * ((outcome >> pos) & 1)).astype(np.int8)
-    del term, xbits
+        np.take(first.take(group_of), key, out=key, mode="clip")
+        rng.random(n_rounds, out=u)
+        key |= np.multiply(u, 1 << b, out=bucket, casting="unsafe")
+        outcome = np.take(_bucket_table(cdf, b), key, out=bucket, mode="clip")
+        split = np.flatnonzero(outcome < 0)  # the search, as at b = 0
+        row = key[split] >> b
+        outcome[split] = (cdf[row, :-1] <= (u[split] * cdf[row, -1])[:, None]
+                          ).sum(axis=1)
+        for pos, p in enumerate(src.recipients):
+            parity[p] ^= outcome >> pos
+    del term, key, u, bucket, xbits
 
-    outcomes = {}
-    for p in parties:
-        sign = np.ones(n_rounds, dtype=np.int8)
-        for q in topo.party(p).qubits:
-            if q in qubit_sign:
-                sign *= qubit_sign[q]
-        outcomes[p] = sign
+    outcomes = {p: 1 - 2 * (bits & 1) for p, bits in parity.items()}
     return RoundBatch(parties, dict(zip(parties, index.vocab)), input_idx,
                       outcomes, seed)
 

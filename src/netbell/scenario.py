@@ -194,29 +194,41 @@ def fold_rows(columns: Sequence[np.ndarray], sizes: Sequence[int]
     """Code the rows of narrow integer columns (column i below ``sizes[i]``).
 
     The columns fold mixed-radix, largest size first, and whenever the code
-    range would pass 2^16 the codes are renumbered to those present through
-    a lookup table, so nothing is sorted.  Returns each row's code (intp;
-    equal rows, equal codes), the codes present in increasing order, and per
-    column the value at each present code.
+    range would pass max(2^16, rows) the codes are renumbered to those
+    present through a presence table, so nothing is sorted.  Returns each
+    row's code (intp; equal rows, equal codes), the codes present in
+    increasing order, and per column the value (in its dtype) at each
+    present code, decoded back through the folds and renumberings.
     """
+    limit = max(1 << 16, len(columns[0]))
     code = np.zeros(len(columns[0]), dtype=np.int8)
-    bound = 1
+    bound, steps = 1, []  # steps: a folded column, or a renumbering's kept codes
     for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
-        if bound * sizes[i] > 1 << 16:  # the largest lookup table
+        if bound * sizes[i] > limit:
             index = code.astype(np.intp)  # numpy indexes fastest by intp
             seen = np.zeros(bound, dtype=bool)
             seen[index] = True
             code = (np.cumsum(seen) - 1)[index]
-            bound = int(np.count_nonzero(seen))
+            steps.append(np.flatnonzero(seen))
+            bound = len(steps[-1])
         bound *= sizes[i]
         code = code.astype(small_int(bound), copy=False)  # ours: fold in place
         code *= sizes[i]
         code += columns[i]
+        steps.append(i)
     code = code.astype(np.intp)
-    holder = np.full(bound, -1, dtype=np.intp)
-    holder[code] = np.arange(len(code))
-    present = np.flatnonzero(holder >= 0)
-    return code, present, [c[holder[present]] for c in columns]
+    seen = np.zeros(bound, dtype=bool)
+    seen[code] = True
+    present = at = np.flatnonzero(seen)
+    values = [None] * len(columns)
+    for step in reversed(steps):
+        if isinstance(step, int):  # // then -: numpy's % is slower
+            below = at // sizes[step]
+            values[step] = (at - below * sizes[step]).astype(columns[step].dtype)
+            at = below
+        else:
+            at = step[at]
+    return code, present, values
 
 
 @dataclass(frozen=True, eq=False)
@@ -599,8 +611,8 @@ def _hub_family(topology: NetworkTopology, family: str, plane: str,
         raise ValueError(f"inter bits must be 0 or 1, got {fixed}")
     stray = sorted(set(fixed) - {s.id for s in topology.sources if s not in branches})
     if stray:
-        raise ValueError(f"inter bits name source {stray[0]}, which is not a "
-                         "hub-hub source")
+        raise network.SourceError(
+            "inter bits name source {}, which is not a hub-hub source", stray[0])
     # hub qubit -> position in label + "01" (the fixed bits sit at k, k + 1)
     position = {q: k + fixed.get(s.id, 0) for s in topology.sources for q in s.qubits}
     names = []

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, including golden report files."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import pathlib
@@ -300,13 +301,13 @@ def test_parameters_a_scenario_does_not_use_exit_2(capsys, tmp_path):
             (["--scenario", "ghz-b", "--k", "3"], {"scenario": "ghz-b", "k": 3},
              "scenario 'ghz-b' takes no parameter 'k'"),
             # the default nkm's sources 1 and 2 (1-based) are branch sources,
-            # and it has no source 9; the builder's message numbers from 0
+            # and it has no source 9; the message numbers from 1 too
             (["--scenario", "nkm", "--inter-bits", "1:1"],
              {"scenario": "nkm", "inter_bits": {"1": 1}},
-             "inter bits name source 0, which is not a hub-hub source"),
+             "inter bits name source 1, which is not a hub-hub source"),
             (["--scenario", "nkm", "--inter-bits", "9:1"],
              {"scenario": "nkm", "inter_bits": {"9": 1}},
-             "inter bits name source 8, which is not a hub-hub source"))):
+             "inter bits name source 9, which is not a hub-hub source"))):
         path = tmp_path / f"unused{i}.json"
         path.write_text(json.dumps(config))
         for args in (["certify", *argv], ["certify", "--config", str(path)]):
@@ -332,6 +333,42 @@ def test_config_echo_round_trips_through_config(capsys, tmp_path):
     path.write_text(json.dumps(first["config"]))
     code, second = run_json(capsys, "certify", "--config", str(path))
     assert code == 0 and second == first
+
+
+def test_power_echo_round_trips_through_config(capsys, tmp_path):
+    # the echo writes the power as "r": "1/3"; fed back, stdout is the same
+    code, first = run(capsys, "certify", "--scenario", "star", "--k", "3",
+                      "--r-num", "1", "--r-den", "3")
+    assert code == 0 and json.loads(first)["config"]["r"] == "1/3"
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(json.loads(first)["config"]))
+    assert run(capsys, "certify", "--config", str(path)) == (0, first)
+    # an integer power reads as r_num
+    path.write_text(json.dumps({"scenario": "star", "k": 3, "r": 1}))
+    code, data = run_json(capsys, "certify", "--config", str(path))
+    assert code == 0 and data["config"]["r"] == "1"
+    # both forms, or a malformed power, are usage errors
+    for i, (config, argv) in enumerate((
+            ({"scenario": "star", "k": 3, "r": "1/3", "r_num": 1}, []),
+            ({"scenario": "star", "k": 3, "r": "1/3"}, ["--r-den", "3"]),
+            ({"scenario": "star", "k": 3, "r": "1/0"}, []),
+            ({"scenario": "star", "k": 3, "r": "one"}, []),
+            ({"scenario": "star", "k": 3, "r": 0.5}, []))):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--config", str(path), *argv])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+
+def test_wiring_messages_number_sources_from_1(capsys):
+    for wiring, message in (("3:0-2", "hub index out of range in wiring for source 3"),
+                            ("3:2-2", "source 3 must connect two distinct hubs")):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--scenario", "nkm", "--wiring", wiring])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.strip().endswith(message)
 
 
 @pytest.mark.parametrize("command", ["optimize", "simulate"])
@@ -433,3 +470,27 @@ def test_golden_reports(tmp_path, name, argv):
     out = tmp_path / name
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_make_goldens_check_writes_nothing_and_names_each_difference(
+        tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "make_goldens", GOLDEN.parent.parent / "scripts" / "make_goldens.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.check() == 0
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    for name in script.CASES:
+        (golden / name).write_bytes((GOLDEN / name).read_bytes())
+    (golden / "certify_chsh.json").write_text("{}\n")
+    (golden / "simulate_star2.json").unlink()
+    monkeypatch.setattr(script, "GOLDEN", golden)
+    capsys.readouterr()
+    assert script.check() == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"differs: {golden / 'certify_chsh.json'}",
+                   f"differs: {golden / 'simulate_star2.json'}"]
+    assert (golden / "certify_chsh.json").read_text() == "{}\n"
+    assert sorted(p.name for p in golden.iterdir()) == [
+        "certify_chsh.json", "certify_ghz_b.json"]

@@ -1,5 +1,6 @@
 """Round simulation and statistical reconstruction."""
 
+import dataclasses
 import functools
 import io
 import itertools
@@ -10,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netbell import sampler
 from netbell.network import SourceSpec
@@ -455,3 +458,90 @@ def test_estimate_memory_at_star_combined_k11():
     # at most one cell per round is reached, so no term has all its cells
     assert rep.empty_cells >= 4096 * 2 ** 11 - 100_000
     assert all(t.min_cell_rounds == 0 and math.isinf(t.se) for t in rep.terms)
+
+
+@st.composite
+def _cdf_rows(draw):
+    """CDF rows of 1- to 3-qubit sources as the sampler builds them, with
+    zero-probability outcomes, deterministic rows and totals one ulp off 1."""
+    k = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        weights = np.array(draw(st.lists(st.integers(0, 3), min_size=1 << k,
+                                         max_size=1 << k)), dtype=float)
+        if draw(st.booleans()):  # deterministic
+            weights[:] = 0.0
+            weights[draw(st.integers(0, (1 << k) - 1))] = 1.0
+        if not weights.any():
+            weights[-1] = 1.0
+        row = np.cumsum(weights / weights.sum())
+        row[-1] = draw(st.sampled_from([1.0, np.nextafter(1.0, 0.0),
+                                        np.nextafter(1.0, 2.0), row[-1]]))
+        rows.append(np.minimum(row, row[-1]))
+    return np.array(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cdf_rows(), st.integers(0, 10),
+       st.lists(st.integers(0, (1 << 53) - 1), max_size=20))
+def test_bucket_table_outcome_is_the_direct_count(cdf, b, draws):
+    # u = m 2^-53 as Generator.random gives it; the sampler reads cell
+    # (row, floor(u 2^b)) and, where it holds -1, counts the CDF directly
+    table = sampler._bucket_table(cdf, b).reshape(len(cdf), 1 << b)
+    assert table.dtype == np.int16
+    edges = [j << (53 - b) for j in range(1 << b)]
+    edges += [((j + 1) << (53 - b)) - 1 for j in range(1 << b)]
+    for row, cells in zip(cdf, table):
+        split = 0
+        for m in edges + draws + [0, (1 << 53) - 1]:
+            u = m * 2.0 ** -53
+            direct = int(np.count_nonzero(row[:-1] <= u * row[-1]))
+            cell = int(cells[m >> (53 - b)])
+            assert cell in (direct, -1)
+        for j, cell in enumerate(cells.tolist()):
+            lo, hi = (int(np.count_nonzero(row[:-1] <= u * row[-1]))
+                      for u in (edges[j] * 2.0 ** -53,
+                                edges[j + (1 << b)] * 2.0 ** -53))
+            assert cell == (lo if lo == hi else -1)
+            split += cell < 0
+        # outcomes rise with u, so at most one split bucket per step
+        assert split <= len(row) - 1
+
+
+@pytest.mark.parametrize("name,family,spec,k", [
+    ("ghz-b", "first", "mixed", None),
+    ("two-source", "combined", "rho1(0.4)", None),
+    ("star", "combined", "natural", 3),
+])
+def test_full_bucket_tables_match_reference_loops(name, family, spec, k,
+                                                  monkeypatch):
+    # at 1e5 rounds every source's table has 2^10 buckets per reached group
+    monkeypatch.setattr(sampler_oracle, "sum", compensated_sum, raising=False)
+    real, bits = sampler._bucket_table, []
+
+    def recorded(cdf, b):
+        bits.append(b)
+        return real(cdf, b)
+
+    monkeypatch.setattr(sampler, "_bucket_table", recorded)
+    expr = SCENARIOS[name].build(**({"k": k} if k else {}))[family]
+    state = parse_state_spec(spec, expr.topology)
+    batch = simulate_rounds(expr, state, 100_000, seed=5)
+    assert bits and set(bits) == {10}
+    _assert_same_batch(batch, simulate_rounds_reference(expr, state, 100_000, 5))
+    assert estimate(expr, batch).as_dict() == estimate_reference(expr, batch).as_dict()
+
+
+def test_unequal_interleaved_families_match_reference_loops():
+    # four unprimed and three primed terms, interleaved: the label draw then
+    # scales by each round's own family size and the families are no ranges
+    expr = build_star_combined(2)
+    primed = [t for t in expr.terms if t.family == expr.families()[1]]
+    plain = [t for t in expr.terms if t.family == expr.families()[0]][:3]
+    expr = dataclasses.replace(expr, terms=(
+        primed[0], plain[0], primed[1], primed[2], plain[1], primed[3], plain[2]))
+    assert expr.input_index.family.tolist() == [1, 0, 1, 1, 0, 1, 0]
+    state = network_state(expr.topology)
+    for rounds, seed in ((7, 1), (3000, 2)):
+        batch = simulate_rounds(expr, state, rounds, seed)
+        _assert_same_batch(batch, simulate_rounds_reference(expr, state, rounds, seed))

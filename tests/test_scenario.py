@@ -28,6 +28,7 @@ from netbell.scenario import (
     build_star_first,
     build_star_nonlinear,
     build_two_source_linear,
+    fold_rows,
     ordered_sum,
     resolve_angles,
     segmented_operator,
@@ -410,3 +411,45 @@ def test_ordered_sum_adds_left_to_right():
     assert ordered_sum([0.6, 0.3, 0.1]) != compensated_sum([0.6, 0.3, 0.1])
     rows = np.array([[0.6, 0.3, 0.1], [1e16, 1.0, -1e16]])
     assert ordered_sum(rows).tolist() == [left(r, 0.0) for r in rows.tolist()]
+
+
+@pytest.mark.parametrize("sizes,rows,dtype,renumberings", [
+    ([3, 2, 5], 200, np.int8, 0),
+    ([2, 1, 4, 4, 2], 1000, np.int16, 0),
+    # 256^2 reaches the 2^16 lookup bound, so the third column renumbers first
+    ([256, 256, 256], 300, np.int16, 1),
+    # and then the 100 present codes times 256 times 7 pass it again
+    ([256, 7, 256, 256], 300, np.intp, 2),
+    # 70,000 rows lift the bound to 70,000: 256 * 260 folds without one
+    ([256, 260], 70_000, np.int16, 0),
+    ([5], 0, np.int8, 0),
+])
+def test_fold_rows_matches_unique_rows(sizes, rows, dtype, renumberings,
+                                       monkeypatch):
+    # rows drawn from a third as many distinct ones, so rows repeat
+    rng = np.random.default_rng(len(sizes) * rows)
+    distinct = rng.integers(0, sizes, size=(max(1, rows // 3), len(sizes)))
+    picked = distinct[rng.integers(0, len(distinct), size=rows)].astype(dtype)
+    columns = list(picked.T)
+    real, calls = np.cumsum, []
+
+    def counted(*args, **kwargs):  # fold_rows calls it once per renumbering
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counted)
+    code, present, values = fold_rows(columns, sizes)
+    monkeypatch.undo()
+    assert len(calls) == renumberings
+    # codes order rows as their columns do, largest size first
+    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
+    table = np.stack(columns, axis=1).reshape(rows, len(sizes))[:, order]
+    want, inverse = np.unique(table, axis=0, return_inverse=True)
+    assert code.dtype == np.intp and present.dtype == np.intp
+    assert np.all(np.diff(present) > 0)
+    assert np.array_equal(present[inverse.ravel()], code)  # equal rows, equal codes
+    assert [v.dtype for v in values] == [c.dtype for c in columns]
+    assert np.array_equal(np.stack(values, axis=1).reshape(-1, len(sizes))[:, order],
+                          want)
+    for c, v in zip(columns, values):  # each row's columns at its code
+        assert np.array_equal(v[np.searchsorted(present, code)], c)
