@@ -150,7 +150,12 @@ def _build_scenario(args, parser) -> tuple[InequalityExpr, dict]:
         if getattr(args, key) is not None:
             params[key] = getattr(args, key)
     if args.r_num is not None or args.r_den is not None:
-        params["r"] = Fraction(args.r_num or 1, args.r_den or 1)
+        num = 1 if args.r_num is None else args.r_num  # a missing part is 1
+        den = 1 if args.r_den is None else args.r_den
+        if num == 0 or den == 0:
+            parser.error(f"power r_num/r_den = {num}/{den}: "
+                         "numerator and denominator must be nonzero")
+        params["r"] = Fraction(num, den)
     if getattr(args, "r", None) is not None:
         if "r" in params:
             parser.error("give the power as r or as r_num/r_den, not both")

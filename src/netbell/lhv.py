@@ -49,7 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scenario import InequalityExpr, Term, ordered_sum, unique_rows
+from .scenario import InequalityExpr, ordered_sum, unique_rows
 
 DEFAULT_BUDGET = 1 << 25
 ENUM_THRESHOLD = 1 << 16
@@ -72,42 +72,11 @@ class Strategy:
             if v not in (1, -1):
                 raise ValueError("outputs are +-1")
 
-    def output(self, party: str, inp: str) -> int:
-        return self.as_dict()[(party, inp)]
-
-    def as_dict(self) -> dict[tuple[str, str], int]:
-        d = self.__dict__.get("_map")
-        if d is None:
-            d = dict(self.outputs)
-            object.__setattr__(self, "_map", d)
-        return d
-
     def grouped(self) -> dict[str, dict[str, int]]:
         out: dict[str, dict[str, int]] = {}
         for (party, inp), v in self.outputs:
             out.setdefault(party, {})[inp] = v
         return out
-
-
-def correlator_value(expr: InequalityExpr, term: Term,
-                     strategy: Strategy) -> Fraction:
-    """Exact correlator value under a deterministic strategy."""
-    corr, fam = term.correlator, term.family
-    val = Fraction(corr.normalization)
-    for party, e in corr.exponents:
-        s0 = strategy.output(party, expr.input_label(fam, party, "0"))
-        s1 = strategy.output(party, expr.input_label(fam, party, "1"))
-        val *= s0 + (s1 if e == 0 else -s1)
-    for party, inp in corr.joint_inputs:
-        val *= strategy.output(party, expr.input_label(fam, party, inp))
-    return val
-
-
-def evaluate_strategy(expr: InequalityExpr, strategy: Strategy):
-    """Expression value for one strategy: exact Fraction when r = 1, else float."""
-    values = [t.coefficient * expr.power(correlator_value(expr, t, strategy))
-              for t in expr.terms]
-    return sum(values) if expr.exponent == 1 else float(ordered_sum(values))
 
 
 # -- reduced enumeration -------------------------------------------------------

@@ -68,12 +68,6 @@ class NetworkTopology:
                 return p
         raise KeyError(party_id)
 
-    def source_of(self, qubit: int) -> SourceSpec:
-        for s in self.sources:
-            if qubit in s.qubits:
-                return s
-        raise KeyError(qubit)
-
 
 def validate(topology: NetworkTopology) -> list[str]:
     """Return a list of diagnostics; empty means the topology is well formed."""

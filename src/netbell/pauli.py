@@ -12,8 +12,8 @@ factor and ``W`` is the tensor product of single-qubit letters
 The global convention is Y = i X Z, so W(x, z) = i^{|x & z|} * prod X^x Z^z
 with X applied before Z on each site.  All letters are Hermitian, hence a
 word is Hermitian iff its phase is +-1 (phase_pow even).  Multiplication
-tracks the phase exactly through integer powers of i; the complex ``phase``
-is only a read-only view, and constructors take +-1/+-i for it.
+tracks the phase exactly through integer powers of i, and constructors take
++-1/+-i for it.
 
 Text form: sign prefix followed by letter-index tokens, e.g. ``+X0 Z3 Y5``
 (identity renders as ``+I``).  Signs are ``+``, ``-``, ``+i``, ``-i``.
@@ -21,13 +21,11 @@ Text form: sign prefix followed by letter-index tokens, e.g. ``+X0 Z3 Y5``
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 MAX_QUBITS = 64
 
-_POW_TO_PHASE = (1 + 0j, 1j, -1 + 0j, -1j)
 _PHASE_TO_POW = {1: 0, 1j: 1, -1: 2, -1j: 3}
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -36,10 +34,7 @@ _BITS_TO_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 # a letter as a small integer for arrays of words: code = x + 2 z
 LETTER_CODE = {letter: x + 2 * z for letter, (x, z) in _LETTER_TO_BITS.items()}
 
-_SIGN_TO_POW = {"": 0, "+": 0, "-": 2, "+i": 1, "i": 1, "-i": 3}
 _POW_TO_SIGN = {0: "+", 1: "+i", 2: "-", 3: "-i"}
-
-_TOKEN_RE = re.compile(r"([IXYZ])(\d*)$")
 
 
 def _pow_of(phase: complex) -> int:
@@ -73,11 +68,6 @@ class PauliString:
     # -- basic predicates ---------------------------------------------------
 
     @property
-    def phase(self) -> complex:
-        """The phase i^phase_pow as a complex number."""
-        return _POW_TO_PHASE[self.phase_pow]
-
-    @property
     def is_hermitian(self) -> bool:
         return self.phase_pow % 2 == 0
 
@@ -86,18 +76,10 @@ class PauliString:
         """True when the letter part is the identity (any phase)."""
         return self.x_mask == 0 and self.z_mask == 0
 
-    @property
-    def weight(self) -> int:
-        return (self.x_mask | self.z_mask).bit_count()
-
     def letter(self, qubit: int) -> str:
         if not 0 <= qubit < self.n_qubits:
             raise IndexError(f"qubit {qubit} out of range")
         return _BITS_TO_LETTER[((self.x_mask >> qubit) & 1, (self.z_mask >> qubit) & 1)]
-
-    def letters(self) -> str:
-        """Full letter string, qubit 0 first (phase not included)."""
-        return "".join(self.letter(q) for q in range(self.n_qubits))
 
     # -- algebra ------------------------------------------------------------
 
@@ -116,14 +98,6 @@ class PauliString:
              + 2 * (self.z_mask & other.x_mask).bit_count()) % 4
         return PauliString(self.n_qubits, x3, z3, k)
 
-    def __neg__(self) -> "PauliString":
-        return self.scaled(-1)
-
-    def scaled(self, factor: complex) -> "PauliString":
-        """Multiply the phase by +-1 or +-i."""
-        k = (self.phase_pow + _pow_of(factor)) % 4
-        return PauliString(self.n_qubits, self.x_mask, self.z_mask, k)
-
     def commutes(self, other: "PauliString") -> bool:
         """Symplectic inner product == 0 mod 2."""
         if other.n_qubits != self.n_qubits:
@@ -141,50 +115,8 @@ class PauliString:
                   if self.letter(q) != "I"]
         return sign + " ".join(tokens)
 
-    @classmethod
-    def from_text(cls, text: str, n_qubits: int) -> "PauliString":
-        """Parse the ``+X0 Z3 Y5`` form (sign optional, ``I`` allowed)."""
-        body = text.strip()
-        sign = ""
-        for prefix in ("+i", "-i", "+", "-", "i"):
-            if body.startswith(prefix):
-                sign, body = prefix, body[len(prefix):]
-                break
-        x = z = 0
-        seen: set[int] = set()
-        for token in body.split():
-            m = _TOKEN_RE.match(token)
-            if not m:
-                raise ValueError(f"bad Pauli token {token!r}")
-            letter, idx = m.group(1), m.group(2)
-            if letter == "I":
-                if idx:
-                    raise ValueError("identity token takes no qubit index")
-                continue
-            if not idx:
-                raise ValueError(f"token {token!r} is missing a qubit index")
-            q = int(idx)
-            if q in seen:
-                raise ValueError(f"qubit {q} listed twice")
-            if q >= n_qubits:
-                raise ValueError(f"qubit {q} outside register of {n_qubits}")
-            seen.add(q)
-            xb, zb = _LETTER_TO_BITS[letter]
-            x |= xb << q
-            z |= zb << q
-        return cls(n_qubits, x, z, _SIGN_TO_POW[sign])
 
-
-# -- convenience constructors ----------------------------------------------
-
-def identity(n_qubits: int) -> PauliString:
-    return PauliString(n_qubits, 0, 0)
-
-
-def single(letter: str, qubit: int, n_qubits: int) -> PauliString:
-    """One letter on one qubit, identity elsewhere."""
-    return word({qubit: letter}, n_qubits)
-
+# -- construction ------------------------------------------------------------
 
 def word(letters_by_qubit: Mapping[int, str], n_qubits: int,
          phase: complex = 1) -> PauliString:
@@ -196,19 +128,3 @@ def word(letters_by_qubit: Mapping[int, str], n_qubits: int,
         x |= xb << qubit
         z |= zb << qubit
     return PauliString(n_qubits, x, z, _pow_of(phase))
-
-
-def from_letters(letter_string: str, phase: complex = 1) -> PauliString:
-    """Build from a dense letter string, position = qubit index."""
-    return word({q: c for q, c in enumerate(letter_string) if c != "I"},
-                len(letter_string), phase)
-
-
-def product(factors: Iterable[PauliString]) -> PauliString:
-    """Left-to-right product of an iterable of words (must be non-empty)."""
-    result: PauliString | None = None
-    for f in factors:
-        result = f if result is None else result * f
-    if result is None:
-        raise ValueError("product of no factors; pass identity(n) explicitly")
-    return result

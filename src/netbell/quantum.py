@@ -26,8 +26,8 @@ worked out as the serial loop would: the factors of a term multiply in
 column order, a term whose present angles all equal pi/4 takes the exact
 2^(-s/2) instead (so power-of-two values come out exact), base * product
 * expectation multiply in that order, and the terms add in term order
-(``np.cumsum``, not the pairwise ``np.sum``).  ``value``, ``step`` and
-``gradient`` are one-row calls on the same arrays.
+(``np.cumsum``, not the pairwise ``np.sum``).  ``value`` is a one-row
+call on the same arrays.
 
 The optimizer keeps one row per start and steps one angle of every live row
 at once.  A step scores its candidate angles (current, pi/4, the two
@@ -132,25 +132,23 @@ class CompiledExpression:
     def value(self, angles: Mapping[tuple[str, str], float]) -> float:
         return float(self.values(self._row(angles))[0])
 
-    def gradient(self, angles: Mapping[tuple[str, str], float]) -> dict[tuple[str, str], float]:
-        """d(value)/d(theta_key); smooth wherever no correlator sits at 0."""
-        theta = self._row(angles)[0]
-        e = self.exps
-        f = np.where(e == 1, np.sin(theta), np.cos(theta))
-        df = np.where(e == 1, np.cos(theta), -np.sin(theta))
-        f[e < 0], df[e < 0] = 1.0, 0.0
-        outer = self.coefficient * self.expr.power_slope(
-            self.base * f.prod(axis=1) * self.expectation)
-        grad = {}
-        for j, key in enumerate(self.keys):
-            g = f.copy()
-            g[:, j] = df[:, j]
-            grad[key] = float(np.sum(
-                outer * self.base * g.prod(axis=1) * self.expectation))
-        return grad
-
     def _step(self, rows: _Rows, j: int) -> None:
-        """``step`` on angle j of every row at once, in place."""
+        """Best angle j of every row with its other angles fixed, in place.
+
+        A term holding the angle is powr(a cos theta) or powr(a sin theta),
+        and powr(a c) = powr(a) c^r for c > 0, so along the open quadrant
+
+            value(theta) = A cos^r theta + B sin^r theta + C
+
+        exactly: A (B) sums the cos (sin) terms holding the angle, each
+        without that factor, and C the terms without it.  For A, B > 0 and
+        r < 2 its one interior stationary point, tan theta* = (B/A)^(1/(2-r)),
+        is the maximum; otherwise the maximum is at a margin endpoint.  The
+        candidates (current, pi/4, the two margins, theta*) are scored by
+        this closed form and the first maximum wins, so ties keep the current
+        angle, then pi/4.  Each row's value is then worked out in full and
+        equals ``values`` at its new angles bit for bit.
+        """
         e = self.exps[:, j]
         held = e >= 0
         off = rows.theta[:, j] != QUARTER_PI
@@ -182,31 +180,6 @@ class CompiledExpression:
         rows.off_quarter += ((new != QUARTER_PI).astype(np.int64) - off)[:, None] * held
         rows.terms = self._terms(rows.factors, rows.off_quarter, self._quarter[0])
         rows.value = ordered_sum(rows.terms)
-
-    def step(self, key: tuple[str, str],
-             angles: Mapping[tuple[str, str], float]) -> tuple[float, float]:
-        """Best (theta, value) along one angle with every other angle fixed.
-
-        A term holding the angle is powr(a cos theta) or powr(a sin theta),
-        and powr(a c) = powr(a) c^r for c > 0, so along the open quadrant
-
-            value(theta) = A cos^r theta + B sin^r theta + C
-
-        exactly: A (B) sums the cos (sin) terms holding the angle, each
-        without that factor, and C the terms without it.  For A, B > 0 and
-        r < 2 its one interior stationary point, tan theta* = (B/A)^(1/(2-r)),
-        is the maximum; otherwise the maximum is at a margin endpoint.  The
-        candidates (current, pi/4, the two margins, theta*) are scored by
-        this closed form and the first maximum wins, so ties keep the current
-        angle, then pi/4.  The value returned is then worked out in full and
-        equals ``value({**angles, key: theta})`` bit for bit.  This is one
-        row of the step that ``_coordinate_ascent`` takes on every live start
-        at once.
-        """
-        rows = self._rows(self._row(angles))
-        j = self.keys.index(key)
-        self._step(rows, j)
-        return float(rows.theta[0, j]), float(rows.value[0])
 
     def _coordinate_ascent(self, theta: np.ndarray, max_sweeps: int
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -37,7 +37,7 @@ built on first use and cached on the expression: per term its inputs as
 small integers, exponent bits, family, normalization (an integer over one
 common denominator), Pauli letters, trig pattern, base and coefficient.
 Certification, compilation and sampling read its arrays; only the builders,
-the validation and the reference evaluations walk the ``Term`` objects.
+the validation and the reports walk the ``Term`` objects.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import numpy as np
 
 from . import network
 from .network import NetworkTopology, SourceSpec
-from .pauli import LETTER_CODE, PauliString, word
+from .pauli import LETTER_CODE
 
 QUARTER_PI = math.pi / 4
 
@@ -129,10 +129,6 @@ class Correlator:
     @property
     def joint_map(self) -> dict[str, str]:
         return dict(self.joint_inputs)
-
-    @property
-    def n_single(self) -> int:
-        return len(self.exponents)
 
 
 @dataclass(frozen=True)
@@ -236,8 +232,8 @@ class InputIndex:
     """Every term of one expression as read-only arrays, the one table that
     certification, compilation and sampling all read.
 
-    Parties run in topology order.  ``vocab[j]`` holds party j's qualified
-    input labels (what ``party_inputs`` returns).  ``inputs[t, j, x]`` is
+    Parties run in topology order.  ``vocab[j]`` holds every qualified input
+    label party j can receive, in first-use order.  ``inputs[t, j, x]`` is
     the vocabulary position of party j's input in term t for bit x; a joint
     party's one input fills both slots.  ``exponents[t, j]`` is the exponent
     bit of a single party (0 for a joint one), ``single[t, j]`` marks the
@@ -251,9 +247,9 @@ class InputIndex:
     Term t's normalization is ``scale[t] / denominator``: int64 numerators
     over the lcm of the normalizations' denominators.  ``base`` is
     normalization * 2^s rounded once, and ``coefficient`` the term's +-1.0.
-    ``letters[t, q]`` is the ``pauli.LETTER_CODE`` of term t's Pauli word on
-    qubit q (what ``segmented_operator`` returns).  ``exps[t, j]`` is -1
-    where term t has no factor of angle ``keys[j]``, 0 for cos and 1 for sin.
+    ``letters[t, q]`` is the ``pauli.LETTER_CODE`` of term t's segmented
+    Pauli word on qubit q.  ``exps[t, j]`` is -1 where term t has no factor
+    of angle ``keys[j]``, 0 for cos and 1 for sin.
     """
 
     parties: tuple[str, ...]
@@ -352,11 +348,6 @@ class InequalityExpr:
         if len(self.party_variants(party)) > 1:
             return str(self.families().index(family)) + raw
         return raw
-
-    def party_inputs(self, party: str) -> tuple[str, ...]:
-        """All distinct qualified input labels a party can receive."""
-        index = self.input_index
-        return dict(zip(index.parties, index.vocab)).get(party, ())
 
     @functools.cached_property
     def input_index(self) -> InputIndex:
@@ -475,37 +466,6 @@ def resolve_angles(expr: InequalityExpr, angles: AngleMap | None) -> dict[tuple[
                 raise ValueError(f"angle {key} = {value} outside (0, pi/2)")
             resolved[key] = value
     return resolved
-
-
-def segmented_operator(corr: Correlator, obs_map: Mapping[str, Observable],
-                       n_qubits: int,
-                       angles: AngleMap | None = None) -> tuple[float, PauliString]:
-    """Collapse a correlator into (coefficient, Pauli word) at given angles."""
-    letters: dict[int, str] = {}
-    trig: list[tuple[float, int]] = []  # (theta, exponent bit)
-    for party, e in corr.exponents:
-        obs = obs_map[party]
-        assert isinstance(obs, SingleQubitObservable)
-        theta = QUARTER_PI
-        if angles is not None:
-            theta = angles.get((party, obs.plane), QUARTER_PI)
-        letters[obs.qubit] = "Z" if e == 0 else obs.plane[1]
-        trig.append((theta, e))
-    for party, inp in corr.joint_inputs:
-        obs = obs_map[party]
-        assert isinstance(obs, JointPauliObservable)
-        for q, letter in zip(obs.qubits, obs.letters_for(inp)):
-            letters[q] = letter
-    s = len(trig)
-    if all(theta == QUARTER_PI for theta, _ in trig):
-        # exact power-of-two coefficient at the symmetric point
-        prod = 2.0 ** (-s / 2)
-    else:
-        prod = 1.0
-        for theta, e in trig:
-            prod *= math.sin(theta) if e else math.cos(theta)
-    coefficient = float(corr.normalization * (1 << s)) * prod
-    return coefficient, word(letters, n_qubits)
 
 
 # -- builder helpers ----------------------------------------------------------

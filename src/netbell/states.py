@@ -90,14 +90,6 @@ class StabilizerGroup:
                 rows.append((bits, bits.bit_length() - 1, combo))
         return rows
 
-    @property
-    def rank(self) -> int:
-        return len(self.generators)
-
-    @property
-    def is_pure(self) -> bool:
-        return self.rank == self.n_qubits
-
     def membership_sign(self, p: PauliString) -> int | None:
         """+1 if p is in the group, -1 if -p is, None if outside the span."""
         if p.n_qubits != self.n_qubits:

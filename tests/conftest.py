@@ -1,10 +1,18 @@
-"""Shared dense-vector oracles, independent of the package internals, and the
-compensated float ``sum`` of Python 3.12 and later."""
+"""Shared dense-vector oracles, independent of the package internals, the
+Pauli-word helpers and the random (N, K, m) wirings that several tests use,
+and the compensated float ``sum`` of Python 3.12 and later."""
 
 import builtins
 import math
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from netbell import network
+from netbell.pauli import PauliString, word
+
+_POW_TO_PHASE = (1 + 0j, 1j, -1 + 0j, -1j)
 
 LETTERS = {
     "I": np.eye(2, dtype=complex),
@@ -14,12 +22,28 @@ LETTERS = {
 }
 
 
+def phase(p) -> complex:
+    """The phase i^phase_pow as a complex number."""
+    return _POW_TO_PHASE[p.phase_pow]
+
+
+def letters(p) -> str:
+    """Full letter string, qubit 0 first (phase not included)."""
+    return "".join(p.letter(q) for q in range(p.n_qubits))
+
+
+def from_letters(letter_string: str, phase: complex = 1) -> PauliString:
+    """Build from a dense letter string, position = qubit index."""
+    return word({q: c for q, c in enumerate(letter_string) if c != "I"},
+                len(letter_string), phase)
+
+
 def dense_word(p) -> np.ndarray:
     """Matrix of a PauliString; qubit q is bit q of the index (q=0 lowest)."""
     m = np.array([[1.0 + 0j]])
     for q in range(p.n_qubits):
         m = np.kron(LETTERS[p.letter(q)], m)
-    return p.phase * m
+    return phase(p) * m
 
 
 def apply_word(p, vec: np.ndarray) -> np.ndarray:
@@ -33,7 +57,7 @@ def apply_word(p, vec: np.ndarray) -> np.ndarray:
             axis = n - 1 - q
             psi = np.moveaxis(np.tensordot(LETTERS[letter], psi, axes=(1, axis)),
                               0, axis)
-    return p.phase * psi.reshape(-1)
+    return phase(p) * psi.reshape(-1)
 
 
 def dense_expectation(vec: np.ndarray, p) -> complex:
@@ -53,6 +77,25 @@ def stabilizer_vector(group) -> np.ndarray:
         if nrm > 1e-6:
             return psi / nrm
     raise ValueError("generators stabilize no state")
+
+
+@st.composite
+def nkm_wirings(draw):
+    """A valid (N, K, m) topology with random hub recipients, hub-hub
+    sources and inter bits on some of those sources."""
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    alice = draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k))
+    extra = draw(st.integers(0, 3)) if m >= 2 else 0
+    wiring = tuple((k + i, *draw(st.lists(st.integers(0, m - 1), min_size=2,
+                                          max_size=2, unique=True)))
+                   for i in range(extra))
+    try:
+        topo = network.nkm(k + extra, k, m, wiring, alice)
+    except ValueError:  # a hub with fewer than two qubits
+        assume(False)
+    bits = draw(st.dictionaries(st.integers(k, k + extra - 1), st.integers(0, 1))
+                if extra else st.just({}))
+    return topo, bits
 
 
 def compensated_sum(xs, start=0):

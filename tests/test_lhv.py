@@ -8,14 +8,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compensated_sum
+import lhv_oracle
+from conftest import compensated_sum, nkm_wirings
 from lhv_oracle import (
     block_numeric_reference,
+    correlator_value,
     cross_polytope_structure_reference,
     enumerate_vertices_reference,
+    evaluate_strategy,
     linear_lhv_max_reference,
     mixture_numeric_reference,
     normalization_check_reference,
@@ -27,7 +30,6 @@ from netbell.lhv import (
     certify,
     cross_polytope_structure,
     enumerate_vertices,
-    evaluate_strategy,
     linear_lhv_max,
     nonlinear_lhv_max,
     normalization_check,
@@ -44,12 +46,13 @@ from netbell.scenario import (
     build_star_second,
     build_two_source_linear,
 )
+from scenario_oracle import party_inputs
 
 
 def constant_strategy(expr, value=1):
     outputs = []
     for party in expr.topology.party_ids():
-        for inp in expr.party_inputs(party):
+        for inp in party_inputs(expr, party):
             outputs.append(((party, inp), value))
     return Strategy(tuple(outputs))
 
@@ -79,7 +82,7 @@ def test_witnesses_reproduce_vertices():
     expr = build_two_source_linear()["first"]
     vs = enumerate_vertices(expr)
     for vec, wit in zip(vs.vectors, vs.witnesses):
-        got = tuple(lhv.correlator_value(expr, t, wit) for t in expr.terms)
+        got = tuple(correlator_value(expr, t, wit) for t in expr.terms)
         assert got == vec
 
 
@@ -87,13 +90,13 @@ def test_reduced_enumeration_is_lossless():
     # brute-force all 256 raw strategies of the line network's first family
     expr = build_two_source_linear()["first"]
     inputs = [(p, inp) for p in expr.topology.party_ids()
-              for inp in expr.party_inputs(p)]
+              for inp in party_inputs(expr, p)]
     assert len(inputs) == 8
     raw_vectors = set()
     for bits in itertools.product((1, -1), repeat=len(inputs)):
         strat = Strategy(tuple((key, b) for key, b in zip(inputs, bits)))
         raw_vectors.add(tuple(
-            lhv.correlator_value(expr, t, strat) for t in expr.terms))
+            correlator_value(expr, t, strat) for t in expr.terms))
     vs = enumerate_vertices(expr)
     assert set(vs.vectors) == raw_vectors
     assert vs.n_reduced <= 256
@@ -191,27 +194,8 @@ def test_structure_detection_matches_per_term_reference():
         _structure_agrees(expr)
 
 
-@st.composite
-def _nkm_wirings(draw):
-    """A valid (N, K, m) topology with random hub recipients, hub-hub
-    sources and inter bits on some of those sources."""
-    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    alice = draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k))
-    extra = draw(st.integers(0, 3)) if m >= 2 else 0
-    wiring = tuple((k + i, *draw(st.lists(st.integers(0, m - 1), min_size=2,
-                                          max_size=2, unique=True)))
-                   for i in range(extra))
-    try:
-        topo = network.nkm(k + extra, k, m, wiring, alice)
-    except ValueError:  # a hub with fewer than two qubits
-        assume(False)
-    bits = draw(st.dictionaries(st.integers(k, k + extra - 1), st.integers(0, 1))
-                if extra else st.just({}))
-    return topo, bits
-
-
 @settings(max_examples=40, deadline=None)
-@given(_nkm_wirings())
+@given(nkm_wirings())
 def test_structure_detection_matches_reference_on_nkm_wirings(case):
     topo, bits = case
     for expr in build_nkm(topo, bits).values():
@@ -348,13 +332,15 @@ def test_vertex_numerators_refuse_to_wrap():
 
 def test_float_sums_add_left_to_right(monkeypatch):
     # values whose compensated sum (Python 3.12's builtin) differs from the
-    # left-to-right one; ``sum`` shadowed in lhv reads the 3.12 result
+    # left-to-right one; ``sum`` shadowed in lhv and lhv_oracle reads the
+    # 3.12 result
     left = functools.partial(functools.reduce, operator.add)
     monkeypatch.setattr(lhv, "sum", compensated_sum, raising=False)
+    monkeypatch.setattr(lhv_oracle, "sum", compensated_sum, raising=False)
     expr = build_star_nonlinear(2, Fraction(1, 3), "first")
     values = [Fraction(1), Fraction(1, 10 ** 9), Fraction(1, 10 ** 9),
               Fraction(1, 10 ** 9)]
-    monkeypatch.setattr(lhv, "correlator_value",
+    monkeypatch.setattr(lhv_oracle, "correlator_value",
                         lambda e, t, s: values[e.terms.index(t)])
     powered = [t.coefficient * expr.power(v) for t, v in zip(expr.terms, values)]
     assert left(powered, 0.0) != compensated_sum(powered)

@@ -15,6 +15,7 @@ from netbell.network import (
     two_source,
     validate,
 )
+from scenario_oracle import source_of
 
 
 def test_two_source_layout():
@@ -25,7 +26,7 @@ def test_two_source_layout():
     assert t.party("C").qubits == (3,)
     assert [s.qubits for s in t.sources] == [(0, 1), (2, 3)]
     assert [p.id for p in t.parties if 2 in p.qubits] == ["B"]
-    assert t.source_of(3).id == 1
+    assert source_of(t, 3).id == 1
     assert [p.id for p in t.parties if len(p.qubits) == 1] == ["A", "C"]
     assert [p.id for p in t.parties if len(p.qubits) > 1] == ["B"]
 
@@ -45,8 +46,8 @@ def test_star_layout():
         assert t.party("B").qubits == tuple(range(k))
         for i in range(k):
             assert t.party(f"A{i + 1}").qubits == (k + i,)
-            assert t.source_of(i).id == i
-            assert t.source_of(k + i).id == i
+            assert source_of(t, i).id == i
+            assert source_of(t, k + i).id == i
     with pytest.raises(ValueError):
         star(1)
     assert star(32).n_qubits == 64

@@ -22,15 +22,17 @@ from netbell.scenario import (
     build_chsh,
     build_ghz_a,
     build_ghz_b,
+    build_nkm,
     build_star_combined,
     build_star_first,
     build_star_nonlinear,
     build_two_source_linear,
     resolve_angles,
 )
-from netbell.pauli import from_letters
 from netbell.states import network_state, parse_state_spec, smolin
-from quantum_oracle import compile_reference, optimize_angles_reference
+from conftest import from_letters, nkm_wirings
+from quantum_oracle import (compile_reference, gradient, optimize_angles_reference,
+                            step)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -173,7 +175,7 @@ def test_coordinate_step_beats_dense_grid(case, thetas, which):
     keys = compiled.expr.angle_keys()
     angles = dict(zip(keys, thetas))
     key = keys[which % len(keys)]
-    theta, value = compiled.step(key, angles)
+    theta, value = step(compiled, key, angles)
     assert value == compiled.value({**angles, key: theta})
     grid = np.tile([angles[k] for k in keys], (len(STEP_GRID), 1))
     grid[:, keys.index(key)] = STEP_GRID
@@ -332,13 +334,28 @@ def test_gradient_matches_finite_differences():
         for _ in range(20):
             angles = {k: float(rng.uniform(0.15, math.pi / 2 - 0.15))
                       for k in keys}
-            grad = compiled.gradient(angles)
+            grad = gradient(compiled, angles)
             h = 1e-6
             for key in keys:
                 up = {**angles, key: angles[key] + h}
                 dn = {**angles, key: angles[key] - h}
                 fd = (compiled.value(up) - compiled.value(dn)) / (2.0 * h)
                 assert grad[key] == pytest.approx(fd, abs=1e-6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nkm_wirings())
+def test_evaluate_at_quarter_pi_meets_the_claim_on_nkm_wirings(case):
+    # every family on a random wiring with inter bits reaches its claim at
+    # pi/4 on the natural state, and the arrays equal the per-term reference
+    # (segmented operators, one expectation per term) bit for bit
+    topo, bits = case
+    for expr in build_nkm(topo, bits).values():
+        state = natural(expr)
+        value = evaluate(expr, state)
+        assert value == pytest.approx(expr.claimed_quantum_max, rel=0, abs=1e-12)
+        reference = compile_reference(expr, state).value(resolve_angles(expr, None))
+        assert value == reference
 
 
 def test_evaluate_rejects_unknown_angles():

@@ -33,6 +33,7 @@ from netbell.states import (bell_pair, ghz3, network_state, parse_state_spec,
 from conftest import compensated_sum, stabilizer_vector
 import sampler_oracle
 from sampler_oracle import csv_reference, estimate_reference, simulate_rounds_reference
+from scenario_oracle import party_inputs
 
 
 def _oracle_cases():
@@ -74,7 +75,7 @@ def _assert_same_batch(got, want):
 def _hand_batch(expr, rows):
     """A batch with one round per (inputs, outcomes) row, both keyed by party."""
     parties = expr.topology.party_ids()
-    vocab = {p: expr.party_inputs(p) for p in parties}
+    vocab = {p: party_inputs(expr, p) for p in parties}
     input_idx = {p: np.array([vocab[p].index(inp[p]) for inp, _ in rows])
                  for p in parties}
     outcomes = {p: np.array([out[p] for _, out in rows], dtype=np.int8)

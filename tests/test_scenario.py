@@ -31,12 +31,12 @@ from netbell.scenario import (
     fold_rows,
     ordered_sum,
     resolve_angles,
-    segmented_operator,
     unique_rows,
 )
 
 import scenario_oracle
-from conftest import compensated_sum
+from conftest import compensated_sum, letters
+from scenario_oracle import n_single, party_inputs, segmented_operator
 
 SQRT2 = math.sqrt(2.0)
 
@@ -73,7 +73,7 @@ def test_ghz_b_operator_set():
     # the eight signed words factor as {ZZ, XX} x {ZZX, ZXZ, XZZ, -XXX}
     expr = build_ghz_b()
     ops = segmented(expr)
-    got = {(1 if c > 0 else -1, w.letters()) for c, w in ops.values()}
+    got = {(1 if c > 0 else -1, letters(w)) for c, w in ops.values()}
     want = {
         (1, "ZZZZX"), (1, "ZZZXZ"), (1, "ZZXZZ"), (-1, "ZZXXX"),
         (1, "XXZZX"), (1, "XXZXZ"), (1, "XXXZZ"), (-1, "XXXXX"),
@@ -111,15 +111,15 @@ def test_ghz_a_labels_and_exponents():
         assert t.correlator.joint_map["B"] == y
     # both families reuse the same observables, so angles and inputs are shared
     assert expr.angle_keys() == (("A", "ZX"), ("C", "ZX"))
-    assert expr.party_inputs("A") == ("0", "1")
-    assert set(expr.party_inputs("B")) == {"000", "001", "100", "110", "010", "101"}
+    assert party_inputs(expr, "A") == ("0", "1")
+    assert set(party_inputs(expr, "B")) == {"000", "001", "100", "110", "010", "101"}
     assert expr.n_strategies_raw() == 4 * 64 * 4
 
 
 def test_star_first_shape():
     expr = build_star_first(3)
     assert len(expr.terms) == 8
-    assert {t.correlator.normalization * 2 ** t.correlator.n_single
+    assert {t.correlator.normalization * 2 ** n_single(t.correlator)
             for t in expr.terms} == {1}
     assert expr.claimed_quantum_max == pytest.approx(2.0 ** 1.5)
     b = expr.observables_for(UNPRIMED)["B"]
@@ -127,14 +127,14 @@ def test_star_first_shape():
     ops = segmented(expr)
     c, w = ops[(UNPRIMED, "000")]
     assert c == pytest.approx(2.0 ** -1.5)
-    assert w.letters() == "ZZZZZZ"
+    assert letters(w) == "ZZZZZZ"
 
 
 def test_star_combined_qualifies_branch_inputs():
     expr = build_star_combined(2)
     # branch observables differ between families, so labels carry a family bit
-    assert expr.party_inputs("A1") == ("00", "01", "10", "11")
-    assert expr.party_inputs("B") == ("000", "001", "010", "011",
+    assert party_inputs(expr, "A1") == ("00", "01", "10", "11")
+    assert party_inputs(expr, "B") == ("000", "001", "010", "011",
                                       "100", "101", "110", "111")
     assert expr.input_label(PRIMED, "A1", "0") == "10"
     assert expr.n_strategies_raw() == 2 ** 4 * 2 ** 8 * 2 ** 4
