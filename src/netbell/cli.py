@@ -8,12 +8,17 @@ Subcommands:
 * ``optimize``  angle optimization against the declared quantum maximum
 * ``simulate``  finite-round simulation plus estimation with errors
 
+Each option has one converter, which takes the flag's text or the value a
+``--config`` JSON file gives it.  Flags win, the config file fills the options
+they leave unset, the subcommand's defaults fill the rest, and then every
+value is converted once; the report's ``config`` echoes the converted values.
+
 Reports are JSON with sorted keys, so identical invocations produce
 byte-identical output.  Exit codes: 0 success (PASS or INFO verdicts),
-1 a check failed or a bound is UNPROVEN, 2 usage errors (among them an
-``--out`` whose directory does not exist, caught before any work), 3 out of
-memory or any other uncaught error (one line on stderr, ``netbell <cmd>: error:
-<Type>: <message>``, never a traceback).
+1 a check failed or a bound is UNPROVEN, 2 a usage error, caught before any
+work, 3 out of memory or any other uncaught error.  Either error prints one
+line on stderr, ``netbell <cmd>: error: <message>`` (``<Type>: <message>``
+for 3), never a usage block or a traceback.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -31,124 +37,170 @@ from . import __version__, lhv, network, quantum, sampler, states
 from .scenario import SCENARIOS, InequalityExpr
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error as one line, ``netbell <cmd>: error: <message>``."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+# -- option converters: each takes a flag's text or a config file's JSON value --
+
+
 def _text(value) -> str:
     if not isinstance(value, str):
-        raise TypeError("expected a string")
+        raise TypeError
     return value
 
 
 def _integer(value) -> int:
-    """``int`` as argparse applies it, minus JSON's booleans and fractions."""
+    """``int`` of the text, or a JSON number with no fractional part."""
     if isinstance(value, bool) or (isinstance(value, float)
                                    and not value.is_integer()):
-        raise TypeError("expected an integer")
+        raise TypeError
     return int(value)
 
 
+def _count(value) -> int:
+    count = _integer(value)
+    if count < 1:
+        raise ValueError
+    return count
+
+
 def _seed(value) -> int:
-    """An integer in [0, 2^128), the range of a Philox key."""
     seed = _integer(value)
-    if not 0 <= seed < 1 << 128:
-        raise argparse.ArgumentTypeError(
-            f"seed must be an integer in [0, 2^128), got {value!r}")
+    if not 0 <= seed < 1 << 128:  # the range of a Philox key
+        raise ValueError
     return seed
 
 
-def _power(value) -> Fraction:
-    """A power as the report's config echo writes it: "p/q", or an integer."""
-    return Fraction(value if isinstance(value, str) else _integer(value))
-
-
 def _tolerance(value) -> float:
-    """A finite, non-negative float; NaN, inf and negatives are usage errors."""
     tolerance = float(value)
     if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be a finite number >= 0, got {value!r}")
+        raise ValueError
     return tolerance
 
 
-# every config-file key with the check argparse gives its flag; wiring,
-# inter_bits and angles are checked where they are parsed.  Sources and hubs
-# are numbered from 1 in flags, config files, messages and the report's config
-# echo, and the echo's power "r" reads back as r_num/r_den.
-_CONFIG_KEYS = {"scenario": _text, "family": _text, "k": _integer,
-                "n": _integer, "m": _integer, "r_num": _integer,
-                "r_den": _integer, "r": _power, "wiring": None, "inter_bits": None,
-                "state": _text, "angles": None, "rounds": _integer,
-                "seed": _seed, "tolerance": _tolerance, "starts": _integer,
-                "format": _text}
+def _power(value) -> Fraction:
+    return Fraction(value if isinstance(value, str) else _integer(value))
 
 
-def _parse_wiring(text: str) -> tuple[tuple[int, int, int], ...]:
-    """'3:1-2,4:2-3' with 1-based source and hub numbers."""
-    out = []
-    for part in text.split(","):
-        src, _, hubs = part.strip().partition(":")
-        a, _, b = hubs.partition("-")
-        out.append((int(src), int(a), int(b)))
-    return tuple(out)
+def _format(value) -> str:
+    if value not in ("json", "csv"):
+        raise ValueError
+    return value
 
 
-def _parse_inter_bits(text: str) -> dict[int, int]:
-    """'3:1,4:0' with 1-based source numbers."""
-    out = {}
-    for part in text.split(","):
-        src, _, bit = part.strip().partition(":")
-        out[int(src)] = int(bit)
-    return out
+def _wiring(value) -> tuple[tuple[int, int, int], ...]:
+    if isinstance(value, str):
+        value = [map(int, re.fullmatch(r"(\d+):(\d+)-(\d+)", part.strip()).groups())
+                 for part in value.split(",")]
+    wiring = tuple(tuple(map(operator.index, triple)) for triple in value)
+    if any(len(triple) != 3 for triple in wiring):
+        raise ValueError
+    return wiring
 
 
-def _parse_angles(text: str) -> dict[tuple[str, str], float]:
-    """'A:ZX=0.7,C:ZY=0.8' keyed by party and measurement plane."""
-    out = {}
-    for part in text.split(","):
-        key, _, value = part.strip().partition("=")
-        party, _, plane = key.partition(":")
-        out[(party.strip(), plane.strip())] = float(value)
-    return out
+def _inter_bits(value) -> dict[int, int]:
+    if isinstance(value, str):
+        value = {source: int(bit) for source, bit in
+                 (part.split(":") for part in value.split(","))}
+    return {int(source): operator.index(bit) for source, bit in value.items()}
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if not getattr(args, "config", None):
-        return
-    try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config file: {exc}")
-    if not isinstance(config, dict):
-        parser.error("config file must hold a JSON object")
-    for key, value in config.items():
-        dest = key.replace("-", "_")
-        if dest not in _CONFIG_KEYS:
-            parser.error(f"unknown config key {key!r}")
-        if getattr(args, dest, None) is None:
-            convert = _CONFIG_KEYS[dest]
-            if convert is not None and value is not None:
-                try:
-                    value = convert(value)
-                except (TypeError, ValueError, OverflowError, ZeroDivisionError,
-                        argparse.ArgumentTypeError) as exc:
-                    parser.error(f"bad config value {key}={value!r}: {exc}")
-            setattr(args, dest, value)
+def _angles(value) -> dict[tuple[str, str], float]:
+    if isinstance(value, str):
+        value = dict(part.split("=") for part in value.split(","))
+    return {tuple(side.strip() for side in key.split(":", 1)): float(angle)
+            for key, angle in value.items()}
+
+
+# option: (converter, what it must be, flag help).  The flag is --option with
+# "-" for "_" and the config key is the option; sources and hubs are numbered
+# from 1 in both.  r, a power as the report's config echo writes it, is a
+# config key with no flag.
+_OPTIONS = {
+    "scenario": (_text, "a string", "scenario name (see `netbell list`)"),
+    "family": (_text, "a string", "inequality family within the scenario"),
+    "k": (_integer, "an integer", "branch count (star, nkm)"),
+    "n": (_integer, "an integer", "source count (nkm)"),
+    "m": (_integer, "an integer", "hub count (nkm)"),
+    "r_num": (_integer, "an integer", "power numerator (odd; star)"),
+    "r_den": (_integer, "an integer", "power denominator (odd; star)"),
+    "r": (_power, "'p/q' or an integer", None),
+    "wiring": (_wiring, "'3:1-2,4:2-3' or [[3, 1, 2], [4, 2, 3]]",
+               "hub pairs per extra source, e.g. '3:1-2'"),
+    "inter_bits": (_inter_bits, "'3:1,4:0' or {\"3\": 1, \"4\": 0}",
+                   "fixed bits for hub-hub sources, e.g. '3:1'"),
+    "state": (_text, "a string", "state spec"),
+    "angles": (_angles, "'A:ZX=0.7,C:ZY=0.8' or {\"A:ZX\": 0.7, \"C:ZY\": 0.8}",
+               "e.g. 'A:ZX=0.7853,C:ZY=0.7853' (default all pi/4)"),
+    "rounds": (_count, "at least 1 (an integer)", "number of rounds"),
+    "starts": (_count, "at least 1 (an integer)", "multi-start count"),
+    "seed": (_seed, "an integer in [0, 2^128)", "random seed"),
+    "tolerance": (_tolerance, "a finite number >= 0", "verdict tolerance"),
+    "format": (_format, "json or csv",
+               "json (the report to --out, or to stdout) or csv (a round log "
+               "to --out, the report to stdout)"),
+}
+
+_SCENARIO_OPTIONS = ("scenario", "family", "k", "n", "m", "r_num", "r_den",
+                     "wiring", "inter_bits")
+
+# each subcommand's options beyond the scenario's, with their defaults; the
+# run reads them and the report's config echoes them
+_RUN_OPTIONS = {
+    "certify": {"tolerance": 1e-6},
+    "evaluate": {"state": "natural", "angles": None},
+    "optimize": {"state": "natural", "tolerance": 1e-6, "starts": 8, "seed": 11},
+    "simulate": {"state": "natural", "angles": None, "rounds": None, "seed": 1,
+                 "format": "json"},
+}
+
+
+def _resolve(args, parser) -> None:
+    """Fill unset options from --config, then from the defaults; convert each."""
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read config file: {exc}")
+        if not isinstance(config, dict):
+            parser.error("config file must hold a JSON object")
+        for key, value in config.items():
+            option = key.replace("-", "_")
+            if option not in _OPTIONS:
+                parser.error(f"unknown config key {key!r}")
+            if getattr(args, option) is None:
+                setattr(args, option, value)
+    for option, default in _RUN_OPTIONS[args.command].items():
+        if getattr(args, option) is None:
+            setattr(args, option, default)
+    for option, (convert, rule, _) in _OPTIONS.items():
+        value = getattr(args, option)
+        if value is not None:
+            try:
+                setattr(args, option, convert(value))
+            except (AttributeError, TypeError, ValueError, ArithmeticError):
+                parser.error(f"bad {option} {value!r}: {option} must be {rule}")
+    if args.scenario is None:
+        parser.error("--scenario is required (or supply it via --config)")
 
 
 def _build_scenario(args, parser) -> tuple[InequalityExpr, dict]:
-    if args.scenario not in SCENARIOS:
+    """The selected family, and the report's config echo of the run."""
+    info = SCENARIOS.get(args.scenario)
+    if info is None:
         parser.error(f"unknown scenario {args.scenario!r}; "
                      f"choices: {', '.join(sorted(SCENARIOS))}")
-    info = SCENARIOS[args.scenario]
-    family = args.family
-    if family is None:
-        family = "bi" if args.scenario == "bilocal" else "first"
+    family = info.families[0] if args.family is None else args.family
     if family not in info.families:
         parser.error(f"scenario {args.scenario!r} has families "
                      f"{', '.join(info.families)}; got {family!r}")
-    params: dict = {}
-    for key in ("k", "n", "m"):
-        if getattr(args, key) is not None:
-            params[key] = getattr(args, key)
+    params = {key: value for key in ("k", "n", "m", "wiring", "inter_bits")
+              if (value := getattr(args, key)) is not None}
     if args.r_num is not None or args.r_den is not None:
         num = 1 if args.r_num is None else args.r_num  # a missing part is 1
         den = 1 if args.r_den is None else args.r_den
@@ -156,42 +208,17 @@ def _build_scenario(args, parser) -> tuple[InequalityExpr, dict]:
             parser.error(f"power r_num/r_den = {num}/{den}: "
                          "numerator and denominator must be nonzero")
         params["r"] = Fraction(num, den)
-    if getattr(args, "r", None) is not None:
+    if args.r is not None:
         if "r" in params:
             parser.error("give the power as r or as r_num/r_den, not both")
         params["r"] = args.r
-    if args.wiring is not None:
-        wiring = args.wiring
-        if isinstance(wiring, str):
-            try:
-                wiring = _parse_wiring(wiring)
-            except ValueError as exc:
-                parser.error(f"bad wiring {args.wiring!r}: {exc}")
-        else:
-            try:
-                wiring = tuple((operator.index(s), operator.index(a),
-                                operator.index(b)) for s, a, b in wiring)
-            except (TypeError, ValueError):
-                parser.error(f"bad wiring {args.wiring!r}: expected a list of "
-                             "[source, hub, hub] triples")
-        params["wiring"] = wiring
-    if args.inter_bits is not None:
-        bits = args.inter_bits
-        if isinstance(bits, str):
-            try:
-                bits = _parse_inter_bits(bits)
-            except ValueError as exc:
-                parser.error(f"bad inter-bits {args.inter_bits!r}: {exc}")
-        else:
-            try:
-                bits = {int(k): operator.index(v) for k, v in bits.items()}
-            except (AttributeError, TypeError, ValueError):
-                parser.error(f"bad inter-bits {args.inter_bits!r}: expected a "
-                             "mapping from source to bit")
-        params["inter_bits"] = bits
-    resolved = {"scenario": args.scenario, "family": family}
-    for key, value in params.items():
-        resolved[key] = str(value) if isinstance(value, Fraction) else value
+    config = {"scenario": args.scenario, "family": family, **params}
+    config.update((key, getattr(args, key)) for key in _RUN_OPTIONS[args.command]
+                  if getattr(args, key) is not None)
+    if "r" in config:
+        config["r"] = str(config["r"])
+    if "angles" in config:
+        config["angles"] = {":".join(key): angle for key, angle in args.angles.items()}
     # the builders number sources and hubs from 0
     if "wiring" in params:
         params["wiring"] = tuple((s - 1, a - 1, b - 1) for s, a, b in params["wiring"])
@@ -206,56 +233,27 @@ def _build_scenario(args, parser) -> tuple[InequalityExpr, dict]:
     except network.SourceError as exc:
         parser.error("cannot build scenario: "
                      + exc.template.format(exc.source + 1))
-    except (ValueError, KeyError) as exc:
-        parser.error(f"cannot build scenario: {exc}")
-    return expr, resolved
+    except (ValueError, KeyError) as exc:  # str() of a KeyError would quote it
+        parser.error(f"cannot build scenario: {exc.args[0]}")
+    return expr, config
 
 
-def _state_for(args, expr, parser):
-    text = args.state or "natural"
+def _state(args, expr, parser):
     try:
-        return text, states.parse_state_spec(text, expr.topology)
+        return states.parse_state_spec(args.state, expr.topology)
     except ValueError as exc:
         parser.error(f"bad state spec: {exc}")
 
 
-def _angles_for(args, parser):
-    if args.angles is None:
-        return None, None
-    raw = args.angles
-    if isinstance(raw, str):
-        try:
-            parsed = _parse_angles(raw)
-        except ValueError as exc:
-            parser.error(f"bad angles: {exc}")
-    else:
-        parsed = {}
-        try:
-            for key, value in raw.items():
-                party, _, plane = key.partition(":")
-                parsed[(party, plane)] = float(value)
-        except (AttributeError, TypeError, ValueError):
-            parser.error(f"bad angles {raw!r}: expected a mapping from "
-                         "'party:plane' to a number")
-    return raw if isinstance(raw, str) else dict(raw), parsed
-
-
-def _emit(report: dict, out: str | None) -> None:
+def _emit(command: str, config: dict, results: dict, out: str | None) -> None:
+    report = {"tool": {"name": "netbell", "version": __version__},
+              "command": command, "config": config, "results": results}
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _wrap(command: str, config: dict, results: dict) -> dict:
-    return {
-        "tool": {"name": "netbell", "version": __version__},
-        "command": command,
-        "config": config,
-        "results": results,
-    }
 
 
 def _results(expr: InequalityExpr, **fields) -> dict:
@@ -271,100 +269,70 @@ def _finite(value: float) -> float | str:
 
 
 def _cmd_list(args, parser) -> int:
-    rows = []
-    for name in sorted(SCENARIOS):
-        info = SCENARIOS[name]
-        rows.append({
-            "name": info.name,
-            "tag": info.tag,
-            "families": list(info.families),
-            "parameters": info.params,
-            "summary": info.summary,
-        })
-    _emit(_wrap("list", {}, {"scenarios": rows}), args.out)
+    rows = [{"name": info.name, "tag": info.tag, "families": list(info.families),
+             "parameters": info.params, "summary": info.summary}
+            for _, info in sorted(SCENARIOS.items())]
+    _emit("list", {}, {"scenarios": rows}, args.out)
     return 0
 
 
 def _cmd_certify(args, parser) -> int:
     expr, config = _build_scenario(args, parser)
-    tolerance = args.tolerance if args.tolerance is not None else 1e-6
-    config["tolerance"] = tolerance
-    report = lhv.certify(expr, tolerance=tolerance)
+    report = lhv.certify(expr, tolerance=args.tolerance)
     results = _results(expr, claimed_quantum_max=expr.claimed_quantum_max,
                        certification=report)
-    _emit(_wrap("certify", config, results), args.out)
+    _emit("certify", config, results, args.out)
     return 0 if report["verdict"] in ("PASS", "INFO") else 1
 
 
 def _cmd_evaluate(args, parser) -> int:
     expr, config = _build_scenario(args, parser)
-    state_text, state = _state_for(args, expr, parser)
-    angles_text, angles = _angles_for(args, parser)
-    config["state"] = state_text
-    if angles_text is not None:
-        config["angles"] = angles_text
+    state = _state(args, expr, parser)
     try:
-        value = quantum.evaluate(expr, state, angles)
+        value = quantum.evaluate(expr, state, args.angles)
     except (KeyError, ValueError) as exc:
-        parser.error(str(exc))
+        parser.error(exc.args[0])
     results = _results(expr, value=value,
                        claimed_quantum_max=expr.claimed_quantum_max,
                        exceeds_bound=value > expr.classical_bound + 1e-12)
-    _emit(_wrap("evaluate", config, results), args.out)
+    _emit("evaluate", config, results, args.out)
     return 0
 
 
 def _cmd_optimize(args, parser) -> int:
     expr, config = _build_scenario(args, parser)
-    state_text, state = _state_for(args, expr, parser)
-    tolerance = args.tolerance if args.tolerance is not None else 1e-6
-    starts = args.starts if args.starts is not None else 8
-    if starts < 1:
-        parser.error(f"starts must be at least 1, got {starts}")
-    seed = args.seed if args.seed is not None else 11
-    config.update(state=state_text, tolerance=tolerance, starts=starts,
-                  seed=seed)
-    check = quantum.claimed_max_check(expr, state, tolerance=tolerance,
-                                      starts=starts, seed=seed)
+    state = _state(args, expr, parser)
+    check = quantum.claimed_max_check(expr, state, tolerance=args.tolerance,
+                                      starts=args.starts, seed=args.seed)
     results = _results(expr, optimization=check)
-    _emit(_wrap("optimize", config, results), args.out)
+    _emit("optimize", config, results, args.out)
     return 0 if check["achieved"] else 1
 
 
 def _cmd_simulate(args, parser) -> int:
-    expr, config = _build_scenario(args, parser)
-    state_text, state = _state_for(args, expr, parser)
-    angles_text, angles = _angles_for(args, parser)
     if args.rounds is None:
         parser.error("simulate needs --rounds")
-    rounds = args.rounds
-    seed = args.seed if args.seed is not None else 1
-    fmt = args.format or "json"
-    if fmt not in ("json", "csv"):
-        parser.error("--format must be json or csv")
-    config.update(state=state_text, rounds=rounds, seed=seed, format=fmt)
-    if angles_text is not None:
-        config["angles"] = angles_text
+    csv = args.format == "csv"
+    if csv and not args.out:
+        parser.error("--format csv needs --out for the round log")
+    expr, config = _build_scenario(args, parser)
+    state = _state(args, expr, parser)
     try:
-        batch = sampler.simulate_rounds(expr, state, rounds, seed, angles)
+        batch = sampler.simulate_rounds(expr, state, args.rounds, args.seed,
+                                        args.angles)
     except (KeyError, ValueError) as exc:
-        parser.error(str(exc))
-    if fmt == "csv":
-        if not args.out:
-            parser.error("--format csv needs --out for the round log")
+        parser.error(exc.args[0])
+    if csv:
         batch.to_csv(args.out)
-    report = sampler.estimate(expr, batch)
-    payload = report.as_dict()
+    payload = sampler.estimate(expr, batch).as_dict()
     payload["value"] = _finite(payload["value"])
     for part in (payload, *payload["terms"], *payload["families"].values()):
         part["se"] = _finite(part["se"])
     results = _results(expr, claimed_quantum_max=expr.claimed_quantum_max,
                        estimate=payload)
-    if fmt == "csv":
+    if csv:
         results["round_log"] = args.out
-        _emit(_wrap("simulate", config, results), None)
-    else:
-        _emit(_wrap("simulate", config, results), args.out)
+    _emit("simulate", config, results, None if csv else args.out)
     return 0
 
 
@@ -372,83 +340,46 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="netbell",
-        description="Certify and probe network Bell inequalities")
+    parser = _Parser(prog="netbell",
+                     description="Certify and probe network Bell inequalities")
     parser.add_argument("--version", action="version",
                         version=f"netbell {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, with_state: bool) -> None:
-        p.add_argument("--scenario", help="scenario name (see `netbell list`)")
-        p.add_argument("--family", help="inequality family within the scenario")
-        p.add_argument("--k", type=int, help="branch count (star, nkm)")
-        p.add_argument("--n", type=int, help="source count (nkm)")
-        p.add_argument("--m", type=int, help="hub count (nkm)")
-        p.add_argument("--r-num", type=int, dest="r_num",
-                       help="power numerator (odd; star)")
-        p.add_argument("--r-den", type=int, dest="r_den",
-                       help="power denominator (odd; star)")
-        p.add_argument("--wiring", help="hub pairs per extra source, "
-                                        "e.g. '3:1-2' (1-based)")
-        p.add_argument("--inter-bits", dest="inter_bits",
-                       help="fixed bits for hub-hub sources, e.g. '3:1'")
-        p.add_argument("--config", help="JSON file with defaults for any flag")
-        p.add_argument("--out", help="write the JSON report here")
-        if with_state:
-            p.add_argument("--state", help="state spec (default: natural)")
-
     p_list = sub.add_parser("list", help="catalog the built-in scenarios")
-    p_list.add_argument("--out")
-    p_list.set_defaults(handler=_cmd_list)
-
-    p_cert = sub.add_parser("certify", help="compute the classical bound")
-    add_common(p_cert, with_state=False)
-    p_cert.add_argument("--tolerance", type=_tolerance,
-                        help="verdict tolerance (default 1e-6)")
-    p_cert.set_defaults(handler=_cmd_certify)
-
-    p_eval = sub.add_parser("evaluate", help="exact quantum value")
-    add_common(p_eval, with_state=True)
-    p_eval.add_argument("--angles", help="e.g. 'A:ZX=0.7853,C:ZY=0.7853'")
-    p_eval.set_defaults(handler=_cmd_evaluate)
-
-    p_opt = sub.add_parser("optimize", help="optimize measurement angles")
-    add_common(p_opt, with_state=True)
-    p_opt.add_argument("--starts", type=int, help="multi-start count (default 8)")
-    p_opt.add_argument("--seed", type=_seed, help="start seed (default 11)")
-    p_opt.add_argument("--tolerance", type=_tolerance,
-                       help="claimed-max tolerance (default 1e-6)")
-    p_opt.set_defaults(handler=_cmd_optimize)
-
-    p_sim = sub.add_parser("simulate", help="simulate rounds and estimate")
-    add_common(p_sim, with_state=True)
-    p_sim.add_argument("--angles", help="e.g. 'A:ZX=0.7853'")
-    p_sim.add_argument("--rounds", type=int, help="number of rounds")
-    p_sim.add_argument("--seed", type=_seed, help="sampler seed (default 1)")
-    p_sim.add_argument("--format", choices=("json", "csv"),
-                       help="round log format when --out is given")
-    p_sim.set_defaults(handler=_cmd_simulate)
+    p_list.add_argument("--out", help="write the JSON report here")
+    p_list.set_defaults(handler=_cmd_list, parser=p_list)
+    for name, handler, summary in (
+            ("certify", _cmd_certify, "compute the classical bound"),
+            ("evaluate", _cmd_evaluate, "exact quantum value"),
+            ("optimize", _cmd_optimize, "optimize measurement angles"),
+            ("simulate", _cmd_simulate, "simulate rounds and estimate")):
+        p = sub.add_parser(name, help=summary)
+        for option in (*_SCENARIO_OPTIONS, *_RUN_OPTIONS[name]):
+            default = _RUN_OPTIONS[name].get(option)
+            p.add_argument("--" + option.replace("_", "-"), help=_OPTIONS[option][2]
+                           + ("" if default is None else f" (default {default})"))
+        p.add_argument("--config", help="JSON file with values for the unset flags")
+        p.add_argument("--out", help="write the JSON report here")
+        p.set_defaults(handler=handler, parser=p, **dict.fromkeys(_OPTIONS))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    parser = args.parser  # the subcommand's, so every message names it
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     if args.command != "list":
-        _merge_config(args, parser)
-        if args.scenario is None:
-            parser.error("--scenario is required (or supply it via --config)")
+        _resolve(args, parser)
     # before any work, so a bad path does not cost a whole run
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         parser.error(f"--out {args.out!r}: no such directory")
     try:
         return args.handler(args, parser)
     except MemoryError:
-        print(f"{parser.prog} {args.command}: error: out of memory; "
+        print(f"{parser.prog}: error: out of memory; "
               "ask for fewer rounds or a smaller scenario", file=sys.stderr)
         return 3
     except Exception as exc:  # one line, never a traceback
-        print(f"{parser.prog} {args.command}: error: "
-              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"{parser.prog}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import pathlib
+import shlex
 import time
 from fractions import Fraction
 
@@ -315,7 +316,7 @@ def test_parameters_a_scenario_does_not_use_exit_2(capsys, tmp_path):
                 main(args)
             assert exc.value.code == 2
             err = capsys.readouterr().err.strip().splitlines()
-            assert len(err) == 2 and err[-1].endswith(message), err
+            assert len(err) == 1 and err[-1].endswith(message), err
     # the hub-hub source of the default nkm takes its bit
     code, data = run_json(capsys, "certify", "--scenario", "nkm", "--inter-bits", "3:1")
     assert code == 0 and data["config"]["inter_bits"] == {"3": 1}
@@ -516,3 +517,114 @@ def test_make_goldens_check_writes_nothing_and_names_each_difference(
     assert (golden / "certify_chsh.json").read_text() == "{}\n"
     assert sorted(p.name for p in golden.iterdir()) == [
         "certify_chsh.json", "certify_ghz_b.json"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--format", "csv"), "--format csv needs --out for the round log"),
+    (("--rounds", "0"), "bad rounds '0': rounds must be at least 1 (an integer)"),
+    (("--rounds", "-5"), "bad rounds '-5': rounds must be at least 1 (an integer)"),
+])
+def test_simulate_refuses_csv_without_out_and_rounds_below_1_before_any_work(
+        capsys, monkeypatch, argv, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the options were checked")
+    monkeypatch.setattr(sampler, "simulate_rounds", unreachable)
+    monkeypatch.setattr(scenario, "build_chsh", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", "chsh", "--rounds", "5", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"netbell simulate: error: {message}"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+def test_unknown_angle_message_is_not_quoted(capsys, command):
+    rounds = ["--rounds", "5"] if command == "simulate" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", "chsh", *rounds, "--angles", "Q:ZX=0.5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"netbell {command}: error: no angle parameter ('Q', 'ZX')"]
+
+
+def test_unrecognized_flag_is_one_line_naming_the_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--scenario", "chsh", "--warp", "9"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "netbell certify: error: unrecognized arguments: --warp 9"]
+
+
+# option: (subcommand and the other flags, a well-formed value as flag text
+# and as its JSON form, a malformed value as flag text and as a JSON value)
+PARITY = {
+    "scenario": (["certify"], "chsh", "chsh", "warp-drive", "warp-drive"),
+    "family": (["certify", "--scenario", "star", "--k", "2"],
+               "combined", "combined", "third", "third"),
+    "k": (["certify", "--scenario", "star"], "3", 3, "2.7", 2.7),
+    "n": (["certify", "--scenario", "nkm"], "3", 3, "x", "x"),
+    "m": (["certify", "--scenario", "nkm"], "2", 2, "2.5", [2]),
+    "r_num": (["certify", "--scenario", "star", "--k", "3", "--r-den", "3"],
+              "1", 1, "1.5", 1.5),
+    "r_den": (["certify", "--scenario", "star", "--k", "3"], "3", 3, "x", False),
+    "wiring": (["certify", "--scenario", "nkm", "--n", "4", "--m", "3"],
+               "3:1-3,4:2-3", [[3, 1, 3], [4, 2, 3]], "3:x", [[3, "x"]]),
+    "inter_bits": (["certify", "--scenario", "nkm"], "3:1", {"3": 1},
+                   "3:1:2", {"x": 1}),
+    "state": (["evaluate", "--scenario", "two-source", "--family", "combined"],
+              "rho1(0.5)", "rho1(0.5)", "gibberish", "gibberish"),
+    "angles": (["evaluate", "--scenario", "two-source"], "A:ZX=0.3,C:ZX=0.5",
+               {"A:ZX": 0.3, "C:ZX": 0.5}, "A:ZX=x", [1]),
+    "rounds": (["simulate", "--scenario", "chsh"], "50", 50, "0", 0),
+    "starts": (["optimize", "--scenario", "chsh"], "2", 2, "0", 2.5),
+    "seed": (["optimize", "--scenario", "chsh", "--starts", "1"], "5", 5,
+             "-1", True),
+    "tolerance": (["certify", "--scenario", "chsh"], "1e-3", 1e-3, "nan",
+                  float("inf")),
+    "format": (["simulate", "--scenario", "chsh", "--rounds", "20"], "json",
+               "json", "xml", "xml"),
+}
+
+
+@pytest.mark.parametrize("option", sorted(set(cli._OPTIONS) - {"r"}))
+def test_flag_and_config_value_take_one_converter(capsys, tmp_path, option):
+    # r is the one option with no flag; a well-formed value gives the same
+    # stdout from both, a malformed one the same one-line error
+    base, good_text, good_json, bad_text, bad_json = PARITY[option]
+    flag = "--" + option.replace("_", "-")
+    config = tmp_path / "run.json"
+
+    def both(text, value):
+        config.write_text(json.dumps({option: value}))
+        return [*base, flag, text], [*base, "--config", str(config)]
+
+    from_flag, from_config = both(good_text, good_json)
+    flag_run = run(capsys, *from_flag)
+    assert flag_run[0] == 0 and run(capsys, *from_config) == flag_run
+    # and so does the report's config echo, fed back as the whole config
+    config.write_text(json.dumps(json.loads(flag_run[1])["config"]))
+    assert run(capsys, base[0], "--config", str(config)) == flag_run
+    lines = []
+    for argv, value in zip(both(bad_text, bad_json), (bad_text, bad_json)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith(f"netbell {base[0]}: error: ")
+        lines.append(err.replace(repr(value), "<value>"))
+    assert lines[0] == lines[1]
+
+
+def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
+    # the sh block under "## Command line" runs as written
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].strip().splitlines()
+    assert len(lines) >= 5
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        words = shlex.split(line)
+        assert words[0] == "netbell", line
+        assert main(words[1:]) == 0, line
+        capsys.readouterr()
