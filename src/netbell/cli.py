@@ -53,10 +53,16 @@ def _text(value) -> str:
     return value
 
 
+def _number(value):
+    """The value, unless it is a JSON true or false, which is no number."""
+    if isinstance(value, bool):
+        raise TypeError
+    return value
+
+
 def _integer(value) -> int:
     """``int`` of the text, or a JSON number with no fractional part."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
+    if isinstance(_number(value), float) and not value.is_integer():
         raise TypeError
     return int(value)
 
@@ -76,7 +82,7 @@ def _seed(value) -> int:
 
 
 def _tolerance(value) -> float:
-    tolerance = float(value)
+    tolerance = float(_number(value))
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError
     return tolerance
@@ -96,7 +102,8 @@ def _wiring(value) -> tuple[tuple[int, int, int], ...]:
     if isinstance(value, str):
         value = [map(int, re.fullmatch(r"(\d+):(\d+)-(\d+)", part.strip()).groups())
                  for part in value.split(",")]
-    wiring = tuple(tuple(map(operator.index, triple)) for triple in value)
+    wiring = tuple(tuple(operator.index(_number(n)) for n in triple)
+                   for triple in value)
     if any(len(triple) != 3 for triple in wiring):
         raise ValueError
     return wiring
@@ -106,14 +113,15 @@ def _inter_bits(value) -> dict[int, int]:
     if isinstance(value, str):
         value = {source: int(bit) for source, bit in
                  (part.split(":") for part in value.split(","))}
-    return {int(source): operator.index(bit) for source, bit in value.items()}
+    return {int(source): operator.index(_number(bit))
+            for source, bit in value.items()}
 
 
 def _angles(value) -> dict[tuple[str, str], float]:
     if isinstance(value, str):
         value = dict(part.split("=") for part in value.split(","))
-    return {tuple(side.strip() for side in key.split(":", 1)): float(angle)
-            for key, angle in value.items()}
+    return {tuple(side.strip() for side in key.split(":", 1)):
+            float(_number(angle)) for key, angle in value.items()}
 
 
 # option: (converter, what it must be, flag help).  The flag is --option with

@@ -30,6 +30,16 @@ that many buckets of a group have ends that differ; their rounds search.
 b grows with the rounds per reached group, up to 2^10 buckets and never
 more cells than rounds; b = 0 is the search alone.
 
+Every draw (the family, the label, each single party's x bits, the mixture
+component, each source's uniform) is taken ``_BLOCK`` rounds at a time, one
+draw after another in that order.  Philox fills a draw in sequence, so the
+batch does not depend on the block length.  Every intp and float buffer
+holds one block; the columns as long as the run are narrow: the term (with
+the component folded in), the inputs and the parities, where a single
+party's x bits wait until its source's pass has read them.  So simulate
+needs the batch, the term column and a few MB: star combined K=3 at 1e6
+rounds peaks near 11 MiB for its 8 MB batch.
+
 Estimation inverts the correlator definition: cells are the distinct input
 profiles, and
 
@@ -62,7 +72,8 @@ import numpy as np
 from . import pauli, states
 from .network import NetworkTopology, SourceSpec
 from .scenario import (AngleMap, InequalityExpr, SingleQubitObservable,
-                       fold_rows, ordered_sum, resolve_angles, unique_rows)
+                       fold_rows, ordered_sum, resolve_angles, small_int,
+                       unique_rows)
 from .states import StabilizerGroup, StabilizerMixture, State
 
 
@@ -224,6 +235,21 @@ def _bucket_table(cdf: np.ndarray, b: int) -> np.ndarray:
     return np.where(count[:, 0] == count[:, 1], count[:, 0], -1).ravel()
 
 
+def _source_keys(term: np.ndarray, bits: Sequence[np.ndarray],
+                 out: np.ndarray) -> np.ndarray:
+    """``out`` = (term << a) | x, bit i of x from ``bits[i]``, the x column
+    of the source's i-th owner: one owner bit shifted in at a time."""
+    np.left_shift(term, min(len(bits), 1), out=out, dtype=np.intp)
+    for i, x in enumerate(reversed(bits)):
+        if i:
+            out <<= 1
+        out |= x
+    return out
+
+
+_BLOCK = 1 << 16  # rounds per draw: the length of every intp and float buffer
+
+
 def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
                     seed: int, angles: AngleMap | None = None) -> RoundBatch:
     """Simulate rounds; identical arguments give identical batches."""
@@ -236,7 +262,7 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
     index = expr.input_index
     parties = index.parties
     families = expr.families()
-    n_fam = len(families)
+    n_fam, n_comp, n_terms = len(families), len(components), len(expr.terms)
 
     # fam_rows[f][l]: the l-th term of family f
     fam_rows = [np.flatnonzero(index.family == f) for f in range(n_fam)]
@@ -264,53 +290,88 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
         spec_of.update(zip(qubits, tables))
     specs = list(spec_ids)
 
-    # take reads intp indices fastest, so no narrower index reaches it
+    # every draw is taken a block of rounds at a time (see the module
+    # docstring); take reads intp indices fastest, so three intp block
+    # buffers feed it
+    blocks = [slice(lo, min(lo + _BLOCK, n_rounds))
+              for lo in range(0, n_rounds, _BLOCK)]
+    size = blocks[0].stop
+    t, key, slot = (np.empty(size, dtype=np.intp) for _ in range(3))
+    u = np.empty(size)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    fam = rng.integers(0, n_fam, size=n_rounds)
-    term = rng.random(n_rounds)
-    term *= (fam_counts[0] if len(set(fam_counts)) == 1
-             else np.array(fam_counts, dtype=float).take(fam))
-    term = term.astype(np.intp)  # the label: floor, as it is >= 0
-    if n_fam > 1:  # else the labels are the terms: family start + label
-        term += np.cumsum([0] + fam_counts[:-1]).take(fam)
-        np.take(np.concatenate(fam_rows), term, out=term, mode="clip")
-    del fam
-    # input positions: flat (term, x) gathers, 2 * term + x for a single
-    key = np.left_shift(term, 1)  # the one intp buffer of every key
+    # the family, then the term, then comp * n_terms + term
+    term = np.empty(n_rounds, dtype=small_int(n_comp * n_terms))
+    if n_fam > 1:  # else it draws zeros, taking nothing from the stream
+        for s in blocks:
+            term[s] = rng.integers(0, n_fam, size=s.stop - s.start)
+    uniform = len(set(fam_counts)) == 1
+    counts = np.array(fam_counts, dtype=float)
+    starts = np.array([0] + fam_counts[:-1], dtype=np.intp).cumsum()
+    order = np.concatenate(fam_rows)
+    for s in blocks:
+        m = s.stop - s.start
+        label, fam, v = t[:m], key[:m], rng.random(out=u[:m])
+        if n_fam > 1:
+            np.copyto(fam, term[s])
+        v *= fam_counts[0] if uniform else counts.take(fam)
+        np.copyto(label, v, casting="unsafe")  # floor, as it is >= 0
+        if n_fam > 1:  # else the labels are the terms: family start + label
+            label += np.take(starts, fam, out=fam, mode="clip")
+            np.take(order, label, out=label, mode="clip")
+        term[s] = label
+    # a single's x bits wait in its parity column until its source's pass
+    parity = {p: np.zeros(n_rounds, dtype=np.int8) for p in parties}
     singles = index.single.any(axis=0)
-    input_idx, xbits = {}, {}
-    for j, p in enumerate(parties):
-        slot = key
-        if singles[j]:
-            slot = rng.integers(0, 2, size=n_rounds)
-            xbits[p] = slot.astype(np.int8)
-            slot += key
-        input_idx[p] = index.inputs[:, j, :].ravel().take(slot)
-    del slot
-    u = np.empty(n_rounds)  # the one float buffer of every later draw
-    if len(components) > 1:  # fold the component in: comp * n_terms + term
-        comp = np.searchsorted(np.cumsum([w for w, _ in components]),
-                               rng.random(n_rounds, out=u), side="right")
-        np.minimum(comp, len(components) - 1, out=comp)
-        comp *= len(expr.terms)
-        comp += term
-        term = comp
-        del comp
+    xbits = {p: parity[p] for p, single in zip(parties, singles) if single}
+    for bits in xbits.values():
+        for s in blocks:
+            bits[s] = rng.integers(0, 2, size=s.stop - s.start)
+
+    # per source: its owners (the single parties among its recipients) and
+    # group table; seen marks the (comp, term, owners' x bits) keys reached
+    sources = []
+    for src in topo.sources:
+        owners = list(dict.fromkeys(p for p in src.recipients if p in xbits))
+        keys, group_of = _group_table(spec_of, n_comp, src, owners)
+        sources.append((src, owners, keys, group_of,
+                        np.zeros(len(group_of), dtype=bool)))
+    # the component folds into the term column; input positions are flat
+    # (comp, term, x) gathers, 2 * (comp * n_terms + term) + x for a single,
+    # which is also the key of the source the single alone owns
+    flat = [np.tile(index.inputs[:, j, :].ravel(), n_comp)
+            for j in range(len(parties))]
+    input_idx = {p: np.empty(n_rounds, dtype=index.inputs.dtype) for p in parties}
+    alone = {owners[0]: seen for _, owners, _, _, seen in sources
+             if len(owners) == 1}
+    weights = np.cumsum([w for w, _ in components])
+    for s in blocks:
+        m = s.stop - s.start
+        np.copyto(t[:m], term[s])
+        if n_comp > 1:
+            comp = np.searchsorted(weights, rng.random(out=u[:m]), side="right")
+            np.minimum(comp, n_comp - 1, out=comp)
+            comp *= n_terms
+            t[:m] += comp
+            term[s] = t[:m]
+        np.left_shift(t[:m], 1, out=key[:m])
+        for j, p in enumerate(parties):
+            at = key[:m]
+            if p in xbits:
+                at = np.add(at, xbits[p][s], out=slot[:m])
+            np.take(flat[j], at, out=input_idx[p][s], mode="clip")
+            if p in alone:
+                alone[p][at] = True
+        for _, owners, _, _, seen in sources:
+            if len(owners) != 1:
+                seen[_source_keys(t[:m], [xbits[p][s] for p in owners],
+                                  slot[:m])] = True
 
     # per source: one key per round, (comp, term, owners' x bits), read
     # through the source's group table as its reached group's first table
     # cell, plus the bucket of its uniform; the cell holds the outcome
-    bucket = np.empty(n_rounds, dtype=np.int16)
-    parity = {p: np.zeros(n_rounds, dtype=np.int8) for p in parties}
-    for src in topo.sources:
+    bucket = np.empty(size, dtype=np.int16)
+    for src, owners, keys, group_of, seen in sources:
         qs = list(src.qubits)
-        owners = list(dict.fromkeys(p for p in src.recipients if p in xbits))
-        keys, group_of = _group_table(spec_of, len(components), src, owners)
-        np.left_shift(term, len(owners), out=key)
-        for i, p in enumerate(owners):
-            key += xbits[p] << i
-        seen = np.zeros(len(group_of), dtype=bool)
-        seen[key] = True
         # the reached groups; keys sort by component first
         rows = np.unique(group_of[seen]).tolist()
         cdf = np.concatenate([
@@ -321,22 +382,33 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
         b = min(10, (n_rounds // len(rows)).bit_length() - 1)
         first = np.zeros(len(keys), dtype=np.intp)
         first[rows] = np.arange(len(rows)) << b
-        # in place; "clip" skips the bounds-checked copy (keys are in range)
-        np.take(first.take(group_of), key, out=key, mode="clip")
-        rng.random(n_rounds, out=u)
-        key |= np.multiply(u, 1 << b, out=bucket, casting="unsafe")
-        outcome = np.take(_bucket_table(cdf, b), key, out=bucket, mode="clip")
-        split = np.flatnonzero(outcome < 0)  # the search, as at b = 0
-        row = key[split] >> b
-        outcome[split] = (cdf[row, :-1] <= (u[split] * cdf[row, -1])[:, None]
-                          ).sum(axis=1)
-        for pos, p in enumerate(src.recipients):
-            parity[p] ^= outcome >> pos
-    del term, key, u, bucket, xbits
+        first = first.take(group_of)
+        table = _bucket_table(cdf, b)
+        for s in blocks:
+            m = s.stop - s.start
+            cell = _source_keys(term[s], [xbits[p][s] for p in owners], key[:m])
+            # in place; "clip" skips the bounds-checked copy (keys are in range)
+            np.take(first, cell, out=cell, mode="clip")
+            v = rng.random(out=u[:m])
+            cell |= np.multiply(v, 1 << b, out=bucket[:m], casting="unsafe")
+            outcome = np.take(table, cell, out=bucket[:m], mode="clip")
+            split = np.flatnonzero(outcome < 0)  # the search, as at b = 0
+            row = cell[split] >> b
+            outcome[split] = (cdf[row, :-1] <= (v[split] * cdf[row, -1])[:, None]
+                              ).sum(axis=1)
+            for pos, p in enumerate(src.recipients):
+                bit = outcome >> pos if pos else outcome
+                if p in owners:  # its x bits are read: its parity replaces them
+                    parity[p][s] = bit
+                else:
+                    parity[p][s] ^= bit
 
-    outcomes = {p: 1 - 2 * (bits & 1) for p, bits in parity.items()}
+    for bits in parity.values():  # in place: 1 - 2 * (bits & 1)
+        bits &= 1
+        bits *= -2
+        bits += 1
     return RoundBatch(parties, dict(zip(parties, index.vocab)), input_idx,
-                      outcomes, seed)
+                      parity, seed)
 
 
 # -- estimation ---------------------------------------------------------------

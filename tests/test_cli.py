@@ -5,7 +5,10 @@ import importlib.util
 import json
 import math
 import pathlib
+import os
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -614,6 +617,39 @@ def test_flag_and_config_value_take_one_converter(capsys, tmp_path, option):
         assert err.startswith(f"netbell {base[0]}: error: ")
         lines.append(err.replace(repr(value), "<value>"))
     assert lines[0] == lines[1]
+
+
+@pytest.mark.parametrize("command,config", [
+    ("certify", {"scenario": "chsh", "tolerance": True}),
+    ("evaluate", {"scenario": "two-source", "angles": {"A:ZX": True}}),
+    ("certify", {"scenario": "nkm", "n": 4, "m": 3,
+                 "wiring": [[3, True, 3], [4, 2, 3]]}),
+    ("certify", {"scenario": "nkm", "inter_bits": {"3": True}}),
+], ids=["tolerance", "angles", "wiring", "inter_bits"])
+def test_config_true_is_no_number(capsys, tmp_path, command, config):
+    # JSON true would read as 1, a well-formed value in each of these keys
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    assert err.startswith(f"netbell {command}: error: bad ") and "True" in err
+
+
+@pytest.mark.parametrize("script,args", [
+    ("survey_bounds.py", ["--starts", "1"]),
+    ("mc_convergence.py", ["--grid", "1000,4000", "--seeds", "3"]),
+])
+def test_scripts_run(script, args):
+    # the README's study scripts, each on a small input in its own interpreter
+    root = GOLDEN.parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, str(root / "scripts" / script), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() and not done.stderr
 
 
 def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):

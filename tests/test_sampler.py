@@ -350,18 +350,49 @@ def test_simulate_builds_only_the_distributions_its_rounds_reach(
     assert 0 < len(built[sampler]) <= len(built[sampler_oracle])
 
 
-def test_simulate_memory_at_star_combined_k3():
-    # one intp key per source, gathered into its own buffer
-    expr = build_star_combined(3)
+def _simulate_peak(expr, rounds):
+    """The batch and the tracemalloc peak of simulating it."""
     state = network_state(expr.topology)
     tracemalloc.start()
     try:
-        batch = simulate_rounds(expr, state, 1_000_000, seed=1)
+        batch = simulate_rounds(expr, state, rounds, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 46 * 2 ** 20
-    assert len(batch) == 1_000_000
+    assert len(batch) == rounds
+    return batch, peak
+
+
+def test_simulate_memory_at_star_combined_k3():
+    # every intp and float buffer holds one block of rounds
+    assert _simulate_peak(build_star_combined(3), 1_000_000)[1] < 24 * 2 ** 20
+
+
+@pytest.mark.parametrize("rounds", [100_000, 1_000_000])
+def test_simulate_memory_follows_the_batch(rounds):
+    # beyond the batch's own columns only the narrow term column grows with
+    # the rounds (2 bytes each here); the buffers and tables do not
+    batch, peak = _simulate_peak(build_star_combined(3), rounds)
+    own = sum(column.nbytes for columns in (batch.input_idx, batch.outcomes)
+              for column in columns.values())
+    assert peak - own < 5 * 2 ** 20
+
+
+@pytest.mark.parametrize("name,family,spec,k", [
+    ("chsh", "first", "natural", None),
+    ("two-source", "combined", "rho1(0.5)", None),
+    ("ghz-b", "first", "natural", None),
+    ("star", "combined", "natural", 3),
+])
+def test_block_boundaries_are_invisible(name, family, spec, k, monkeypatch):
+    # every draw is taken a block at a time: any block length gives the
+    # batch of one block, across families, a mixture and a 3-qubit source
+    expr = SCENARIOS[name].build(**({"k": k} if k else {}))[family]
+    state = parse_state_spec(spec, expr.topology)
+    want = simulate_rounds(expr, state, 10_001, seed=9)
+    for block in (1, 7, 4099):
+        monkeypatch.setattr(sampler, "_BLOCK", block)
+        _assert_same_batch(simulate_rounds(expr, state, 10_001, seed=9), want)
 
 
 def test_round_log_file_bytes_match_reference(tmp_path):
