@@ -4,8 +4,8 @@ import dataclasses
 import importlib.util
 import json
 import math
-import pathlib
 import os
+import pathlib
 import shlex
 import subprocess
 import sys

@@ -371,8 +371,10 @@ def test_simulate_memory_at_star_combined_k3():
 @pytest.mark.parametrize("rounds", [100_000, 1_000_000])
 def test_simulate_memory_follows_the_batch(rounds):
     # beyond the batch's own columns only the narrow term column grows with
-    # the rounds (2 bytes each here); the buffers and tables do not
-    batch, peak = _simulate_peak(build_star_combined(3), rounds)
+    # the rounds (1 byte each here); the buffers and tables do not
+    expr = build_star_combined(3)
+    expr.input_index  # a cached table, built once outside the trace
+    batch, peak = _simulate_peak(expr, rounds)
     own = sum(column.nbytes for columns in (batch.input_idx, batch.outcomes)
               for column in columns.values())
     assert peak - own < 5 * 2 ** 20
