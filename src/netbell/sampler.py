@@ -45,16 +45,17 @@ profiles, and
 
     I_label = normalization * sum_x (-1)^(x . e) mean_cell(x)
 
-It walks only the profiles the rounds reach, each joined to the terms whose
-x = 0 inputs it gives with every single's input set back to x = 0, never a
-table of every term's 2^s cells.  Several correlators may reuse a cell
-(fanned-out scenarios do); standard errors therefore aggregate the per-cell
-weight across terms, applying the delta method when the expression raises
-correlators to a power r != 1.  An empty cell makes the affected standard
-error infinite rather than silently dropping the term; a cell whose weights
-cancel to zero affects nothing.  Every sum runs in the order of the per-cell
-loop it replaces, so reports are reproducible bit for bit, and the CSV round
-log is byte for byte what ``csv.writer`` gives row by row.
+It counts the rounds ``_BLOCK`` at a time by (profile, outcome sign) under a
+narrow code per round; every later array runs over the reached profiles, each
+joined to the terms whose x = 0 inputs it gives with every single's input set
+back to x = 0, never a table of every term's 2^s cells.  Several correlators
+may reuse a cell (fanned-out scenarios do); standard errors therefore add the
+per-cell weight across terms, applying the delta method when the expression
+raises correlators to a power r != 1.  An empty cell makes the affected
+standard error infinite rather than silently dropping the term; a cell whose
+weights cancel to zero affects nothing.  Every sum runs in the order of the
+per-cell loop it replaces, so reports are reproducible bit for bit, and the
+CSV round log is byte for byte what ``csv.writer`` gives row by row.
 """
 
 from __future__ import annotations
@@ -468,30 +469,38 @@ def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
         raise ValueError("round batch does not match the scenario's parties")
     if any(tuple(batch.vocab[p]) != v for p, v in zip(index.parties, index.vocab)):
         raise ValueError("round batch inputs do not match the scenario's")
-    sizes = [len(v) for v in index.vocab]
+    n_rounds, sizes = batch.n_rounds, [len(v) for v in index.vocab]
     columns = [batch.input_idx[p] for p in index.parties]
     for p, idx, size in zip(index.parties, columns, sizes):
+        if len(idx) != n_rounds or len(batch.outcomes[p]) != n_rounds:
+            raise ValueError(f"a column for {p} is not {n_rounds} rounds long")
         if idx.size and (idx.min() < 0 or idx.max() >= size):
             raise ValueError(f"input index out of range for {p}")
-    # the input profiles the rounds reach, and per profile its rounds with
-    # outcome product +1 and -1: their difference is the sum of the +-1.0
-    # products, exactly, whatever order adds them
+    # the input profiles the rounds reach, and per profile, a block of rounds
+    # at a time, its rounds with outcome product +1 and -1: their difference
+    # is the sum of the +-1.0 products, exactly, whatever order adds them
     code, present, profiles = fold_rows(columns, sizes)
-    sign = np.ones(batch.n_rounds, dtype=np.int8)
-    for p in index.parties:
-        sign *= batch.outcomes[p]
-    code += code
-    code += sign < 0
-    by_sign = np.bincount(code, minlength=2 * int(present.max(initial=-1)) + 2)
+    by_sign = np.zeros(2 * int(present.max(initial=-1)) + 2, dtype=np.int64)
+    for lo in range(0, n_rounds, _BLOCK):
+        at = 2 * code[lo:lo + _BLOCK].astype(np.intp)
+        sign = np.ones(len(at), dtype=np.int8)
+        for p in index.parties:
+            outcome = batch.outcomes[p][lo:lo + _BLOCK]
+            if np.any(np.abs(outcome) != 1):
+                raise ValueError(f"outcome outside {{-1, +1}} for {p}")
+            sign *= outcome
+        at += sign < 0
+        np.add.at(by_sign, at, 1)
     plus, minus = by_sign[0::2][present], by_sign[1::2][present]
     counts = (plus + minus).astype(np.float64)
     mean = (plus - minus) / counts
     var = (1.0 - mean ** 2) / counts
+    del code, present, by_sign, plus, minus  # from here on, arrays per profile
 
     # terms with one x = 0 row read the same cells: a profile belongs to the
     # row it gives when each single's input is set back to x = 0 (its key),
     # in the column its singles' x bits spell in party order
-    n_terms, n_prof = len(expr.terms), len(present)
+    n_terms, n_prof = len(index.family), len(counts)
     rows, row_sizes = [], []  # the terms' x = 0 inputs, then the profiles'
     col = np.zeros(n_prof, dtype=np.int64)
     emask = np.zeros(n_terms, dtype=np.int64)  # the terms' exponent bits
@@ -503,18 +512,21 @@ def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
         levels, zero = np.unique(zero, return_inverse=True)
         v = profiles[j].astype(np.intp)
         if len(levels) > 1:  # else every row has the same input here
+            zero = zero.astype(small_int(len(levels)))  # a narrow row
             rows.append(np.concatenate([zero[x0], zero[v]]))
             row_sizes.append(len(levels))
         col = col << kind[v] | bit[v]
         emask = emask << single | index.exponents[:, j]
     key = (fold_rows(rows, row_sizes)[0] if rows
-           else np.zeros(n_terms + n_prof, dtype=np.intp))
+           else np.zeros(n_terms + n_prof, dtype=np.int8))
+    del profiles, rows
     term_key, prof_key = key[:n_terms], key[n_terms:]
 
     # every (term, reached cell) pair, in (term, column) order: a term's
     # pairs are its key's block of the profiles sorted by (key, column)
     n_single = index.single.sum(axis=1)
-    by_cell = np.argsort(prof_key << int(n_single.max()) | col)  # keys distinct
+    by_cell = np.argsort(np.left_shift(prof_key, int(n_single.max()),
+                                       dtype=np.int64) | col)  # keys distinct
     reached = np.bincount(prof_key, minlength=int(key.max()) + 1)
     n_pairs = reached[term_key]
     pair_term = np.repeat(np.arange(n_terms), n_pairs)
@@ -532,21 +544,11 @@ def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
     full = n_pairs == 1 << n_single
     min_n = np.full(n_terms, np.inf)
     np.minimum.at(min_n, pair_term, counts[pair_prof])
-    min_n[~full] = 0
 
-    # delta-method error propagation with per-cell weight aggregation
-    value = 0.0
-    fam_value = {f: 0.0 for f in expr.families()}
-    outer = np.zeros(n_terms)
-    term_reports = []
-    for i, t in enumerate(expr.terms):
-        e = float(est[i])
-        value += t.coefficient * expr.power(e)
-        fam_value[t.family] += t.coefficient * expr.power(e)
-        outer[i] = t.coefficient * expr.power_slope(e)
-        term_reports.append(TermEstimate(
-            t.correlator.label, t.family, e,
-            math.sqrt(se2[i]) if full[i] else math.inf, int(min_n[i])))
+    # delta-method error propagation with per-cell weight aggregation; the
+    # value and family sums add in term order, as a loop over the terms would
+    powered = index.coefficient * expr.power(est)
+    outer = index.coefficient * expr.power_slope(est)
     deriv = outer[pair_term] * w
 
     def se_of(keep: np.ndarray) -> float:
@@ -573,9 +575,14 @@ def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
             np.concatenate([deriv[sel], extra]),
             np.concatenate([var, np.full(len(extra), np.inf)]))
 
-    families = {f: (float(fam_value[f]), se_of(index.family == i))
-                for i, f in enumerate(expr.families())}
+    whole = float(ordered_sum(powered)), se_of(np.ones(n_terms, dtype=bool))
+    families = {f: (float(ordered_sum(powered[index.family == i])),
+                    se_of(index.family == i)) if len(expr.families()) > 1 else whole
+                for i, f in enumerate(expr.families())}  # one family: the whole
+    terms = zip(expr.terms, est.tolist(),
+                np.where(full, np.sqrt(se2), np.inf).tolist(),
+                np.where(full, min_n, 0).astype(int).tolist())
     return EstimateReport(
-        float(value), se_of(np.ones(n_terms, dtype=bool)), batch.n_rounds,
-        tuple(term_reports), families,
-        int((1 << n_single).sum()) - len(pair_term))
+        *whole, batch.n_rounds,
+        tuple(TermEstimate(t.correlator.label, t.family, *rest) for t, *rest in terms),
+        families, int((1 << n_single).sum()) - len(pair_term))

@@ -192,30 +192,32 @@ def fold_rows(columns: Sequence[np.ndarray], sizes: Sequence[int]
     The columns fold mixed-radix, largest size first, and whenever the code
     range would pass max(2^16, rows) the codes are renumbered to those
     present through a presence table, so nothing is sorted.  Returns each
-    row's code (intp; equal rows, equal codes), the codes present in
-    increasing order, and per column the value (in its dtype) at each
-    present code, decoded back through the folds and renumberings.
+    row's code (``small_int`` of the last range; equal rows, equal codes),
+    the codes present in increasing order, and per column the value (in its
+    dtype) at each present code, decoded back through the folds and renumberings.
     """
     limit = max(1 << 16, len(columns[0]))
     code = np.zeros(len(columns[0]), dtype=np.int8)
+
+    def seen(bound):  # numpy indexes fastest by intp: a block of codes at a time
+        marked = np.zeros(bound, dtype=bool)
+        for lo in range(0, len(code), 1 << 16):
+            marked[code[lo:lo + (1 << 16)].astype(np.intp)] = True
+        return marked
+
     bound, steps = 1, []  # steps: a folded column, or a renumbering's kept codes
     for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
         if bound * sizes[i] > limit:
-            index = code.astype(np.intp)  # numpy indexes fastest by intp
-            seen = np.zeros(bound, dtype=bool)
-            seen[index] = True
-            code = (np.cumsum(seen) - 1)[index]
-            steps.append(np.flatnonzero(seen))
+            kept = seen(bound)
+            steps.append(np.flatnonzero(kept))
             bound = len(steps[-1])
+            code = (np.cumsum(kept) - 1).astype(small_int(bound * sizes[i]))[code]
         bound *= sizes[i]
         code = code.astype(small_int(bound), copy=False)  # ours: fold in place
         code *= sizes[i]
         code += columns[i]
         steps.append(i)
-    code = code.astype(np.intp)
-    seen = np.zeros(bound, dtype=bool)
-    seen[code] = True
-    present = at = np.flatnonzero(seen)
+    present = at = np.flatnonzero(seen(bound))
     values = [None] * len(columns)
     for step in reversed(steps):
         if isinstance(step, int):  # // then -: numpy's % is slower
@@ -445,11 +447,12 @@ class InequalityExpr:
         return float(out) if out.ndim == 0 else out
 
     def power_slope(self, v):
-        """d power(v) / dv, with |v| floored at 1e-12 where v^(r-1) diverges."""
+        """d power(v) / dv, with |v| floored at 1e-12 where v^(r-1) diverges;
+        an array maps entry by entry, as in ``power``."""
         if self.exponent == 1:
             return np.copysign(1.0, v) if self.absolute else 1.0
-        r = float(self.exponent)
-        d = r * np.maximum(np.abs(v), 1e-12) ** (r - 1.0)
+        r, m = float(self.exponent), np.maximum(np.abs(v), 1e-12)
+        d = r * np.array([x ** (r - 1) for x in m.ravel().tolist()]).reshape(m.shape)
         return np.copysign(d, v) if self.absolute else d
 
 

@@ -243,6 +243,27 @@ def test_estimate_rejects_mismatched_batch():
                               chsh_batch.outcomes, seed=1)
     with pytest.raises(ValueError, match="out of range"):
         estimate(build_chsh(), out_of_range)
+    # an outcome that is not +-1 (the true batch gives 2.79, A's zeros 2.0)
+    batch = simulate_rounds(build_chsh(), network_state(build_chsh().topology),
+                            1000, seed=1)
+    for bad in (0, 2, -128):
+        outcomes = batch.outcomes["A"].copy()
+        outcomes[999] = bad  # in the last round only
+        wrong = RoundBatch(batch.parties, batch.vocab, batch.input_idx,
+                           {**batch.outcomes, "A": outcomes}, seed=1)
+        with pytest.raises(ValueError, match="outside .* for A"):
+            estimate(build_chsh(), wrong)
+    zeros = RoundBatch(batch.parties, batch.vocab, batch.input_idx,
+                       {**batch.outcomes, "A": np.zeros(1000, dtype=np.int8)}, seed=1)
+    with pytest.raises(ValueError, match="for A"):
+        estimate(build_chsh(), zeros)
+    # a column shorter than the batch, inputs or outcomes
+    for field in ("input_idx", "outcomes"):
+        columns = {"input_idx": batch.input_idx, "outcomes": batch.outcomes}
+        columns[field] = {**columns[field], "B": columns[field]["B"][:999]}
+        short = RoundBatch(batch.parties, batch.vocab, **columns, seed=1)
+        with pytest.raises(ValueError, match="for B is not 1000 rounds long"):
+            estimate(build_chsh(), short)
 
 
 def test_angles_shift_input_distributions():
@@ -378,6 +399,53 @@ def test_simulate_memory_follows_the_batch(rounds):
     own = sum(column.nbytes for columns in (batch.input_idx, batch.outcomes)
               for column in columns.values())
     assert peak - own < 5 * 2 ** 20
+
+
+def _estimate_peak(expr, rounds):
+    """The tracemalloc peak of estimating ``rounds`` rounds; the batch and
+    the expression's input index are built before the trace."""
+    expr.input_index
+    batch = simulate_rounds(expr, network_state(expr.topology), rounds, seed=1)
+    tracemalloc.start()
+    try:
+        rep = estimate(expr, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_rounds == rounds
+    return peak
+
+
+def test_estimate_memory_beyond_the_batch_at_star_combined_k3():
+    # the rounds are read a block at a time: beyond the batch only the
+    # narrow profile code (2 bytes a round here) grows with them
+    assert _estimate_peak(build_star_combined(3), 1_000_000) < 4 * 2 ** 20
+
+
+def test_estimate_memory_per_round_at_star_combined_k12():
+    # nearly every round reaches a profile of its own, so the arrays per
+    # profile are the arrays per round
+    assert _estimate_peak(build_star_combined(12), 100_000) < 215 * 100_000
+
+
+@pytest.mark.parametrize("name,params,family,spec", [
+    ("chsh", {}, "first", "natural"),
+    ("two-source", {}, "combined", "rho1(0.5)"),
+    ("star", {"k": 3, "r": Fraction(1, 3)}, "combined", "natural"),
+    ("star", {"k": 7}, "combined", "natural"),
+    ("bilocal", {}, "bi", "smolin"),
+])
+def test_estimate_block_boundaries_are_invisible(name, params, family, spec,
+                                                 monkeypatch):
+    # the estimate counts the rounds a block at a time: any block length,
+    # odd or longer than the batch, gives the same report
+    expr = SCENARIOS[name].build(**params)[family]
+    batch = simulate_rounds(expr, parse_state_spec(spec, expr.topology), 20_000,
+                            seed=3)
+    want = estimate(expr, batch).as_dict()
+    for block in (4099, 20_001):
+        monkeypatch.setattr(sampler, "_BLOCK", block)
+        assert estimate(expr, batch).as_dict() == want
 
 
 @pytest.mark.parametrize("name,family,spec,k", [

@@ -31,6 +31,7 @@ from netbell.scenario import (
     fold_rows,
     ordered_sum,
     resolve_angles,
+    small_int,
     unique_rows,
 )
 
@@ -423,6 +424,8 @@ def test_ordered_sum_adds_left_to_right():
     # 70,000 rows lift the bound to 70,000: 256 * 260 folds without one
     ([256, 260], 70_000, np.int16, 0),
     ([5], 0, np.int8, 0),
+    # a renumbering whose presence table is marked over two blocks of rows
+    ([256, 256, 256], 70_000, np.int16, 1),
 ])
 def test_fold_rows_matches_unique_rows(sizes, rows, dtype, renumberings,
                                        monkeypatch):
@@ -445,7 +448,14 @@ def test_fold_rows_matches_unique_rows(sizes, rows, dtype, renumberings,
     order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
     table = np.stack(columns, axis=1).reshape(rows, len(sizes))[:, order]
     want, inverse = np.unique(table, axis=0, return_inverse=True)
-    assert code.dtype == np.intp and present.dtype == np.intp
+    # each code stays in the narrow dtype of the last fold's range: the
+    # distinct prefixes at the last renumbering times the sizes folded after
+    bound = 1
+    for i in range(len(sizes)):
+        if bound * sizes[order[i]] > max(1 << 16, rows):
+            bound = len(np.unique(table[:, :i], axis=0))
+        bound *= sizes[order[i]]
+    assert code.dtype == small_int(bound) and present.dtype == np.intp
     assert np.all(np.diff(present) > 0)
     assert np.array_equal(present[inverse.ravel()], code)  # equal rows, equal codes
     assert [v.dtype for v in values] == [c.dtype for c in columns]
