@@ -54,8 +54,15 @@ per-cell weight across terms, applying the delta method when the expression
 raises correlators to a power r != 1.  An empty cell makes the affected
 standard error infinite rather than silently dropping the term; a cell whose
 weights cancel to zero affects nothing.  Every sum runs in the order of the
-per-cell loop it replaces, so reports are reproducible bit for bit, and the
-CSV round log is byte for byte what ``csv.writer`` gives row by row.
+per-cell loop it replaces, so reports are reproducible bit for bit.
+
+The CSV round log is byte for byte what ``csv.writer`` gives row by row, built
+as bytes a block of rounds at a time.  A block's rounds share one digit count
+and one ``round // 10^4``, so a round's number is the block's head and a slice
+of a fixed "0000".."9999" table.  The rest of a party's row is one of its
+2 |vocab| tails, ``csv.writer``'s own text, NUL-padded to one width and taken
+at 2 * input + (outcome < 0).  A block fills one record per round, per party
+its number and tail, and is written with the NULs dropped.
 """
 
 from __future__ import annotations
@@ -172,28 +179,42 @@ class RoundBatch:
         return self.n_rounds
 
     def to_csv(self, target) -> None:
-        """Write long-format rows: round,party,input,outcome."""
+        """Write long-format rows (round,party,input,outcome) to a path or text handle."""
         if isinstance(target, (str, bytes, os.PathLike)):
-            with open(target, "w", newline="") as fh:
-                self.to_csv(fh)
-            return
-        csv.writer(target).writerow(["round", "party", "input", "outcome"])
-        # per party, csv.writer's text for the rest of each (input, outcome) row
-        tails = [np.array(["," + _csv_row([p, inp, out])
-                           for inp in self.vocab[p] for out in (1, -1)],
-                          dtype=object) for p in self.parties]
-        for lo in range(0, self.n_rounds, _CSV_CHUNK):
-            hi = min(lo + _CSV_CHUNK, self.n_rounds)
-            numbers = [str(i) for i in range(lo, hi)]
-            columns = []
-            for p, tail in zip(self.parties, tails):
-                row = (2 * self.input_idx[p][lo:hi].astype(np.intp)
-                       + (self.outcomes[p][lo:hi] < 0))
-                columns += [numbers, tail[row].tolist()]
-            target.write("".join(itertools.chain.from_iterable(zip(*columns))))
+            import locale  # the encoding of open(target, "w"); csv runs only
+            with open(target, "wb") as fh:
+                self._write_csv(fh.write, locale.getpreferredencoding(False))
+        else:
+            self._write_csv(lambda data: target.write(data.decode()), "utf-8")
 
-
-_CSV_CHUNK = 8192
+    def _write_csv(self, write, encoding: str) -> None:
+        # per party, csv.writer's text for the rest of a row, at 2 * input +
+        # (outcome < 0), NUL-padded to one width
+        tails = [[("," + _csv_row([p, inp, out])).encode(encoding)
+                  for inp in self.vocab[p] for out in (1, -1)] for p in self.parties]
+        if any(b"\0" in tail for table in tails for tail in table):
+            raise ValueError("a party or input label holds a NUL character")
+        tails = [table.view(f"V{table.itemsize}") for table in map(np.array, tails)]
+        write(_csv_row(["round", "party", "input", "outcome"]).encode(encoding))
+        digits = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10
+                  + ord("0")).astype(np.uint8)  # "0000".."9999"
+        n = self.n_rounds
+        starts = [lo for lo in (0, 10, 100, 1000, *range(10_000, n, 10_000)) if lo < n]
+        for lo, hi in zip(starts, starts[1:] + [n]):
+            head = str(lo // 10_000).encode() if lo >= 10_000 else b""
+            width = 4 if head else len(str(lo))
+            text = np.empty((hi - lo, len(head) + width), dtype=np.uint8)
+            text[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
+            text[:, len(head):] = digits[lo % 10_000:][:hi - lo, 4 - width:]
+            text = text.view(f"V{text.shape[1]}")[:, 0]
+            # one record a round: per party, the round's text, then its tail
+            rec = np.empty(hi - lo, dtype=[
+                ("", dtype) for table in tails for dtype in (text.dtype, table.dtype)])
+            for j, (p, table) in enumerate(zip(self.parties, tails)):
+                row = 2 * self.input_idx[p][lo:hi].astype(np.intp)
+                row += self.outcomes[p][lo:hi] < 0
+                rec[f"f{2 * j}"], rec[f"f{2 * j + 1}"] = text, table.take(row)
+            write(rec.tobytes().replace(b"\0", b""))
 
 
 def _csv_row(fields) -> str:
@@ -373,8 +394,8 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
     bucket = np.empty(size, dtype=np.int16)
     for src, owners, keys, group_of, seen in sources:
         qs = list(src.qubits)
-        # the reached groups; keys sort by component first
-        rows = np.unique(group_of[seen]).tolist()
+        # the reached groups, in order; keys sort by component first
+        rows = np.flatnonzero(np.bincount(group_of[seen])).tolist()
         cdf = np.concatenate([
             np.cumsum(_source_distributions(components[c][1], qs, [
                 [specs[i] for i in keys[row][1:]] for row in group]), axis=1)
@@ -560,7 +581,7 @@ def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
         short = keep & ~full
         readers = np.bincount(term_key[keep], minlength=len(reached))[term_key]
         unreached = [(outer * norms)[short & (readers == 1)]]
-        for k in np.unique(term_key[short & (readers > 1)]).tolist():
+        for k in np.flatnonzero(np.bincount(term_key[short & (readers > 1)])).tolist():
             ts = np.flatnonzero(keep & (term_key == k))
             x = np.arange(1 << int(n_single[ts[0]]))
             d = np.zeros(len(x))

@@ -199,10 +199,14 @@ def fold_rows(columns: Sequence[np.ndarray], sizes: Sequence[int]
     limit = max(1 << 16, len(columns[0]))
     code = np.zeros(len(columns[0]), dtype=np.int8)
 
-    def seen(bound):  # numpy indexes fastest by intp: a block of codes at a time
-        marked = np.zeros(bound, dtype=bool)
+    def blocks():  # numpy indexes fastest by intp: a block of codes at a time
         for lo in range(0, len(code), 1 << 16):
-            marked[code[lo:lo + (1 << 16)].astype(np.intp)] = True
+            yield slice(lo, lo + (1 << 16)), code[lo:lo + (1 << 16)].astype(np.intp)
+
+    def seen(bound):
+        marked = np.zeros(bound, dtype=bool)
+        for _, at in blocks():
+            marked[at] = True
         return marked
 
     bound, steps = 1, []  # steps: a folded column, or a renumbering's kept codes
@@ -211,7 +215,11 @@ def fold_rows(columns: Sequence[np.ndarray], sizes: Sequence[int]
             kept = seen(bound)
             steps.append(np.flatnonzero(kept))
             bound = len(steps[-1])
-            code = (np.cumsum(kept) - 1).astype(small_int(bound * sizes[i]))[code]
+            table = (np.cumsum(kept) - 1).astype(small_int(bound * sizes[i]))
+            renumbered = np.empty(len(code), dtype=table.dtype)
+            for s, at in blocks():  # "clip": no buffered copy; codes are in range
+                np.take(table, at, out=renumbered[s], mode="clip")
+            code = renumbered
         bound *= sizes[i]
         code = code.astype(small_int(bound), copy=False)  # ours: fold in place
         code *= sizes[i]

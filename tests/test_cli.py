@@ -664,3 +664,29 @@ def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
         assert words[0] == "netbell", line
         assert main(words[1:]) == 0, line
         capsys.readouterr()
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma takes milliseconds to import at every invocation, and
+    # np.unique without an index or inverse imports it
+    commands = [
+        ["list"],
+        ["certify", "--scenario", "star", "--k", "3", "--family", "combined"],
+        ["evaluate", "--scenario", "two-source", "--family", "combined",
+         "--state", "rho1(0.5)"],
+        ["optimize", "--scenario", "ghz-b", "--starts", "8", "--seed", "11"],
+        ["simulate", "--scenario", "star", "--k", "2", "--rounds", "2000"],
+        ["simulate", "--scenario", "star", "--k", "3", "--family", "combined",
+         "--rounds", "2000", "--format", "csv", "--out", str(tmp_path / "r.csv")],
+    ]
+    code = ("import contextlib, io, json, sys\n"
+            "from netbell import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(GOLDEN.parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -474,6 +474,55 @@ def test_round_log_file_bytes_match_reference(tmp_path):
     assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def _array_batch(n_rounds, vocab):
+    """A batch built from arrays, nothing simulated: inputs uniform over each
+    party's vocabulary, outcomes of both signs."""
+    rng = np.random.default_rng(5)
+    input_idx = {p: rng.integers(0, len(v), n_rounds).astype(np.int8)
+                 for p, v in vocab.items()}
+    outcomes = {p: (1 - 2 * rng.integers(0, 2, n_rounds)).astype(np.int8)
+                for p in vocab}
+    return RoundBatch(tuple(vocab), vocab, input_idx, outcomes, seed=0)
+
+
+def test_round_log_matches_csv_writer_across_digit_counts(tmp_path):
+    # 100,001 rounds cross every digit count up to 10^5 and ten 10^4 seams;
+    # vocabularies of 1, 3 and 5 inputs, with labels csv.writer quotes
+    batch = _array_batch(100_001, {
+        "Alice": ("x0",),
+        "B12": ("00", "in,1", 'q"2'),
+        "hub": ("ZZ", "XZ1", "a b", "7", "-1")})
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        csv_reference(batch, fh)
+    batch.to_csv(tmp_path / "log.csv")
+    assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    got = io.StringIO(newline="")
+    batch.to_csv(got)
+    with open(tmp_path / "ref.csv", newline="") as fh:
+        assert got.getvalue() == fh.read()
+
+
+def test_round_log_refuses_a_nul_label(tmp_path):
+    # a NUL would vanish with the padding of the rows' tails
+    batch = _array_batch(3, {"A": ("0", "1\0")})
+    with pytest.raises(ValueError, match="NUL"):
+        batch.to_csv(io.StringIO(newline=""))
+
+
+def test_round_log_memory_at_star_combined_k3(tmp_path):
+    # a block of at most 10^4 rounds at a time, below the 4 MiB or so that
+    # estimating the same rounds takes beyond the batch
+    expr = build_star_combined(3)
+    batch = simulate_rounds(expr, network_state(expr.topology), 1_000_000, seed=1)
+    tracemalloc.start()
+    try:
+        batch.to_csv(tmp_path / "log.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 def test_cancelling_derivatives_of_two_empty_cells_keep_se_infinite():
     # CHSH term "1" reads cells (A0, B1) and (A1, B1) with weights +1 and -1;
     # with B=1 never drawn both are empty, and each alone must make se infinite
