@@ -32,9 +32,12 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import __version__, lhv, network, quantum, sampler, states
-from .scenario import SCENARIOS, InequalityExpr
+from . import __version__, network  # each handler imports the modules it runs
+
+if TYPE_CHECKING:
+    from .scenario import InequalityExpr
 
 
 class _Parser(argparse.ArgumentParser):
@@ -199,6 +202,7 @@ def _resolve(args, parser) -> None:
 
 def _build_scenario(args, parser) -> tuple[InequalityExpr, dict]:
     """The selected family, and the report's config echo of the run."""
+    from .scenario import SCENARIOS
     info = SCENARIOS.get(args.scenario)
     if info is None:
         parser.error(f"unknown scenario {args.scenario!r}; "
@@ -247,6 +251,7 @@ def _build_scenario(args, parser) -> tuple[InequalityExpr, dict]:
 
 
 def _state(args, expr, parser):
+    from . import states
     try:
         return states.parse_state_spec(args.state, expr.topology)
     except ValueError as exc:
@@ -277,6 +282,7 @@ def _finite(value: float) -> float | str:
 
 
 def _cmd_list(args, parser) -> int:
+    from .scenario import SCENARIOS
     rows = [{"name": info.name, "tag": info.tag, "families": list(info.families),
              "parameters": info.params, "summary": info.summary}
             for _, info in sorted(SCENARIOS.items())]
@@ -285,6 +291,7 @@ def _cmd_list(args, parser) -> int:
 
 
 def _cmd_certify(args, parser) -> int:
+    from . import lhv
     expr, config = _build_scenario(args, parser)
     report = lhv.certify(expr, tolerance=args.tolerance)
     results = _results(expr, claimed_quantum_max=expr.claimed_quantum_max,
@@ -294,6 +301,7 @@ def _cmd_certify(args, parser) -> int:
 
 
 def _cmd_evaluate(args, parser) -> int:
+    from . import quantum
     expr, config = _build_scenario(args, parser)
     state = _state(args, expr, parser)
     try:
@@ -308,6 +316,7 @@ def _cmd_evaluate(args, parser) -> int:
 
 
 def _cmd_optimize(args, parser) -> int:
+    from . import quantum
     expr, config = _build_scenario(args, parser)
     state = _state(args, expr, parser)
     check = quantum.claimed_max_check(expr, state, tolerance=args.tolerance,
@@ -323,6 +332,7 @@ def _cmd_simulate(args, parser) -> int:
     csv = args.format == "csv"
     if csv and not args.out:
         parser.error("--format csv needs --out for the round log")
+    from . import sampler
     expr, config = _build_scenario(args, parser)
     state = _state(args, expr, parser)
     try:
@@ -380,6 +390,8 @@ def main(argv=None) -> int:
     if args.command != "list":
         _resolve(args, parser)
     # before any work, so a bad path does not cost a whole run
+    if args.out and os.path.isdir(args.out):
+        parser.error(f"--out {args.out!r}: is a directory")
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         parser.error(f"--out {args.out!r}: no such directory")
     try:

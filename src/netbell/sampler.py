@@ -67,8 +67,6 @@ its number and tail, and is written with the NULs dropped.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 import os
@@ -218,6 +216,8 @@ class RoundBatch:
 
 
 def _csv_row(fields) -> str:
+    import csv  # as locale in to_csv: only the round log needs them
+    import io
     buf = io.StringIO()
     csv.writer(buf).writerow(fields)
     return buf.getvalue()
@@ -270,6 +270,26 @@ def _source_keys(term: np.ndarray, bits: Sequence[np.ndarray],
 
 
 _BLOCK = 1 << 16  # rounds per draw: the length of every intp and float buffer
+
+
+def _random_bits(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out`` with the bits, and leave the Philox state, that
+    ``rng.integers(0, 2, size=len(out))`` would: that draw takes the top bit
+    of one 32-bit output a bit (Lemire's method never rejects a range of 2),
+    and Philox gives a 64-bit word's low half, keeping its high half pending."""
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    n, pending = len(out), state["has_uint32"]
+    head = min(pending, n)
+    out[:head] = state["uinteger"] >> 31
+    words = bitgen.random_raw((n - head + 1) // 2)
+    halves = words.astype("<u8", copy=False).view("<u4")  # low, high, low, ...
+    out[head:] = halves[:n - head] >> 31
+    state = bitgen.state
+    state["has_uint32"] = (pending + n) % 2  # the last word's high half when 1
+    if len(halves):
+        state["uinteger"] = int(halves[-1])
+    bitgen.state = state
 
 
 def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
@@ -347,7 +367,7 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
     xbits = {p: parity[p] for p, single in zip(parties, singles) if single}
     for bits in xbits.values():
         for s in blocks:
-            bits[s] = rng.integers(0, 2, size=s.stop - s.start)
+            _random_bits(rng, bits[s])
 
     # per source: its owners (the single parties among its recipients) and
     # group table; seen marks the (comp, term, owners' x bits) keys reached

@@ -9,6 +9,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import textwrap
 import time
 from fractions import Fraction
 
@@ -476,6 +477,24 @@ def test_out_in_a_missing_directory_exits_2_before_any_work(
     assert err[-1].endswith(f"--out {str(out)!r}: no such directory")
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--scenario", "chsh", "--rounds", "1000"),
+    ("simulate", "--scenario", "chsh", "--rounds", "1000", "--format", "csv"),
+    ("certify", "--scenario", "chsh"),
+])
+def test_out_naming_a_directory_exits_2_before_any_work(
+        capsys, monkeypatch, tmp_path, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+    monkeypatch.setattr(sampler, "simulate_rounds", unreachable)
+    monkeypatch.setattr(lhv, "certify", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"netbell {argv[0]}: error: --out {str(tmp_path)!r}: is a directory"]
+
+
 def test_nkm_wiring_parsing(capsys):
     code, data = run_json(capsys, "certify", "--scenario", "nkm",
                           "--n", "3", "--k", "2", "--m", "2",
@@ -666,27 +685,72 @@ def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
         capsys.readouterr()
 
 
-def test_no_command_imports_numpy_ma(tmp_path):
-    # numpy.ma takes milliseconds to import at every invocation, and
-    # np.unique without an index or inverse imports it
-    commands = [
-        ["list"],
-        ["certify", "--scenario", "star", "--k", "3", "--family", "combined"],
-        ["evaluate", "--scenario", "two-source", "--family", "combined",
-         "--state", "rho1(0.5)"],
-        ["optimize", "--scenario", "ghz-b", "--starts", "8", "--seed", "11"],
-        ["simulate", "--scenario", "star", "--k", "2", "--rounds", "2000"],
-        ["simulate", "--scenario", "star", "--k", "3", "--family", "combined",
-         "--rounds", "2000", "--format", "csv", "--out", str(tmp_path / "r.csv")],
-    ]
-    code = ("import contextlib, io, json, sys\n"
-            "from netbell import cli\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert cli.main(argv) == 0, argv\n"
-            "print('numpy.ma' in sys.modules)\n")
+def _fresh_python(code: str, *args: str) -> str:
+    """stdout of ``code`` run in a new interpreter on this checkout's ``src``."""
     env = dict(os.environ, PYTHONPATH=str(GOLDEN.parents[1] / "src"))
-    done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    return done.stdout
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    # a usage error exits before numpy loads; numpy.ma takes milliseconds to
+    # import at every invocation, and np.unique without an index or inverse
+    # imports it
+    base = ["netbell", "netbell.cli", "netbell.network", "netbell.pauli"]
+    listed = [*base, "netbell.scenario"]
+    quantum = [*listed, "netbell.quantum", "netbell.states"]
+    sampled = [*listed, "netbell.sampler", "netbell.states"]
+    commands = [
+        (["list"], 0, listed),
+        (["certify", "--scenario", "star", "--k", "3", "--family", "combined"], 0,
+         [*listed, "netbell.lhv"]),
+        (["evaluate", "--scenario", "two-source", "--family", "combined",
+          "--state", "rho1(0.5)"], 0, quantum),
+        (["optimize", "--scenario", "ghz-b", "--starts", "8", "--seed", "11"], 0,
+         quantum),
+        (["simulate", "--scenario", "star", "--k", "2", "--rounds", "2000"], 0,
+         sampled),
+        (["simulate", "--scenario", "star", "--k", "3", "--family", "combined",
+          "--rounds", "2000", "--format", "csv", "--out", str(tmp_path / "r.csv")],
+         0, sampled),
+        (["certify", "--scenario", "nkm", "--wiring", "3:x"], 2, base),
+    ]
+    code = textwrap.dedent("""\
+        import contextlib, io, json, sys
+        from netbell import cli
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(sys.argv[1:])
+            except SystemExit as exc:
+                code = exc.code
+        modules = sorted(m for m in sys.modules if m.split(".")[0] == "netbell")
+        print(json.dumps([code, modules, "numpy" in sys.modules,
+                          "numpy.ma" in sys.modules]))
+    """)
+    for argv, exit_code, modules in commands:
+        got = json.loads(_fresh_python(code, *argv))
+        assert got == [exit_code, sorted(modules), exit_code == 0, False], argv
+
+
+def test_package_attributes_import_their_modules_on_first_use():
+    names = ["cli", "lhv", "network", "pauli", "quantum", "sampler", "scenario",
+             "states"]
+    code = textwrap.dedent("""\
+        import json, sys
+        import netbell
+        loaded = sorted(m for m in sys.modules if m.startswith("netbell."))
+        numpy = "numpy" in sys.modules
+        same = [getattr(netbell, name) is sys.modules["netbell." + name]
+                for name in sys.argv[1:]]
+        try:
+            netbell.nope
+        except AttributeError as exc:
+            nope = str(exc)
+        print(json.dumps([loaded, numpy, same, nope]))
+    """)
+    assert json.loads(_fresh_python(code, *names)) == [
+        [], False, [True] * len(names),
+        "module 'netbell' has no attribute 'nope'"]

@@ -696,3 +696,25 @@ def test_unequal_interleaved_families_match_reference_loops():
     for rounds, seed in ((7, 1), (3000, 2)):
         batch = simulate_rounds(expr, state, rounds, seed)
         _assert_same_batch(batch, simulate_rounds_reference(expr, state, rounds, seed))
+
+
+def _same_state(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 65535, 65536, 131073])
+@pytest.mark.parametrize("before", [0, 5])
+def test_random_bits_are_the_integers_draw(n, before):
+    # the x bits come from raw Philox words: the bits and the state they
+    # leave are those of rng.integers(0, 2), from a fresh generator and
+    # after an odd draw that leaves a half word pending
+    want_rng, rng = (np.random.Generator(np.random.Philox(key=2024)) for _ in range(2))
+    for gen in (want_rng, rng):
+        gen.integers(0, 2, size=before)
+    want = want_rng.integers(0, 2, size=n)
+    got = np.full(n, -1, dtype=np.int8)
+    sampler._random_bits(rng, got)
+    assert np.array_equal(got, want)
+    assert _same_state(rng.bit_generator.state, want_rng.bit_generator.state)
