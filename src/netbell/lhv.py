@@ -22,7 +22,9 @@ Two routes compute the vertex geometry:
   the vertices are kept as int64 numerators over one common denominator
   (the lcm of the normalizations' denominators), so ordering them, the
   linear maximum and the normalization check are integer arithmetic.  A
-  numerator that could overflow int64 raises instead of wrapping.
+  numerator that could overflow int64 raises instead of wrapping.  Each
+  vertex keeps its witness as one integer code; a vertex's Fractions and
+  strategy are decoded only when a report prints them.
 * cross-polytope structure: when each family's labels map bijectively onto
   the single-party exponent patterns (and families share no inputs), every
   deterministic strategy concentrates each family block on exactly one label
@@ -42,9 +44,9 @@ a genuine bound is ``UNPROVEN`` only when it falls inside an open bracket.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -60,25 +62,6 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class Strategy:
-    """Deterministic outputs keyed by (party, qualified input)."""
-
-    outputs: tuple[tuple[tuple[str, str], int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "outputs", tuple(sorted(self.outputs)))
-        for _, v in self.outputs:
-            if v not in (1, -1):
-                raise ValueError("outputs are +-1")
-
-    def grouped(self) -> dict[str, dict[str, int]]:
-        out: dict[str, dict[str, int]] = {}
-        for (party, inp), v in self.outputs:
-            out.setdefault(party, {})[inp] = v
-        return out
-
-
 # -- reduced enumeration -------------------------------------------------------
 
 
@@ -86,7 +69,8 @@ def _party_behaviors(expr: InequalityExpr, party: str):
     """Distinct per-term factor vectors with one witness assignment each.
 
     A term's factor is the bracket s_x0 +- s_x1 for a single party (sign
-    (-1)^e) and the one output s_input for a joint party.
+    (-1)^e) and the one output s_input for a joint party.  Returns the
+    inputs, the distinct factor rows and each row's first +-1 assignment.
     """
     index = expr.input_index
     j = index.parties.index(party)
@@ -98,26 +82,44 @@ def _party_behaviors(expr: InequalityExpr, party: str):
     bracket = np.where(index.single[:, j], 1 - 2 * index.exponents[:, j], 0)
     keys = signs[:, index.inputs[:, j, 0]] + bracket * signs[:, index.inputs[:, j, 1]]
     uniq, first = unique_rows(keys, return_index=True)
-    return inputs, uniq, list(map(tuple, signs[first].tolist()))
+    return inputs, uniq, signs[first]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexSet:
-    """Distinct correlator vectors over deterministic strategies.
+    """Distinct correlator vectors over deterministic strategies, as rows.
 
-    ``numerators`` holds the same vectors in the same order as one int64
-    row each over the common ``denominator``: ``vectors[v][t]`` equals
-    ``Fraction(numerators[v, t], denominator)``.  Every row sum fits in
-    int64.
+    Row v of ``numerators`` is one vector in int64 numerators over the common
+    ``denominator``, rows in descending lexicographic order, every row sum in
+    int64.  ``codes[v]`` is the lowest reduced-strategy code reaching row v;
+    its row-major digits pick one behaviour per party from ``signs``: per
+    party in topology order, (party, inputs, +-1 output rows).  ``vector``
+    and ``witness`` decode one row; ``vectors`` decodes all on first read.
     """
 
-    labels: tuple[str, ...]
-    vectors: tuple[tuple[Fraction, ...], ...]
-    witnesses: tuple[Strategy, ...]
+    numerators: np.ndarray
+    denominator: int
+    codes: np.ndarray
     n_raw: int
     n_reduced: int
-    numerators: np.ndarray = field(compare=False, repr=False)
-    denominator: int = field(compare=False)
+    signs: tuple[tuple[str, tuple[str, ...], np.ndarray], ...]
+
+    def vector(self, v: int) -> tuple[Fraction, ...]:
+        """Row v as exact Fractions."""
+        return tuple(Fraction(n, self.denominator) for n in self.numerators[v].tolist())
+
+    @functools.cached_property
+    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(map(self.vector, range(len(self.numerators))))
+
+    def witness(self, v: int) -> dict[str, dict[str, int]]:
+        """The lowest-code strategy reaching row v: {party: {input: +-1}},
+        parties and inputs in sorted order."""
+        code, out = int(self.codes[v]), {}
+        for party, inputs, rows in reversed(self.signs):
+            code, digit = divmod(code, len(rows))
+            out[party] = dict(sorted(zip(inputs, rows[digit].tolist())))
+        return dict(sorted(out.items()))
 
 
 def _first_distinct(rows: np.ndarray, codes: np.ndarray):
@@ -142,8 +144,7 @@ def _numerators(expr: InequalityExpr, rows: np.ndarray) -> tuple[np.ndarray, int
     return rows * index.scale, index.denominator
 
 
-def enumerate_vertices(expr: InequalityExpr,
-                       budget: int = DEFAULT_BUDGET) -> VertexSet:
+def enumerate_vertices(expr: InequalityExpr) -> VertexSet:
     """Distinct correlator vectors of the deterministic strategies.
 
     A reduced strategy picks one ``_party_behaviors`` row per party; its code
@@ -157,23 +158,24 @@ def enumerate_vertices(expr: InequalityExpr,
     of prod_j count_j; candidates are made ``_CHUNK`` rows at a time and the
     survivors of the slices deduplicated once more.
 
-    Behaviour tables are built smallest vocabulary first and the budget is
-    checked after each, so no hub table is built once smaller parties exceed it.
+    Behaviour tables are built smallest vocabulary first and checked against
+    ``DEFAULT_BUDGET`` after each, so no hub table is built once smaller
+    parties exceed it.
     """
     parties = expr.topology.party_ids()
-    vocab = expr.input_index.vocab
+    index = expr.input_index
     behaviors = [None] * len(parties)
     n_reduced = 1
-    for j in sorted(range(len(parties)), key=lambda j: len(vocab[j])):
+    for j in sorted(range(len(parties)), key=lambda j: len(index.vocab[j])):
         behaviors[j] = _party_behaviors(expr, parties[j])
         n_reduced *= behaviors[j][1].shape[0]
-        if n_reduced > budget:
-            raise BudgetExceeded(
-                f"at least {n_reduced} reduced strategies exceed the budget {budget}")
-    counts = [b[1].shape[0] for b in behaviors]
-    rows = np.ones((1, len(expr.terms)), dtype=np.int64)
+        if n_reduced > DEFAULT_BUDGET:
+            raise BudgetExceeded(f"at least {n_reduced} reduced strategies "
+                                 f"exceed the budget {DEFAULT_BUDGET}")
+    rows = np.ones((1, len(index.family)), dtype=np.int64)
     codes = np.zeros(1, dtype=np.int64)
-    for (_, keys, _), count in zip(behaviors, counts):
+    for _, keys, _ in behaviors:
+        count = len(keys)
         n_cand = len(rows) * count
         slices = []
         for start in range(0, n_cand, _CHUNK):
@@ -187,30 +189,10 @@ def enumerate_vertices(expr: InequalityExpr,
     # descending lexicographic, ties (a zero normalization) in fold order:
     # what sorting the Fraction tuples with reverse=True gives
     order = np.lexsort(-numerators.T[::-1])
-    numerators = numerators[order]
-    # one Fraction per distinct numerator, shared by every vector holding it
-    values, value_of = np.unique(numerators, return_inverse=True)
-    fractions = [Fraction(v, denominator) for v in values.tolist()]
-    vectors = tuple(tuple(map(fractions.__getitem__, row))
-                    for row in value_of.reshape(numerators.shape).tolist())
-    # a code's digits, most significant first, pick each party's witness
-    strides = [math.prod(counts[j + 1:]) for j in range(len(counts))]
-    digits = (codes[order, None] // strides) % counts
-    slots = [[(party, inp) for inp in inputs]
-             for party, (inputs, _, _) in zip(parties, behaviors)]
-    witnesses = tuple(
-        Strategy(tuple(itertools.chain.from_iterable(
-            zip(party_slots, wits[d])
-            for party_slots, (_, _, wits), d in zip(slots, behaviors, row))))
-        for row in digits.tolist())
-    return VertexSet(
-        labels=tuple(t.correlator.label for t in expr.terms),
-        vectors=vectors,
-        witnesses=witnesses,
-        n_raw=expr.n_strategies_raw(),
-        n_reduced=n_reduced,
-        numerators=numerators,
-        denominator=denominator)
+    return VertexSet(numerators[order], denominator, codes[order],
+                     expr.n_strategies_raw(), n_reduced,
+                     tuple((party, inputs, signs)
+                           for party, (inputs, _, signs) in zip(parties, behaviors)))
 
 
 # -- cross-polytope structure ----------------------------------------------------
@@ -384,11 +366,12 @@ def normalization_check(expr: InequalityExpr,
         return None
     v = int(np.argmax(hit))
     f = int(np.argmax(broken[:, v]))
-    vec = vertices.vectors[v]
+    vec = vertices.vector(v)
     return {
         "family": families[f],
-        "values": {vertices.labels[i]: str(vec[i]) for i in family_rows[f].tolist()},
-        "strategy": vertices.witnesses[v].grouped(),
+        "values": {expr.terms[i].correlator.label: str(vec[i])
+                   for i in family_rows[f].tolist()},
+        "strategy": vertices.witness(v),
     }
 
 
@@ -422,7 +405,7 @@ def certify(expr: InequalityExpr, tolerance: float = 1e-9) -> dict:
     }
     if vertices is not None:
         report["n_strategies_reduced"] = vertices.n_reduced
-        report["n_vertices"] = len(vertices.vectors)
+        report["n_vertices"] = len(vertices.numerators)
         counter = normalization_check(expr, vertices)
         report["normalization"] = "ok" if counter is None else counter
     else:

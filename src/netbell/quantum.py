@@ -55,6 +55,7 @@ from .scenario import (QUARTER_PI, AngleMap, InequalityExpr, ordered_sum,
 from .states import State
 
 ANGLE_MARGIN = 1e-3  # keep searches inside the open quadrant
+MAX_SWEEPS = 60  # coordinate-ascent sweeps per start, at most
 _BLOCK_BYTES = 1 << 24  # factor array (starts x terms x angles floats) per block
 
 
@@ -181,20 +182,20 @@ class CompiledExpression:
         rows.terms = self._terms(rows.factors, rows.off_quarter, self._quarter[0])
         rows.value = ordered_sum(rows.terms)
 
-    def _coordinate_ascent(self, theta: np.ndarray, max_sweeps: int
+    def _coordinate_ascent(self, theta: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coordinate ascent from every row of ``theta`` at once.
 
         A sweep steps each angle in key order.  A row stops after the first
         sweep that improves its value by less than 1e-12 at every step, or
-        after ``max_sweeps``.  Returns the final values, angles and sweep
+        after ``MAX_SWEEPS``.  Returns the final values, angles and sweep
         counts per row.
         """
         rows = self._rows(theta)
         value, theta = rows.value.copy(), rows.theta.copy()
         sweeps = np.zeros(len(theta), dtype=np.int64)
         live = np.arange(len(theta))
-        for sweep in range(1, max_sweeps + 1):
+        for sweep in range(1, MAX_SWEEPS + 1):
             improved = np.zeros(len(live))
             for j in range(len(self.keys)):
                 before = rows.value
@@ -234,8 +235,7 @@ class OptimizeResult:
 
 
 def optimize_angles(expr: InequalityExpr, state: State,
-                    starts: int = 8, seed: int = 11,
-                    max_sweeps: int = 60) -> OptimizeResult:
+                    starts: int = 8, seed: int = 11) -> OptimizeResult:
     """Multi-start coordinate ascent with an exact step per angle.
 
     Start 0 is the symmetric all-pi/4 point; the rest are seeded uniform
@@ -260,7 +260,7 @@ def optimize_angles(expr: InequalityExpr, state: State,
         points = np.full((n, len(keys)), QUARTER_PI)
         drawn = 1 if first == 0 else 0
         points[drawn:] = rng.uniform(lo, hi, size=(n - drawn, len(keys)))
-        v, theta, sw = compiled._coordinate_ascent(points, max_sweeps)
+        v, theta, sw = compiled._coordinate_ascent(points)
         values += v.tolist()
         angles += theta.tolist()
         sweeps += sw.tolist()

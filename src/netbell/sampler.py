@@ -77,9 +77,8 @@ import numpy as np
 
 from . import pauli, states
 from .network import NetworkTopology, SourceSpec
-from .scenario import (AngleMap, InequalityExpr, SingleQubitObservable,
-                       fold_rows, ordered_sum, resolve_angles, small_int,
-                       unique_rows)
+from .scenario import (AngleMap, InequalityExpr, fold_rows, ordered_sum,
+                       resolve_angles, small_int, unique_rows)
 from .states import StabilizerGroup, StabilizerMixture, State
 
 
@@ -304,7 +303,7 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
     index = expr.input_index
     parties = index.parties
     families = expr.families()
-    n_fam, n_comp, n_terms = len(families), len(components), len(expr.terms)
+    n_fam, n_comp, n_terms = len(families), len(components), len(index.family)
 
     # fam_rows[f][l]: the l-th term of family f
     fam_rows = [np.flatnonzero(index.family == f) for f in range(n_fam)]
@@ -312,24 +311,20 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
 
     # spec_of[q][t, x]: the setting id of qubit q in term t for its party's
     # bit x.  Ids number the distinct letter/coefficient sums: a lone letter's
-    # id is its LETTER_CODE, so a qubit starts from its term's letters, and a
-    # single party's rows then take its cos/sin sums' ids, in first use.
+    # id is its LETTER_CODE, so a qubit starts from its term's letters, and
+    # the terms with a factor of angle (p, plane) then take the cos/sin sums'
+    # ids on p's qubit, angle keys in order, ids in first use.
     codes = sorted(pauli.LETTER_CODE.items(), key=lambda item: item[1])
     spec_ids: dict[Spec, int] = {((letter, 1.0),): code for letter, code in codes}
-    spec_of = {}
-    for p in parties:
-        qubits = topo.party(p).qubits
-        tables = [np.repeat(index.letters[:, [q]], 2, axis=1).astype(np.int64)
-                  for q in qubits]
-        for f, rows in enumerate(fam_rows):
-            obs = expr.observables_for(families[f])[p]
-            if isinstance(obs, SingleQubitObservable):
-                theta = resolved[(p, obs.plane)]
-                for x, sign in ((0, 1.0), (1, -1.0)):
-                    tables[0][rows, x] = spec_ids.setdefault((
-                        ("Z", math.cos(theta)),
-                        (obs.plane[1], sign * math.sin(theta))), len(spec_ids))
-        spec_of.update(zip(qubits, tables))
+    spec_of = {q: np.repeat(index.letters[:, [q]], 2, axis=1).astype(np.int64)
+               for q in range(topo.n_qubits)}
+    for j, (p, plane) in enumerate(index.keys):
+        rows = index.exps[:, j] >= 0
+        theta = resolved[(p, plane)]
+        for x, sign in ((0, 1.0), (1, -1.0)):
+            spec_of[topo.party(p).qubits[0]][rows, x] = spec_ids.setdefault((
+                ("Z", math.cos(theta)), (plane[1], sign * math.sin(theta))),
+                len(spec_ids))
     specs = list(spec_ids)
 
     # every draw is taken a block of rounds at a time (see the module

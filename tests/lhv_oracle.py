@@ -1,18 +1,23 @@
 """Reference loops for ``lhv``: the vertex product table, the maxima and an ascent.
 
+``Strategy`` is a deterministic strategy as sorted ((party, input), +-1)
+pairs, the object the tests build strategies with.
+
 ``enumerate_vertices_reference`` is the loop that ``lhv.enumerate_vertices``
 replaces: it builds the full product table of the per-party behaviours
 (``party_behaviors_reference``, each party's output table deduplicated by the
 structured ``np.unique(axis=0)`` sort), every reduced strategy one row in
 row-major code order, 2^18 rows at a time, and keeps each distinct correlator
-row with the first (lowest) code that reaches it.  Its vectors are Fraction
-tuples sorted in descending order, and its numerators are read back off those
-Fractions.  The party-by-party fold must return an equal ``VertexSet`` with
-equal numerators.
+row with the first (lowest) code that reaches it.  It returns a
+``ReferenceVertices`` of its own: Fraction tuples sorted in descending order,
+the numerators read back off those Fractions, the codes, and each witness as
+a ``Strategy``.  The party-by-party fold must give ``VertexSet`` rows with
+equal numerators, codes, vectors and witnesses.
 
 ``linear_lhv_max_reference`` and ``normalization_check_reference`` are the
 per-vertex Fraction loops that ``lhv`` replaces with integer arithmetic on the
-numerators; they must return the same value and the same first counterexample.
+numerators; given the reference enumeration they must return the same value
+and the same first counterexample.
 
 ``maximize_on_simplex`` is a projected-gradient ascent over the probability
 simplex: one start at a time (the uniform point, then the Philox Dirichlet
@@ -36,14 +41,47 @@ strategy term by term, reading its outputs through ``output`` and
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from netbell import lhv
-from netbell.lhv import Strategy
 from netbell.scenario import InequalityExpr, Term, ordered_sum
 from scenario_oracle import n_single
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """Deterministic outputs keyed by (party, qualified input)."""
+
+    outputs: tuple[tuple[tuple[str, str], int], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "outputs", tuple(sorted(self.outputs)))
+        for _, v in self.outputs:
+            if v not in (1, -1):
+                raise ValueError("outputs are +-1")
+
+    def grouped(self) -> dict[str, dict[str, int]]:
+        out: dict[str, dict[str, int]] = {}
+        for (party, inp), v in self.outputs:
+            out.setdefault(party, {})[inp] = v
+        return out
+
+
+@dataclass(frozen=True)
+class ReferenceVertices:
+    """The product-table enumeration: vectors in descending order, row for
+    row with their numerators, lowest codes and witness strategies."""
+
+    vectors: tuple[tuple[Fraction, ...], ...]
+    witnesses: tuple[Strategy, ...]
+    codes: tuple[int, ...]
+    numerators: np.ndarray
+    denominator: int
+    n_raw: int
+    n_reduced: int
 
 
 def output(strategy: Strategy, party: str, inp: str) -> int:
@@ -93,7 +131,8 @@ def party_behaviors_reference(expr, party):
     return inputs, uniq.astype(np.int64), witnesses
 
 
-def enumerate_vertices_reference(expr, budget: int = lhv.DEFAULT_BUDGET):
+def enumerate_vertices_reference(expr, budget: int = lhv.DEFAULT_BUDGET
+                                 ) -> ReferenceVertices:
     parties = expr.topology.party_ids()
     behaviors = [party_behaviors_reference(expr, p) for p in parties]
     counts = [b[1].shape[0] for b in behaviors]
@@ -129,22 +168,22 @@ def enumerate_vertices_reference(expr, budget: int = lhv.DEFAULT_BUDGET):
         for party, (inputs, _, wits), d in zip(parties, behaviors, digits):
             for inp, val in zip(inputs, wits[d]):
                 outputs.append(((party, inp), val))
-        witnesses.append(lhv.Strategy(tuple(outputs)))
+        witnesses.append(Strategy(tuple(outputs)))
     order = sorted(range(len(vectors)), key=lambda i: vectors[i], reverse=True)
     vectors = tuple(vectors[i] for i in order)
     denominator = math.lcm(*(n.denominator for n in norms))
-    return lhv.VertexSet(
-        labels=tuple(t.correlator.label for t in expr.terms),
+    return ReferenceVertices(
         vectors=vectors,
         witnesses=tuple(witnesses[i] for i in order),
-        n_raw=expr.n_strategies_raw(),
-        n_reduced=n_reduced,
+        codes=tuple(witness_codes[i] for i in order),
         numerators=np.array([[int(v * denominator) for v in vec]
                              for vec in vectors], dtype=np.int64),
-        denominator=denominator)
+        denominator=denominator,
+        n_raw=expr.n_strategies_raw(),
+        n_reduced=n_reduced)
 
 
-def linear_lhv_max_reference(expr, vertices):
+def linear_lhv_max_reference(expr, vertices: ReferenceVertices):
     coeffs = [t.coefficient for t in expr.terms]
     best = None
     for vec in vertices.vectors:
@@ -157,7 +196,7 @@ def linear_lhv_max_reference(expr, vertices):
     return best
 
 
-def normalization_check_reference(expr, vertices):
+def normalization_check_reference(expr, vertices: ReferenceVertices):
     fam_indices = {
         fam: [i for i, t in enumerate(expr.terms) if t.family == fam]
         for fam in expr.families()}

@@ -503,13 +503,16 @@ def test_nkm_wiring_parsing(capsys):
     assert data["results"]["certification"]["lhv_max"] == 1.0
 
 
-@pytest.mark.parametrize("name,argv", [
-    ("certify_chsh.json", ("certify", "--scenario", "chsh")),
-    ("certify_ghz_b.json", ("certify", "--scenario", "ghz-b")),
-    ("simulate_star2.json",
-     ("simulate", "--scenario", "star", "--k", "2", "--rounds", "2000",
-      "--seed", "7")),
-])
+def _make_goldens():
+    """``scripts/make_goldens.py`` as a module: its ``CASES`` are the goldens."""
+    spec = importlib.util.spec_from_file_location(
+        "make_goldens", GOLDEN.parent.parent / "scripts" / "make_goldens.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+@pytest.mark.parametrize("name,argv", _make_goldens().CASES.items())
 def test_golden_reports(tmp_path, name, argv):
     # regenerate with scripts/make_goldens.py when the schema changes
     out = tmp_path / name
@@ -519,10 +522,7 @@ def test_golden_reports(tmp_path, name, argv):
 
 def test_make_goldens_check_writes_nothing_and_names_each_difference(
         tmp_path, monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location(
-        "make_goldens", GOLDEN.parent.parent / "scripts" / "make_goldens.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _make_goldens()
     assert script.check() == 0
     golden = tmp_path / "golden"
     golden.mkdir()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import lhv_oracle
 from conftest import compensated_sum, nkm_wirings
 from lhv_oracle import (
+    Strategy,
     block_numeric_reference,
     correlator_value,
     cross_polytope_structure_reference,
@@ -26,7 +27,6 @@ from lhv_oracle import (
 from netbell import lhv, network, scenario
 from netbell.lhv import (
     BudgetExceeded,
-    Strategy,
     certify,
     cross_polytope_structure,
     enumerate_vertices,
@@ -59,7 +59,6 @@ def constant_strategy(expr, value=1):
 
 def test_chsh_vertices_frozen():
     vs = enumerate_vertices(build_chsh())
-    assert vs.labels == ("0", "1")
     assert vs.n_raw == 16 and vs.n_reduced == 16
     got = set(vs.vectors)
     two = Fraction(2)
@@ -79,11 +78,14 @@ def test_strategy_evaluation():
 
 
 def test_witnesses_reproduce_vertices():
-    expr = build_two_source_linear()["first"]
-    vs = enumerate_vertices(expr)
-    for vec, wit in zip(vs.vectors, vs.witnesses):
-        got = tuple(correlator_value(expr, t, wit) for t in expr.terms)
-        assert got == vec
+    for expr in _certified_by_enumeration():
+        vs = enumerate_vertices(expr)
+        for v in range(len(vs.numerators)):
+            wit = Strategy(tuple(((party, inp), out)
+                                 for party, outs in vs.witness(v).items()
+                                 for inp, out in outs.items()))
+            got = tuple(correlator_value(expr, t, wit) for t in expr.terms)
+            assert got == vs.vector(v), expr.name
 
 
 def test_reduced_enumeration_is_lossless():
@@ -221,6 +223,19 @@ def test_normalization_check():
     assert "strategy" in counter
 
 
+def test_catalog_counterexample_is_pinned():
+    # the catalog's only vertex that breaks the normalization property,
+    # as the certify report prints it
+    want = {"family": "unprimed",
+            "strategy": {"A": {"0": -1, "1": -1}, "B": {"00": -1, "11": -1},
+                         "C": {"0": -1, "1": 1}},
+            "values": {"00": "0", "11": "0"}}
+    for expr in build_bilocal_baseline().values():
+        got = normalization_check(expr, enumerate_vertices(expr))
+        assert got == want, expr.name
+        assert repr(got["strategy"]) == repr(want["strategy"])  # sorted, as printed
+
+
 def test_nonlinear_star_analytic():
     expr = build_star_nonlinear(3, Fraction(1, 3), "first")
     detail = nonlinear_lhv_max(expr)
@@ -274,16 +289,23 @@ def test_enumeration_matches_product_table(monkeypatch):
             with pytest.raises(BudgetExceeded):
                 enumerate_vertices(expr)
             continue
-        # equal vectors, order, counts and lowest-code witnesses
-        got = enumerate_vertices(expr)
-        assert got == want, expr.name
-        assert got.denominator == want.denominator, expr.name
-        assert got.numerators.dtype == np.int64
-        assert np.array_equal(got.numerators, want.numerators), expr.name
+        # equal rows, order, counts and lowest-code witnesses; then with
         # five candidate rows per dedup call: slices cut through prefixes
+        _assert_same_vertices(enumerate_vertices(expr), want, expr.name)
         with monkeypatch.context() as m:
             m.setattr(lhv, "_CHUNK", 5)
-            assert enumerate_vertices(expr) == want, expr.name
+            _assert_same_vertices(enumerate_vertices(expr), want, expr.name)
+
+
+def _assert_same_vertices(got, want, name):
+    assert (got.n_raw, got.n_reduced) == (want.n_raw, want.n_reduced), name
+    assert got.denominator == want.denominator, name
+    assert got.numerators.dtype == np.int64
+    assert np.array_equal(got.numerators, want.numerators), name
+    assert got.codes.tolist() == list(want.codes), name
+    assert got.vectors == want.vectors, name
+    for v, wit in enumerate(want.witnesses):
+        assert got.witness(v) == wit.grouped(), name
 
 
 def _certified_by_enumeration():
@@ -311,13 +333,14 @@ def test_integer_maxima_match_fraction_loops():
     counterexamples = 0
     for expr in exprs:
         vertices = enumerate_vertices(expr)
-        want = normalization_check_reference(expr, vertices)
+        reference = enumerate_vertices_reference(expr)
+        want = normalization_check_reference(expr, reference)
         assert normalization_check(expr, vertices) == want, expr.name
         counterexamples += want is not None
         if expr.exponent == 1:
             got = linear_lhv_max(expr, vertices)
             assert type(got) is Fraction, expr.name
-            assert got == linear_lhv_max_reference(expr, vertices), expr.name
+            assert got == linear_lhv_max_reference(expr, reference), expr.name
     assert counterexamples >= 3  # bilocal bi and its two genuine variants
 
 
@@ -366,8 +389,9 @@ def test_budget_guard(monkeypatch):
         return behaviors(expr, party)
 
     monkeypatch.setattr(lhv, "_party_behaviors", spy)
-    with pytest.raises(BudgetExceeded):
-        enumerate_vertices(build_star_combined(3), budget=10)
+    monkeypatch.setattr(lhv, "DEFAULT_BUDGET", 10)
+    with pytest.raises(BudgetExceeded, match="exceed the budget 10$"):
+        enumerate_vertices(build_star_combined(3))
     assert built and "B" not in built
 
 

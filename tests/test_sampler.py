@@ -39,7 +39,8 @@ from scenario_oracle import party_inputs
 def _oracle_cases():
     """Every catalog expression, star K=2 and K=3 at r=1/3, star K=2..6 on
     the natural state; then mixtures of 2 and 4 components, the maximally
-    mixed state and skewed angles."""
+    mixed state, and skewed angles on chsh, two-source combined (on rho1) and
+    star combined K=3, where one party measures in two planes at two angles."""
     builds = [(name, {}) for name in SCENARIOS]
     builds += [("star", {"k": 2}), ("star", {"k": 3, "r": Fraction(1, 3)})]
     cases = []
@@ -56,10 +57,14 @@ def _oracle_cases():
             ("two-source", "combined", "rho1(0.4)", None),
             ("bilocal", "bi", "smolin", None),
             ("ghz-b", "first", "mixed", None),
-            ("chsh", "first", "natural", {("A", "ZX"): 0.3})):
+            ("chsh", "first", "natural", {("A", "ZX"): 0.3}),
+            ("two-source", "combined", "rho1(0.4)", "skewed"),
+            ("star", "combined", "natural", "skewed")):
+        expr = SCENARIOS[name].build()[family]
+        if angles == "skewed":  # every key its own angle: a party's two planes differ
+            angles = {key: 0.2 + 0.1 * j for j, key in enumerate(expr.angle_keys())}
         tag = f"{name}/{family}-{'skewed' if angles else spec}"
-        cases.append(pytest.param(SCENARIOS[name].build()[family], spec, angles,
-                                  id=tag))
+        cases.append(pytest.param(expr, spec, angles, id=tag))
     return cases
 
 
