@@ -369,7 +369,7 @@ def normalization_check(expr: InequalityExpr,
     vec = vertices.vector(v)
     return {
         "family": families[f],
-        "values": {expr.terms[i].correlator.label: str(vec[i])
+        "values": {index.labels[i]: str(vec[i])
                    for i in family_rows[f].tolist()},
         "strategy": vertices.witness(v),
     }

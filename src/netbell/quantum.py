@@ -9,9 +9,9 @@ value as a function of angles is a weighted product of cosines and sines:
 with powr the identity, a sign-preserving odd power, or |.|^r.
 
 ``compile_expression`` joins two parts.  The expression's
-``input_index``, the term table built once per expression and cached on
-it, holds every term's Pauli word as letter codes per qubit, its trig
-pattern, base and coefficient.  ``states.word_expectations`` then reads
+``input_index``, the term table its builder wrote, holds every term's
+Pauli word as letter codes per qubit, its trig pattern, base and
+coefficient.  ``states.word_expectations`` then reads
 E_t for all terms from the state: per block of qubits that the state's
 generators connect, it looks up each distinct restricted word once and
 multiplies the blocks' +-1/0 factors per term, so no Pauli word is built

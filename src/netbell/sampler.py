@@ -615,10 +615,9 @@ def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
     families = {f: (float(ordered_sum(powered[index.family == i])),
                     se_of(index.family == i)) if len(expr.families()) > 1 else whole
                 for i, f in enumerate(expr.families())}  # one family: the whole
-    terms = zip(expr.terms, est.tolist(),
-                np.where(full, np.sqrt(se2), np.inf).tolist(),
+    terms = zip(index.labels, [index.families[f] for f in index.family.tolist()],
+                est.tolist(), np.where(full, np.sqrt(se2), np.inf).tolist(),
                 np.where(full, min_n, 0).astype(int).tolist())
     return EstimateReport(
-        *whole, batch.n_rounds,
-        tuple(TermEstimate(t.correlator.label, t.family, *rest) for t, *rest in terms),
+        *whole, batch.n_rounds, tuple(TermEstimate(*t) for t in terms),
         families, int((1 << n_single).sum()) - len(pair_term))

@@ -17,10 +17,10 @@ An inequality is a +-1-weighted sum of correlators, optionally raised to a
 sign-preserving rational power r (odd numerator and denominator) or an
 absolute-value power for the bilocal baselines.
 
-Observables are grouped into families ("unprimed"/"primed").  Two families may
+Terms are grouped into families ("unprimed"/"primed").  Two families may
 share a party's physical observable (then inputs and angles are shared) or
 declare different ones (then combined tests relabel the party's inputs with a
-family prefix bit, and angles are independent).
+family prefix digit, and angles are independent).
 
 Star, two-source and (N, K, m) inequalities are one hub-and-branch
 construction, built by one function from the topology alone (star and
@@ -32,12 +32,14 @@ of its hub-hub source.  A hub measures Z for bit 0 and, for bit 1, X (first
 family) or Y (second) on branch qubits and X on hub-hub ones.  Every
 correlator carries 1/2^K; the second family adds the parity sign (-1)^|y|.
 
-Every layer reads the terms through one table, ``InequalityExpr.input_index``,
-built on first use and cached on the expression: per term its inputs as
-small integers, exponent bits, family, normalization (an integer over one
-common denominator), Pauli letters, trig pattern, base and coefficient.
-Certification, compilation and sampling read its arrays; only the builders,
-the validation and the reports walk the ``Term`` objects.
+An expression is its term table, ``InequalityExpr.input_index``: per term
+its label, family, sign, inputs as small integers, exponent bits,
+normalization (an integer over one common denominator), Pauli letters and
+trig pattern.  The hub builder computes the table from the bits of
+y = 0 .. 2^K - 1, the small builders from a few rows, and ``InputIndex``
+checks it once.  Certification, compilation, sampling and their reports
+read only the arrays; ``InequalityExpr.terms`` reads them back as one
+``Term`` record per label, on first use.
 """
 
 from __future__ import annotations
@@ -45,10 +47,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,64 +64,14 @@ PRIMED = "primed"
 
 
 @dataclass(frozen=True)
-class SingleQubitObservable:
-    """Input x in {0,1} selects cos(t) Z + (-1)^x sin(t) P on one qubit."""
-
-    qubit: int
-    plane: str  # "ZX" or "ZY"
-
-    def __post_init__(self) -> None:
-        if self.plane not in ("ZX", "ZY"):
-            raise ValueError(f"plane must be ZX or ZY, got {self.plane!r}")
-
-
-@dataclass(frozen=True)
-class JointPauliObservable:
-    """Input string selects one Pauli letter per owned qubit."""
-
-    qubits: tuple[int, ...]
-    letters: tuple[tuple[str, str], ...]  # (input, letter string), sorted
-
-    def __post_init__(self) -> None:
-        for inp, ls in self.letters:
-            if len(ls) != len(self.qubits):
-                raise ValueError(f"letter string {ls!r} does not match qubit count")
-            if any(c not in "XYZ" for c in ls):
-                raise ValueError(f"letters must be X/Y/Z, got {ls!r}")
-        if list(self.letters) != sorted(self.letters):
-            raise ValueError("letter map must be sorted by input")
-
-    @classmethod
-    def make(cls, qubits: Sequence[int],
-             mapping: Mapping[str, str]) -> "JointPauliObservable":
-        return cls(tuple(qubits), tuple(sorted(mapping.items())))
-
-    @functools.cached_property
-    def _letter_map(self) -> dict[str, str]:
-        return dict(self.letters)
-
-    def letters_for(self, inp: str) -> str:
-        return self._letter_map[inp]  # KeyError on an unknown input
-
-
-Observable = Union[SingleQubitObservable, JointPauliObservable]
-
-
-@dataclass(frozen=True)
 class Correlator:
-    """One product term: exponents for singles, input strings for joints."""
+    """One term's product form as a record: the singles' exponents and the
+    joints' raw inputs, each sorted by party."""
 
     label: str
     exponents: tuple[tuple[str, int], ...]
     joint_inputs: tuple[tuple[str, str], ...]
     normalization: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponents", tuple(sorted(self.exponents)))
-        object.__setattr__(self, "joint_inputs", tuple(sorted(self.joint_inputs)))
-        for _, e in self.exponents:
-            if e not in (0, 1):
-                raise ValueError("exponents are bits")
 
     @property
     def exponent_map(self) -> dict[str, int]:
@@ -136,10 +87,6 @@ class Term:
     coefficient: int
     correlator: Correlator
     family: str
-
-    def __post_init__(self) -> None:
-        if self.coefficient not in (1, -1):
-            raise ValueError("term coefficients are +-1")
 
 
 def small_int(n: int) -> np.dtype:
@@ -237,17 +184,24 @@ def fold_rows(columns: Sequence[np.ndarray], sizes: Sequence[int]
     return code, present, values
 
 
+def _within(a: np.ndarray, lo: int, hi: int) -> bool:
+    return a.size == 0 or lo <= a.min() and a.max() <= hi
+
+
 @dataclass(frozen=True, eq=False)
 class InputIndex:
-    """Every term of one expression as read-only arrays, the one table that
-    certification, compilation and sampling all read.
+    """Every term of one expression as read-only arrays: the expression's own
+    data, written once by its builder and read by every layer.
 
-    Parties run in topology order.  ``vocab[j]`` holds every qualified input
-    label party j can receive, in first-use order.  ``inputs[t, j, x]`` is
-    the vocabulary position of party j's input in term t for bit x; a joint
-    party's one input fills both slots.  ``exponents[t, j]`` is the exponent
-    bit of a single party (0 for a joint one), ``single[t, j]`` marks the
-    singles and ``family[t]`` is the term's position in ``families()``.
+    Term t is ``labels[t]``, in family ``families[family[t]]``, with sign
+    ``coefficient[t]`` (+-1.0).  Parties run in topology order.  ``vocab[j]``
+    holds every qualified input label party j can receive, in first-use
+    order; ``prefixed[j]`` marks a party whose observable differs between
+    families, so its labels start with the family's position.
+    ``inputs[t, j, x]`` is the vocabulary position of party j's input in term
+    t for bit x; a joint party's one input fills both slots.
+    ``exponents[t, j]`` is the exponent bit of a single party (0 for a joint
+    one) and ``single[t, j]`` marks the singles.
 
     Term t reads the 2^s profiles (its cells) setting each single party j to
     ``inputs[t, j, x]``, numbered by their x bits in party order.  Terms with
@@ -255,37 +209,85 @@ class InputIndex:
     reads another's: a position is a single's or a joint's input throughout.
 
     Term t's normalization is ``scale[t] / denominator``: int64 numerators
-    over the lcm of the normalizations' denominators.  ``base`` is
-    normalization * 2^s rounded once, and ``coefficient`` the term's +-1.0.
-    ``letters[t, q]`` is the ``pauli.LETTER_CODE`` of term t's segmented
-    Pauli word on qubit q.  ``exps[t, j]`` is -1 where term t has no factor
-    of angle ``keys[j]``, 0 for cos and 1 for sin.
+    over the lcm of the normalizations' denominators.  ``base``, derived, is
+    normalization * 2^s rounded once.  ``letters[t, q]`` is the
+    ``pauli.LETTER_CODE`` of term t's segmented Pauli word on qubit q.
+    ``exps[t, j]`` is -1 where term t has no factor of angle ``keys[j]``
+    (sorted (party, plane) pairs), 0 for cos and 1 for sin.
+
+    Construction checks the arrays once and casts them to the dtypes below.
     """
 
     parties: tuple[str, ...]
+    families: tuple[str, ...]
+    labels: tuple[str, ...]
+    family: np.ndarray       # (T,) intp
+    coefficient: np.ndarray  # (T,) float
     vocab: tuple[tuple[str, ...], ...]
-    inputs: np.ndarray       # (T, parties, 2)
+    prefixed: tuple[bool, ...]
+    inputs: np.ndarray       # (T, parties, 2), small_int of the widest vocab
     exponents: np.ndarray    # (T, parties) int8
     single: np.ndarray       # (T, parties) bool
-    family: np.ndarray       # (T,)
     scale: np.ndarray        # (T,) int64
     denominator: int
     keys: tuple[tuple[str, str], ...]
     letters: np.ndarray      # (T, n) int8
     exps: np.ndarray         # (T, J) int8
-    base: np.ndarray         # (T,)
-    coefficient: np.ndarray  # (T,)
+    base: np.ndarray = field(init=False)  # (T,)
+
+    def __post_init__(self) -> None:
+        t, p = len(self.labels), len(self.parties)
+        if not t:
+            raise ValueError("inequality needs at least one term")
+        if len(set(self.labels)) != t:
+            raise ValueError("correlator labels must be unique")
+        dtypes = {"family": np.intp, "coefficient": float, "inputs": np.int64,
+                  "exponents": np.int8, "single": bool, "scale": np.int64,
+                  "letters": np.int8, "exps": np.int8}
+        a = {name: np.asarray(getattr(self, name)) for name in dtypes}
+        shapes = {"family": (t,), "coefficient": (t,), "inputs": (t, p, 2),
+                  "exponents": (t, p), "single": (t, p), "scale": (t,),
+                  "exps": (t, len(self.keys))}
+        for name, shape in shapes.items():
+            if a[name].shape != shape:
+                raise ValueError(f"{name} has shape {a[name].shape}, expected {shape}")
+        if a["letters"].ndim != 2 or len(a["letters"]) != t:
+            raise ValueError("letters need one row per term")
+        if len(self.vocab) != p or len(self.prefixed) != p:
+            raise ValueError("vocab and prefixed need one entry per party")
+        if not (np.abs(a["coefficient"]) == 1).all():
+            raise ValueError("term coefficients are +-1")
+        if not _within(a["exponents"], 0, 1) or a["exponents"][~a["single"]].any():
+            raise ValueError("exponents are bits, 0 for a joint party")
+        sizes = np.array([len(v) for v in self.vocab])
+        if (a["inputs"] < 0).any() or (a["inputs"] >= sizes[:, None]).any():
+            raise ValueError("an input lies outside its party's vocabulary")
+        if (a["family"] < 0).any() or (a["family"] >= len(self.families)).any():
+            raise ValueError("a term's family is not declared")
+        if list(self.keys) != sorted(set(self.keys)) or not _within(a["exps"], -1, 1):
+            raise ValueError("angle keys must be sorted and distinct, exps -1, 0 or 1")
+        numerators = a["scale"].astype(np.int64) << a["single"].sum(axis=1)
+        if max(np.abs(numerators).max(), self.denominator) >= 1 << 53:
+            raise ValueError("normalizations need numerators and denominators below 2^53")
+        dtypes["inputs"] = small_int(int(sizes.max()))
+        # both operands are exact, so the float division rounds once, as
+        # float(normalization * 2^s) does
+        a["base"] = numerators / self.denominator
+        for name, array in a.items():
+            array = array.astype(dtypes.get(name, float), copy=False)
+            array.flags.writeable = False  # shared by every layer
+            object.__setattr__(self, name, array)
 
 
 @dataclass(frozen=True)
 class InequalityExpr:
-    """A +-1-weighted sum of (possibly power-transformed) correlators."""
+    """A +-1-weighted sum of (possibly power-transformed) correlators: its
+    term table and how the terms add up."""
 
     name: str
     tag: str
     topology: NetworkTopology
-    observables: tuple[tuple[str, tuple[tuple[str, Observable], ...]], ...]
-    terms: tuple[Term, ...]
+    input_index: InputIndex = field(repr=False)
     exponent: Fraction = Fraction(1)
     absolute: bool = False
     classical_bound: float = 1.0
@@ -293,147 +295,49 @@ class InequalityExpr:
     bound_model: str = "genuine"  # or "bilocal"
 
     def __post_init__(self) -> None:
-        if not self.terms:
-            raise ValueError("inequality needs at least one term")
-        labels = [t.correlator.label for t in self.terms]
-        if len(set(labels)) != len(labels):
-            raise ValueError("correlator labels must be unique")
+        if self.input_index.parties != self.topology.party_ids():
+            raise ValueError("the term table's parties are not the topology's")
         if not 0 < self.exponent <= 1:
             raise ValueError(f"exponent must lie in (0, 1], got {self.exponent}")
         if self.exponent != 1 and not self.absolute:
             if self.exponent.numerator % 2 == 0 or self.exponent.denominator % 2 == 0:
                 raise ValueError("sign-preserving powers need odd/odd rationals")
-        obs_maps = {f: dict(obs) for f, obs in reversed(self.observables)}
-        party_set = set(self.topology.party_ids())
-        for t in self.terms:
-            obs = obs_maps.get(t.family)
-            if obs is None:
-                raise ValueError(f"term family {t.family!r} has no observables")
-            exps, joints = t.correlator.exponent_map, t.correlator.joint_map
-            covered = set(exps) | set(joints)
-            if covered != party_set:
-                raise ValueError(
-                    f"correlator {t.correlator.label!r} covers {covered}, "
-                    f"expected {party_set}")
-            for party in exps:
-                if not isinstance(obs.get(party), SingleQubitObservable):
-                    raise ValueError(f"{party} is not single-qubit in {t.family}")
-            for party, inp in joints.items():
-                o = obs.get(party)
-                if not isinstance(o, JointPauliObservable):
-                    raise ValueError(f"{party} is not a joint party in {t.family}")
-                o.letters_for(inp)  # raises on unknown input
 
     # -- accessors ------------------------------------------------------------
 
     def families(self) -> tuple[str, ...]:
-        return tuple(f for f, _ in self.observables)
-
-    def observables_for(self, family: str) -> dict[str, Observable]:
-        for f, obs in self.observables:
-            if f == family:
-                return dict(obs)
-        raise KeyError(family)
+        return self.input_index.families
 
     def angle_keys(self) -> tuple[tuple[str, str], ...]:
         """Distinct (party, plane) pairs; shared observables share an angle."""
-        keys = set()
-        for _, obs in self.observables:
-            for party, o in obs:
-                if isinstance(o, SingleQubitObservable):
-                    keys.add((party, o.plane))
-        return tuple(sorted(keys))
-
-    def party_variants(self, party: str) -> list[Observable]:
-        """Distinct observable contents for a party, in family order."""
-        variants: list[Observable] = []
-        for _, obs in self.observables:
-            for p, o in obs:
-                if p == party and o not in variants:
-                    variants.append(o)
-        return variants
+        return self.input_index.keys
 
     def input_label(self, family: str, party: str, raw: str) -> str:
         """Round-log/strategy input label; family-prefixed iff observables differ."""
-        if len(self.party_variants(party)) > 1:
-            return str(self.families().index(family)) + raw
+        index = self.input_index
+        if index.prefixed[index.parties.index(party)]:
+            return str(index.families.index(family)) + raw
         return raw
 
     @functools.cached_property
-    def input_index(self) -> InputIndex:
-        """The term table; built on first use, then shared by every layer.
-
-        Family by family and party by party, a single party writes its
-        exponent into its angle's column and Z (exponent 0) or its plane's
-        letter (1) on its qubit; a joint party's input selects its letters.
-        """
-        parties = self.topology.party_ids()
-        families = self.families()
-        fam_pos = {f: i for i, f in enumerate(families)}
-        prefixed = [len(self.party_variants(p)) > 1 for p in parties]
-        vocab: list[dict[str, int]] = [{} for _ in parties]
-        shape = (len(self.terms), len(parties))
-        inputs = np.zeros(shape + (2,), dtype=np.int64)
-        exponents = np.zeros(shape, dtype=np.int8)
-        single = np.zeros(shape, dtype=bool)
-        family = np.zeros(len(self.terms), dtype=np.intp)
-        for t, term in enumerate(self.terms):
-            f = fam_pos[term.family]
-            family[t], prefix = f, str(f)
-            exps = term.correlator.exponent_map
-            joints = term.correlator.joint_map
-            for j, p in enumerate(parties):
-                if p in exps:
-                    raws = ("0", "1")
-                    exponents[t, j] = exps[p]
-                    single[t, j] = True
-                else:
-                    raws = (joints[p],) * 2
-                for x, raw in enumerate(raws):
-                    label = prefix + raw if prefixed[j] else raw
-                    inputs[t, j, x] = vocab[j].setdefault(label, len(vocab[j]))
-        width = max(len(v) for v in vocab)
-        inputs = inputs.astype(small_int(width))
-
-        keys = self.angle_keys()
-        column = {key: j for j, key in enumerate(keys)}
-        letters = np.zeros((len(self.terms), self.topology.n_qubits), dtype=np.int8)
-        exps = np.full((len(self.terms), len(keys)), -1, dtype=np.int8)
-        for f in sorted(set(family.tolist())):
-            rows = np.flatnonzero(family == f)
-            obs_map = self.observables_for(families[f])
-            for j, party in enumerate(parties):
-                obs = obs_map[party]
-                if isinstance(obs, SingleQubitObservable):
-                    e = exponents[rows, j]
-                    exps[rows, column[(party, obs.plane)]] = e
-                    letters[rows, obs.qubit] = np.where(
-                        e == 0, LETTER_CODE["Z"], LETTER_CODE[obs.plane[1]])
-                    continue
-                positions = {label: v for v, label in enumerate(vocab[j])}
-                prefix = self.input_label(families[f], party, "")  # family bit, if any
-                by_input = np.zeros((len(positions), len(obs.qubits)), dtype=np.int8)
-                for raw, word_letters in obs.letters:
-                    if prefix + raw in positions:
-                        by_input[positions[prefix + raw]] = [
-                            LETTER_CODE[c] for c in word_letters]
-                letters[np.ix_(rows, obs.qubits)] = by_input[inputs[rows, j, 0]]
-
-        norms = [t.correlator.normalization for t in self.terms]
-        denominator = math.lcm(*(n.denominator for n in norms))
-        scale = [n.numerator * (denominator // n.denominator) for n in norms]
-        # int / int rounds once, as float(normalization * 2^s) does
-        base = np.array([(c << s) / denominator for c, s in
-                         zip(scale, single.sum(axis=1).tolist())])
-        coefficient = np.array([t.coefficient for t in self.terms], dtype=float)
-        index = InputIndex(parties, tuple(tuple(v) for v in vocab), inputs,
-                           exponents, single, family,
-                           np.array(scale, dtype=np.int64), denominator, keys,
-                           letters, exps, base, coefficient)
-        for a in vars(index).values():
-            if isinstance(a, np.ndarray):
-                a.flags.writeable = False  # shared by every layer
-        return index
+    def terms(self) -> tuple[Term, ...]:
+        """The table read back as one ``Term`` per label, parties by name."""
+        ix = self.input_index
+        by_name = sorted(range(len(ix.parties)), key=ix.parties.__getitem__)
+        raw = [tuple(v[1:] for v in vocab) if pre else vocab
+               for vocab, pre in zip(ix.vocab, ix.prefixed)]
+        terms = []
+        for label, f, c, n, single, exps, inputs in zip(
+                ix.labels, ix.family.tolist(), ix.coefficient.tolist(),
+                ix.scale.tolist(), ix.single.tolist(), ix.exponents.tolist(),
+                ix.inputs[:, :, 0].tolist()):
+            corr = Correlator(
+                label, tuple((ix.parties[j], exps[j]) for j in by_name if single[j]),
+                tuple((ix.parties[j], raw[j][inputs[j]]) for j in by_name
+                      if not single[j]),
+                Fraction(n, ix.denominator))
+            terms.append(Term(int(c), corr, ix.families[f]))
+        return tuple(terms)
 
     def n_strategies_raw(self) -> int:
         return 1 << sum(len(v) for v in self.input_index.vocab)
@@ -479,17 +383,60 @@ def resolve_angles(expr: InequalityExpr, angles: AngleMap | None) -> dict[tuple[
     return resolved
 
 
-# -- builder helpers ----------------------------------------------------------
-
-def _bit_labels(n_bits: int) -> list[str]:
-    return ["".join(bits) for bits in itertools.product("01", repeat=n_bits)]
+AngleMap = Mapping[tuple[str, str], float]
 
 
-def _letter_word(bits: str, one_letter: str) -> str:
-    return "".join("Z" if b == "0" else one_letter for b in bits)
+def resolve_angles(expr: InequalityExpr, angles: AngleMap | None) -> dict[tuple[str, str], float]:
+    resolved = {key: QUARTER_PI for key in expr.angle_keys()}
+    if angles:
+        for key, value in angles.items():
+            if key not in resolved:
+                raise KeyError(f"no angle parameter {key!r}")
+            if not 0.0 < value < math.pi / 2:
+                raise ValueError(f"angle {key} = {value} outside (0, pi/2)")
+            resolved[key] = value
+    return resolved
 
 
-# -- CHSH and bilocal baselines ------------------------------------------------
+# -- small builders: CHSH, bilocal and GHZ-source expressions, row by row ------
+
+def _rows_expr(name: str, tag: str, topology: NetworkTopology,
+               families: Mapping[str, Sequence[tuple]], normalization: Fraction,
+               **fields) -> InequalityExpr:
+    """An expression from its rows per family: (label, coefficient,
+    {single party: exponent bit}, {joint party: input}).
+
+    The families share every observable, so no input carries a family
+    digit.  A single party measures in the ZX plane; a joint party's input
+    holds one bit per qubit it owns, Z for 0 and X for 1.
+    """
+    parties = topology.party_ids()
+    rows = [(f, *row) for f, fam_rows in enumerate(families.values())
+            for row in fam_rows]
+    vocab: list[dict[str, int]] = [{} for _ in parties]
+    inputs = np.zeros((len(rows), len(parties), 2), dtype=np.int64)
+    exponents = np.zeros((len(rows), len(parties)), dtype=np.int64)
+    bits = np.zeros((len(rows), topology.n_qubits), dtype=np.int64)
+    for t, (_, _, _, exps, joints) in enumerate(rows):
+        for j, party in enumerate(topology.parties):
+            word = str(exps[party.id]) if party.id in exps else joints[party.id]
+            raws = ("0", "1") if party.id in exps else (word, word)
+            inputs[t, j] = [vocab[j].setdefault(raw, len(vocab[j])) for raw in raws]
+            exponents[t, j] = exps.get(party.id, 0)
+            bits[t, list(party.qubits)] = [int(b) for b in word]  # its qubits' letters
+    single = np.array([[p in exps for p in parties] for *_, exps, _ in rows])
+    keys = tuple(sorted((p, "ZX") for p in rows[0][3]))
+    cols = [parties.index(p) for p, _ in keys]
+    index = InputIndex(
+        parties, tuple(families), tuple(row[1] for row in rows),
+        np.array([row[0] for row in rows]), np.array([row[2] for row in rows]),
+        tuple(map(tuple, vocab)), (False,) * len(parties), inputs, exponents,
+        single, np.full(len(rows), normalization.numerator),
+        normalization.denominator, keys,
+        np.where(bits == 1, LETTER_CODE["X"], LETTER_CODE["Z"]),
+        np.where(single[:, cols], exponents[:, cols], -1))
+    return InequalityExpr(name, tag, topology, index, **fields)
+
 
 def build_chsh() -> InequalityExpr:
     """Two-party baseline: 2 correlator groups, bound 2, maximum 2*sqrt(2).
@@ -497,18 +444,10 @@ def build_chsh() -> InequalityExpr:
     Correlators carry normalization 1, so the expression equals the familiar
     operator sum (A0+A1)B0 + (A0-A1)B1.
     """
-    topo = network.chsh_pair()
-    obs = (
-        ("A", SingleQubitObservable(0, "ZX")),
-        ("B", JointPauliObservable.make((1,), {"0": "Z", "1": "X"})),
-    )
-    terms = tuple(
-        Term(1, Correlator(y, (("A", int(y)),), (("B", y),), Fraction(1)), UNPRIMED)
-        for y in ("0", "1"))
-    return InequalityExpr(
-        name="chsh", tag="chsh", topology=topo,
-        observables=((UNPRIMED, obs),), terms=terms,
-        classical_bound=2.0, claimed_quantum_max=2.0 * math.sqrt(2.0))
+    rows = [(y, 1, {"A": int(y)}, {"B": y}) for y in ("0", "1")]
+    return _rows_expr("chsh", "chsh", network.chsh_pair(), {UNPRIMED: rows},
+                      Fraction(1), classical_bound=2.0,
+                      claimed_quantum_max=2.0 * math.sqrt(2.0))
 
 
 def build_bilocal_baseline() -> dict[str, InequalityExpr]:
@@ -518,38 +457,71 @@ def build_bilocal_baseline() -> dict[str, InequalityExpr]:
     shared-randomness polytope reaches sqrt(2) on (bi), which is why these
     under-detect and are kept only for comparison.
     """
-    topo = network.two_source()
-    obs = (
-        ("A", SingleQubitObservable(0, "ZX")),
-        ("B", JointPauliObservable.make((1, 2), {"00": "ZZ", "11": "XX"})),
-        ("C", SingleQubitObservable(3, "ZX")),
-    )
-    def corr(y: str) -> Correlator:
-        return Correlator(y, (("A", int(y[0])), ("C", int(y[1]))),
-                          (("B", y),), Fraction(1, 4))
-    terms = tuple(Term(1, corr(y), UNPRIMED) for y in ("00", "11"))
-    bi = InequalityExpr(
-        name="bilocal-bi", tag="bilocal-sqrt", topology=topo,
-        observables=((UNPRIMED, obs),), terms=terms,
-        exponent=Fraction(1, 2), absolute=True,
-        classical_bound=1.0, claimed_quantum_max=math.sqrt(2.0),
-        bound_model="bilocal")
-    bil = InequalityExpr(
-        name="bilocal-bil", tag="bilocal-linear", topology=topo,
-        observables=((UNPRIMED, obs),), terms=terms,
-        exponent=Fraction(1), absolute=True,
-        classical_bound=1.0, claimed_quantum_max=1.0,
-        bound_model="bilocal")
+    rows = [(y, 1, {"A": int(y[0]), "C": int(y[1])}, {"B": y}) for y in ("00", "11")]
+    bi = _rows_expr("bilocal-bi", "bilocal-sqrt", network.two_source(),
+                    {UNPRIMED: rows}, Fraction(1, 4),
+                    exponent=Fraction(1, 2), absolute=True,
+                    classical_bound=1.0, claimed_quantum_max=math.sqrt(2.0),
+                    bound_model="bilocal")
+    bil = replace(bi, name="bilocal-bil", tag="bilocal-linear",
+                  exponent=Fraction(1), claimed_quantum_max=1.0)
     return {"bi": bi, "bil": bil}
 
 
-# -- hub-and-branch networks: star, two-source, (N, K, m) ---------------------
+GHZ_A_LABELS = ("001", "000", "100", "110")
+GHZ_A_LABELS_PRIMED = ("010", "000", "100", "101")
 
-# which -> (family, plane, signed, label prefix) per family it holds
+
+def _ghz_a_rows(labels: Sequence[str], suffix: str = "") -> list[tuple]:
+    return [(y + suffix, 1, {"A": int(y[0]), "C": (int(y[1]) + int(y[2]) + 1) % 2},
+             {"B": y}) for y in sorted(labels)]
+
+
+def build_ghz_a(variant: str = "combined") -> InequalityExpr:
+    """Pair + three-qubit-source scenario with the hub holding three qubits.
+
+    Both label sets use the same physical observables (the letter map is Z/X
+    for each), so the two families share inputs and angles; the label sets
+    overlap on 000 and 100 and the combined expression counts those twice.
+    """
+    first = {UNPRIMED: _ghz_a_rows(GHZ_A_LABELS)}
+    second = {PRIMED: _ghz_a_rows(GHZ_A_LABELS_PRIMED, "'")}
+    shapes = {"first": (first, 1.0, 2.0), "second": (second, 1.0, 2.0),
+              "combined": ({**first, **second}, 2.0, 4.0)}
+    if variant not in shapes:
+        raise ValueError(f"unknown variant {variant!r}")
+    families, bound, top = shapes[variant]
+    return _rows_expr(f"ghz-a-{variant}", f"ghz-hub-{variant}", network.ghz_case_a(),
+                      families, Fraction(1, 4), classical_bound=bound,
+                      claimed_quantum_max=top)
+
+
+def build_ghz_b() -> InequalityExpr:
+    """Pair + fanned-out three-qubit source: one family of 8 signed correlators.
+
+    Both correlator variants (plain and primed exponent patterns) share every
+    observable; jointly they tile all 8 single-party sign cells, which is why
+    the bound is 1.  At pi/4 the 8 segmented operators are, up to the 1/(2
+    sqrt 2) coefficient, {Z1Z2, X1X2} x {Z3Z4X5, Z3X4Z5, X3Z4Z5, -X3X4X5}.
+    """
+    pairs = list(itertools.product((0, 1), repeat=2))
+    rows = [(f"{a}{b}", (-1) ** (a * b), {"A": a, "C1": a, "C2": (a + b + 1) % 2},
+             {"B": f"{a}{b}"}) for a, b in pairs]
+    rows += [(f"{a}{b}'", (-1) ** ((1 - a) * b),
+              {"A": a, "C1": 1 - a, "C2": (a + b) % 2}, {"B": f"{a}{b}"})
+             for a, b in pairs]
+    return _rows_expr("ghz-b", "ghz-fanout", network.ghz_case_b(), {UNPRIMED: rows},
+                      Fraction(1, 8), classical_bound=1.0,
+                      claimed_quantum_max=2.0 * math.sqrt(2.0))
+
+
+# -- hub-and-branch networks: star, two-source, (N, K, m), from the bits -------
+
+# which -> (family, plane, signed) per family it holds
 _HUB_FAMILIES = {
-    "first": ((UNPRIMED, "ZX", False, ""),),
-    "second": ((PRIMED, "ZY", True, ""),),
-    "combined": ((UNPRIMED, "ZX", False, "0"), (PRIMED, "ZY", True, "1")),
+    "first": ((UNPRIMED, "ZX", False),),
+    "second": ((PRIMED, "ZY", True),),
+    "combined": ((UNPRIMED, "ZX", False), (PRIMED, "ZY", True)),
 }
 
 
@@ -562,78 +534,101 @@ def _branch_sources(topology: NetworkTopology) -> list[SourceSpec]:
     return [s for s in topology.sources if single.intersection(s.recipients)]
 
 
-def _hub_family(topology: NetworkTopology, family: str, plane: str,
-                signed: bool, prefix: str, inter_bits: Mapping[int, int] | None):
-    """One hub-and-branch family: (sorted observables, terms, K).
-
-    Branch source i (the i-th source, in source order, that reaches a
-    single-qubit party) sets label bit i, which is that party's exponent.
-    Each hub qubit reads its branch source's bit, or the fixed
-    ``inter_bits`` bit (default 0) of its hub-hub source: Z for 0, the
-    plane's letter (branch) or X (hub-hub) for 1.
-    """
-    single = {p.id for p in topology.parties if len(p.qubits) == 1}
-    branches = _branch_sources(topology)
-    k = len(branches)
-    if k < 1:
-        raise ValueError("need at least one branch source")
-    fixed = dict(inter_bits or {})
-    if not set(fixed.values()) <= {0, 1}:
-        raise ValueError(f"inter bits must be 0 or 1, got {fixed}")
-    stray = sorted(set(fixed) - {s.id for s in topology.sources if s not in branches})
-    if stray:
-        raise network.SourceError(
-            "inter bits name source {}, which is not a hub-hub source", stray[0])
-    # hub qubit -> position in label + "01" (the fixed bits sit at k, k + 1)
-    position = {q: k + fixed.get(s.id, 0) for s in topology.sources for q in s.qubits}
-    names = []
-    for i, s in enumerate(branches):
-        names.append(next(r for r in s.recipients if r in single))
-        position.update(dict.fromkeys(s.qubits, i))
-    hubs = [(p.id, p.qubits, operator.itemgetter(*(position[q] for q in p.qubits)))
-            for p in topology.parties if len(p.qubits) > 1]
-    letter = str.maketrans("01", "Z" + plane[1])
-    maps: list[dict[str, str]] = [{} for _ in hubs]
-    terms = []
-    for y in _bit_labels(k):
-        bits, letters = y + "01", y.translate(letter) + "ZX"
-        inputs = []
-        for (hub, _, pick), mapping in zip(hubs, maps):
-            inp = "".join(pick(bits))
-            mapping[inp] = "".join(pick(letters))
-            inputs.append((hub, inp))
-        corr = Correlator(prefix + y, tuple(zip(names, map(int, y))),
-                          tuple(inputs), Fraction(1, 1 << k))
-        terms.append(Term((-1) ** y.count("1") if signed else 1, corr, family))
-    obs = [(name, SingleQubitObservable(topology.party(name).qubits[0], plane))
-           for name in names]
-    obs += [(hub, JointPauliObservable.make(qubits, mapping))
-            for (hub, qubits, _), mapping in zip(hubs, maps)]
-    return tuple(sorted(obs)), tuple(terms), k
+def _bit_strings(codes: np.ndarray, width: int, prefix: str = "") -> list[str]:
+    """``prefix + format(c, f"0{width}b")`` for each code, in array operations."""
+    chars = np.empty((len(codes), len(prefix) + width), dtype=np.uint8)
+    chars[:, :len(prefix)] = np.frombuffer(prefix.encode(), dtype=np.uint8)
+    chars[:, len(prefix):] = (codes[:, None] >> np.arange(width - 1, -1, -1)) & 1
+    chars[:, len(prefix):] += ord("0")
+    return chars.view(f"S{chars.shape[1]}")[:, 0].astype(str).tolist()
 
 
 def _hub_expr(topology: NetworkTopology, which: str, name: str, tag: str,
               inter_bits: Mapping[int, int] | None = None) -> InequalityExpr:
     """The first (Z/X), second (Z/Y, signed) or combined hub inequality.
 
-    Each family has bound 1 and maximum 2^(K/2); combined adds both.  The
-    term count, families x 2^K, is checked before anything is built.
+    Family f holds one term per y = 0 .. 2^K - 1, labelled by y's K bits
+    (behind f's digit when combined).  Branch source i (the i-th source, in
+    source order, that reaches a single-qubit party) sets bit i of y, read
+    from the left, which is that party's exponent.  Each hub qubit reads its
+    branch source's bit, or the fixed ``inter_bits`` bit (default 0) of its
+    hub-hub source: Z for 0, the plane's letter (branch) or X (hub-hub) for
+    1.  A hub's input is its qubits' bits.  Each family has bound 1 and
+    maximum 2^(K/2); combined adds both.  The term count, families x 2^K,
+    is checked before anything is built.
     """
-    n_terms = len(_HUB_FAMILIES[which]) << len(_branch_sources(topology))
-    if n_terms > _MAX_HUB_TERMS:
-        raise ValueError(f"{name} would have {n_terms} terms, over the "
+    fams = _HUB_FAMILIES[which]
+    branches = _branch_sources(topology)
+    k = len(branches)
+    if len(fams) << k > _MAX_HUB_TERMS:
+        raise ValueError(f"{name} would have {len(fams) << k} terms, over the "
                          f"limit of {_MAX_HUB_TERMS}")
-    observables, terms = [], ()
-    for family, plane, signed, prefix in _HUB_FAMILIES[which]:
-        obs, fam_terms, k = _hub_family(topology, family, plane, signed,
-                                        prefix, inter_bits)
-        observables.append((family, obs))
-        terms += fam_terms
-    n = len(observables)
-    return InequalityExpr(
-        name=name, tag=tag, topology=topology, observables=tuple(observables),
-        terms=terms, classical_bound=float(n),
-        claimed_quantum_max=n * 2.0 ** (k / 2))
+    if k < 1:
+        raise ValueError("need at least one branch source")
+    fixed = dict(inter_bits or {})
+    if not all(isinstance(b, (int, np.integer)) and b in (0, 1) for b in fixed.values()):
+        raise ValueError(f"inter bits must be 0 or 1, got {fixed}")
+    stray = sorted(set(fixed) - {s.id for s in topology.sources if s not in branches})
+    if stray:
+        raise network.SourceError(
+            "inter bits name source {}, which is not a hub-hub source", stray[0])
+    # per qubit: the position in y of its branch bit, or -1 - its fixed bit
+    at = {q: -1 - int(fixed.get(s.id, 0)) for s in topology.sources for q in s.qubits}
+    for i, s in enumerate(branches):
+        at.update(dict.fromkeys(s.qubits, i))
+    at = np.array([at[q] for q in range(topology.n_qubits)])
+    y = np.arange(1 << k)
+    y_bits = ((y[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.int8)  # (2^K, K)
+    bits = np.where(at >= 0, y_bits[:, np.maximum(at, 0)], -1 - at).astype(np.int8)
+    branch_party = {next(r for r in s.recipients if len(topology.party(r).qubits) == 1): i
+                    for i, s in enumerate(branches)}
+
+    n_fam, parties = len(fams), topology.party_ids()
+    fam_of = np.repeat(np.arange(n_fam), 1 << k)
+    vocab, prefixed = [], []
+    inputs = np.empty((n_fam << k, len(parties), 2), np.int32)  # vocabs below 2^18
+    exponents = np.zeros((n_fam << k, len(parties)), dtype=np.int8)
+    for j, party in enumerate(topology.parties):
+        qubits = list(party.qubits)
+        prefixes = [str(f) for f in range(n_fam)] if n_fam > 1 and (
+            party.id in branch_party or (at[qubits] >= 0).any()) else [""]
+        if party.id in branch_party:
+            exponents[:, j] = np.tile(y_bits[:, branch_party[party.id]], n_fam)
+            codes = np.arange(2)
+            position = np.broadcast_to(codes, (1 << k, 2))
+        else:  # a hub: its distinct inputs, numbered in first-use order
+            code = bits[:, qubits].astype(np.int64) @ (1 << np.arange(len(qubits))[::-1])
+            distinct, first, inverse = np.unique(code, return_index=True,
+                                                 return_inverse=True)
+            order = np.argsort(first)
+            codes, rank = distinct[order], np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            position = rank[inverse.ravel()][:, None]
+        inputs[:, j] = (np.tile(position, (n_fam, 1))
+                        + (len(codes) * fam_of[:, None] if len(prefixes) > 1 else 0))
+        vocab.append(tuple(itertools.chain.from_iterable(
+            _bit_strings(codes, len(qubits), pre) for pre in prefixes)))
+        prefixed.append(len(prefixes) > 1)
+
+    keys = sorted((p, plane) for p in branch_party for _, plane, _ in fams)
+    exps = np.full((n_fam << k, len(keys)), -1, dtype=np.int8)
+    letters, labels, signs = [], [], []
+    for f, (_, plane, signed) in enumerate(fams):
+        rows = slice(f << k, (f + 1) << k)
+        for p, i in branch_party.items():
+            exps[rows, keys.index((p, plane))] = y_bits[:, i]
+        one = np.where(at >= 0, LETTER_CODE[plane[1]], LETTER_CODE["X"]).astype(np.int8)
+        letters.append(np.where(bits == 1, one, np.int8(LETTER_CODE["Z"])))
+        labels += _bit_strings(y, k, str(f) if n_fam > 1 else "")
+        signs.append(1 - 2 * (y_bits.sum(axis=1) & 1) if signed else np.ones(1 << k))
+    index = InputIndex(
+        parties, tuple(f for f, _, _ in fams), tuple(labels), fam_of,
+        np.concatenate(signs), tuple(vocab), tuple(prefixed), inputs, exponents,
+        np.tile([p in branch_party for p in parties], (n_fam << k, 1)),
+        np.ones(n_fam << k, dtype=np.int64), 1 << k, tuple(keys),
+        np.concatenate(letters), exps)
+    return InequalityExpr(name, tag, topology, index, classical_bound=float(n_fam),
+                          claimed_quantum_max=n_fam * 2.0 ** (k / 2))
 
 
 def _star_expr(k: int, which: str) -> InequalityExpr:
@@ -713,93 +708,6 @@ def _nkm_expr(topology: NetworkTopology, which: str,
     fam = {"first": UNPRIMED, "second": PRIMED}[which]
     return _hub_expr(topology, which, f"nkm-{fam}-n{n}k{k}m{m}",
                      f"nkm-{which}[N={n},K={k},m={m}]", inter_bits)
-
-
-# -- GHZ-source scenarios ---------------------------------------------------------
-
-GHZ_A_LABELS = ("001", "000", "100", "110")
-GHZ_A_LABELS_PRIMED = ("010", "000", "100", "101")
-
-
-def _ghz_a_observables():
-    return (
-        ("A", SingleQubitObservable(0, "ZX")),
-        ("B", JointPauliObservable.make(
-            (1, 2, 3), {y: _letter_word(y, "X") for y in _bit_labels(3)})),
-        ("C", SingleQubitObservable(4, "ZX")),
-    )
-
-
-def _ghz_a_term(label: str, family: str, suffix: str = "") -> Term:
-    y2, y3, y4 = (int(c) for c in label)
-    corr = Correlator(label + suffix,
-                      (("A", y2), ("C", (y3 + y4 + 1) % 2)),
-                      (("B", label),), Fraction(1, 4))
-    return Term(1, corr, family)
-
-
-def build_ghz_a(variant: str = "combined") -> InequalityExpr:
-    """Pair + three-qubit-source scenario with the hub holding three qubits.
-
-    Both label sets use the same physical observables (the letter map is Z/X
-    for each), so the two families share inputs and angles; the label sets
-    overlap on 000 and 100 and the combined expression counts those twice.
-    """
-    topo = network.ghz_case_a()
-    obs = _ghz_a_observables()
-    first = tuple(_ghz_a_term(y, UNPRIMED) for y in sorted(GHZ_A_LABELS))
-    second = tuple(_ghz_a_term(y, PRIMED, "'") for y in sorted(GHZ_A_LABELS_PRIMED))
-    if variant == "first":
-        return InequalityExpr(
-            name="ghz-a-first", tag="ghz-hub-first", topology=topo,
-            observables=((UNPRIMED, obs),), terms=first,
-            classical_bound=1.0, claimed_quantum_max=2.0)
-    if variant == "second":
-        return InequalityExpr(
-            name="ghz-a-second", tag="ghz-hub-second", topology=topo,
-            observables=((PRIMED, obs),), terms=second,
-            classical_bound=1.0, claimed_quantum_max=2.0)
-    if variant == "combined":
-        return InequalityExpr(
-            name="ghz-a-combined", tag="ghz-hub-combined", topology=topo,
-            observables=((UNPRIMED, obs), (PRIMED, obs)), terms=first + second,
-            classical_bound=2.0, claimed_quantum_max=4.0)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def build_ghz_b() -> InequalityExpr:
-    """Pair + fanned-out three-qubit source: one family of 8 signed correlators.
-
-    Both correlator variants (plain and primed exponent patterns) share every
-    observable; jointly they tile all 8 single-party sign cells, which is why
-    the bound is 1.  At pi/4 the 8 segmented operators are, up to the 1/(2
-    sqrt 2) coefficient, {Z1Z2, X1X2} x {Z3Z4X5, Z3X4Z5, X3Z4Z5, -X3X4X5}.
-    """
-    topo = network.ghz_case_b()
-    obs = (
-        ("A", SingleQubitObservable(0, "ZX")),
-        ("B", JointPauliObservable.make(
-            (1, 2), {y: _letter_word(y, "X") for y in _bit_labels(2)})),
-        ("C1", SingleQubitObservable(3, "ZX")),
-        ("C2", SingleQubitObservable(4, "ZX")),
-    )
-    terms = []
-    for y in _bit_labels(2):
-        y2, y3 = int(y[0]), int(y[1])
-        corr = Correlator(y,
-                          (("A", y2), ("C1", y2), ("C2", (y2 + y3 + 1) % 2)),
-                          (("B", y),), Fraction(1, 8))
-        terms.append(Term((-1) ** (y2 * y3), corr, UNPRIMED))
-    for y in _bit_labels(2):
-        y2, y3 = int(y[0]), int(y[1])
-        corr = Correlator(y + "'",
-                          (("A", y2), ("C1", 1 - y2), ("C2", (y2 + y3) % 2)),
-                          (("B", y),), Fraction(1, 8))
-        terms.append(Term((-1) ** ((1 - y2) * y3), corr, UNPRIMED))
-    return InequalityExpr(
-        name="ghz-b", tag="ghz-fanout", topology=topo,
-        observables=((UNPRIMED, obs),), terms=tuple(terms),
-        classical_bound=1.0, claimed_quantum_max=2.0 * math.sqrt(2.0))
 
 
 # -- scenario registry -------------------------------------------------------------

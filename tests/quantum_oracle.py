@@ -26,9 +26,14 @@ import numpy as np
 
 from netbell import states
 from netbell.quantum import ANGLE_MARGIN, CompiledExpression, OptimizeResult
-from netbell.scenario import QUARTER_PI, InequalityExpr, SingleQubitObservable
+from netbell.scenario import QUARTER_PI, InequalityExpr
 from netbell.states import State
-from scenario_oracle import n_single, segmented_operator
+from scenario_oracle import (
+    SingleQubitObservable,
+    n_single,
+    observables_for,
+    segmented_operator,
+)
 
 
 def step(compiled: CompiledExpression, key: tuple[str, str],
@@ -119,8 +124,9 @@ class CompiledReference:
 
 def compile_reference(expr: InequalityExpr, state: State) -> CompiledReference:
     compiled = []
+    observables = {f: observables_for(expr, f) for f in expr.families()}
     for t in expr.terms:
-        obs_map = expr.observables_for(t.family)
+        obs_map = observables[t.family]
         corr = t.correlator
         trig = []
         for party, e in corr.exponents:

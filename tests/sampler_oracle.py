@@ -37,8 +37,9 @@ import numpy as np
 
 from netbell import pauli, sampler, states
 from netbell.sampler import EstimateReport, RoundBatch, TermEstimate
-from netbell.scenario import SingleQubitObservable, resolve_angles, small_int
+from netbell.scenario import resolve_angles, small_int
 from netbell.states import StabilizerGroup
+from scenario_oracle import SingleQubitObservable, observables_for
 
 
 def estimate_reference(expr, batch) -> EstimateReport:
@@ -197,11 +198,12 @@ def simulate_rounds_reference(expr, state, n_rounds, seed, angles=None) -> Round
 
     # spec_of[q][t, x]: the setting of qubit q in term t for its party's bit x
     spec_of = {}
+    observables = {f: observables_for(expr, f) for f in families}
     for p in parties:
         qubits = topo.party(p).qubits
         tables = [np.zeros((len(expr.terms), 2), dtype=np.int64) for _ in qubits]
         for fi, f in enumerate(families):
-            obs = expr.observables_for(f)[p]
+            obs = observables[f][p]
             if isinstance(obs, SingleQubitObservable):
                 theta = resolved[(p, obs.plane)]
                 for x, sign in ((0, 1.0), (1, -1.0)):

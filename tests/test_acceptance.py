@@ -38,7 +38,7 @@ from netbell.states import bell_pair, ghz3, network_state, product_group, smolin
 
 from conftest import dense_expectation, letters, stabilizer_vector
 from quantum_oracle import gradient
-from scenario_oracle import segmented_operator
+from scenario_oracle import observables_for, segmented_operator
 
 SQRT2 = math.sqrt(2.0)
 
@@ -182,7 +182,7 @@ def test_criterion_7_ghz_scenarios():
         # the eight pi/4 operators, with the -XXX part on the fanned source
         ops = set()
         for t in b.terms:
-            c, w = segmented_operator(t.correlator, b.observables_for(t.family),
+            c, w = segmented_operator(t.correlator, observables_for(b, t.family),
                                       b.topology.n_qubits)
             ops.add((t.coefficient if c > 0 else -t.coefficient, letters(w)))
         assert ops == {

@@ -694,6 +694,25 @@ def _fresh_python(code: str, *args: str) -> str:
     return done.stdout
 
 
+def test_no_command_reads_the_terms_view(capsys, monkeypatch, tmp_path):
+    # the reports read the table's labels and family names; ``terms`` builds
+    # one record per label and is left to readers outside the package
+    def unread(self):
+        raise AssertionError("a command read InequalityExpr.terms")
+
+    monkeypatch.setattr(scenario.InequalityExpr, "terms", property(unread))
+    for argv in (["list"], ["certify", "--scenario", "bilocal"],
+                 ["certify", "--scenario", "star", "--k", "3", "--family", "combined"],
+                 ["evaluate", "--scenario", "ghz-a", "--family", "combined"],
+                 ["optimize", "--scenario", "ghz-b", "--starts", "2"],
+                 ["simulate", "--scenario", "two-source", "--family", "combined",
+                  "--rounds", "2000"],
+                 ["simulate", "--scenario", "chsh", "--rounds", "500", "--format",
+                  "csv", "--out", str(tmp_path / "r.csv")]):
+        code, out = run(capsys, *argv)
+        assert code == 0 and out, argv
+
+
 def test_each_command_loads_only_its_modules(tmp_path):
     # a usage error exits before numpy loads; numpy.ma takes milliseconds to
     # import at every invocation, and np.unique without an index or inverse

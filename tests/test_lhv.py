@@ -46,6 +46,7 @@ from netbell.scenario import (
     build_star_second,
     build_two_source_linear,
 )
+import scenario_oracle
 from scenario_oracle import party_inputs
 
 
@@ -174,7 +175,7 @@ def _structure_cases():
     for k, r in ((2, Fraction(1, 3)), (3, Fraction(1, 5)), (5, Fraction(1, 3))):
         exprs += [build_star_nonlinear(k, r, family)
                   for family in ("first", "second", "combined")]
-    star = build_star_first(3)
+    star = scenario_oracle.build_star_first(3)
     last = star.terms[-1]
     corr = last.correlator
 
@@ -182,12 +183,13 @@ def _structure_cases():
         last_term = dataclasses.replace(last, correlator=correlator)
         return dataclasses.replace(star, terms=star.terms[:-1] + (last_term,))
 
-    exprs.append(dataclasses.replace(star, terms=star.terms[:-1]))
-    exprs.append(with_last(dataclasses.replace(
-        corr, exponents=star.terms[0].correlator.exponents)))
-    exprs.append(with_last(dataclasses.replace(corr, normalization=Fraction(1, 3))))
-    exprs.append(dataclasses.replace(
-        star, observables=star.observables + (("idle", star.observables[0][1]),)))
+    edited = [dataclasses.replace(star, terms=star.terms[:-1]),
+              with_last(dataclasses.replace(
+                  corr, exponents=star.terms[0].correlator.exponents)),
+              with_last(dataclasses.replace(corr, normalization=Fraction(1, 3))),
+              dataclasses.replace(star, observables=star.observables + (
+                  ("idle", star.observables[0][1]),))]
+    exprs += [model.expr() for model in edited]
     return exprs
 
 

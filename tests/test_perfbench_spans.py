@@ -42,18 +42,21 @@ def test_every_spanned_function_resolves_in_netbell():
 def test_trace_hooks_read_every_counter(tmp_path):
     """The hooks read netbell objects (vertex sets, correlators, round
     batches, estimate reports) and only note a failed read, so a refactor
-    could zero a layer's counters; on star first K=2 none may fail."""
+    could zero a layer's counters; none may fail on star first K=2, whose
+    table the hub builder computes from the bits, nor on ghz-b, whose table
+    the small builders write from rows."""
     tracer = _spans().Tracer(time.perf_counter)
     tracer.install(netbell)
     try:
-        expr = scenario.build_star_first(2)
-        lhv.certify(expr)
-        lhv.enumerate_vertices(expr)
-        state = states.network_state(expr.topology)
-        quantum.optimize_angles(expr, state, starts=2)
-        batch = sampler.simulate_rounds(expr, state, 100, seed=1)
-        sampler.estimate(expr, batch)
-        batch.to_csv(str(tmp_path / "rounds.csv"))
+        for build in (lambda: scenario.build_star_first(2), scenario.build_ghz_b):
+            expr = build()
+            lhv.certify(expr)
+            lhv.enumerate_vertices(expr)
+            state = states.network_state(expr.topology)
+            quantum.optimize_angles(expr, state, starts=2)
+            batch = sampler.simulate_rounds(expr, state, 100, seed=1)
+            sampler.estimate(expr, batch)
+            batch.to_csv(str(tmp_path / "rounds.csv"))
     finally:
         tracer.uninstall()
     assert tracer.missing == []

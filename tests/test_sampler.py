@@ -33,6 +33,7 @@ from netbell.states import (bell_pair, ghz3, network_state, parse_state_spec,
 from conftest import compensated_sum, stabilizer_vector
 import sampler_oracle
 from sampler_oracle import csv_reference, estimate_reference, simulate_rounds_reference
+import scenario_oracle
 from scenario_oracle import party_inputs
 
 
@@ -691,11 +692,11 @@ def test_full_bucket_tables_match_reference_loops(name, family, spec, k,
 def test_unequal_interleaved_families_match_reference_loops():
     # four unprimed and three primed terms, interleaved: the label draw then
     # scales by each round's own family size and the families are no ranges
-    expr = build_star_combined(2)
-    primed = [t for t in expr.terms if t.family == expr.families()[1]]
-    plain = [t for t in expr.terms if t.family == expr.families()[0]][:3]
-    expr = dataclasses.replace(expr, terms=(
-        primed[0], plain[0], primed[1], primed[2], plain[1], primed[3], plain[2]))
+    model = scenario_oracle.build_star_combined(2)
+    primed = [t for t in model.terms if t.family == model.families()[1]]
+    plain = [t for t in model.terms if t.family == model.families()[0]][:3]
+    expr = dataclasses.replace(model, terms=(
+        primed[0], plain[0], primed[1], primed[2], plain[1], primed[3], plain[2])).expr()
     assert expr.input_index.family.tolist() == [1, 0, 1, 1, 0, 1, 0]
     state = network_state(expr.topology)
     for rounds, seed in ((7, 1), (3000, 2)):

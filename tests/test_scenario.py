@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from netbell import network, scenario
 from netbell.scenario import (
@@ -15,10 +16,7 @@ from netbell.scenario import (
     QUARTER_PI,
     SCENARIOS,
     UNPRIMED,
-    Correlator,
-    InequalityExpr,
-    JointPauliObservable,
-    SingleQubitObservable,
+    InputIndex,
     Term,
     build_chsh,
     build_ghz_a,
@@ -36,8 +34,19 @@ from netbell.scenario import (
 )
 
 import scenario_oracle
-from conftest import compensated_sum, letters
-from scenario_oracle import n_single, party_inputs, segmented_operator
+from conftest import compensated_sum, letters, nkm_wirings
+from scenario_oracle import (
+    JointPauliObservable,
+    Model,
+    SingleQubitObservable,
+    assert_matches,
+    assert_same_index,
+    correlator,
+    n_single,
+    observables_for,
+    party_inputs,
+    segmented_operator,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -46,7 +55,7 @@ def segmented(expr, angles=None):
     """(family, label) -> (coefficient incl. term sign, word) at given angles."""
     out = {}
     for t in expr.terms:
-        obs = expr.observables_for(t.family)
+        obs = observables_for(expr, t.family)
         c, w = segmented_operator(t.correlator, obs, expr.topology.n_qubits, angles)
         out[(t.family, t.correlator.label)] = (t.coefficient * c, w)
     return out
@@ -90,8 +99,8 @@ def test_two_source_families():
     assert [t.coefficient for t in first.terms] == [1, 1, 1, 1]
     assert [t.coefficient for t in second.terms] == [1, -1, -1, 1]
     # letter maps: B measures the pair in Z/X (first) or Z/Y (second)
-    b1 = first.observables_for(UNPRIMED)["B"]
-    b2 = second.observables_for(PRIMED)["B"]
+    b1 = observables_for(first, UNPRIMED)["B"]
+    b2 = observables_for(second, PRIMED)["B"]
     assert b1.letters_for("01") == "ZX" and b1.letters_for("10") == "XZ"
     assert b2.letters_for("11") == "YY"
     combined = exprs["combined"]
@@ -123,7 +132,7 @@ def test_star_first_shape():
     assert {t.correlator.normalization * 2 ** n_single(t.correlator)
             for t in expr.terms} == {1}
     assert expr.claimed_quantum_max == pytest.approx(2.0 ** 1.5)
-    b = expr.observables_for(UNPRIMED)["B"]
+    b = observables_for(expr, UNPRIMED)["B"]
     assert b.letters_for("101") == "XZX"
     ops = segmented(expr)
     c, w = ops[(UNPRIMED, "000")]
@@ -175,8 +184,8 @@ def test_nkm_collapse_is_star():
         assert a.correlator.normalization == b.correlator.normalization
         assert a.correlator.exponent_map == b.correlator.exponent_map
     # hub letter maps agree input-for-input even though qubit ids differ
-    hub_nk = nk_first.observables_for(UNPRIMED)["B1"]
-    hub_st = st_first.observables_for(UNPRIMED)["B"]
+    hub_nk = observables_for(nk_first, UNPRIMED)["B1"]
+    hub_st = observables_for(st_first, UNPRIMED)["B"]
     for y in ("00", "01", "10", "11"):
         assert hub_nk.letters_for(y) == hub_st.letters_for(y)
     assert nk_first.claimed_quantum_max == st_first.claimed_quantum_max
@@ -187,12 +196,12 @@ def test_nkm_inter_source_letters():
     exprs = build_nkm(topo)
     for fam, expr in exprs.items():
         family = expr.families()[0]
-        obs = expr.observables_for(family)
+        obs = observables_for(expr, family)
         # hub B1 holds qubits (1, 4): branch bit then fixed link bit 0 -> Z
         assert obs["B1"].letters_for("00") == "ZZ"
         assert obs["B1"].letters_for("10")[1] == "Z"
     withx = build_nkm(topo, inter_bits={2: 1})
-    obs = withx["second"].observables_for(PRIMED)
+    obs = observables_for(withx["second"], PRIMED)
     # the link pair measures X in both families, never Y
     assert obs["B1"].letters_for("01") == "ZX"
     assert obs["B2"].letters_for("01") == "ZX"
@@ -204,6 +213,16 @@ def test_nkm_inter_bits_are_bits():
     for bad in (2, -1):
         with pytest.raises(ValueError, match="inter bits must be 0 or 1"):
             build_nkm(topo, inter_bits={2: bad})
+
+
+def test_nkm_inter_bits_refuse_non_integers():
+    # a float bit used to reach the per-qubit lookup and fail with a bare
+    # TypeError; any non-integer bit, equal to 0 or 1 or not, is refused
+    topo = network.nkm(4, 2, 2, ((2, 0, 1), (3, 0, 1)))
+    for bad in (1.0, 0.0, 0.5, "1", None):
+        with pytest.raises(ValueError, match="inter bits must be 0 or 1"):
+            build_nkm(topo, inter_bits={3: bad})
+    assert build_nkm(topo, inter_bits={3: np.int64(1)}) is not None
 
 
 def test_nkm_inter_bits_name_hub_hub_sources():
@@ -255,35 +274,59 @@ def test_resolve_angles():
 
 
 def test_expr_validation():
+    # a model's table goes through the package's constructor, which checks it
     topo = network.chsh_pair()
     obs = (
         ("A", SingleQubitObservable(0, "ZX")),
         ("B", JointPauliObservable.make((1,), {"0": "Z", "1": "X"})),
     )
-    def corr(label, y):
-        return Correlator(label, (("A", int(y)),), (("B", y),), Fraction(1))
-    dup = (Term(1, corr("0", "0"), UNPRIMED), Term(1, corr("0", "1"), UNPRIMED))
+
+    def expr(*terms, **fields):
+        return Model("x", "x", topo, ((UNPRIMED, obs),), terms, **fields).expr()
+
+    def corr(label, y, a=None):
+        return correlator(label, (("A", int(y) if a is None else a),), (("B", y),),
+                          Fraction(1))
     with pytest.raises(ValueError, match="unique"):
-        InequalityExpr("x", "x", topo, ((UNPRIMED, obs),), dup)
-    missing = (Term(1, Correlator("0", (("A", 0),), (), Fraction(1)), UNPRIMED),)
-    with pytest.raises(ValueError, match="covers"):
-        InequalityExpr("x", "x", topo, ((UNPRIMED, obs),), missing)
-    ok = (Term(1, corr("0", "0"), UNPRIMED),)
+        expr(Term(1, corr("0", "0"), UNPRIMED), Term(1, corr("0", "1"), UNPRIMED))
+    ok = Term(1, corr("0", "0"), UNPRIMED)
     with pytest.raises(ValueError, match="odd"):
-        InequalityExpr("x", "x", topo, ((UNPRIMED, obs),), ok,
-                       exponent=Fraction(1, 2))
+        expr(ok, exponent=Fraction(1, 2))
     # the classical power-mean bound needs 0 < r <= 1
     for bad in (Fraction(3), Fraction(0), Fraction(-1, 3)):
         with pytest.raises(ValueError, match=r"exponent must lie in \(0, 1\]"):
             dataclasses.replace(build_chsh(), exponent=bad)
-    with pytest.raises(ValueError):
-        Term(2, corr("0", "0"), UNPRIMED)
-    with pytest.raises(ValueError):
-        Correlator("0", (("A", 2),), (("B", "0"),), Fraction(1))
-    with pytest.raises(ValueError):
-        SingleQubitObservable(0, "XY")
-    with pytest.raises(KeyError):
-        JointPauliObservable.make((1,), {"0": "Z"}).letters_for("1")
+    with pytest.raises(ValueError, match="coefficients are"):
+        expr(Term(2, corr("0", "0"), UNPRIMED))
+    with pytest.raises(ValueError, match="exponents are bits"):
+        expr(Term(1, corr("0", "0", a=2), UNPRIMED))
+    with pytest.raises(ValueError, match="at least one term"):
+        expr()
+    assert expr(ok).terms == (ok,)
+
+
+def test_input_index_checks_its_arrays():
+    good = build_ghz_b()
+    ix = good.input_index
+    fields = {f.name: getattr(ix, f.name) for f in dataclasses.fields(InputIndex)
+              if f.init}
+    for name, bad, message in (
+            ("inputs", np.where(ix.inputs == 3, 4, ix.inputs), "outside its party"),
+            ("inputs", ix.inputs[:, :2], "inputs has shape"),
+            ("family", ix.family + 1, "family is not declared"),
+            ("exponents", np.where(ix.single, ix.exponents, 1), "exponents are bits"),
+            ("exps", np.where(ix.exps == 1, 2, ix.exps), "exps -1, 0 or 1"),
+            ("keys", ix.keys[::-1], "sorted and distinct"),
+            ("letters", ix.letters[:3], "one row per term"),
+            ("vocab", ix.vocab[:2], "one entry per party"),
+            ("scale", ix.scale << 52, r"below 2\^53")):
+        with pytest.raises(ValueError, match=message):
+            InputIndex(**{**fields, name: bad})
+    with pytest.raises(ValueError, match="parties are not the topology's"):
+        dataclasses.replace(good, topology=network.ghz_case_a())
+    # the table is read-only and every layer shares it
+    assert not ix.inputs.flags.writeable and not ix.base.flags.writeable
+    assert_same_index(InputIndex(**fields), ix)
 
 
 def test_registry_builds_everything():
@@ -302,19 +345,16 @@ def _nkm_case(n, k, m, wiring=(), alice_recipients=None, inter_bits=None):
 
 
 def _registry_case(name, **params):
-    # star, two-source and nkm come from the reference; the rest are shared
     def build(mod):
         if mod is scenario:
             return SCENARIOS[name].build(**params)
-        return {"star": mod._build_star_scenario, "nkm": mod._build_nkm_scenario,
-                "two-source": lambda **_: mod.build_two_source_linear()}.get(
-                    name, SCENARIOS[name].build)(**params)
+        return mod.SCENARIOS[name](**params)
     return build
 
 
 HUB_BUILDS = {
     **{f"star-{fam}-k{k}": (lambda mod, f=fam, k=k: getattr(mod, f"build_star_{f}")(k))
-       for fam in ("first", "second", "combined") for k in range(-1, 11)},
+       for fam in ("first", "second", "combined") for k in range(-1, 13)},
     **{f"star-nonlinear-{fam}-k{k}-r{r}": (
         lambda mod, f=fam, k=k, r=r: mod.build_star_nonlinear(k, r, f))
        for k, r in ((2, Fraction(1, 3)), (3, Fraction(1, 3)), (3, Fraction(1, 5)),
@@ -361,11 +401,24 @@ def test_hub_builders_match_reference(case):
         assert got == want
         return
     assert list(got) == list(want)
-    for family, expr in want.items():
-        assert got[family] == expr
-        assert repr(got[family]) == repr(expr)
-        assert (got[family].classical_bound, got[family].claimed_quantum_max) == \
-            (expr.classical_bound, expr.claimed_quantum_max)
+    for family, model in want.items():
+        assert_matches(got[family], model)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nkm_wirings())
+def test_nkm_builder_matches_reference_on_random_wirings(case):
+    topo, bits = case
+    want = scenario_oracle.build_nkm(topo, bits)
+    for family, expr in build_nkm(topo, bits).items():
+        assert_matches(expr, want[family])
+
+
+def test_edited_model_round_trips_through_the_constructor():
+    # a model whose terms are reordered and cut is still read back exactly
+    model = scenario_oracle.build_star_combined(2)
+    cut = dataclasses.replace(model, terms=model.terms[::-3])
+    assert_matches(cut.expr(), cut)
 
 
 def _unique_rows_cases():
