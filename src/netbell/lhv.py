@@ -100,7 +100,6 @@ class VertexSet:
     numerators: np.ndarray
     denominator: int
     codes: np.ndarray
-    n_raw: int
     n_reduced: int
     signs: tuple[tuple[str, tuple[str, ...], np.ndarray], ...]
 
@@ -189,8 +188,7 @@ def enumerate_vertices(expr: InequalityExpr) -> VertexSet:
     # descending lexicographic, ties (a zero normalization) in fold order:
     # what sorting the Fraction tuples with reverse=True gives
     order = np.lexsort(-numerators.T[::-1])
-    return VertexSet(numerators[order], denominator, codes[order],
-                     expr.n_strategies_raw(), n_reduced,
+    return VertexSet(numerators[order], denominator, codes[order], n_reduced,
                      tuple((party, inputs, signs)
                            for party, (inputs, _, signs) in zip(parties, behaviors)))
 

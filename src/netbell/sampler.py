@@ -2,8 +2,10 @@
 
 Each round draws a family, a correlator label (fixing every joint party's
 input), and uniform input bits for the single-qubit parties.  Outcomes are
-sampled exactly: the state must factor across the network's sources, so for
-every source the joint +-1 outcome distribution of its qubits is
+sampled exactly: the state must factor across the network's sources, which
+is checked on its qubit blocks (``states.blocks``, each must lie within one
+source's qubits), so for every source the joint +-1 outcome distribution of
+its qubits is
 
     p(s) = 2^(-k) * (1 + sum_{T != {}} m_T * prod_{q in T} s_q)
 
@@ -51,10 +53,12 @@ joined to the terms whose x = 0 inputs it gives with every single's input set
 back to x = 0, never a table of every term's 2^s cells.  Several correlators
 may reuse a cell (fanned-out scenarios do); standard errors therefore add the
 per-cell weight across terms, applying the delta method when the expression
-raises correlators to a power r != 1.  An empty cell makes the affected
-standard error infinite rather than silently dropping the term; a cell whose
-weights cancel to zero affects nothing.  Every sum runs in the order of the
-per-cell loop it replaces, so reports are reproducible bit for bit.
+raises correlators to a power r != 1.  An unreached cell makes the affected
+standard error inf rather than silently dropping the term, unless its
+weights cancel to zero: a sum's se is inf at the first unreached cell of
+nonzero summed weight, and otherwise adds the reached cells alone.  Every
+sum runs in the order of the per-cell loop it replaces, so reports are
+reproducible bit for bit.
 
 The CSV round log is byte for byte what ``csv.writer`` gives row by row, built
 as bytes a block of rounds at a time.  A block's rounds share one digit count
@@ -79,36 +83,27 @@ from . import pauli, states
 from .network import NetworkTopology, SourceSpec
 from .scenario import (AngleMap, InequalityExpr, fold_rows, ordered_sum,
                        resolve_angles, small_int, unique_rows)
-from .states import StabilizerGroup, StabilizerMixture, State
+from .states import StabilizerGroup, State
 
 
-def _components(state: State) -> list[tuple[float, StabilizerGroup]]:
-    if isinstance(state, StabilizerGroup):
-        return [(1.0, state)]
-    if isinstance(state, StabilizerMixture):
-        return [(float(w), g) for w, g in state.components]
-    raise ValueError(
-        "simulation needs a stabilizer state or mixture; dense vectors are "
-        "not supported")
-
-
-def _validate_product(topology: NetworkTopology,
-                      components: Sequence[tuple[float, StabilizerGroup]]) -> None:
-    """Every stabilizer generator must stay within one source's qubits."""
-    source_masks = []
-    for src in topology.sources:
-        mask = 0
-        for q in src.qubits:
-            mask |= 1 << q
-        source_masks.append(mask)
-    for _, group in components:
-        for g in group.generators:
-            support = g.x_mask | g.z_mask
-            if support == 0:
-                continue
-            if not any(support & m == support for m in source_masks):
-                raise ValueError(
-                    f"non-product state: generator {g} spans several sources")
+def _product_components(topology: NetworkTopology, state: State
+                        ) -> list[tuple[float, StabilizerGroup]]:
+    """The state's (weight, group) parts, once every qubit block of the state
+    lies within one source's qubits.  The sources partition the register, so
+    that holds exactly when every generator does."""
+    try:
+        parts = states.components(state)
+    except TypeError:
+        raise ValueError(
+            "simulation needs a stabilizer state or mixture; dense vectors are "
+            "not supported") from None
+    source_masks = [sum(1 << q for q in src.qubits) for src in topology.sources]
+    for block in states.blocks(state):
+        if not any(block & m == block for m in source_masks):
+            qubits = [q for q in range(topology.n_qubits) if (block >> q) & 1]
+            raise ValueError(f"non-product state: the stabilizer block on "
+                             f"qubits {qubits} spans several sources")
+    return [(float(w), g) for w, g in parts]
 
 
 Spec = tuple[tuple[str, float], ...]  # per-qubit observable as letter/coeff sum
@@ -298,8 +293,7 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
         raise ValueError("need a positive number of rounds")
     resolved = resolve_angles(expr, angles)
     topo = expr.topology
-    components = _components(state)
-    _validate_product(topo, components)
+    components = _product_components(topo, state)
     index = expr.input_index
     parties = index.parties
     families = expr.families()
@@ -487,14 +481,13 @@ class EstimateReport:
 def _cell_se(cells: np.ndarray, deriv: np.ndarray, var: np.ndarray) -> float:
     """sqrt(sum over cells of d^2 var), d the cell's summed derivative:
     ``deriv[i]`` adds to ``cells[i]`` in order, and the cells add in order of
-    first appearance.  A cell whose d is 0 adds nothing, even if var is inf.
+    first appearance.
     """
     d = np.bincount(cells, weights=deriv, minlength=len(var))
     at = np.arange(len(cells))
     first = np.full(len(var), len(cells))
     np.minimum.at(first, cells, at)
     order = cells[first[cells] == at]
-    order = order[d[order] != 0.0]
     return math.sqrt(ordered_sum(d[order] * d[order] * var[order]))
 
 
@@ -588,14 +581,14 @@ def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
     deriv = outer[pair_term] * w
 
     def se_of(keep: np.ndarray) -> float:
-        """The delta-method se of the ``keep`` terms' sum: the reached cells,
-        then one cell of variance inf per unreached one whose summed
-        derivative d is not 0.  A key one kept term reads has the same |d|
-        on every cell; only keys several read need their full sums."""
-        sel = keep[pair_term]
+        """The delta-method se of the ``keep`` terms' sum: inf at the first
+        unreached cell whose summed derivative d is not 0, else the reached
+        cells' sum.  A key one kept term reads has the same |d| on every
+        cell; only keys several read need their full sums."""
         short = keep & ~full
         readers = np.bincount(term_key[keep], minlength=len(reached))[term_key]
-        unreached = [(outer * norms)[short & (readers == 1)]]
+        if np.any((outer * norms)[short & (readers == 1)] != 0.0):
+            return math.inf
         for k in np.flatnonzero(np.bincount(term_key[short & (readers > 1)])).tolist():
             ts = np.flatnonzero(keep & (term_key == k))
             x = np.arange(1 << int(n_single[ts[0]]))
@@ -604,12 +597,10 @@ def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
                 parity = np.bitwise_count(x & emask[t]) & 1
                 d = d + outer[t] * (norms[t] * (1.0 - 2.0 * parity))
             d[col[prof_key == k]] = 0.0  # reached: summed with the pairs
-            unreached.append(d)
-        extra = np.concatenate(unreached)
-        return _cell_se(
-            np.concatenate([pair_prof[sel], n_prof + np.arange(len(extra))]),
-            np.concatenate([deriv[sel], extra]),
-            np.concatenate([var, np.full(len(extra), np.inf)]))
+            if np.any(d != 0.0):
+                return math.inf
+        sel = keep[pair_term]
+        return _cell_se(pair_prof[sel], deriv[sel], var)
 
     whole = float(ordered_sum(powered)), se_of(np.ones(n_terms, dtype=bool))
     families = {f: (float(ordered_sum(powered[index.family == i])),

@@ -383,21 +383,6 @@ def resolve_angles(expr: InequalityExpr, angles: AngleMap | None) -> dict[tuple[
     return resolved
 
 
-AngleMap = Mapping[tuple[str, str], float]
-
-
-def resolve_angles(expr: InequalityExpr, angles: AngleMap | None) -> dict[tuple[str, str], float]:
-    resolved = {key: QUARTER_PI for key in expr.angle_keys()}
-    if angles:
-        for key, value in angles.items():
-            if key not in resolved:
-                raise KeyError(f"no angle parameter {key!r}")
-            if not 0.0 < value < math.pi / 2:
-                raise ValueError(f"angle {key} = {value} outside (0, pi/2)")
-            resolved[key] = value
-    return resolved
-
-
 # -- small builders: CHSH, bilocal and GHZ-source expressions, row by row ------
 
 def _rows_expr(name: str, tag: str, topology: NetworkTopology,

@@ -8,11 +8,12 @@ mixed state.  Expectation values of Hermitian Pauli words are exact:
     <P> = +1 if P is in the group, -1 if -P is, 0 otherwise,
 
 decided by GF(2) elimination over the symplectic rows with exact phase
-accumulation.  ``StabilizerMixture`` takes convex combinations.
+accumulation.  ``StabilizerMixture`` takes convex combinations, and
+``components`` splits either kind of state into its (weight, group) parts.
 
 ``word_expectations`` evaluates many words at once.  It splits the qubits
-into blocks, the connected components of the generator supports taken over
-all mixture components (a qubit no generator touches is a block of its
+into ``blocks``, the connected components of the generator supports taken
+over all mixture components (a qubit no generator touches is a block of its
 own).  Every component's generators then lie in single blocks, so the
 component is a product over blocks, and so is its group: a word W is in +-G
 exactly when each restriction W_b of W to a block is in +-G_b, and the sign
@@ -71,10 +72,6 @@ class StabilizerGroup:
             raise ValueError("generators are not independent over GF(2)")
 
     @functools.cached_property
-    def _blocks(self) -> list[int]:
-        return _qubit_blocks(self.n_qubits, self.generators)
-
-    @functools.cached_property
     def _echelon(self) -> list[tuple[int, int, int]]:
         """Row-reduced symplectic rows as (bits, pivot, generator-subset mask)."""
         rows: list[tuple[int, int, int]] = []
@@ -131,34 +128,38 @@ class StabilizerMixture:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total}, not 1")
 
-    @functools.cached_property
-    def _blocks(self) -> list[int]:
-        return _qubit_blocks(self.n_qubits, (
-            gen for _, g in self.components for gen in g.generators))
-
 
 State = Union[StabilizerGroup, StabilizerMixture]
 
 
-def _qubit_blocks(n_qubits: int, generators: Iterable[PauliString]) -> list[int]:
-    """Qubit masks of the connected components of the generator supports.
+def components(state: State) -> tuple[tuple[float, StabilizerGroup], ...]:
+    """The (weight, group) parts of a state: a group is one part of weight 1."""
+    if isinstance(state, StabilizerGroup):
+        return ((1.0, state),)
+    if isinstance(state, StabilizerMixture):
+        return state.components
+    raise TypeError(f"unsupported state type {type(state)!r}")
+
+
+def blocks(state: State) -> list[int]:
+    """Qubit masks of the connected components of the generator supports,
+    taken over all of the state's parts.
 
     Qubits that no generator touches form one block each.
     """
-    blocks: list[int] = []
-    for g in generators:
+    masks: list[int] = []
+    for g in (gen for _, group in components(state) for gen in group.generators):
         block, apart = g.x_mask | g.z_mask, []
-        for b in blocks:
+        for b in masks:
             if b & block:
                 block |= b
             else:
                 apart.append(b)
-        blocks = apart + [block] if block else apart
+        masks = apart + [block] if block else apart
     covered = 0
-    for b in blocks:
+    for b in masks:
         covered |= b
-    blocks += [1 << q for q in range(n_qubits) if not (covered >> q) & 1]
-    return blocks
+    return masks + [1 << q for q in range(state.n_qubits) if not (covered >> q) & 1]
 
 
 # -- expectation values -------------------------------------------------------
@@ -167,13 +168,8 @@ def expectation(state: State, p: PauliString) -> float:
     """Exact expectation of a Hermitian Pauli word in a group or mixture."""
     if not p.is_hermitian:
         raise ValueError(f"{p} is not Hermitian")
-    if isinstance(state, StabilizerGroup):
-        sign = state.membership_sign(p)
-        return float(sign) if sign is not None else 0.0
-    if isinstance(state, StabilizerMixture):
-        return float(ordered_sum(
-            [w * expectation(g, p) for w, g in state.components]))
-    raise TypeError(f"unsupported state type {type(state)!r}")
+    return float(ordered_sum(
+        [w * (g.membership_sign(p) or 0.0) for w, g in components(state)]))
 
 
 def word_expectations(state: State, letters: np.ndarray,
@@ -187,12 +183,7 @@ def word_expectations(state: State, letters: np.ndarray,
     product of its blocks' signs; the result equals ``expectation`` of each
     word exactly.
     """
-    if isinstance(state, StabilizerGroup):
-        components: tuple = ((1.0, state),)
-    elif isinstance(state, StabilizerMixture):
-        components = state.components
-    else:
-        raise TypeError(f"unsupported state type {type(state)!r}")
+    parts = components(state)
     n = state.n_qubits
     if qubits is None:
         if letters.shape[1] != n:
@@ -201,14 +192,14 @@ def word_expectations(state: State, letters: np.ndarray,
     listed = 0
     for q in qubits:
         listed |= 1 << q
-    signs = np.ones((len(components), len(letters)), dtype=np.int8)
-    for block in state._blocks:
+    signs = np.ones((len(parts), len(letters)), dtype=np.int8)
+    for block in blocks(state):
         if not block & listed:
             continue
         cols = [i for i, q in enumerate(qubits) if (block >> q) & 1]
         row_word, words, word_letters = fold_rows(
             [letters[:, i] for i in cols], [4] * len(cols))
-        lookup = np.zeros((len(components), int(words.max(initial=-1)) + 1),
+        lookup = np.zeros((len(parts), int(words.max(initial=-1)) + 1),
                           dtype=np.int8)
         for w, codes in zip(words.tolist(), np.transpose(word_letters).tolist()):
             x = z = 0
@@ -216,13 +207,11 @@ def word_expectations(state: State, letters: np.ndarray,
                 x |= (c & 1) << qubits[i]
                 z |= (c >> 1) << qubits[i]
             p = PauliString(n, x, z)
-            for c, (_, group) in enumerate(components):
+            for c, (_, group) in enumerate(parts):
                 lookup[c, w] = group.membership_sign(p) or 0
         signs *= lookup[:, row_word]
-    if isinstance(state, StabilizerGroup):
-        return signs[0].astype(float)
     total = np.zeros(len(letters))
-    for (w, _), s in zip(components, signs):
+    for (w, _), s in zip(parts, signs):
         total = total + float(w) * s.astype(float)  # the order of ``expectation``
     return total
 
@@ -333,7 +322,9 @@ def _pair_product(labels_text: str, topology: network.NetworkTopology) -> Stabil
 def parse_state_spec(text: str, topology: network.NetworkTopology) -> State:
     """Resolve a state selector string against a topology.
 
-    Grammar: ``product`` (default source states), ``mixed`` (maximally mixed),
+    Case and surrounding blanks are ignored.  Spellings: ``natural``,
+    ``product``, ``bell`` or ``default`` (each source's own state, the CLI's
+    ``natural``), ``mixed`` or ``maximally-mixed`` (maximally mixed),
     ``smolin`` (two pair sources only), ``mix(q, A, B)`` with A and B
     '*'-joined pair labels, and the shortcuts ``rho1(q)`` / ``rho2(q)`` for
     mix(q, phi+*phi+, psi-*psi-) and mix(q, phi+*phi+, psi+*psi+).

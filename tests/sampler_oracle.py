@@ -35,10 +35,10 @@ from typing import Sequence
 
 import numpy as np
 
-from netbell import pauli, sampler, states
+from netbell import pauli, states
 from netbell.sampler import EstimateReport, RoundBatch, TermEstimate
 from netbell.scenario import resolve_angles, small_int
-from netbell.states import StabilizerGroup
+from netbell.states import StabilizerGroup, StabilizerMixture
 from scenario_oracle import SingleQubitObservable, observables_for
 
 
@@ -166,13 +166,31 @@ def _source_distribution(group: StabilizerGroup, qubits: Sequence[int],
     return p
 
 
+def product_components_reference(topology, state) -> list:
+    """The state's (weight, group) parts, once every stabilizer generator
+    stays within one source's qubits: the per-generator check that the
+    sampler's check on the state's qubit blocks replaces."""
+    if isinstance(state, StabilizerGroup):
+        components = [(1.0, state)]
+    elif isinstance(state, StabilizerMixture):
+        components = [(float(w), g) for w, g in state.components]
+    else:
+        raise ValueError("simulation needs a stabilizer state or mixture")
+    masks = [sum(1 << q for q in src.qubits) for src in topology.sources]
+    for _, group in components:
+        for g in group.generators:
+            support = g.x_mask | g.z_mask
+            if support and not any(support & m == support for m in masks):
+                raise ValueError(f"non-product state: generator {g} spans several sources")
+    return components
+
+
 def simulate_rounds_reference(expr, state, n_rounds, seed, angles=None) -> RoundBatch:
     if n_rounds <= 0:
         raise ValueError("need a positive number of rounds")
     resolved = resolve_angles(expr, angles)
     topo = expr.topology
-    components = sampler._components(state)
-    sampler._validate_product(topo, components)
+    components = product_components_reference(topo, state)
     index = expr.input_index
     parties = index.parties
     families = expr.families()

@@ -12,7 +12,9 @@ belongs in the tests.
 The check is a floor, not a proof: it matches names, not bindings, so a
 definition whose name another identifier shares (a method ``step`` and a
 loop variable ``step``, a function ``product`` and ``itertools.product``)
-passes whether or not anything calls it.
+passes whether or not anything calls it.  So a second check asks that no
+module binds one top-level name twice: a copied definition would otherwise
+pass on the callers of its twin.
 """
 
 import ast
@@ -78,3 +80,29 @@ def uncalled_definitions() -> list[str]:
 
 def test_every_definition_in_the_package_has_a_caller_outside_the_tests():
     assert uncalled_definitions() == []
+
+
+def duplicate_bindings() -> list[str]:
+    """``file:line name`` of each top-level def, class or assignment that
+    binds a name its module bound before."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        seen = set()
+        for node in _parse(path).body:
+            if isinstance(node, _DEFINITION):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name in seen:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+                seen.add(name)
+    return found
+
+
+def test_no_module_binds_a_top_level_name_twice():
+    assert duplicate_bindings() == []

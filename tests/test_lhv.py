@@ -59,12 +59,13 @@ def constant_strategy(expr, value=1):
 
 
 def test_chsh_vertices_frozen():
-    vs = enumerate_vertices(build_chsh())
-    assert vs.n_raw == 16 and vs.n_reduced == 16
+    expr = build_chsh()
+    vs = enumerate_vertices(expr)
+    assert expr.n_strategies_raw() == 16 and vs.n_reduced == 16
     got = set(vs.vectors)
     two = Fraction(2)
     assert got == {(two, 0), (-two, 0), (0, two), (0, -two)}
-    assert linear_lhv_max(build_chsh(), vs) == 2
+    assert linear_lhv_max(expr, vs) == 2
 
 
 def test_strategy_evaluation():
@@ -209,7 +210,7 @@ def test_structure_detection_matches_reference_on_nkm_wirings(case):
 def test_ghz_a_combined_lhv_by_enumeration():
     expr = build_ghz_a("combined")
     vs = enumerate_vertices(expr)
-    assert vs.n_raw == 1024
+    assert expr.n_strategies_raw() == 1024
     assert linear_lhv_max(expr, vs) == 2
 
 
@@ -293,14 +294,15 @@ def test_enumeration_matches_product_table(monkeypatch):
             continue
         # equal rows, order, counts and lowest-code witnesses; then with
         # five candidate rows per dedup call: slices cut through prefixes
-        _assert_same_vertices(enumerate_vertices(expr), want, expr.name)
+        _assert_same_vertices(enumerate_vertices(expr), want, expr)
         with monkeypatch.context() as m:
             m.setattr(lhv, "_CHUNK", 5)
-            _assert_same_vertices(enumerate_vertices(expr), want, expr.name)
+            _assert_same_vertices(enumerate_vertices(expr), want, expr)
 
 
-def _assert_same_vertices(got, want, name):
-    assert (got.n_raw, got.n_reduced) == (want.n_raw, want.n_reduced), name
+def _assert_same_vertices(got, want, expr):
+    name = expr.name
+    assert (expr.n_strategies_raw(), got.n_reduced) == (want.n_raw, want.n_reduced), name
     assert got.denominator == want.denominator, name
     assert got.numerators.dtype == np.int64
     assert np.array_equal(got.numerators, want.numerators), name

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netbell import sampler
-from netbell.network import SourceSpec
+from netbell.network import SourceSpec, ghz_case_b, two_source
 from netbell.sampler import RoundBatch, estimate, simulate_rounds
 from netbell.scenario import (
     SCENARIOS,
@@ -28,7 +28,8 @@ from netbell.scenario import (
     build_star_first,
     build_two_source_linear,
 )
-from netbell.states import (bell_pair, ghz3, network_state, parse_state_spec,
+from netbell.states import (StabilizerMixture, bell_pair, blocks, ghz3,
+                            maximally_mixed, network_state, parse_state_spec,
                             product_group, smolin)
 from conftest import compensated_sum, stabilizer_vector
 import sampler_oracle
@@ -148,6 +149,54 @@ def test_simulate_rejects_dense_and_non_product():
     crossed = product_group([bell_pair(0, 2, 4), bell_pair(1, 3, 4)])
     with pytest.raises(ValueError, match="spans"):
         simulate_rounds(build_two_source_linear()["first"], crossed, 10, seed=1)
+
+
+def test_simulate_rejects_a_mixture_with_a_crossed_component():
+    expr = build_two_source_linear()["first"]
+    topo = expr.topology
+    crossed = bell_pair(1, 2, 4)  # one qubit of each source
+    mixture = StabilizerMixture(4, ((0.5, network_state(topo)), (0.5, crossed)))
+    with pytest.raises(ValueError, match="spans"):
+        simulate_rounds(expr, mixture, 10, seed=1)
+    # mixed: every qubit its own block; smolin: four components of two pairs
+    assert sorted(blocks(parse_state_spec("mixed", topo))) == [1, 2, 4, 8]
+    for spec in ("mixed", "smolin"):
+        batch = simulate_rounds(expr, parse_state_spec(spec, topo), 10, seed=1)
+        assert len(batch) == 10
+
+
+def _stabilizer_groups(n):
+    """The empty group, a pair state on every two qubits, a GHZ state on
+    every three, and two pair states on every two disjoint pairs."""
+    pairs = [bell_pair(i, j, n) for i, j in itertools.combinations(range(n), 2)]
+    groups = [maximally_mixed(n), *pairs,
+              *(ghz3(*t, n) for t in itertools.combinations(range(n), 3))]
+    for a, b in itertools.combinations(pairs, 2):
+        if not (a.generators[0].z_mask & b.generators[0].z_mask):
+            groups.append(product_group([a, b]))
+    return groups
+
+
+@pytest.mark.parametrize("topology", [two_source(), ghz_case_b()],
+                         ids=["two-source", "ghz-b"])
+def test_block_check_agrees_with_the_per_generator_check(topology):
+    # the sources partition the register, so the state's qubit blocks lie
+    # within sources exactly when its generators do
+    groups = _stabilizer_groups(topology.n_qubits)
+    mixtures = [StabilizerMixture(topology.n_qubits, ((0.25, a), (0.75, b)))
+                for a, b in itertools.product(groups[::3], groups[1::3])]
+    verdicts = set()
+    for state in groups + mixtures:
+        try:
+            want = sampler_oracle.product_components_reference(topology, state)
+        except ValueError:
+            with pytest.raises(ValueError, match="spans"):
+                sampler._product_components(topology, state)
+            verdicts.add(False)
+        else:
+            assert sampler._product_components(topology, state) == want
+            verdicts.add(True)
+    assert verdicts == {True, False}
 
 
 def test_simulation_is_deterministic():
