@@ -16,21 +16,21 @@ that share a source's (mixture component, qubit settings) form a group.  A
 source's settings depend only on the component, the term and the x bits of
 the a single parties among its recipients, so one group table per source,
 n_components * n_terms * 2^a entries built once per call, maps that key to
-its group.  A group's distribution is worked out only when a drawn round
-reaches it, and the reached groups of one source and component share one
-``states.word_expectations`` call for all their Pauli words.  Nothing sorts
-the rounds.  A round's outcome is the number of its group's CDF entries, all
-but the last (the total T > 0), that are <= fl(u * T), u its uniform.  Each
-reached group has a table of 2^b buckets: ``Generator.random`` gives
-u = m 2^-53, so bucket j = floor(u 2^b) holds u from j 2^-b to
-(j + 1) 2^-b - 2^-53.  Rounding is monotone, so fl(u * T), and the outcome
-with it, never falls as u rises: where the outcomes at a bucket's two ends
-agree, every u in the bucket gives that outcome, and its cell holds it.  A
-round then reads the search's outcome, bit for bit, with one intp gather of
-cell group << b | j.  The outcome rises at most 2^k - 1 times, so at most
-that many buckets of a group have ends that differ; their rounds search.
-b grows with the rounds per reached group, up to 2^10 buckets and never
-more cells than rounds; b = 0 is the search alone.
+its group.  Every group of the table gets its distribution once per call,
+before the source's outcome draws, and the groups of one source and
+component share one ``states.word_expectations`` call for all their Pauli
+words.  Nothing sorts the rounds.  A round's outcome is the number of its
+group's CDF entries, all but the last (the total T > 0), that are
+<= fl(u * T), u its uniform.  Each group has a table of 2^b buckets:
+``Generator.random`` gives u = m 2^-53, so bucket j = floor(u 2^b) holds u
+from j 2^-b to (j + 1) 2^-b - 2^-53.  Rounding is monotone, so fl(u * T),
+and the outcome with it, never falls as u rises: where the outcomes at a
+bucket's two ends agree, every u in the bucket gives that outcome, and its
+cell holds it.  A round then reads the search's outcome, bit for bit, with
+one intp gather of cell group << b | j.  The outcome rises at most 2^k - 1
+times, so at most that many buckets of a group have ends that differ; their
+rounds search.  b grows with the rounds per group, up to 2^10 buckets and,
+past b = 0, never more cells than rounds; b = 0 is the search alone.
 
 Every draw (the family, the label, each single party's x bits, the mixture
 component, each source's uniform) is taken ``_BLOCK`` rounds at a time, one
@@ -359,21 +359,16 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
             _random_bits(rng, bits[s])
 
     # per source: its owners (the single parties among its recipients) and
-    # group table; seen marks the (comp, term, owners' x bits) keys reached
+    # group table of (comp, term, owners' x bits) keys
     sources = []
     for src in topo.sources:
         owners = list(dict.fromkeys(p for p in src.recipients if p in xbits))
-        keys, group_of = _group_table(spec_of, n_comp, src, owners)
-        sources.append((src, owners, keys, group_of,
-                        np.zeros(len(group_of), dtype=bool)))
+        sources.append((src, owners, *_group_table(spec_of, n_comp, src, owners)))
     # the component folds into the term column; input positions are flat
-    # (comp, term, x) gathers, 2 * (comp * n_terms + term) + x for a single,
-    # which is also the key of the source the single alone owns
+    # (comp, term, x) gathers, 2 * (comp * n_terms + term) + x for a single
     flat = [np.tile(index.inputs[:, j, :].ravel(), n_comp)
             for j in range(len(parties))]
     input_idx = {p: np.empty(n_rounds, dtype=index.inputs.dtype) for p in parties}
-    alone = {owners[0]: seen for _, owners, _, _, seen in sources
-             if len(owners) == 1}
     weights = np.cumsum([w for w, _ in components])
     for s in blocks:
         m = s.stop - s.start
@@ -390,30 +385,22 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
             if p in xbits:
                 at = np.add(at, xbits[p][s], out=slot[:m])
             np.take(flat[j], at, out=input_idx[p][s], mode="clip")
-            if p in alone:
-                alone[p][at] = True
-        for _, owners, _, _, seen in sources:
-            if len(owners) != 1:
-                seen[_source_keys(t[:m], [xbits[p][s] for p in owners],
-                                  slot[:m])] = True
 
     # per source: one key per round, (comp, term, owners' x bits), read
-    # through the source's group table as its reached group's first table
-    # cell, plus the bucket of its uniform; the cell holds the outcome
+    # through the source's group table as its group's first table cell,
+    # plus the bucket of its uniform; the cell holds the outcome
     bucket = np.empty(size, dtype=np.int16)
-    for src, owners, keys, group_of, seen in sources:
+    for src, owners, keys, group_of in sources:
         qs = list(src.qubits)
-        # the reached groups, in order; keys sort by component first
-        rows = np.flatnonzero(np.bincount(group_of[seen])).tolist()
+        # every group's distribution, a component at a time; keys sort by
+        # component first
         cdf = np.concatenate([
             np.cumsum(_source_distributions(components[c][1], qs, [
-                [specs[i] for i in keys[row][1:]] for row in group]), axis=1)
-            for c, group in itertools.groupby(rows, lambda row: keys[row][0])])
-        # 2^b buckets per reached group: at most 2^10, at most one cell a round
-        b = min(10, (n_rounds // len(rows)).bit_length() - 1)
-        first = np.zeros(len(keys), dtype=np.intp)
-        first[rows] = np.arange(len(rows)) << b
-        first = first.take(group_of)
+                [specs[i] for i in key[1:]] for key in group]), axis=1)
+            for c, group in itertools.groupby(keys, lambda key: key[0])])
+        # 2^b buckets a group: at most 2^10, past b = 0 at most a cell a round
+        b = max(0, min(10, (n_rounds // len(keys)).bit_length() - 1))
+        first = group_of << b  # intp, as np.unique gives
         table = _bucket_table(cdf, b)
         for s in blocks:
             m = s.stop - s.start

@@ -122,8 +122,8 @@ class StabilizerMixture:
         for w, g in self.components:
             if g.n_qubits != self.n_qubits:
                 raise ValueError("component register size mismatch")
-            if w < -1e-15:
-                raise ValueError("negative weight")
+            if not -1e-15 <= w < float("inf"):  # refuses NaN too
+                raise ValueError(f"weight {w!r} is not a finite number >= 0")
         total = sum(w for w, _ in self.components)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total}, not 1")

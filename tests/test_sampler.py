@@ -1,5 +1,6 @@
 """Round simulation and statistical reconstruction."""
 
+import collections
 import dataclasses
 import functools
 import io
@@ -28,9 +29,9 @@ from netbell.scenario import (
     build_star_first,
     build_two_source_linear,
 )
-from netbell.states import (StabilizerMixture, bell_pair, blocks, ghz3,
-                            maximally_mixed, network_state, parse_state_spec,
-                            product_group, smolin)
+from netbell.states import (StabilizerMixture, bell_pair, blocks, components,
+                            ghz3, maximally_mixed, network_state,
+                            parse_state_spec, product_group, smolin)
 from conftest import compensated_sum, stabilizer_vector
 import sampler_oracle
 from sampler_oracle import csv_reference, estimate_reference, simulate_rounds_reference
@@ -163,6 +164,15 @@ def test_simulate_rejects_a_mixture_with_a_crossed_component():
     for spec in ("mixed", "smolin"):
         batch = simulate_rounds(expr, parse_state_spec(spec, topo), 10, seed=1)
         assert len(batch) == 10
+
+
+def test_simulate_never_sees_a_nan_weight():
+    # such a mixture once simulated chsh to a finite estimate of a nan value
+    expr = build_chsh()
+    natural = network_state(expr.topology)
+    with pytest.raises(ValueError, match="finite"):
+        simulate_rounds(expr, StabilizerMixture(
+            2, ((math.nan, natural), (1.0, natural))), 1000, seed=1)
 
 
 def _stabilizer_groups(n):
@@ -399,31 +409,68 @@ def test_delta_se_adds_cells_left_to_right(monkeypatch):
     assert sampler._cell_se(slot.ravel(), deriv.ravel(), var) == want
 
 
+@pytest.mark.parametrize("rounds", [1, 40])
 @pytest.mark.parametrize("expr,state", [
     pytest.param(build_star_first(6), None, id="star-first-k6"),
     pytest.param(build_bilocal_baseline()["bi"], smolin(), id="bilocal/bi-smolin"),
 ])
-def test_simulate_builds_only_the_distributions_its_rounds_reach(
-        expr, state, monkeypatch):
-    # the group table spans every (component, term, owner bits) key, but at
-    # 40 rounds only the rows the rounds reach get a CDF
+def test_simulate_builds_every_group_distribution_once(expr, state, rounds,
+                                                       monkeypatch):
+    # the group table spans every (component, term, owner bits) key, and
+    # every one of its distinct rows gets a distribution once, however few
+    # rounds reach it
     state = state or network_state(expr.topology)
-    built = {sampler: [], sampler_oracle: []}  # one entry per distribution
-    real = sampler._source_distributions, sampler_oracle._source_distribution
+    groups = [g for _, g in components(state)]
+    tables, built, reached = [], collections.Counter(), set()
+    real = (sampler._group_table, sampler._source_distributions,
+            sampler_oracle._source_distribution)
+
+    def table(spec_of, n_comp, src, owners):
+        keys, group_of = real[0](spec_of, n_comp, src, owners)
+        tables.append((tuple(src.qubits), [key[0] for key in keys]))
+        return keys, group_of
 
     def batch(group, qubits, settings):
-        built[sampler].extend(settings)
-        return real[0](group, qubits, settings)
+        c = next(c for c, g in enumerate(groups) if g is group)
+        built.update((tuple(qubits), c, tuple(specs)) for specs in settings)
+        return real[1](group, qubits, settings)
 
     def single(group, qubits, specs):
-        built[sampler_oracle].append(specs)
-        return real[1](group, qubits, specs)
+        c = next(c for c, g in enumerate(groups) if g is group)
+        reached.add((tuple(qubits), c, tuple(specs)))
+        return real[2](group, qubits, specs)
 
+    monkeypatch.setattr(sampler, "_group_table", table)
     monkeypatch.setattr(sampler, "_source_distributions", batch)
     monkeypatch.setattr(sampler_oracle, "_source_distribution", single)
-    simulate_rounds_reference(expr, state, 40, seed=1)
-    simulate_rounds(expr, state, 40, seed=1)
-    assert 0 < len(built[sampler]) <= len(built[sampler_oracle])
+    simulate_rounds(expr, state, rounds, seed=1)
+    simulate_rounds_reference(expr, state, 3000, seed=1)
+    assert set(built.values()) == {1}
+    per_source = collections.Counter((qubits, c) for qubits, c, _ in built)
+    assert per_source == collections.Counter(
+        (qubits, c) for qubits, comps in tables for c in comps)
+    assert reached <= set(built)
+
+
+@pytest.mark.parametrize("expr,spec", [
+    pytest.param(build_bilocal_baseline()["bi"], "smolin", id="bilocal/bi-smolin"),
+    pytest.param(build_ghz_b(), "mixed", id="ghz-b-mixed"),
+    pytest.param(build_star_combined(12), "natural", id="star-combined-k12"),
+])
+def test_one_round_among_many_groups_matches_reference(expr, spec, monkeypatch):
+    # more groups than rounds: b clamps to 0 and every round searches
+    state = parse_state_spec(spec, expr.topology)
+    real, bs = sampler._bucket_table, []
+
+    def bucket_table(cdf, b):
+        bs.append((len(cdf), b))
+        return real(cdf, b)
+
+    monkeypatch.setattr(sampler, "_bucket_table", bucket_table)
+    for seed in (1, 2):
+        _assert_same_batch(simulate_rounds(expr, state, 1, seed),
+                           simulate_rounds_reference(expr, state, 1, seed))
+    assert any(n > 1 and b == 0 for n, b in bs)
 
 
 def _simulate_peak(expr, rounds):

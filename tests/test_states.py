@@ -172,6 +172,15 @@ def test_mixture_linearity():
         two_component_mixture(1.5, a, b)
 
 
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, -0.5, -1e-14])
+def test_mixture_refuses_a_weight_that_is_not_a_finite_number(w):
+    # NaN passed both the sign and the sum check, and evaluated to nan
+    a = bell_pair(0, 1, 2)
+    with pytest.raises(ValueError, match="finite"):
+        states.StabilizerMixture(2, ((w, a), (1.0, a)))
+    assert states.StabilizerMixture(2, ((-1e-16, a), (1.0, a))).components
+
+
 def test_mixture_expectation_adds_left_to_right(monkeypatch):
     # weights 0.6, 0.3, 0.1 on +ZZ: left to right 0.9999999999999999, while
     # Python 3.12's compensated sum gives 1.0
