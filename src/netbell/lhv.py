@@ -27,19 +27,19 @@ Two routes compute the vertex geometry:
   strategy are decoded only when a report prints them.
 * cross-polytope structure: when each family's labels map bijectively onto
   the single-party exponent patterns (and families share no inputs), every
-  deterministic strategy concentrates each family block on exactly one label
-  at full scale.  The block's vertices are then +-scale * e_label without
-  enumerating anything, which covers hub counts where enumeration would not
-  fit in memory.
+  deterministic strategy concentrates each family on exactly one label at
+  full scale.  The structure is held as one scale per family: the family's
+  vertices are +-scale * e_label without enumerating anything, which covers
+  hub counts where enumeration would not fit in memory.
 
-Power forms (0 < r < 1) are bounded in one closed form.  By the power mean,
-each family's sum of c_t * power(w_t) is at most M_f^r * n_f^(1-r), where n_f
-counts the family's terms that can add anything and M_f is the largest
-sum_t |v_t| over them at any vertex (the scale of a cross-polytope block, or
-one integer maximum over the enumerated numerators).  One explicit mixture of
-vertices gives an attained value below it.  The two ends bracket the
-shared-randomness maximum; they meet on every power form in the catalog, and
-a genuine bound is ``UNPROVEN`` only when it falls inside an open bracket.
+One function gives every classical maximum, from the scales when the
+structure holds and from the vertices otherwise; at r = 1 it is exact.
+Power forms (0 < r < 1), signed or absolute, get one closed form
+(``nonlinear_lhv_max``): each family adds at most M_f^r * n_f^(1-r) over
+its n_f kept terms, M_f being its scale or one integer maximum over the
+enumerated numerators.  One explicit vertex mixture gives an attained value
+below it, equal to it under the structure; a genuine bound is ``UNPROVEN``
+only when it falls inside an open bracket.
 """
 
 from __future__ import annotations
@@ -159,13 +159,18 @@ def enumerate_vertices(expr: InequalityExpr) -> VertexSet:
 
     Behaviour tables are built smallest vocabulary first and checked against
     ``DEFAULT_BUDGET`` after each, so no hub table is built once smaller
-    parties exceed it.
+    parties exceed it.  A party with m inputs is refused before its 2^m x T
+    key table is built when that table alone exceeds the budget.
     """
     parties = expr.topology.party_ids()
     index = expr.input_index
     behaviors = [None] * len(parties)
     n_reduced = 1
     for j in sorted(range(len(parties)), key=lambda j: len(index.vocab[j])):
+        m = len(index.vocab[j])
+        if len(index.labels) << m > DEFAULT_BUDGET:
+            raise BudgetExceeded(f"party {parties[j]}'s 2^{m} x {len(index.labels)} "
+                                 f"key table would exceed the budget {DEFAULT_BUDGET}")
         behaviors[j] = _party_behaviors(expr, parties[j])
         n_reduced *= behaviors[j][1].shape[0]
         if n_reduced > DEFAULT_BUDGET:
@@ -196,31 +201,24 @@ def enumerate_vertices(expr: InequalityExpr) -> VertexSet:
 # -- cross-polytope structure ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyBlock:
-    family: str
-    term_indices: tuple[int, ...]
-    n_singles: int
-    scale: Fraction
-
-
-def cross_polytope_structure(expr: InequalityExpr) -> tuple[FamilyBlock, ...] | None:
-    """Detect the label <-> exponent-pattern bijection per family.
+def cross_polytope_structure(expr: InequalityExpr) -> tuple[Fraction, ...] | None:
+    """Each family's scale when the label <-> exponent-pattern bijection
+    holds, else None.
 
     When it holds (and families share no inputs), every deterministic strategy
-    zeroes all but one label per family and the surviving correlator equals
-    +-scale, so the vertex set per block is exactly {+-scale * e_label}.
-    Per family: one single-party mask, 2^k terms whose exponent bits spell
-    the 2^k codes once each, one normalization, and (party, input) pairs
-    that no earlier family holds.
+    zeroes all but one term per family and the surviving correlator equals
+    +-scale, so family f's vertex set is exactly {+-scale_f * e_t}.  Per
+    family: one single-party mask, 2^k terms whose exponent bits spell the
+    2^k codes once each, one normalization (scale_f is it times 2^k), and
+    (party, input) pairs that no earlier family holds.
     """
     index = expr.input_index
     width = max(len(v) for v in index.vocab)
     # (party, input) pairs as integers; a joint party's input fills both slots
     pairs = np.arange(len(index.parties))[:, None] * width + index.inputs
     owned = np.zeros(len(index.parties) * width, dtype=bool)
-    blocks = []
-    for f, fam in enumerate(expr.families()):
+    scales = []
+    for f in range(len(index.families)):
         rows = np.flatnonzero(index.family == f)
         if rows.size == 0:
             return None
@@ -237,12 +235,65 @@ def cross_polytope_structure(expr: InequalityExpr) -> tuple[FamilyBlock, ...] | 
         if (mine & owned).any():
             return None  # families share an input: blocks not independent
         owned |= mine
-        blocks.append(FamilyBlock(fam, tuple(rows.tolist()), k,
-                                  Fraction(int(scale[0]) << k, index.denominator)))
-    return tuple(blocks)
+        scales.append(Fraction(int(scale[0]) << k, index.denominator))
+    return tuple(scales)
 
 
 # -- classical maxima --------------------------------------------------------------
+
+
+def _power_mean(total: float, n: int, r: float) -> float:
+    """total^r * n^(1-r): the largest sum of n terms |w_i|^r with sum |w_i| <= total."""
+    return total ** r * 2.0 ** (math.log2(n) * (1.0 - r))
+
+
+def _maxima(expr: InequalityExpr, scales: tuple[Fraction, ...] | None,
+            vertices: VertexSet | None) -> Fraction | dict:
+    """The classical maximum, from the family scales when the structure
+    holds, else from the vertices (enumerated here if not given).
+
+    At r = 1 the exact maximum, max over vertices of sum_t c_t v_t
+    (sum_t |v_t| when absolute); given both scales and vertices, the two
+    maxima must agree.  At r < 1 the ``nonlinear_lhv_max`` bracket.
+    """
+    index = expr.input_index
+    c = index.coefficient.astype(np.int64)
+    if scales is None and vertices is None:
+        vertices = enumerate_vertices(expr)
+    if vertices is not None:
+        num, den = vertices.numerators, vertices.denominator
+    if expr.exponent == 1:
+        structural = None if scales is None else sum(scales, Fraction(0))
+        if vertices is None:
+            return structural
+        values = np.abs(num).sum(axis=1) if expr.absolute else num @ c
+        exact = Fraction(int(values.max()), den)
+        if structural is not None and structural != exact:
+            raise AssertionError(f"structure bound {structural} != enumerated {exact}")
+        return exact
+    r = float(expr.exponent)
+    kept = c > 0 if expr.absolute else np.ones(len(c), dtype=bool)
+    analytic = []
+    w = np.zeros(len(c))  # the attained mixture under the structure
+    for f in range(len(index.families)):
+        cols = np.flatnonzero((index.family == f) & kept)
+        if not cols.size:
+            continue
+        if scales is None:
+            top = int(np.abs(num[:, cols]).sum(axis=1).max()) / den
+        else:
+            top = float(scales[f])
+            w[cols] = c[cols] * float(scales[f] / cols.size)
+        analytic.append(_power_mean(top, cols.size, r))
+    if scales is None:
+        # per kept term, the first vertex maximising c_t v_t; with no kept
+        # term, every vertex
+        best = (np.argmax(num[:, kept] * c[kept], axis=0) if kept.any()
+                else np.arange(len(num)))
+        w = num[best].sum(axis=0) / (len(best) * den)
+    return {"analytic": float(ordered_sum(analytic)),
+            "numeric": float(ordered_sum(c * expr.power(w))),
+            "method": "vertex-mixture" if scales is None else "cross-polytope"}
 
 
 def linear_lhv_max(expr: InequalityExpr,
@@ -250,31 +301,7 @@ def linear_lhv_max(expr: InequalityExpr,
     """Exact shared-randomness maximum for r = 1 expressions."""
     if expr.exponent != 1:
         raise ValueError("use nonlinear_lhv_max for power forms")
-    if vertices is None:
-        blocks = cross_polytope_structure(expr)
-        if blocks is not None:
-            return _structural_max(blocks)
-        vertices = enumerate_vertices(expr)
-    return _vertex_max(expr, vertices)
-
-
-def _structural_max(blocks: tuple[FamilyBlock, ...]) -> Fraction:
-    return sum((b.scale for b in blocks), Fraction(0))
-
-
-def _vertex_max(expr: InequalityExpr, vertices: VertexSet) -> Fraction:
-    """max over vertices of sum_t c_t v_t (sum_t |v_t| when absolute)."""
-    num = vertices.numerators
-    if expr.absolute:
-        values = np.abs(num).sum(axis=1)
-    else:
-        values = num @ expr.input_index.coefficient.astype(np.int64)
-    return Fraction(int(values.max()), vertices.denominator)
-
-
-def _power_mean(total: float, n: int, r: float) -> float:
-    """total^r * n^(1-r): the largest sum of n terms |w_i|^r with sum |w_i| <= total."""
-    return total ** r * 2.0 ** (math.log2(n) * (1.0 - r))
+    return _maxima(expr, cross_polytope_structure(expr), vertices)
 
 
 def nonlinear_lhv_max(expr: InequalityExpr,
@@ -284,59 +311,29 @@ def nonlinear_lhv_max(expr: InequalityExpr,
     ``analytic`` is a proved upper bound and ``numeric`` the value at one
     explicit mixture of vertices, so the maximum lies between them.
 
-    Bound.  Let w be any mixture of vertices and S_f the terms of family f;
-    for an absolute form keep only the terms with c_t > 0, since the others
-    add c_t |w_t|^r <= 0.  Each kept term gives c_t * power(w_t) <= |w_t|^r
-    (c_t = +-1).  x^r is concave, so by the power mean
-    sum_{S_f} |w_t|^r <= |S_f|^(1-r) * (sum_{S_f} |w_t|)^r.  The sum
-    sum_{S_f} |w_t| is convex in w, so it is at most M_f, its maximum over
-    the vertices.  The families' bounds M_f^r * |S_f|^(1-r) add.
+    Bound.  Let w be any mixture of vertices and S_f the kept terms of
+    family f: every term of a signed form, and only those with c_t > 0 of
+    an absolute form, since the others add c_t |w_t|^r <= 0.  Each kept term
+    gives c_t * power(w_t) <= |w_t|^r (c_t = +-1).  x^r is concave, so by the
+    power mean sum_{S_f} |w_t|^r <= |S_f|^(1-r) * (sum_{S_f} |w_t|)^r.  The
+    sum sum_{S_f} |w_t| is convex in w, so it is at most M_f, its maximum
+    over the vertices.  The families' bounds M_f^r * |S_f|^(1-r) add.
 
-    With cross-polytope structure (a sign-preserving form) M_f is the block's
-    ``scale`` and |S_f| = 2^k; the uniform mixture of the vertices
-    c_y * scale * e_y puts every w_y at c_y * scale / 2^k and attains it.
+    With cross-polytope structure, held as per-family scales, M_f is the
+    family's scale, signed or absolute: a vertex puts +-scale on one term
+    per family.  The uniform mixture of the vertices c_t * scale * e_t over
+    the kept t puts every kept w_t at c_t * scale / |S_f| and attains the
+    bound; a family with no kept term stays at w = 0.
 
     Otherwise the vertices are enumerated.  The witness takes, for each kept
     term t, the first vertex maximising c_t * v_t, and mixes those vertices
-    uniformly.  On bilocal-bi (M = 1, two terms, r = 1/2) that is the
-    mixture of (1, 0) and (0, 1) and closes the bracket at sqrt(2).
+    uniformly (every vertex when no term is kept).  On bilocal-bi (M = 1,
+    two terms, r = 1/2) that is the mixture of (1, 0) and (0, 1) and closes
+    the bracket at sqrt(2).
     """
-    return _nonlinear_max(expr, cross_polytope_structure(expr), vertices)
-
-
-def _nonlinear_max(expr: InequalityExpr, blocks: tuple[FamilyBlock, ...] | None,
-                   vertices: VertexSet | None) -> dict:
-    """``nonlinear_lhv_max`` given the expression's cross-polytope structure."""
-    r = float(expr.exponent)
-    index = expr.input_index
-    if blocks is not None and not expr.absolute:
-        analytic = [_power_mean(float(b.scale), 1 << b.n_singles, r) for b in blocks]
-        attained = []  # c_t * powr(c_t * share) per term, blocks in order
-        for b in blocks:
-            c = index.coefficient[list(b.term_indices)]
-            attained.append(c * expr.power(c * float(b.scale / (1 << b.n_singles))))
-        numeric = np.concatenate(attained)
-        method = "cross-polytope"
-    else:
-        if vertices is None:
-            vertices = enumerate_vertices(expr)
-        num, den = vertices.numerators, vertices.denominator
-        c = index.coefficient.astype(np.int64)
-        kept = c > 0 if expr.absolute else np.ones(len(c), dtype=bool)
-        analytic = []
-        for f in range(len(expr.families())):
-            cols = np.flatnonzero((index.family == f) & kept)
-            if cols.size:
-                top = int(np.abs(num[:, cols]).sum(axis=1).max())
-                analytic.append(_power_mean(top / den, cols.size, r))
-        # per kept term, the first vertex maximising c_t v_t
-        best = np.argmax(num[:, kept] * c[kept], axis=0)
-        w = num[best].sum(axis=0) / (len(best) * den)
-        numeric = c * expr.power(w)
-        method = "vertex-mixture"
-    return {"analytic": float(ordered_sum(analytic)),
-            "numeric": float(ordered_sum(numeric)),
-            "method": method}
+    if expr.exponent == 1:
+        raise ValueError("use linear_lhv_max for r = 1")
+    return _maxima(expr, cross_polytope_structure(expr), vertices)
 
 
 def normalization_check(expr: InequalityExpr,
@@ -380,10 +377,10 @@ def certify(expr: InequalityExpr, tolerance: float = 1e-9) -> dict:
     """Compare the proved classical bound ``lhv_max`` (exact at r = 1) and an
     attained value with the declared bound; UNPROVEN lies between the two.
     """
-    blocks = cross_polytope_structure(expr)
+    scales = cross_polytope_structure(expr)
     n_raw = expr.n_strategies_raw()
     vertices = None
-    if n_raw <= ENUM_THRESHOLD or blocks is None:
+    if n_raw <= ENUM_THRESHOLD or scales is None:
         vertices = enumerate_vertices(expr)
         method = "enumeration"
     else:
@@ -399,7 +396,7 @@ def certify(expr: InequalityExpr, tolerance: float = 1e-9) -> dict:
         # a power of two: a JSON integer below 2^64, else exactly "2^E"
         "n_strategies_raw": (n_raw if n_raw < 1 << 64
                              else f"2^{n_raw.bit_length() - 1}"),
-        "cross_polytope": blocks is not None,
+        "cross_polytope": scales is not None,
     }
     if vertices is not None:
         report["n_strategies_reduced"] = vertices.n_reduced
@@ -409,24 +406,15 @@ def certify(expr: InequalityExpr, tolerance: float = 1e-9) -> dict:
     else:
         report["normalization"] = "structural"
 
+    maxima = _maxima(expr, scales, vertices)
     if expr.exponent == 1:
-        if vertices is None:
-            exact = _structural_max(blocks)
-        else:
-            exact = _vertex_max(expr, vertices)
-            if blocks is not None and not expr.absolute:
-                structural = _structural_max(blocks)
-                if structural != exact:
-                    raise AssertionError(
-                        f"structure bound {structural} != enumerated {exact}")
-        report["lhv_max"] = float(exact)
-        report["lhv_max_exact"] = str(exact)
+        report["lhv_max"] = float(maxima)
+        report["lhv_max_exact"] = str(maxima)
         attained = report["lhv_max"]
     else:
-        detail = _nonlinear_max(expr, blocks, vertices)
-        report["nonlinear"] = detail
-        report["lhv_max"] = detail["analytic"]
-        attained = detail["numeric"]
+        report["nonlinear"] = maxima
+        report["lhv_max"] = maxima["analytic"]
+        attained = maxima["numeric"]
 
     bound = expr.classical_bound
     if expr.bound_model != "genuine":

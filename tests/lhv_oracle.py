@@ -33,7 +33,7 @@ neither may exceed the proved bound.
 ``lhv.cross_polytope_structure`` replaces with array reads on the
 expression's ``input_index``: family by family it collects each term's
 single parties, exponent pattern and normalization as Python sets.  Both
-must return equal blocks, or both None.
+must return equal per-family scales, or both None.
 
 ``correlator_value`` and ``evaluate_strategy`` evaluate one deterministic
 strategy term by term, reading its outputs through ``output`` and
@@ -280,17 +280,18 @@ def mixture_numeric_reference(expr, vertices, restarts: int, seed: int) -> float
 
 
 def cross_polytope_structure_reference(expr):
-    """Detect the label <-> exponent-pattern bijection per family.
+    """Each family's scale when the label <-> exponent-pattern bijection
+    holds, else None.
 
     When it holds (and families share no inputs), every deterministic strategy
     zeroes all but one label per family and the surviving correlator equals
-    +-scale, so the vertex set per block is exactly {+-scale * e_label}.
+    +-scale, so the family's vertex set is exactly {+-scale * e_label}.
     """
     index = expr.input_index
     width = max(len(v) for v in index.vocab)
     # (party, input) pairs as integers; a joint party's input fills both slots
     pairs = np.arange(len(index.parties))[:, None] * width + index.inputs
-    blocks = []
+    out = []
     owned = np.zeros(0, dtype=np.int64)
     for fam in expr.families():
         indices = tuple(i for i, t in enumerate(expr.terms) if t.family == fam)
@@ -313,5 +314,5 @@ def cross_polytope_structure_reference(expr):
         if np.intersect1d(fam_pairs, owned).size:
             return None  # families share an input: blocks not independent
         owned = np.union1d(owned, fam_pairs)
-        blocks.append(lhv.FamilyBlock(fam, indices, k, scales.pop()))
-    return tuple(blocks)
+        out.append(scales.pop())
+    return tuple(out)

@@ -18,6 +18,7 @@ import pytest
 from netbell import cli, lhv, sampler, scenario
 from netbell.cli import main
 from netbell.scenario import SCENARIOS
+import scenario_oracle
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -61,10 +62,13 @@ def test_certify_bilocal_is_informational(capsys):
 
 
 def test_certify_unproven_exits_1(capsys, monkeypatch):
-    # an absolute power form whose bracket [3.936, 4.107] holds the bound
+    # two-source combined with its last term dropped, as an absolute power
+    # form whose bracket [3.4912, 3.5198] holds the bound
     info = SCENARIOS["two-source"]
-    held = dataclasses.replace(info.build()["combined"], exponent=Fraction(1, 3),
-                               absolute=True, classical_bound=4.0)
+    model = scenario_oracle.build_two_source_linear()["combined"]
+    held = dataclasses.replace(
+        dataclasses.replace(model, terms=model.terms[:-1]).expr(),
+        exponent=Fraction(1, 3), absolute=True, classical_bound=3.5)
     monkeypatch.setitem(SCENARIOS, "two-source", dataclasses.replace(
         info, build_family=lambda family, **_: held))
     code, data = run_json(capsys, "certify", "--scenario", "two-source")

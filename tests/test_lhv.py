@@ -132,10 +132,9 @@ def test_cross_polytope_structure_detection():
         build_ghz_a("first"),
     ]
     for expr in present:
-        blocks = cross_polytope_structure(expr)
-        assert blocks is not None, expr.name
-        assert sum(Fraction(b.scale) for b in blocks) == \
-            linear_lhv_max(expr) if expr.exponent == 1 else True
+        scales = cross_polytope_structure(expr)
+        assert scales is not None, expr.name
+        assert sum(scales) == linear_lhv_max(expr), expr.name
     # the combined hub-GHZ families reuse the same inputs: blocks correlate
     assert cross_polytope_structure(build_ghz_a("combined")) is None
     # baselines keep only part of the label set
@@ -145,21 +144,21 @@ def test_cross_polytope_structure_detection():
 def test_structure_agrees_with_enumeration():
     for expr in (build_chsh(), build_two_source_linear()["first"],
                  build_star_first(2), build_star_combined(2), build_ghz_b()):
-        blocks = cross_polytope_structure(expr)
-        structural = sum(Fraction(b.scale) for b in blocks)
+        scales = cross_polytope_structure(expr)
         enumerated = linear_lhv_max(expr, enumerate_vertices(expr))
-        assert structural == enumerated, expr.name
+        assert sum(scales) == enumerated, expr.name
 
 
 def _structure_agrees(expr):
-    """The table-read detection returns the per-term reference's blocks; an
-    enumerable structured input has the structural maximum and passes the
-    normalization check."""
-    blocks = cross_polytope_structure(expr)
-    assert blocks == cross_polytope_structure_reference(expr), expr.name
-    if blocks is not None and expr.n_strategies_raw() <= lhv.ENUM_THRESHOLD:
+    """The table-read detection returns the per-term reference's scales; an
+    enumerable structured input has their sum as its linear maximum and
+    passes the normalization check."""
+    scales = cross_polytope_structure(expr)
+    assert scales == cross_polytope_structure_reference(expr), expr.name
+    if scales is not None and expr.n_strategies_raw() <= lhv.ENUM_THRESHOLD:
         vertices = enumerate_vertices(expr)
-        assert lhv._structural_max(blocks) == lhv._vertex_max(expr, vertices)
+        linear = dataclasses.replace(expr, exponent=Fraction(1))
+        assert sum(scales) == linear_lhv_max(linear, vertices), expr.name
         assert normalization_check(expr, vertices) is None, expr.name
 
 
@@ -248,6 +247,8 @@ def test_nonlinear_star_analytic():
     comb = build_star_nonlinear(3, Fraction(1, 3), "combined")
     detail = nonlinear_lhv_max(comb)
     assert detail["analytic"] == pytest.approx(8.0, abs=1e-12)
+    with pytest.raises(ValueError, match="use linear_lhv_max"):
+        nonlinear_lhv_max(build_star_combined(3))
 
 
 def test_nonlinear_baselines_via_vertex_mixture():
@@ -372,19 +373,21 @@ def test_float_sums_add_left_to_right(monkeypatch):
     powered = [t.coefficient * expr.power(v) for t, v in zip(expr.terms, values)]
     assert left(powered, 0.0) != compensated_sum(powered)
     assert evaluate_strategy(expr, constant_strategy(expr)) == left(powered, 0.0)
-    # the closed form adds its blocks' values in block order
-    scales = [Fraction(1)] + [Fraction(1, 10 ** 6)] * 3
-    blocks = tuple(lhv.FamilyBlock(f"f{i}", (), 1, v) for i, v in enumerate(scales))
-    r = float(expr.exponent)
+    # the closed form adds its families' values in family order: star first
+    # K=3's eight terms as four families of two
+    star = build_star_nonlinear(3, Fraction(1, 3), "first")
+    index = dataclasses.replace(star.input_index, families=("f0", "f1", "f2", "f3"),
+                                family=np.arange(8) // 2)
+    four = dataclasses.replace(star, input_index=index)
+    scales = (Fraction(1),) + (Fraction(1, 10 ** 6),) * 3
+    r = float(four.exponent)
     parts = [float(v) ** r * 2.0 ** (1.0 - r) for v in scales]
     assert left(parts, 0.0) != compensated_sum(parts)
-    detail = lhv._nonlinear_max(expr, blocks, None)
+    detail = lhv._maxima(four, scales, None)
     assert detail["analytic"] == left(parts, 0.0)
 
 
 def test_budget_guard(monkeypatch):
-    # the singles (4 inputs each) exceed the budget before the K=3 hub's
-    # 2^16-row table is built
     built = []
     behaviors = lhv._party_behaviors
 
@@ -393,8 +396,15 @@ def test_budget_guard(monkeypatch):
         return behaviors(expr, party)
 
     monkeypatch.setattr(lhv, "_party_behaviors", spy)
-    monkeypatch.setattr(lhv, "DEFAULT_BUDGET", 10)
-    with pytest.raises(BudgetExceeded, match="exceed the budget 10$"):
+    # star first K=5: the hub's 2^32 x 32 key table is refused unbuilt
+    with pytest.raises(BudgetExceeded, match="^party B's 2\\^32 x 32 key table"):
+        enumerate_vertices(build_star_first(5))
+    assert built and "B" not in built
+    # the singles (4 inputs each, 2^4 x 16 key tables) exceed the budget
+    # before the K=3 hub's 2^16-row table is built
+    built.clear()
+    monkeypatch.setattr(lhv, "DEFAULT_BUDGET", 1000)
+    with pytest.raises(BudgetExceeded, match="reduced strategies exceed the budget 1000$"):
         enumerate_vertices(build_star_combined(3))
     assert built and "B" not in built
 
@@ -437,16 +447,63 @@ def test_vertex_mixture_never_passes_a_genuine_bound():
     assert rep["verdict"] == "PASS" and not rep["tight"]
     broken = dataclasses.replace(bi, bound_model="genuine", classical_bound=1)
     assert certify(broken)["verdict"] == "FAIL"
-    # two-source combined as an absolute form at r = 1/3: bracket [3.936, 4.107]
+    # two-source combined with its last term dropped, as an absolute form at
+    # r = 1/3: no structure, bracket [3.4912, 3.5198]
+    model = scenario_oracle.build_two_source_linear()["combined"]
     open_form = dataclasses.replace(
-        build_two_source_linear()["combined"], exponent=Fraction(1, 3),
-        absolute=True, classical_bound=4.0)
+        dataclasses.replace(model, terms=model.terms[:-1]).expr(),
+        exponent=Fraction(1, 3), absolute=True, classical_bound=3.5)
     rep = certify(open_form)
     lower, upper = rep["nonlinear"]["numeric"], rep["nonlinear"]["analytic"]
-    assert lower < 4.0 < upper == rep["lhv_max"]
+    assert lower < 3.5 < upper == rep["lhv_max"]
     assert rep["verdict"] == "UNPROVEN" and "tight" not in rep
     assert (f"between the attained value {lower!r} and the proved upper bound "
             f"{upper!r}") in rep["note"]
+    # unedited it has the structure, and the closed form attains its bound
+    closed = dataclasses.replace(
+        build_two_source_linear()["combined"], exponent=Fraction(1, 3),
+        absolute=True, classical_bound=4.0)
+    rep = certify(closed)
+    assert rep["nonlinear"]["method"] == "cross-polytope"
+    assert rep["nonlinear"]["numeric"] == rep["lhv_max"] == pytest.approx(
+        4.10724315175794, rel=1e-12)
+    assert rep["verdict"] == "FAIL"
+
+
+def test_absolute_form_with_no_positive_term_attains_zero():
+    # every term negated: no term is kept, so the attained end is the
+    # uniform mixture of all vertices, 0, not 0/0 (a RuntimeWarning is an
+    # error under the test configuration)
+    bi = build_bilocal_baseline()["bi"]
+    index = dataclasses.replace(bi.input_index,
+                                coefficient=-bi.input_index.coefficient)
+    negated = dataclasses.replace(bi, input_index=index, bound_model="genuine")
+    rep = certify(negated)
+    assert rep["nonlinear"] == {"analytic": 0.0, "numeric": 0.0,
+                                "method": "vertex-mixture"}
+    assert rep["verdict"] == "PASS"
+    # under the structure that mixture is w = 0
+    star = dataclasses.replace(build_star_nonlinear(2, Fraction(1, 3)), absolute=True)
+    index = dataclasses.replace(star.input_index,
+                                coefficient=-star.input_index.coefficient)
+    detail = nonlinear_lhv_max(dataclasses.replace(star, input_index=index))
+    assert detail == {"analytic": 0.0, "numeric": 0.0, "method": "cross-polytope"}
+
+
+def test_absolute_form_with_structure_needs_no_enumeration(monkeypatch):
+    def refuse(expr):
+        raise AssertionError("enumerate_vertices called")
+
+    monkeypatch.setattr(lhv, "enumerate_vertices", refuse)
+    expr = dataclasses.replace(build_star_combined(3), exponent=Fraction(1, 3),
+                               absolute=True)
+    rep = certify(expr)
+    assert rep["method"] == rep["nonlinear"]["method"] == "cross-polytope"
+    assert rep["normalization"] == "structural"
+    # scale 1 per family; kept are all 8 first-family terms and the 4
+    # even-parity second-family ones: 8^(2/3) + 4^(2/3), attained
+    assert rep["lhv_max"] == pytest.approx(4 + 4 ** (2 / 3), rel=1e-12)
+    assert rep["nonlinear"]["numeric"] == pytest.approx(rep["lhv_max"], rel=1e-12)
 
 
 def _power_form_bases():
@@ -469,9 +526,8 @@ def test_power_form_bracket(base, r, absolute):
     assert detail["numeric"] <= upper
     ascent = mixture_numeric_reference(expr, enumerate_vertices(expr), 3, 7)
     assert ascent <= upper
-    # the bracket closes everywhere but on the absolute two-source form
-    if base.name != "two-source-combined" or not absolute:
-        assert detail["numeric"] == pytest.approx(detail["analytic"], rel=1e-12)
+    # the bracket closes on every base
+    assert detail["numeric"] == pytest.approx(detail["analytic"], rel=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
