@@ -37,9 +37,10 @@ structure holds and from the vertices otherwise; at r = 1 it is exact.
 Power forms (0 < r < 1), signed or absolute, get one closed form
 (``nonlinear_lhv_max``): each family adds at most M_f^r * n_f^(1-r) over
 its n_f kept terms, M_f being its scale or one integer maximum over the
-enumerated numerators.  One explicit vertex mixture gives an attained value
-below it, equal to it under the structure; a genuine bound is ``UNPROVEN``
-only when it falls inside an open bracket.
+enumerated numerators.  Under the structure a vertex mixture attains it,
+so the attained value is the closed form itself; otherwise one explicit
+vertex mixture gives an attained value below it.  A genuine bound is
+``UNPROVEN`` only when it falls inside an open bracket.
 """
 
 from __future__ import annotations
@@ -273,27 +274,26 @@ def _maxima(expr: InequalityExpr, scales: tuple[Fraction, ...] | None,
         return exact
     r = float(expr.exponent)
     kept = c > 0 if expr.absolute else np.ones(len(c), dtype=bool)
-    analytic = []
-    w = np.zeros(len(c))  # the attained mixture under the structure
+    bounds = []
     for f in range(len(index.families)):
         cols = np.flatnonzero((index.family == f) & kept)
         if not cols.size:
             continue
-        if scales is None:
-            top = int(np.abs(num[:, cols]).sum(axis=1).max()) / den
-        else:
-            top = float(scales[f])
-            w[cols] = c[cols] * float(scales[f] / cols.size)
-        analytic.append(_power_mean(top, cols.size, r))
-    if scales is None:
-        # per kept term, the first vertex maximising c_t v_t; with no kept
-        # term, every vertex
-        best = (np.argmax(num[:, kept] * c[kept], axis=0) if kept.any()
-                else np.arange(len(num)))
-        w = num[best].sum(axis=0) / (len(best) * den)
-    return {"analytic": float(ordered_sum(analytic)),
+        top = (float(scales[f]) if scales is not None
+               else int(np.abs(num[:, cols]).sum(axis=1).max()) / den)
+        bounds.append(_power_mean(top, cols.size, r))
+    analytic = float(ordered_sum(bounds))
+    if scales is not None:  # the uniform mixture attains the closed form
+        return {"analytic": analytic, "numeric": analytic,
+                "method": "cross-polytope"}
+    # per kept term, the first vertex maximising c_t v_t; with no kept term,
+    # every vertex
+    best = (np.argmax(num[:, kept] * c[kept], axis=0) if kept.any()
+            else np.arange(len(num)))
+    w = num[best].sum(axis=0) / (len(best) * den)
+    return {"analytic": analytic,
             "numeric": float(ordered_sum(c * expr.power(w))),
-            "method": "vertex-mixture" if scales is None else "cross-polytope"}
+            "method": "vertex-mixture"}
 
 
 def linear_lhv_max(expr: InequalityExpr,
@@ -323,7 +323,9 @@ def nonlinear_lhv_max(expr: InequalityExpr,
     family's scale, signed or absolute: a vertex puts +-scale on one term
     per family.  The uniform mixture of the vertices c_t * scale * e_t over
     the kept t puts every kept w_t at c_t * scale / |S_f| and attains the
-    bound; a family with no kept term stays at w = 0.
+    bound; a family with no kept term stays at w = 0.  So ``numeric`` is
+    ``analytic`` itself: adding the mixture's equal terms one by one would
+    drift from it in the last bits as the families grow.
 
     Otherwise the vertices are enumerated.  The witness takes, for each kept
     term t, the first vertex maximising c_t * v_t, and mixes those vertices

@@ -97,11 +97,15 @@ def validate(topology: NetworkTopology) -> list[str]:
     return problems
 
 
+def _fits(n_qubits: int) -> None:
+    # before anything sized by the register (sources, hub labels, Pauli
+    # words) is built
+    if n_qubits > MAX_QUBITS:
+        raise ValueError(f"{n_qubits} qubits exceed the {MAX_QUBITS}-qubit register")
+
+
 def _check(topology: NetworkTopology) -> NetworkTopology:
-    # before anything sized by the register (hub labels, Pauli words) is built
-    if topology.n_qubits > MAX_QUBITS:
-        raise ValueError(f"{topology.n_qubits} qubits exceed the "
-                         f"{MAX_QUBITS}-qubit register")
+    _fits(topology.n_qubits)
     problems = validate(topology)
     if problems:
         raise ValueError("; ".join(problems))
@@ -135,6 +139,7 @@ def star(n_branches: int) -> NetworkTopology:
     """
     if n_branches < 2:
         raise ValueError("star networks need at least 2 branches")
+    _fits(2 * n_branches)
     k = n_branches
     sources = tuple(
         SourceSpec(i, BELL, (i, k + i), ("B", f"A{i + 1}")) for i in range(k))
@@ -155,6 +160,7 @@ def nkm(n_sources: int, n_branches: int, n_hubs: int,
     """
     if not (n_sources >= n_branches >= 1 and n_hubs >= 1):
         raise ValueError("need N >= K >= 1 and m >= 1")
+    _fits(2 * max(n_sources, n_hubs))  # N >= K, and every hub needs 2 qubits
     if alice_recipients is None:
         if n_branches > n_hubs:
             raise ValueError("default wiring needs m >= K; pass alice_recipients")

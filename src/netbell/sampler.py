@@ -10,27 +10,31 @@ its qubits is
     p(s) = 2^(-k) * (1 + sum_{T != {}} m_T * prod_{q in T} s_q)
 
 with m_T the expectation of the product of the chosen per-qubit observables
-over T, expanded into Pauli words and evaluated on the stabilizer backend.
-No dense state vectors are built, so register size is not the limit.  Rounds
-that share a source's (mixture component, qubit settings) form a group.  A
-source's settings depend only on the component, the term and the x bits of
-the a single parties among its recipients, so one group table per source,
-n_components * n_terms * 2^a entries built once per call, maps that key to
-its group.  Every group of the table gets its distribution once per call,
-before the source's outcome draws, and the groups of one source and
-component share one ``states.word_expectations`` call for all their Pauli
-words.  Nothing sorts the rounds.  A round's outcome is the number of its
-group's CDF entries, all but the last (the total T > 0), that are
-<= fl(u * T), u its uniform.  Each group has a table of 2^b buckets:
-``Generator.random`` gives u = m 2^-53, so bucket j = floor(u 2^b) holds u
-from j 2^-b to (j + 1) 2^-b - 2^-53.  Rounding is monotone, so fl(u * T),
-and the outcome with it, never falls as u rises: where the outcomes at a
-bucket's two ends agree, every u in the bucket gives that outcome, and its
-cell holds it.  A round then reads the search's outcome, bit for bit, with
-one intp gather of cell group << b | j.  The outcome rises at most 2^k - 1
-times, so at most that many buckets of a group have ends that differ; their
-rounds search.  b grows with the rounds per group, up to 2^10 buckets and,
-past b = 0, never more cells than rounds; b = 0 is the search alone.
+over T.  A qubit's setting is a row of three (letter, coefficient) entries,
+the first (I, 1.0), and it measures I + s * (the other two's sum).  m_T
+adds, over the patterns of one entry a qubit that leave exactly T past the
+identity, the coefficients' product times the expectation of the pattern's
+Pauli word on the stabilizer backend.  No dense state vectors are built, so
+register size is not the limit.  Rounds that share a source's (mixture
+component, qubit settings) form a group.  A source's settings depend only on
+the component, the term and the x bits of the a single parties among its
+recipients, so one group table per source, n_components * n_terms * 2^a
+entries built once per call, maps that key to its group.  Every group of the
+table gets its distribution once per call, before the source's outcome
+draws, and the groups of one source and component share one
+``states.word_expectations`` call for all their Pauli words.  Nothing sorts
+the rounds.  A round's outcome is the number of its group's CDF entries, all
+but the last (the total T > 0), that are <= fl(u * T), u its uniform.  Each
+group has a table of 2^b buckets: ``Generator.random`` gives u = m 2^-53, so
+bucket j = floor(u 2^b) holds u from j 2^-b to (j + 1) 2^-b - 2^-53.
+Rounding is monotone, so fl(u * T), and the outcome with it, never falls as
+u rises: where the outcomes at a bucket's two ends agree, every u in the
+bucket gives that outcome, and its cell holds it.  A round then reads the
+search's outcome, bit for bit, with one intp gather of cell group << b | j.
+The outcome rises at most 2^k - 1 times, so at most that many buckets of a
+group have ends that differ; their rounds search.  b grows with the rounds
+per group, up to 2^10 buckets and, past b = 0, never more cells than rounds;
+b = 0 is the search alone.
 
 Every draw (the family, the label, each single party's x bits, the mixture
 component, each source's uniform) is taken ``_BLOCK`` rounds at a time, one
@@ -106,43 +110,33 @@ def _product_components(topology: NetworkTopology, state: State
     return [(float(w), g) for w, g in parts]
 
 
-Spec = tuple[tuple[str, float], ...]  # per-qubit observable as letter/coeff sum
-
-
 def _source_distributions(group: StabilizerGroup, qubits: Sequence[int],
-                          settings: Sequence[Sequence[Spec]]) -> np.ndarray:
+                          letters: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     """Exact outcome distributions of one source, one row per qubit setting.
 
-    Column bit b = 1 means outcome -1 on ``qubits[b]``.  The words of every
-    setting's expansion go to one ``states.word_expectations`` call.
+    ``letters[r, i]`` and ``coefs[r, i]`` are setting r's three (letter,
+    coefficient) entries on ``qubits[i]``, entry 0 the identity (I, 1.0):
+    the qubit measures I + s * (the other entries' sum).  Column bit b = 1
+    means outcome -1 on ``qubits[b]``.
     """
-    k = len(qubits)
-    # every word of the expansion: setting r, subset t of the qubits, a letter each
-    terms, words = [], []
-    for r, specs in enumerate(settings):
-        for t in range(1, 1 << k):
-            members = [i for i in range(k) if (t >> i) & 1]
-            for choice in itertools.product(*(specs[i] for i in members)):
-                coeff = 1.0
-                letters = [0] * k
-                for i, (letter, c) in zip(members, choice):
-                    coeff *= c
-                    letters[i] = pauli.LETTER_CODE[letter]
-                if coeff != 0.0:
-                    terms.append((r, t, coeff))
-                    words.append(letters)
+    n, k = letters.shape[:2]
+    # every pattern of one entry a qubit but the all-identity one, qubit 0's
+    # entry slowest; t is the qubits past their identity entry, as bits
+    pattern = np.array(list(itertools.product(range(3), repeat=k))[1:])
+    at = np.arange(k)
+    t = (pattern != 0) @ (1 << at)
+    coeff = np.ones((n, len(pattern)))
+    for c in np.moveaxis(coefs[:, at, pattern], 2, 0):  # left to right
+        coeff *= c
     expectations = states.word_expectations(
-        group, np.array(words, dtype=np.int8).reshape(-1, k), qubits)
-    m = [[1.0] + [0.0] * ((1 << k) - 1) for _ in settings]
-    for (r, t, coeff), e in zip(terms, expectations.tolist()):
-        m[r][t] += coeff * e
+        group, letters[:, at, pattern].reshape(-1, k), qubits)
+    m = np.zeros((n, 1 << k))
+    m[:, 0] = 1.0
+    np.add.at(m, (np.arange(n)[:, None], t), coeff * expectations.reshape(n, -1))
     # p(s) = 2^(-k) sum_t (-1)^|s & t| m_t, added in t order
-    s_and_t = np.arange(1 << k)[:, None] & np.arange(1 << k)
-    parity = np.zeros_like(s_and_t)
-    for bit in range(k):
-        parity ^= (s_and_t >> bit) & 1
-    signs = np.where(parity == 1, -1.0, 1.0)
-    p = np.cumsum(signs * np.array(m)[:, None, :], axis=2)[:, :, -1] / (1 << k)
+    s = np.arange(1 << k)
+    signs = 1.0 - 2.0 * (np.bitwise_count(s[:, None] & s) & 1)
+    p = np.cumsum(signs * m[:, None, :], axis=2)[:, :, -1] / (1 << k)
     if p.min() < -1e-9:
         raise AssertionError(f"negative probability {p.min()} in source sampling")
     p = np.clip(p, 0.0, None)
@@ -218,9 +212,9 @@ def _csv_row(fields) -> str:
 
 
 def _group_table(spec_of: dict[int, np.ndarray], n_comp: int, src: SourceSpec,
-                 owners: list[str]) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """One source's distinct (component, qubit setting...) rows, and the row
-    of every key (comp * n_terms + term) * 2^a + bits.
+                 owners: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """One source's distinct (component, qubit setting...) rows, in order,
+    and the row of every key (comp * n_terms + term) * 2^a + bits.
 
     Bit i of ``bits`` is the x of ``owners[i]``, the a parties with x bits
     among the source's recipients; the other qubits read column 0 of their
@@ -233,9 +227,7 @@ def _group_table(spec_of: dict[int, np.ndarray], n_comp: int, src: SourceSpec,
         x = (bits >> owners.index(p)) & 1 if p in owners else np.zeros_like(bits)
         columns.append(spec_of[q][:, x][None])
     settings = np.stack(np.broadcast_arrays(*columns), axis=-1)
-    keys, group_of = unique_rows(settings.reshape(-1, len(columns)),
-                                 return_inverse=True)
-    return [tuple(k) for k in keys.tolist()], group_of
+    return unique_rows(settings.reshape(-1, len(columns)), return_inverse=True)
 
 
 def _bucket_table(cdf: np.ndarray, b: int) -> np.ndarray:
@@ -303,23 +295,24 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
     fam_rows = [np.flatnonzero(index.family == f) for f in range(n_fam)]
     fam_counts = [len(rows) for rows in fam_rows]
 
-    # spec_of[q][t, x]: the setting id of qubit q in term t for its party's
-    # bit x.  Ids number the distinct letter/coefficient sums: a lone letter's
-    # id is its LETTER_CODE, so a qubit starts from its term's letters, and
-    # the terms with a factor of angle (p, plane) then take the cos/sin sums'
-    # ids on p's qubit, angle keys in order, ids in first use.
-    codes = sorted(pauli.LETTER_CODE.items(), key=lambda item: item[1])
-    spec_ids: dict[Spec, int] = {((letter, 1.0),): code for letter, code in codes}
+    # a setting is one row of (letter, coefficient) entries, entry 0 (I, 1.0):
+    # rows 0-3 are the lone letters by LETTER_CODE, and row 4 + 2j + x is
+    # cos(theta) Z + (-1)^x sin(theta) P for angle key j = (p, plane), P its
+    # plane's second letter.  spec_of[q][t, x]: the row of qubit q in term t
+    # for its party's bit x.
+    letters = np.zeros((4 + 2 * len(index.keys), 3), dtype=np.int8)
+    coefs = np.zeros(letters.shape)
+    coefs[:, 0] = coefs[:4, 1] = 1.0
+    letters[:4, 1] = range(4)
     spec_of = {q: np.repeat(index.letters[:, [q]], 2, axis=1).astype(np.int64)
                for q in range(topo.n_qubits)}
     for j, (p, plane) in enumerate(index.keys):
-        rows = index.exps[:, j] >= 0
         theta = resolved[(p, plane)]
-        for x, sign in ((0, 1.0), (1, -1.0)):
-            spec_of[topo.party(p).qubits[0]][rows, x] = spec_ids.setdefault((
-                ("Z", math.cos(theta)), (plane[1], sign * math.sin(theta))),
-                len(spec_ids))
-    specs = list(spec_ids)
+        rows = [4 + 2 * j, 5 + 2 * j]
+        letters[rows, 1:] = pauli.LETTER_CODE["Z"], pauli.LETTER_CODE[plane[1]]
+        coefs[rows, 1] = math.cos(theta)
+        coefs[rows, 2] = math.sin(theta), -math.sin(theta)
+        spec_of[topo.party(p).qubits[0]][index.exps[:, j] >= 0] = rows
 
     # every draw is taken a block of rounds at a time (see the module
     # docstring); take reads intp indices fastest, so three intp block
@@ -395,9 +388,10 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
         # every group's distribution, a component at a time; keys sort by
         # component first
         cdf = np.concatenate([
-            np.cumsum(_source_distributions(components[c][1], qs, [
-                [specs[i] for i in key[1:]] for key in group]), axis=1)
-            for c, group in itertools.groupby(keys, lambda key: key[0])])
+            np.cumsum(_source_distributions(
+                components[part[0, 0]][1], qs, letters[part[:, 1:]],
+                coefs[part[:, 1:]]), axis=1)
+            for part in np.split(keys, np.flatnonzero(np.diff(keys[:, 0])) + 1)])
         # 2^b buckets a group: at most 2^10, past b = 0 at most a cell a round
         b = max(0, min(10, (n_rounds // len(keys)).bit_length() - 1))
         first = group_of << b  # intp, as np.unique gives
@@ -570,13 +564,9 @@ def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
     def se_of(keep: np.ndarray) -> float:
         """The delta-method se of the ``keep`` terms' sum: inf at the first
         unreached cell whose summed derivative d is not 0, else the reached
-        cells' sum.  A key one kept term reads has the same |d| on every
-        cell; only keys several read need their full sums."""
-        short = keep & ~full
-        readers = np.bincount(term_key[keep], minlength=len(reached))[term_key]
-        if np.any((outer * norms)[short & (readers == 1)] != 0.0):
-            return math.inf
-        for k in np.flatnonzero(np.bincount(term_key[short & (readers > 1)])).tolist():
+        cells' sum.  Key by key, among the keys some kept term reads only
+        in part, d adds the key's kept terms' weights on each of its cells."""
+        for k in np.flatnonzero(np.bincount(term_key[keep & ~full])).tolist():
             ts = np.flatnonzero(keep & (term_key == k))
             x = np.arange(1 << int(n_single[ts[0]]))
             d = np.zeros(len(x))

@@ -17,7 +17,9 @@ give the same distribution bit for bit.
 
 ``group_table_reference`` is ``sampler._group_table`` as it was built on
 the structured ``np.unique(axis=0)`` sort; the package's one-key-per-row
-sort must give the same rows and the same row per key.
+sort must give the same rows and the same row per key.  ``setting_tables``
+writes per-qubit specs, (letter, coefficient) sums, as the rows of the
+sampler's (letter, coefficient) setting tables.
 
 Two rules differ from the first version of that loop, and the package
 follows both: a term's single parties take their profile bits and their
@@ -166,6 +168,19 @@ def _source_distribution(group: StabilizerGroup, qubits: Sequence[int],
     return p
 
 
+def setting_tables(settings: Sequence[Sequence[Spec]]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The sampler's (letters, coefs) tables, (settings, qubits, 3), of
+    per-qubit specs: entry 0 is (I, 1.0), then the spec's pairs, then
+    (I, 0.0) to fill three entries."""
+    rows = [[[("I", 1.0), *spec, ("I", 0.0)][:3] for spec in specs]
+            for specs in settings]
+    letters = [[[pauli.LETTER_CODE[letter] for letter, _ in entries]
+                for entries in row] for row in rows]
+    coefs = [[[c for _, c in entries] for entries in row] for row in rows]
+    return np.array(letters, dtype=np.int8), np.array(coefs, dtype=float)
+
+
 def product_components_reference(topology, state) -> list:
     """The state's (weight, group) parts, once every stabilizer generator
     stays within one source's qubits: the per-generator check that the
@@ -303,4 +318,4 @@ def group_table_reference(spec_of, n_comp, src, owners):
     settings = np.stack(np.broadcast_arrays(*columns), axis=-1)
     keys, group_of = np.unique(settings.reshape(-1, len(columns)), axis=0,
                                return_inverse=True)
-    return [tuple(k) for k in keys.tolist()], group_of.reshape(-1).astype(np.intp)
+    return keys, group_of.reshape(-1).astype(np.intp)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from netbell import cli, lhv, sampler, scenario
+from netbell import cli, lhv, network, sampler, scenario
 from netbell.cli import main
 from netbell.scenario import SCENARIOS
 import scenario_oracle
@@ -436,6 +436,23 @@ def test_star_beyond_the_register_exits_2_at_once(capsys, k):
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].endswith(f"{2 * int(k)} qubits exceed the 64-qubit register")
+
+
+@pytest.mark.parametrize("flags", [["--scenario", "star", "--k"],
+                                   ["--scenario", "nkm", "--n"],
+                                   ["--scenario", "nkm", "--m"]])
+def test_oversized_network_exits_2_in_one_line(capsys, monkeypatch, flags):
+    # the register check fires before any source of the 10^12 is built
+    def built(*args, **kwargs):
+        raise AssertionError("a source was built")
+
+    monkeypatch.setattr(network, "SourceSpec", built)
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", *flags, str(10 ** 12)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].endswith(f"{2 * 10 ** 12} qubits exceed the 64-qubit register")
 
 
 def test_out_of_memory_exits_3_in_one_line(capsys, monkeypatch):

@@ -436,6 +436,19 @@ def test_certify_nonlinear_report():
     assert rep["verdict"] == "PASS"
 
 
+@pytest.mark.parametrize("k,family", [(15, "first"), (16, "combined")])
+def test_large_star_power_form_is_tight(k, family):
+    # under the structure the attained end is the closed form itself: adding
+    # the mixture's 2^K equal terms put it 4.9e-9 (first K=15) and 5.9e-8
+    # (combined K=16) above the declared bound, a FAIL at the default
+    # tolerance
+    rep = certify(build_star_nonlinear(k, Fraction(1, 9), family))
+    detail = rep["nonlinear"]
+    assert detail["method"] == "cross-polytope"
+    assert detail["numeric"] == detail["analytic"] == rep["lhv_max"]
+    assert rep["verdict"] == "PASS" and rep["tight"]
+
+
 def test_vertex_mixture_never_passes_a_genuine_bound():
     # a genuine bound passes on the proved upper end of the bracket, fails
     # on its attained lower end, and is UNPROVEN strictly inside it

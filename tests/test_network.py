@@ -55,6 +55,21 @@ def test_star_layout():
         star(33)
 
 
+def test_oversized_networks_are_refused_before_any_source(monkeypatch):
+    # 10^12 branches, sources or hubs: one comparison, no source, hub list
+    # or range built first
+    def built(*args, **kwargs):
+        raise AssertionError("a source was built")
+
+    monkeypatch.setattr(network, "SourceSpec", built)
+    big = 10 ** 12
+    for build in (lambda: star(big), lambda: nkm(big, 2, 2),
+                  lambda: nkm(3, 2, big), lambda: nkm(big, big, big)):
+        with pytest.raises(ValueError,
+                           match=f"^{2 * big} qubits exceed the 64-qubit register$"):
+            build()
+
+
 def test_nkm_layout():
     t = nkm(3, 2, 2, wiring=((2, 0, 1),))
     # branch sources 0,1 feed A1,A2 plus a hub each; source 2 links B1 to B2

@@ -29,12 +29,15 @@ from netbell.scenario import (
     build_star_first,
     build_two_source_linear,
 )
-from netbell.states import (StabilizerMixture, bell_pair, blocks, components,
-                            ghz3, maximally_mixed, network_state,
-                            parse_state_spec, product_group, smolin)
+from netbell.pauli import word
+from netbell.states import (StabilizerGroup, StabilizerMixture, bell_pair,
+                            blocks, components, ghz3, maximally_mixed,
+                            network_state, parse_state_spec, product_group,
+                            smolin)
 from conftest import compensated_sum, stabilizer_vector
 import sampler_oracle
-from sampler_oracle import csv_reference, estimate_reference, simulate_rounds_reference
+from sampler_oracle import (csv_reference, estimate_reference, setting_tables,
+                            simulate_rounds_reference)
 import scenario_oracle
 from scenario_oracle import party_inputs
 
@@ -95,7 +98,7 @@ def test_source_distribution_respects_stabilizers():
     # measuring X,Z,Z on a three-qubit GHZ source: XZZ outcome product is +1
     g = ghz3(0, 1, 2, 3)
     specs = [(("X", 1.0),), (("Z", 1.0),), (("Z", 1.0),)]
-    p = sampler._source_distributions(g, (0, 1, 2), [specs])[0]
+    p = sampler._source_distributions(g, (0, 1, 2), *setting_tables([specs]))[0]
     assert p.shape == (8,)
     for s in range(8):
         parity = bin(s).count("1") % 2
@@ -108,19 +111,20 @@ def test_source_distribution_mixed_basis():
     # Z on one half of a pair: both outcomes equally likely, independent
     g = bell_pair(0, 1, 2)
     specs = [(("Z", 1.0),), (("Z", 1.0),)]
-    p = sampler._source_distributions(g, (0, 1), [specs])[0]
+    p = sampler._source_distributions(g, (0, 1), *setting_tables([specs]))[0]
     # perfect ZZ correlation: only 00 and 11
     assert p[0] == pytest.approx(0.5) and p[3] == pytest.approx(0.5)
     assert p[1] == p[2] == pytest.approx(0.0)
     tilted = [(("Z", math.cos(0.7)), ("X", math.sin(0.7))), (("Z", 1.0),)]
-    p = sampler._source_distributions(g, (0, 1), [tilted])[0]
+    p = sampler._source_distributions(g, (0, 1), *setting_tables([tilted]))[0]
     assert p.sum() == pytest.approx(1.0)
     assert np.all(p >= 0.0)
 
 
 def test_source_distribution_matches_the_per_word_loop():
     # one states.expectation per word and one call per setting in the
-    # reference; one call for all settings here, bit for bit
+    # reference; one call for all settings here, bit for bit, also where a
+    # coefficient is 0 (the reference skips its words)
     tilt = ("Z", math.cos(0.3)), ("X", -math.sin(0.3))
     skew = ("Z", math.cos(1.1)), ("Y", math.sin(1.1))
     pair_and_ghz = product_group([bell_pair(3, 0, 6), ghz3(1, 5, 2, 6)])
@@ -135,11 +139,47 @@ def test_source_distribution_matches_the_per_word_loop():
         (parse_state_spec("mixed", build_chsh().topology), (0, 1), [[tilt, skew]]),
     ]
     for group, qubits, settings in cases:
-        got = sampler._source_distributions(group, qubits, settings)
+        got = sampler._source_distributions(group, qubits, *setting_tables(settings))
         assert got.shape == (len(settings), 1 << len(qubits))
         for row, specs in zip(got, settings):
             want = sampler_oracle._source_distribution(group, qubits, specs)
             assert row.tobytes() == want.tobytes()
+
+
+def _random_tables(alphabet, coefficient, entries, k_min):
+    """Qubits among 4 and one to three settings of k = k_min..3 qubits,
+    each qubit ``entries`` (letter, coefficient) pairs."""
+    spec = st.lists(st.tuples(st.sampled_from(alphabet), coefficient),
+                    min_size=entries[0], max_size=entries[1]).map(tuple)
+    return st.integers(k_min, 3).flatmap(lambda k: st.tuples(
+        st.permutations(range(4)).map(lambda qs: tuple(qs[:k])),
+        st.lists(st.lists(spec, min_size=k, max_size=k), min_size=1, max_size=3)))
+
+
+# sines use every mantissa bit, as the angles' coefficients do
+_SINE = st.floats(-4.0, 4.0).map(lambda a: math.sin(a) / 2)
+_COEFFICIENT = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.5, 0.5), _SINE)
+_STATES = [product_group([bell_pair(0, 2, 4), bell_pair(1, 3, 4, -1, -1)]),
+           ghz3(3, 0, 2, 4), smolin(), maximally_mixed(4)]
+# every word of I and Z has expectation +-1 here, so with two entries a
+# qubit each m_t adds all its patterns' products of three coefficients and
+# shows any change in the order of the operations
+_Z_STATE = StabilizerGroup(4, tuple(word({q: "Z"}, 4, (-1) ** q) for q in range(4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.tuples(_random_tables("IXYZ", _COEFFICIENT, (1, 2), 1), st.sampled_from(_STATES)),
+    st.tuples(_random_tables("IZ", _SINE, (2, 2), 3), st.just(_Z_STATE))))
+def test_source_distribution_matches_the_oracle_on_random_tables(case):
+    # random letters and coefficients, zeros included; two entries of
+    # |coefficient| <= 1/2 keep each qubit's I + s O positive, so every
+    # probability is >= 0
+    (qubits, rows), group = case
+    got = sampler._source_distributions(group, qubits, *setting_tables(rows))
+    for row, specs in zip(got, rows):
+        want = sampler_oracle._source_distribution(group, qubits, specs)
+        assert row.tobytes() == want.tobytes()
 
 
 def test_simulate_rejects_dense_and_non_product():
@@ -377,7 +417,7 @@ def test_group_table_matches_the_structured_sort(monkeypatch):
     def checked(*args):
         got = real(*args)
         want = sampler_oracle.group_table_reference(*args)
-        assert got[0] == want[0]
+        assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
         assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
         calls.append(len(want[0]))
         return got
@@ -388,7 +428,7 @@ def test_group_table_matches_the_structured_sort(monkeypatch):
         simulate_rounds(expr, parse_state_spec(spec, expr.topology), 40, seed=3,
                         angles=angles)
     assert calls
-    # setting ids past one and two bytes, as a long catalog of specs gives
+    # setting rows past one and two bytes (there are 4 + 2J for J angle keys)
     rng = np.random.default_rng(5)
     for high in (300, 70000):
         spec_of = {q: rng.integers(0, high, size=(64, 2)) for q in range(3)}
@@ -409,6 +449,13 @@ def test_delta_se_adds_cells_left_to_right(monkeypatch):
     assert sampler._cell_se(slot.ravel(), deriv.ravel(), var) == want
 
 
+def _settings(letters, coefs):
+    """Each row of a pair of (setting, qubit, entry) tables as one hashable
+    value."""
+    return [(tuple(map(tuple, row)), tuple(map(tuple, c)))
+            for row, c in zip(letters.tolist(), coefs.tolist())]
+
+
 @pytest.mark.parametrize("rounds", [1, 40])
 @pytest.mark.parametrize("expr,state", [
     pytest.param(build_star_first(6), None, id="star-first-k6"),
@@ -427,17 +474,18 @@ def test_simulate_builds_every_group_distribution_once(expr, state, rounds,
 
     def table(spec_of, n_comp, src, owners):
         keys, group_of = real[0](spec_of, n_comp, src, owners)
-        tables.append((tuple(src.qubits), [key[0] for key in keys]))
+        tables.append((tuple(src.qubits), keys[:, 0].tolist()))
         return keys, group_of
 
-    def batch(group, qubits, settings):
+    def batch(group, qubits, letters, coefs):
         c = next(c for c, g in enumerate(groups) if g is group)
-        built.update((tuple(qubits), c, tuple(specs)) for specs in settings)
-        return real[1](group, qubits, settings)
+        built.update((tuple(qubits), c, setting)
+                     for setting in _settings(letters, coefs))
+        return real[1](group, qubits, letters, coefs)
 
     def single(group, qubits, specs):
         c = next(c for c, g in enumerate(groups) if g is group)
-        reached.add((tuple(qubits), c, tuple(specs)))
+        reached.add((tuple(qubits), c, *_settings(*setting_tables([specs]))))
         return real[2](group, qubits, specs)
 
     monkeypatch.setattr(sampler, "_group_table", table)
