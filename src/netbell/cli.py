@@ -24,7 +24,6 @@ for 3), never a usage block or a traceback.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import operator
@@ -236,7 +235,8 @@ def _build_scenario(args, parser) -> tuple[InequalityExpr, dict]:
         params["wiring"] = tuple((s - 1, a - 1, b - 1) for s, a, b in params["wiring"])
     if "inter_bits" in params:
         params["inter_bits"] = {s - 1: bit for s, bit in params["inter_bits"].items()}
-    taken = inspect.signature(info.build_family).parameters
+    code = info.build_family.__code__  # its positional and keyword-only names
+    taken = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
     for key in params:
         if key not in taken:
             parser.error(f"scenario {args.scenario!r} takes no parameter {key!r}")

@@ -28,9 +28,10 @@ Two routes compute the vertex geometry:
 * cross-polytope structure: when each family's labels map bijectively onto
   the single-party exponent patterns (and families share no inputs), every
   deterministic strategy concentrates each family on exactly one label at
-  full scale.  The structure is held as one scale per family: the family's
-  vertices are +-scale * e_label without enumerating anything, which covers
-  hub counts where enumeration would not fit in memory.
+  full scale.  The structure is held as one scale per family
+  (``scenario.cross_polytope_structure``): the family's vertices are
+  +-scale * e_label without enumerating anything, which covers hub counts
+  where enumeration would not fit in memory.
 
 One function gives every classical maximum, from the scales when the
 structure holds and from the vertices otherwise; at r = 1 it is exact.
@@ -52,7 +53,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scenario import InequalityExpr, ordered_sum, unique_rows
+from .scenario import (InequalityExpr, cross_polytope_structure, ordered_sum,
+                       unique_rows)
 
 DEFAULT_BUDGET = 1 << 25
 ENUM_THRESHOLD = 1 << 16
@@ -197,47 +199,6 @@ def enumerate_vertices(expr: InequalityExpr) -> VertexSet:
     return VertexSet(numerators[order], denominator, codes[order], n_reduced,
                      tuple((party, inputs, signs)
                            for party, (inputs, _, signs) in zip(parties, behaviors)))
-
-
-# -- cross-polytope structure ----------------------------------------------------
-
-
-def cross_polytope_structure(expr: InequalityExpr) -> tuple[Fraction, ...] | None:
-    """Each family's scale when the label <-> exponent-pattern bijection
-    holds, else None.
-
-    When it holds (and families share no inputs), every deterministic strategy
-    zeroes all but one term per family and the surviving correlator equals
-    +-scale, so family f's vertex set is exactly {+-scale_f * e_t}.  Per
-    family: one single-party mask, 2^k terms whose exponent bits spell the
-    2^k codes once each, one normalization (scale_f is it times 2^k), and
-    (party, input) pairs that no earlier family holds.
-    """
-    index = expr.input_index
-    width = max(len(v) for v in index.vocab)
-    # (party, input) pairs as integers; a joint party's input fills both slots
-    pairs = np.arange(len(index.parties))[:, None] * width + index.inputs
-    owned = np.zeros(len(index.parties) * width, dtype=bool)
-    scales = []
-    for f in range(len(index.families)):
-        rows = np.flatnonzero(index.family == f)
-        if rows.size == 0:
-            return None
-        mask = index.single[rows[0]]
-        k = int(mask.sum())
-        if k == 0 or len(rows) != 1 << k or (index.single[rows] != mask).any():
-            return None
-        codes = index.exponents[rows][:, mask].astype(np.int64) @ (1 << np.arange(k))
-        scale = index.scale[rows]
-        if np.bincount(codes, minlength=1 << k).min() == 0 or (scale != scale[0]).any():
-            return None
-        mine = np.zeros_like(owned)
-        mine[pairs[rows].ravel()] = True
-        if (mine & owned).any():
-            return None  # families share an input: blocks not independent
-        owned |= mine
-        scales.append(Fraction(int(scale[0]) << k, index.denominator))
-    return tuple(scales)
 
 
 # -- classical maxima --------------------------------------------------------------

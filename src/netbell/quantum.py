@@ -38,6 +38,14 @@ and recomputes the row's value in full.  A row leaves the batch after a
 sweep that gains less than 1e-12.  Starts run in blocks whose trig factor
 array (block x T x J x 8 bytes) stays under ``_BLOCK_BYTES``; every block
 draws its start points from the one Philox stream, in start order.
+
+``upper_bound`` proves a maximum over every state and every +-1
+observable from the cross-polytope structure (Jordan's lemma): at r = 1 an
+exact a + b*sqrt(2), at r < 1 a float.  On a stabilizer group at r = 1,
+start 0's value at pi/4 is exact in the same form, since every E_t is 0 or
++-1 and cos pi/4 = sin pi/4 = 2^(-1/2).  When it equals the bound,
+``optimize_angles`` returns it without running the ascent; every other case
+runs the multi-start ascent.
 """
 
 from __future__ import annotations
@@ -45,13 +53,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
 from . import states
-from .scenario import (QUARTER_PI, AngleMap, InequalityExpr, ordered_sum,
-                       resolve_angles)
+from .scenario import (QUARTER_PI, AngleMap, InequalityExpr,
+                       cross_polytope_structure, ordered_sum, resolve_angles)
 from .states import State
 
 ANGLE_MARGIN = 1e-3  # keep searches inside the open quadrant
@@ -96,6 +105,27 @@ class CompiledExpression:
         n = (self.exps >= 0).sum(axis=1).tolist()
         return (np.array([2.0 ** (-s / 2) for s in n]),
                 np.array([2.0 ** (-(s - 1) / 2) for s in n]))
+
+    def _quarter_exact(self) -> tuple[Fraction, Fraction] | None:
+        """The value at all angles pi/4 as (a, b), meaning a + b*sqrt(2).
+
+        Valid at r = 1 with every E_t in {0, +-1}, as on a stabilizer group.
+        Each of a term's s_t single parties contributes one factor 2^(-1/2)
+        and doubles its base, so term t adds c_t * (scale_t / den) *
+        2^(s_t/2) * E_t: terms of even s_t add to a and those of odd s_t to
+        b, as int64 sums.  None when those sums could overflow.
+        """
+        index = self.expr.input_index
+        s = index.single.sum(axis=1)
+        if (int(np.abs(index.scale).max()) << int(s.max()) // 2) * len(s) >= 1 << 63:
+            return None
+        x = (index.scale << s // 2) * self.expectation.astype(np.int64)
+        if self.expr.absolute:
+            x = np.abs(x)
+        x *= self.coefficient.astype(np.int64)
+        odd = s % 2 == 1
+        return (Fraction(int(x[~odd].sum()), index.denominator),
+                Fraction(int(x[odd].sum()), index.denominator))
 
     def _row(self, angles: Mapping[tuple[str, str], float]) -> np.ndarray:
         return np.array([[angles[key] for key in self.keys]], dtype=float)
@@ -223,15 +253,84 @@ def evaluate(expr: InequalityExpr, state: State,
     return compile_expression(expr, state).value(resolved)
 
 
+# -- the proved maximum -----------------------------------------------------------
+
+
+def upper_bound(expr: InequalityExpr) -> tuple[Fraction, Fraction] | float | None:
+    """A maximum of the expression over every state and every +-1 observable:
+    (a, b), meaning a + b*sqrt(2), at r = 1; a float at r < 1; None when the
+    term table lacks the cross-polytope structure.
+
+    Family f has k single parties, its 2^k terms spell every exponent
+    pattern e once, and they share one normalization n_f (scale_f =
+    n_f * 2^k).  Its bound is n_f * (2 sqrt 2)^k = scale_f * 2^(k/2), and
+    the families' bounds add.
+
+    Proof.  By Jordan's lemma (e.g. Masanes, PRL 97, 050503, 2006) a single
+    party's two +-1 observables A_0, A_1 split its space into blocks of
+    dimension at most 2 that both preserve; in a block at angle psi,
+    ||A_0 + A_1|| = 2|cos psi| and ||A_0 - A_1|| = 2|sin psi|.  Let P_beta
+    project onto one tuple beta of blocks, one per single party, and p_beta
+    = <P_beta>, so sum_beta p_beta = 1.  Term e's operator O_e = n_f *
+    prod_j (A_0^j + (-1)^e_j A_1^j) * B_e, with B_e the joint parties'
+    observables (norm <= 1), commutes with every P_beta, so
+
+        sum_e |<O_e>| <= n_f * sum_beta p_beta * sum_e prod_j 2|trig_e_j(psi_j)|
+                       = n_f * sum_beta p_beta * prod_j 2(|cos psi_j| + |sin psi_j|)
+                      <= n_f * (2 sqrt 2)^k,
+
+    trig_0 = cos and trig_1 = sin: the sum over all 2^k patterns factorises
+    because each appears once.  A mixed state averages pure ones.  Norms of
+    the whole space would give 4^k instead: A_0 = diag(1, 1) and A_1 =
+    diag(1, -1) have ||A_0 + A_1|| + ||A_0 - A_1|| = 4.  At r = 1 a term
+    adds c_t <O_t> or c_t |<O_t>|, at most |<O_t>|, so family f adds at most
+    its bound.  At r < 1 a term adds at most |<O_t>|^r, and by Hoelder's
+    inequality the 2^k terms of family f add at most
+    2^(k(1-r)) * (scale_f * 2^(k/2))^r.
+    """
+    scales = cross_polytope_structure(expr)
+    if scales is None:
+        return None
+    index = expr.input_index
+    ks = np.zeros(len(index.families), dtype=np.int64)
+    ks[index.family] = index.single.sum(axis=1)  # one k per family
+    if expr.exponent == 1:
+        ab = [Fraction(0), Fraction(0)]
+        for scale, k in zip(scales, ks.tolist()):
+            ab[k % 2] += scale * (1 << k // 2)
+        return ab[0], ab[1]
+    r = float(expr.exponent)
+    return float(ordered_sum([2.0 ** (k * (1 - r)) * (float(scale) * 2.0 ** (k / 2)) ** r
+                              for scale, k in zip(scales, ks.tolist())]))
+
+
+def _sign(a: Fraction, b: Fraction) -> int:
+    """The sign of a + b*sqrt(2), exactly."""
+    if a * b >= 0:
+        return (a + b > 0) - (a + b < 0)
+    return (a > 0) - (a < 0) if a * a > 2 * b * b else (b > 0) - (b < 0)
+
+
+def _as_float(bound: tuple[Fraction, Fraction] | float) -> float:
+    if isinstance(bound, tuple):
+        return float(bound[0]) + float(bound[1]) * math.sqrt(2.0)
+    return bound
+
+
 # -- angle optimization ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """The best start's value and angles, every start's value and the best
+    start's sweeps; ``upper`` is ``upper_bound`` as a float when the value is
+    proved to meet it exactly, else None."""
+
     value: float
     angles: dict[tuple[str, str], float]
     start_values: tuple[float, ...]
     sweeps: int
+    upper: float | None = None
 
 
 def optimize_angles(expr: InequalityExpr, state: State,
@@ -243,6 +342,11 @@ def optimize_angles(expr: InequalityExpr, state: State,
     ascend together in blocks (``CompiledExpression._coordinate_ascent``).
     Ties resolve to the earliest start, so results are deterministic for a
     given seed.
+
+    On a stabilizer group at r = 1, start 0's exact value is first compared
+    with ``upper_bound``.  When the two are equal, no start can beat it: the
+    result is start 0 alone, with ``sweeps`` 0 and ``upper`` set.  A value
+    above the bound would refute the proof and raises ``AssertionError``.
     """
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
@@ -251,6 +355,19 @@ def optimize_angles(expr: InequalityExpr, state: State,
     if not keys:
         v = compiled.value({})
         return OptimizeResult(v, {}, (v,), 0)
+    bound = None
+    if isinstance(state, states.StabilizerGroup) and expr.exponent == 1:
+        bound = upper_bound(expr)
+    exact = None if bound is None else compiled._quarter_exact()
+    if exact is not None:
+        sign = _sign(exact[0] - bound[0], exact[1] - bound[1])
+        if sign > 0:
+            raise AssertionError(f"pi/4 value {exact[0]} + {exact[1]}*sqrt(2) exceeds "
+                                 f"the proved bound {bound[0]} + {bound[1]}*sqrt(2)")
+        if sign == 0:
+            quarter = dict.fromkeys(keys, QUARTER_PI)
+            v = compiled.value(quarter)
+            return OptimizeResult(v, quarter, (v,), 0, _as_float(bound))
     rng = np.random.Generator(np.random.Philox(key=seed))
     lo, hi = ANGLE_MARGIN, math.pi / 2 - ANGLE_MARGIN
     block = max(1, _BLOCK_BYTES // (8 * compiled.exps.size))
@@ -271,11 +388,16 @@ def optimize_angles(expr: InequalityExpr, state: State,
 
 def claimed_max_check(expr: InequalityExpr, state: State | None = None,
                       tolerance: float = 1e-9, **kwargs) -> dict:
-    """Optimize and compare against the declared quantum maximum."""
+    """Optimize and compare against the declared quantum maximum.
+
+    ``upper_bound`` is the proved maximum as a float (None without the
+    structure); ``proved`` says the optimized value met it exactly.
+    """
     if state is None:
         state = states.network_state(expr.topology)
     result = optimize_angles(expr, state, **kwargs)
     gap = result.value - expr.claimed_quantum_max
+    bound = upper_bound(expr)
     return {
         "inequality": expr.name,
         "claimed_max": expr.claimed_quantum_max,
@@ -285,4 +407,6 @@ def claimed_max_check(expr: InequalityExpr, state: State | None = None,
         "angles": {f"{party}:{plane}": theta
                    for (party, plane), theta in result.angles.items()},
         "start_values": list(result.start_values),
+        "upper_bound": None if bound is None else _as_float(bound),
+        "proved": result.upper is not None,
     }

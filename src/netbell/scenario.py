@@ -368,6 +368,45 @@ class InequalityExpr:
         return np.copysign(d, v) if self.absolute else d
 
 
+def cross_polytope_structure(expr: InequalityExpr) -> tuple[Fraction, ...] | None:
+    """Each family's scale when the label <-> exponent-pattern bijection
+    holds, else None.
+
+    When it holds (and families share no inputs), every deterministic strategy
+    zeroes all but one term per family and the surviving correlator equals
+    +-scale, so family f's vertex set is exactly {+-scale_f * e_t}.  Per
+    family: one single-party mask, 2^k terms whose exponent bits spell the
+    2^k codes once each, one normalization (scale_f is it times 2^k), and
+    (party, input) pairs that no earlier family holds.  ``lhv`` reads the
+    classical maximum from the scales, ``quantum.upper_bound`` the quantum one.
+    """
+    index = expr.input_index
+    width = max(len(v) for v in index.vocab)
+    # (party, input) pairs as integers; a joint party's input fills both slots
+    pairs = np.arange(len(index.parties))[:, None] * width + index.inputs
+    owned = np.zeros(len(index.parties) * width, dtype=bool)
+    scales = []
+    for f in range(len(index.families)):
+        rows = np.flatnonzero(index.family == f)
+        if rows.size == 0:
+            return None
+        mask = index.single[rows[0]]
+        k = int(mask.sum())
+        if k == 0 or len(rows) != 1 << k or (index.single[rows] != mask).any():
+            return None
+        codes = index.exponents[rows][:, mask].astype(np.int64) @ (1 << np.arange(k))
+        scale = index.scale[rows]
+        if np.bincount(codes, minlength=1 << k).min() == 0 or (scale != scale[0]).any():
+            return None
+        mine = np.zeros_like(owned)
+        mine[pairs[rows].ravel()] = True
+        if (mine & owned).any():
+            return None  # families share an input: blocks not independent
+        owned |= mine
+        scales.append(Fraction(int(scale[0]) << k, index.denominator))
+    return tuple(scales)
+
+
 AngleMap = Mapping[tuple[str, str], float]
 
 

@@ -142,11 +142,28 @@ def test_optimize_achieves_claim(capsys):
     assert opt["optimized_value"] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-9)
 
 
+def test_optimize_reports_the_proved_bound(capsys):
+    code, data = run_json(capsys, "optimize", "--scenario", "ghz-b",
+                          "--starts", "8", "--seed", "11")
+    assert code == 0
+    opt = data["results"]["optimization"]
+    assert opt["upper_bound"] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
+    assert opt["proved"] is True and opt["achieved"] is True
+    assert len(opt["start_values"]) == 1
+    code, data = run_json(capsys, "optimize", "--scenario", "ghz-a",
+                          "--family", "combined", "--starts", "2")
+    opt = data["results"]["optimization"]
+    assert code == 0 and opt["upper_bound"] is None and opt["proved"] is False
+
+
 def test_optimize_fails_on_mixed_state(capsys):
     code, data = run_json(capsys, "optimize", "--scenario", "ghz-b",
                           "--state", "mixed", "--starts", "2")
     assert code == 1
-    assert data["results"]["optimization"]["achieved"] is False
+    opt = data["results"]["optimization"]
+    assert opt["achieved"] is False and opt["proved"] is False
+    assert opt["upper_bound"] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
+    assert len(opt["start_values"]) == 2
 
 
 def test_simulate_json_deterministic(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Quantum values and angle optimization against closed forms."""
 
+import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netbell import quantum, states
+from netbell.lhv import certify
 from netbell.quantum import (
     claimed_max_check,
     compile_expression,
@@ -26,13 +29,15 @@ from netbell.scenario import (
     build_star_combined,
     build_star_first,
     build_star_nonlinear,
+    build_star_second,
     build_two_source_linear,
     resolve_angles,
 )
 from netbell.states import network_state, parse_state_spec, smolin
-from conftest import from_letters, nkm_wirings
+from conftest import LETTERS, from_letters, nkm_wirings, stabilizer_vector
 from quantum_oracle import (compile_reference, gradient, optimize_angles_reference,
                             step)
+from scenario_oracle import CODE_LETTER
 
 SQRT2 = math.sqrt(2.0)
 
@@ -126,11 +131,16 @@ def test_optimize_chsh():
     res = optimize_angles(expr, natural(expr), starts=4)
     assert res.value == pytest.approx(2.0 * SQRT2, abs=1e-9)
     assert res.angles[("A", "ZX")] == pytest.approx(QUARTER_PI, abs=1e-6)
-    assert len(res.start_values) == 4
-    assert max(res.start_values) == res.value
     for starts in (0, -3):
         with pytest.raises(ValueError, match="at least 1"):
             optimize_angles(expr, natural(expr), starts=starts)
+    # chsh stops at the proved bound; ghz-a combined has no bound, so every
+    # start runs
+    ghz = build_ghz_a("combined")
+    res = optimize_angles(ghz, natural(ghz), starts=4)
+    assert res.upper is None
+    assert len(res.start_values) == 4
+    assert max(res.start_values) == res.value
 
 
 @pytest.mark.parametrize("build,k", [
@@ -140,8 +150,10 @@ def test_optimize_chsh():
     (build_star_combined, 6), (build_star_combined, 7),
 ], ids=["first-3", "first-5", "first-6", "first-7", "first-8", "combined-4",
         "combined-5", "combined-6", "combined-7"])
-def test_optimize_lands_exactly_on_quarter_pi(build, k):
-    # the symmetric start is kept whenever no step can beat it
+def test_optimize_lands_exactly_on_quarter_pi(build, k, monkeypatch):
+    # the symmetric start is kept whenever no step can beat it; with no
+    # proved bound the ascent runs, where the early stop would return pi/4
+    monkeypatch.setattr(quantum, "upper_bound", lambda expr: None)
     expr = build(k)
     res = optimize_angles(expr, natural(expr), starts=2)
     assert res.value == pytest.approx(expr.claimed_quantum_max, abs=1e-12)
@@ -183,20 +195,27 @@ def test_coordinate_step_beats_dense_grid(case, thetas, which):
     assert value >= best - 1e-12
 
 
-def _ascent_cases():
-    """Every catalog input, the star ladder, and two mixed-state inputs."""
+def _library_inputs():
+    """(id, expr) for every catalog input and the star ladder."""
     builds = [(name, {}) for name in SCENARIOS]
     builds += [("star", {"k": 2}), ("star", {"k": 3, "r": Fraction(1, 3)})]
-    cases = []
+    out = []
     for name, params in builds:
         tag = name + "".join(f"-{k}{v}" for k, v in params.items())
-        for family, expr in SCENARIOS[name].build(**params).items():
-            cases.append(pytest.param(expr, natural(expr), id=f"{tag}/{family}"))
+        out += [(f"{tag}/{family}", expr)
+                for family, expr in SCENARIOS[name].build(**params).items()]
     for label, build, ks in (("first", build_star_first, range(2, 9)),
                              ("combined", build_star_combined, range(2, 8))):
-        for k in ks:
-            expr = build(k)
-            cases.append(pytest.param(expr, natural(expr), id=f"star-{label}-k{k}"))
+        out += [(f"star-{label}-k{k}", build(k)) for k in ks]
+    return out
+
+
+LIBRARY = _library_inputs()
+
+
+def _ascent_cases():
+    """Every library input and two mixed-state inputs."""
+    cases = [pytest.param(expr, natural(expr), id=name) for name, expr in LIBRARY]
     two_source = build_two_source_linear()["combined"]
     cases.append(pytest.param(two_source,
                               parse_state_spec("rho1(0.4)", two_source.topology),
@@ -209,7 +228,9 @@ def _ascent_cases():
 @pytest.mark.parametrize("expr,state", _ascent_cases())
 def test_batched_ascent_matches_serial(expr, state, monkeypatch):
     # the serial loop it replaces: same best start, bit for bit; every start
-    # within 1e-12 (the closed-form score can break a near-tie the other way)
+    # within 1e-12 (the closed-form score can break a near-tie the other way).
+    # No proved bound, so the ascent runs where the early stop would fire.
+    monkeypatch.setattr(quantum, "upper_bound", lambda expr: None)
     reference = compile_reference(expr, state)
     assert evaluate(expr, state) == reference.value(resolve_angles(expr, None))
     seeds = (1, 2, 3)
@@ -362,3 +383,181 @@ def test_evaluate_rejects_unknown_angles():
     expr = build_chsh()
     with pytest.raises(KeyError):
         evaluate(expr, natural(expr), {("Q", "ZX"): 0.3})
+
+
+# -- the proved maximum and the early stop ---------------------------------------
+
+
+# the catalog inputs where no start meets a proved bound: no structure, or a
+# power form; the stop fires on every other library input
+ASCENDS = {"ghz-a/combined", "bilocal/bi", "bilocal/bil", "star-k3-r1/3/first",
+           "star-k3-r1/3/second", "star-k3-r1/3/combined"}
+
+
+def _apply(op, qubits, psi):
+    """``op`` on the listed qubits of ``psi``, a (2,)*n array with qubit q on
+    axis n-1-q; bit i of op's index is ``qubits[i]``."""
+    n, k = psi.ndim, len(qubits)
+    axes = [n - 1 - q for q in reversed(qubits)]
+    out = np.tensordot(op.reshape((2,) * 2 * k), psi,
+                       axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes)
+
+
+def _dense_value(expr, psi, obs):
+    """The expression on the pure state ``psi`` with ``obs[j][i]`` party j's
+    observable for input i: a correlator is normalization * <prod_j X_j>,
+    X_j = a_0 + (-1)^e a_1 for a single party and b_input for a joint one."""
+    ix = expr.input_index
+    corr = []
+    for t in range(len(ix.labels)):
+        phi = psi
+        for j, party in enumerate(expr.topology.parties):
+            a, b = ix.inputs[t, j].tolist()
+            op = obs[j][a]
+            if ix.single[t, j]:
+                op = op + (1 - 2 * int(ix.exponents[t, j])) * obs[j][b]
+            phi = _apply(op, party.qubits, phi)
+        corr.append(np.vdot(psi, phi).real * int(ix.scale[t]) / ix.denominator)
+    return float(np.sum(ix.coefficient * expr.power(np.array(corr))))
+
+
+def _table_observables(expr, theta):
+    """The observables the table measures: a single party's input for bit x
+    is cos(t) Z + (-1)^x sin(t) P in its plane ZP, a joint party's input the
+    Pauli word its terms read."""
+    ix = expr.input_index
+    obs = [{} for _ in ix.parties]
+    for t in range(len(ix.labels)):
+        for j, party in enumerate(expr.topology.parties):
+            if not ix.single[t, j]:
+                obs[j][ix.inputs[t, j, 0]] = functools.reduce(np.kron, [
+                    LETTERS[CODE_LETTER[ix.letters[t, q]]] for q in reversed(party.qubits)])
+                continue
+            (key,) = [key for c, key in enumerate(ix.keys)
+                      if key[0] == party.id and ix.exps[t, c] >= 0]
+            for x in (0, 1):
+                obs[j][ix.inputs[t, j, x]] = (
+                    math.cos(theta[key]) * LETTERS["Z"]
+                    + (-1) ** x * math.sin(theta[key]) * LETTERS[key[1][1]])
+    return obs
+
+
+def _random_observables(expr, rng):
+    """Random +-1 observables: a single party's in any plane of the Bloch
+    sphere, a joint party's U diag(+-1) U^dagger; a third of the single
+    parties' pairs are degenerate, a_1 = a_0 or a_1 = -a_0."""
+    ix = expr.input_index
+    obs = []
+    for j, party in enumerate(expr.topology.parties):
+        dim = 1 << len(party.qubits)
+        mine = []
+        for _ in ix.vocab[j]:
+            u, _ = np.linalg.qr(rng.normal(size=(dim, dim))
+                                + 1j * rng.normal(size=(dim, dim)))
+            signs = [1.0, -1.0] if dim == 2 else rng.choice([-1.0, 1.0], dim)
+            mine.append(u @ np.diag(signs) @ u.conj().T)
+        for a, b in {tuple(p) for p in ix.inputs[ix.single[:, j], j].tolist()}:
+            mode = int(rng.integers(6))
+            if mode < 2:
+                mine[b] = (1 - 2 * mode) * mine[a]
+        obs.append(mine)
+    return obs
+
+
+DENSE = [pytest.param(expr, id=name) for name, expr in LIBRARY
+         if expr.topology.n_qubits <= 10 and quantum.upper_bound(expr) is not None]
+
+
+@pytest.mark.parametrize("expr", DENSE)
+def test_upper_bound_holds_for_every_state_and_observable(expr):
+    # the dense oracle first reproduces evaluate on the natural state; then
+    # random +-1 observables on random pure states (and the natural one)
+    # never exceed the bound, which the natural state meets at pi/4
+    bound = quantum._as_float(quantum.upper_bound(expr))
+    n = expr.topology.n_qubits
+    natural_psi = stabilizer_vector(natural(expr)).reshape((2,) * n)
+    rng = np.random.default_rng(7)
+    keys = expr.angle_keys()
+    theta = dict(zip(keys, rng.uniform(0.1, 1.4, len(keys)).tolist()))
+    for angles in (theta, dict.fromkeys(keys, QUARTER_PI)):
+        got = _dense_value(expr, natural_psi, _table_observables(expr, angles))
+        assert got == pytest.approx(evaluate(expr, natural(expr), angles),
+                                    rel=1e-12, abs=1e-12)
+    assert got == pytest.approx(bound, rel=1e-12)
+    for trial in range(8):
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi = natural_psi if trial == 0 else (psi / np.linalg.norm(psi)).reshape((2,) * n)
+        assert _dense_value(expr, psi, _random_observables(expr, rng)) <= bound + 1e-9
+
+
+@pytest.mark.parametrize("expr", [pytest.param(e, id=name) for name, e in LIBRARY
+                                  if quantum.upper_bound(e) is not None])
+def test_classical_maximum_never_exceeds_the_quantum_bound(expr):
+    # a deterministic strategy is a quantum one with commuting observables:
+    # two proof routes checked against each other
+    bound = quantum.upper_bound(expr)
+    report = certify(expr)
+    if expr.exponent == 1:
+        a, b = bound
+        assert quantum._sign(Fraction(report["lhv_max_exact"]) - a, -b) <= 0
+    else:
+        assert report["lhv_max"] <= bound * (1 + 1e-12)
+
+
+def test_upper_bound_values():
+    assert quantum.upper_bound(build_chsh()) == (0, 2)
+    assert quantum.upper_bound(build_star_first(4)) == (4, 0)
+    assert quantum.upper_bound(build_star_combined(5)) == (0, 8)
+    assert quantum.upper_bound(build_star_nonlinear(3, Fraction(1, 3), "first")) \
+        == pytest.approx(2.0 ** 2.5, rel=1e-15)
+    assert quantum.upper_bound(build_ghz_a("combined")) is None
+    assert quantum.upper_bound(build_bilocal_baseline()["bi"]) is None
+    # a + b sqrt(2) against zero, where floats would tie
+    assert quantum._sign(Fraction(-1), Fraction(1)) == 1
+    assert quantum._sign(Fraction(3), Fraction(-2)) == 1
+    # p^2 - 2 q^2 = 1: p/q lies above sqrt(2), by 3.5e-20 for the second
+    assert quantum._sign(Fraction(-577, 408), Fraction(1)) == -1
+    assert quantum._sign(Fraction(4478554083, 3166815962), Fraction(-1)) == 1
+    assert quantum._sign(Fraction(-4478554083, 3166815962), Fraction(1)) == -1
+    assert quantum._sign(Fraction(0), Fraction(0)) == 0
+
+
+@pytest.mark.parametrize("name,expr", [pytest.param(n, e, id=n) for n, e in LIBRARY])
+def test_optimize_stops_where_start_0_meets_the_bound(name, expr, monkeypatch):
+    state = natural(expr)
+    got = optimize_angles(expr, state, starts=8, seed=3)
+    if name in ASCENDS:
+        assert got.upper is None and len(got.start_values) == 8
+        return
+    assert got.start_values == (got.value,) and got.sweeps == 0
+    assert got.angles == dict.fromkeys(expr.angle_keys(), QUARTER_PI)
+    assert got.upper == quantum._as_float(quantum.upper_bound(expr))
+    # the value the full ascent reaches, bit for bit
+    monkeypatch.setattr(quantum, "upper_bound", lambda expr: None)
+    full = optimize_angles(expr, state, starts=8, seed=3)
+    assert (got.value, got.angles) == (full.value, full.angles)
+    assert full.upper is None
+
+
+def test_optimize_ascends_below_the_bound_and_off_a_stabilizer_group():
+    two_source = build_two_source_linear()["combined"]
+    ghz_b = build_ghz_b()
+    cases = [(two_source, parse_state_spec("rho1(0.4)", two_source.topology)),
+             (ghz_b, parse_state_spec("mixed", ghz_b.topology)),
+             (build_ghz_a("combined"), None),
+             (build_star_nonlinear(3, Fraction(1, 3), "combined"), None),
+             # |.| turns the parity-signed terms negative: below the bound
+             (dataclasses.replace(build_star_second(3), absolute=True), None)]
+    for expr, state in cases:
+        state = natural(expr) if state is None else state
+        res = optimize_angles(expr, state, starts=3)
+        assert res.upper is None and len(res.start_values) == 3
+        assert claimed_max_check(expr, state, starts=3)["proved"] is False
+
+
+def test_a_pi_4_value_above_the_bound_refutes_it(monkeypatch):
+    monkeypatch.setattr(quantum, "upper_bound",
+                        lambda expr: (Fraction(0), Fraction(1)))
+    with pytest.raises(AssertionError, match="exceeds the proved bound"):
+        optimize_angles(build_chsh(), natural(build_chsh()))
