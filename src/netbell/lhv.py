@@ -26,17 +26,17 @@ Two routes compute the vertex geometry:
   vertex keeps its witness as one integer code; a vertex's Fractions and
   strategy are decoded only when a report prints them.
 * cross-polytope structure: when each family's labels map bijectively onto
-  the single-party exponent patterns (and families share no inputs), every
-  deterministic strategy concentrates each family on exactly one label at
-  full scale.  The structure is held as one scale per family
-  (``scenario.cross_polytope_structure``): the family's vertices are
+  the single-party exponent patterns (``scenario.cross_polytope_structure``,
+  one scale per family) and, as ``_classical_scales`` checks, no two
+  families share an input, every deterministic strategy concentrates each
+  family on exactly one label at full scale.  The family's vertices are
   +-scale * e_label without enumerating anything, which covers hub counts
   where enumeration would not fit in memory.
 
 One function gives every classical maximum, from the scales when the
 structure holds and from the vertices otherwise; at r = 1 it is exact.
 Power forms (0 < r < 1), signed or absolute, get one closed form
-(``nonlinear_lhv_max``): each family adds at most M_f^r * n_f^(1-r) over
+(``_maxima``): each family adds at most M_f^r * n_f^(1-r) over
 its n_f kept terms, M_f being its scale or one integer maximum over the
 enumerated numerators.  Under the structure a vertex mixture attains it,
 so the attained value is the closed form itself; otherwise one explicit
@@ -204,6 +204,28 @@ def enumerate_vertices(expr: InequalityExpr) -> VertexSet:
 # -- classical maxima --------------------------------------------------------------
 
 
+def _classical_scales(expr: InequalityExpr) -> tuple[Fraction, ...] | None:
+    """The ``cross_polytope_structure`` scales when no two families share a
+    (party, input) pair, else None.  Only then does every deterministic
+    strategy fix each family apart, zeroing all but one of its terms, so
+    family f's vertices are exactly {+-scale_f * e_t}."""
+    scales = cross_polytope_structure(expr)
+    if scales is None:
+        return None
+    index = expr.input_index
+    width = max(len(v) for v in index.vocab)
+    # (party, input) pairs as integers; a joint party's input fills both slots
+    pairs = np.arange(len(index.parties))[:, None] * width + index.inputs
+    owned = np.zeros(len(index.parties) * width, dtype=bool)
+    for f in range(len(scales)):
+        mine = np.zeros_like(owned)
+        mine[pairs[index.family == f]] = True
+        if (mine & owned).any():
+            return None
+        owned |= mine
+    return scales
+
+
 def _power_mean(total: float, n: int, r: float) -> float:
     """total^r * n^(1-r): the largest sum of n terms |w_i|^r with sum |w_i| <= total."""
     return total ** r * 2.0 ** (math.log2(n) * (1.0 - r))
@@ -211,12 +233,39 @@ def _power_mean(total: float, n: int, r: float) -> float:
 
 def _maxima(expr: InequalityExpr, scales: tuple[Fraction, ...] | None,
             vertices: VertexSet | None) -> Fraction | dict:
-    """The classical maximum, from the family scales when the structure
-    holds, else from the vertices (enumerated here if not given).
+    """The classical maximum, from the family scales (``_classical_scales``)
+    when the structure holds, else from the vertices (enumerated here if not
+    given).
 
     At r = 1 the exact maximum, max over vertices of sum_t c_t v_t
     (sum_t |v_t| when absolute); given both scales and vertices, the two
-    maxima must agree.  At r < 1 the ``nonlinear_lhv_max`` bracket.
+    maxima must agree.
+
+    At 0 < r < 1 a dict: ``analytic`` is a proved upper bound and
+    ``numeric`` the value at one explicit mixture of vertices, so the
+    maximum lies between them.
+
+    Bound.  Let w be any mixture of vertices and S_f the kept terms of
+    family f: every term of a signed form, and only those with c_t > 0 of
+    an absolute form, since the others add c_t |w_t|^r <= 0.  Each kept term
+    gives c_t * power(w_t) <= |w_t|^r (c_t = +-1).  x^r is concave, so by the
+    power mean sum_{S_f} |w_t|^r <= |S_f|^(1-r) * (sum_{S_f} |w_t|)^r.  The
+    sum sum_{S_f} |w_t| is convex in w, so it is at most M_f, its maximum
+    over the vertices.  The families' bounds M_f^r * |S_f|^(1-r) add.
+
+    With cross-polytope structure, held as per-family scales, M_f is the
+    family's scale, signed or absolute: a vertex puts +-scale on one term
+    per family.  The uniform mixture of the vertices c_t * scale * e_t over
+    the kept t puts every kept w_t at c_t * scale / |S_f| and attains the
+    bound; a family with no kept term stays at w = 0.  So ``numeric`` is
+    ``analytic`` itself: adding the mixture's equal terms one by one would
+    drift from it in the last bits as the families grow.
+
+    Otherwise the vertices are enumerated.  The witness takes, for each kept
+    term t, the first vertex maximising c_t * v_t, and mixes those vertices
+    uniformly (every vertex when no term is kept).  On bilocal-bi (M = 1,
+    two terms, r = 1/2) that is the mixture of (1, 0) and (0, 1) and closes
+    the bracket at sqrt(2).
     """
     index = expr.input_index
     c = index.coefficient.astype(np.int64)
@@ -257,46 +306,21 @@ def _maxima(expr: InequalityExpr, scales: tuple[Fraction, ...] | None,
             "method": "vertex-mixture"}
 
 
+# no command calls these two; the benchmark's tracer wraps them by name
 def linear_lhv_max(expr: InequalityExpr,
                    vertices: VertexSet | None = None) -> Fraction:
-    """Exact shared-randomness maximum for r = 1 expressions."""
+    """Exact shared-randomness maximum for r = 1 expressions (``_maxima``)."""
     if expr.exponent != 1:
         raise ValueError("use nonlinear_lhv_max for power forms")
-    return _maxima(expr, cross_polytope_structure(expr), vertices)
+    return _maxima(expr, _classical_scales(expr), vertices)
 
 
 def nonlinear_lhv_max(expr: InequalityExpr,
                       vertices: VertexSet | None = None) -> dict:
-    """Shared-randomness maximum for power forms, 0 < r < 1, in closed form.
-
-    ``analytic`` is a proved upper bound and ``numeric`` the value at one
-    explicit mixture of vertices, so the maximum lies between them.
-
-    Bound.  Let w be any mixture of vertices and S_f the kept terms of
-    family f: every term of a signed form, and only those with c_t > 0 of
-    an absolute form, since the others add c_t |w_t|^r <= 0.  Each kept term
-    gives c_t * power(w_t) <= |w_t|^r (c_t = +-1).  x^r is concave, so by the
-    power mean sum_{S_f} |w_t|^r <= |S_f|^(1-r) * (sum_{S_f} |w_t|)^r.  The
-    sum sum_{S_f} |w_t| is convex in w, so it is at most M_f, its maximum
-    over the vertices.  The families' bounds M_f^r * |S_f|^(1-r) add.
-
-    With cross-polytope structure, held as per-family scales, M_f is the
-    family's scale, signed or absolute: a vertex puts +-scale on one term
-    per family.  The uniform mixture of the vertices c_t * scale * e_t over
-    the kept t puts every kept w_t at c_t * scale / |S_f| and attains the
-    bound; a family with no kept term stays at w = 0.  So ``numeric`` is
-    ``analytic`` itself: adding the mixture's equal terms one by one would
-    drift from it in the last bits as the families grow.
-
-    Otherwise the vertices are enumerated.  The witness takes, for each kept
-    term t, the first vertex maximising c_t * v_t, and mixes those vertices
-    uniformly (every vertex when no term is kept).  On bilocal-bi (M = 1,
-    two terms, r = 1/2) that is the mixture of (1, 0) and (0, 1) and closes
-    the bracket at sqrt(2).
-    """
+    """Shared-randomness bracket for power forms, 0 < r < 1 (``_maxima``)."""
     if expr.exponent == 1:
         raise ValueError("use linear_lhv_max for r = 1")
-    return _maxima(expr, cross_polytope_structure(expr), vertices)
+    return _maxima(expr, _classical_scales(expr), vertices)
 
 
 def normalization_check(expr: InequalityExpr,
@@ -340,7 +364,7 @@ def certify(expr: InequalityExpr, tolerance: float = 1e-9) -> dict:
     """Compare the proved classical bound ``lhv_max`` (exact at r = 1) and an
     attained value with the declared bound; UNPROVEN lies between the two.
     """
-    scales = cross_polytope_structure(expr)
+    scales = _classical_scales(expr)
     n_raw = expr.n_strategies_raw()
     vertices = None
     if n_raw <= ENUM_THRESHOLD or scales is None:

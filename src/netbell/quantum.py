@@ -286,7 +286,9 @@ def upper_bound(expr: InequalityExpr) -> tuple[Fraction, Fraction] | float | Non
     adds c_t <O_t> or c_t |<O_t>|, at most |<O_t>|, so family f adds at most
     its bound.  At r < 1 a term adds at most |<O_t>|^r, and by Hoelder's
     inequality the 2^k terms of family f add at most
-    2^(k(1-r)) * (scale_f * 2^(k/2))^r.
+    2^(k(1-r)) * (scale_f * 2^(k/2))^r.  Each family's bound uses only its
+    own terms, so the bounds add whether or not the families share inputs
+    (ghz-a combined shares them all).
     """
     scales = cross_polytope_structure(expr)
     if scales is None:

@@ -37,9 +37,12 @@ its label, family, sign, inputs as small integers, exponent bits,
 normalization (an integer over one common denominator), Pauli letters and
 trig pattern.  The hub builder computes the table from the bits of
 y = 0 .. 2^K - 1, the small builders from a few rows, and ``InputIndex``
-checks it once.  Certification, compilation, sampling and their reports
-read only the arrays; ``InequalityExpr.terms`` reads them back as one
-``Term`` record per label, on first use.
+checks it once.  The table is the expression: certification, compilation,
+sampling and their reports read only its arrays, and
+``cross_polytope_structure`` reads each family's scale from them.  No
+command reads the ``Term`` records of ``InequalityExpr.terms`` or
+``input_label``; the benchmark's tracer (``perfbench/spans.py``) counts
+terms and touched cells through them.
 """
 
 from __future__ import annotations
@@ -369,22 +372,16 @@ class InequalityExpr:
 
 
 def cross_polytope_structure(expr: InequalityExpr) -> tuple[Fraction, ...] | None:
-    """Each family's scale when the label <-> exponent-pattern bijection
-    holds, else None.
+    """Each family's scale when its labels map one to one onto its
+    exponent patterns, else None.
 
-    When it holds (and families share no inputs), every deterministic strategy
-    zeroes all but one term per family and the surviving correlator equals
-    +-scale, so family f's vertex set is exactly {+-scale_f * e_t}.  Per
-    family: one single-party mask, 2^k terms whose exponent bits spell the
-    2^k codes once each, one normalization (scale_f is it times 2^k), and
-    (party, input) pairs that no earlier family holds.  ``lhv`` reads the
-    classical maximum from the scales, ``quantum.upper_bound`` the quantum one.
+    Per family: one single-party mask of k parties, 2^k terms whose
+    exponent bits spell the 2^k codes once each, and one normalization;
+    scale_f is that normalization times 2^k.  ``quantum.upper_bound`` reads
+    the quantum maximum from the scales; ``lhv`` reads the classical one
+    from them only when, in addition, no two families share an input.
     """
     index = expr.input_index
-    width = max(len(v) for v in index.vocab)
-    # (party, input) pairs as integers; a joint party's input fills both slots
-    pairs = np.arange(len(index.parties))[:, None] * width + index.inputs
-    owned = np.zeros(len(index.parties) * width, dtype=bool)
     scales = []
     for f in range(len(index.families)):
         rows = np.flatnonzero(index.family == f)
@@ -398,11 +395,6 @@ def cross_polytope_structure(expr: InequalityExpr) -> tuple[Fraction, ...] | Non
         scale = index.scale[rows]
         if np.bincount(codes, minlength=1 << k).min() == 0 or (scale != scale[0]).any():
             return None
-        mine = np.zeros_like(owned)
-        mine[pairs[rows].ravel()] = True
-        if (mine & owned).any():
-            return None  # families share an input: blocks not independent
-        owned |= mine
         scales.append(Fraction(int(scale[0]) << k, index.denominator))
     return tuple(scales)
 

@@ -165,7 +165,8 @@ def blocks(state: State) -> list[int]:
 # -- expectation values -------------------------------------------------------
 
 def expectation(state: State, p: PauliString) -> float:
-    """Exact expectation of a Hermitian Pauli word in a group or mixture."""
+    """Exact expectation of a Hermitian Pauli word in a group or mixture:
+    the one-word definition that ``word_expectations`` is tested against."""
     if not p.is_hermitian:
         raise ValueError(f"{p} is not Hermitian")
     return float(ordered_sum(

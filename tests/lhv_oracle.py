@@ -30,10 +30,12 @@ the numeric second opinion on the closed forms of ``lhv.nonlinear_lhv_max``:
 neither may exceed the proved bound.
 
 ``cross_polytope_structure_reference`` is the per-term detection that
-``lhv.cross_polytope_structure`` replaces with array reads on the
+``scenario.cross_polytope_structure`` replaces with array reads on the
 expression's ``input_index``: family by family it collects each term's
 single parties, exponent pattern and normalization as Python sets.  Both
 must return equal per-family scales, or both None.
+``shares_an_input_reference`` is the family-by-family set test that
+``lhv._classical_scales`` adds.
 
 ``correlator_value`` and ``evaluate_strategy`` evaluate one deterministic
 strategy term by term, reading its outputs through ``output`` and
@@ -279,23 +281,27 @@ def mixture_numeric_reference(expr, vertices, restarts: int, seed: int) -> float
     return maximize_on_simplex(f_grad, len(vertices.vectors), restarts, seed)
 
 
-def cross_polytope_structure_reference(expr):
-    """Each family's scale when the label <-> exponent-pattern bijection
-    holds, else None.
-
-    When it holds (and families share no inputs), every deterministic strategy
-    zeroes all but one label per family and the surviving correlator equals
-    +-scale, so the family's vertex set is exactly {+-scale * e_label}.
-    """
+def shares_an_input_reference(expr) -> bool:
+    """Whether two families hold the same (party, input) pair."""
     index = expr.input_index
     width = max(len(v) for v in index.vocab)
     # (party, input) pairs as integers; a joint party's input fills both slots
     pairs = np.arange(len(index.parties))[:, None] * width + index.inputs
-    out = []
     owned = np.zeros(0, dtype=np.int64)
+    for f in range(len(index.families)):
+        fam_pairs = np.unique(pairs[index.family == f])
+        if np.intersect1d(fam_pairs, owned).size:
+            return True
+        owned = np.union1d(owned, fam_pairs)
+    return False
+
+
+def cross_polytope_structure_reference(expr):
+    """Each family's scale when the label <-> exponent-pattern bijection
+    holds, else None."""
+    out = []
     for fam in expr.families():
-        indices = tuple(i for i, t in enumerate(expr.terms) if t.family == fam)
-        terms = [expr.terms[i] for i in indices]
+        terms = [t for t in expr.terms if t.family == fam]
         single_sets = {tuple(sorted(t.correlator.exponent_map)) for t in terms}
         if len(single_sets) != 1:
             return None
@@ -310,9 +316,5 @@ def cross_polytope_structure_reference(expr):
         scales = {t.correlator.normalization * (1 << k) for t in terms}
         if len(scales) != 1:
             return None
-        fam_pairs = np.unique(pairs[list(indices)])
-        if np.intersect1d(fam_pairs, owned).size:
-            return None  # families share an input: blocks not independent
-        owned = np.union1d(owned, fam_pairs)
         out.append(scales.pop())
     return tuple(out)

@@ -150,10 +150,18 @@ def test_optimize_reports_the_proved_bound(capsys):
     assert opt["upper_bound"] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
     assert opt["proved"] is True and opt["achieved"] is True
     assert len(opt["start_values"]) == 1
+    # ghz-a combined's families share inputs; the quantum bound still holds
     code, data = run_json(capsys, "optimize", "--scenario", "ghz-a",
                           "--family", "combined", "--starts", "2")
     opt = data["results"]["optimization"]
+    assert code == 0 and opt["upper_bound"] == 4.0 and opt["proved"] is True
+    assert opt["start_values"] == [4.0]
+    # the bilocal baselines lack the structure: no bound, every start runs
+    code, data = run_json(capsys, "optimize", "--scenario", "bilocal",
+                          "--family", "bi", "--starts", "2")
+    opt = data["results"]["optimization"]
     assert code == 0 and opt["upper_bound"] is None and opt["proved"] is False
+    assert len(opt["start_values"]) == 2
 
 
 def test_optimize_fails_on_mixed_state(capsys):

@@ -23,6 +23,7 @@ from lhv_oracle import (
     linear_lhv_max_reference,
     mixture_numeric_reference,
     normalization_check_reference,
+    shares_an_input_reference,
 )
 from netbell import lhv, network, scenario
 from netbell.lhv import (
@@ -135,8 +136,12 @@ def test_cross_polytope_structure_detection():
         scales = cross_polytope_structure(expr)
         assert scales is not None, expr.name
         assert sum(scales) == linear_lhv_max(expr), expr.name
-    # the combined hub-GHZ families reuse the same inputs: blocks correlate
-    assert cross_polytope_structure(build_ghz_a("combined")) is None
+    # the combined hub-GHZ families reuse the same inputs: each family has
+    # the structure, but the classical route needs disjoint blocks
+    ghz = build_ghz_a("combined")
+    assert cross_polytope_structure(ghz) == (1, 1)
+    assert lhv._classical_scales(ghz) is None
+    assert certify(ghz)["cross_polytope"] is False
     # baselines keep only part of the label set
     assert cross_polytope_structure(build_bilocal_baseline()["bi"]) is None
 
@@ -150,11 +155,15 @@ def test_structure_agrees_with_enumeration():
 
 
 def _structure_agrees(expr):
-    """The table-read detection returns the per-term reference's scales; an
-    enumerable structured input has their sum as its linear maximum and
+    """The table-read detection returns the per-term reference's scales, and
+    the classical route keeps them exactly when no families share an input;
+    an enumerable structured input has their sum as its linear maximum and
     passes the normalization check."""
     scales = cross_polytope_structure(expr)
     assert scales == cross_polytope_structure_reference(expr), expr.name
+    if shares_an_input_reference(expr):
+        scales = None
+    assert lhv._classical_scales(expr) == scales, expr.name
     if scales is not None and expr.n_strategies_raw() <= lhv.ENUM_THRESHOLD:
         vertices = enumerate_vertices(expr)
         linear = dataclasses.replace(expr, exponent=Fraction(1))
@@ -268,7 +277,7 @@ def _enumerated_inputs():
     for info in scenario.SCENARIOS.values():
         for expr in info.build().values():
             if (expr.n_strategies_raw() <= lhv.ENUM_THRESHOLD
-                    or cross_polytope_structure(expr) is None):
+                    or lhv._classical_scales(expr) is None):
                 exprs.append(expr)
     for k in (2, 3):
         exprs += [build_star_first(k), build_star_second(k),
@@ -329,7 +338,7 @@ def _certified_by_enumeration():
                                   classical_bound=bound) for bound in (2, 1)]
     exprs.append(dataclasses.replace(bilocal["bil"], absolute=False))
     return [e for e in exprs if e.n_strategies_raw() <= lhv.ENUM_THRESHOLD
-            or cross_polytope_structure(e) is None]
+            or lhv._classical_scales(e) is None]
 
 
 def test_integer_maxima_match_fraction_loops():

@@ -134,11 +134,11 @@ def test_optimize_chsh():
     for starts in (0, -3):
         with pytest.raises(ValueError, match="at least 1"):
             optimize_angles(expr, natural(expr), starts=starts)
-    # chsh stops at the proved bound; ghz-a combined has no bound, so every
-    # start runs
-    ghz = build_ghz_a("combined")
-    res = optimize_angles(ghz, natural(ghz), starts=4)
-    assert res.upper is None
+    # chsh stops at the proved bound; off a stabilizer group the ascent runs
+    # every start, and a later start beats pi/4
+    two = build_two_source_linear()["combined"]
+    res = optimize_angles(two, parse_state_spec("rho1(0.4)", two.topology), starts=4)
+    assert res.upper is None and res.start_values[0] < res.value
     assert len(res.start_values) == 4
     assert max(res.start_values) == res.value
 
@@ -390,7 +390,7 @@ def test_evaluate_rejects_unknown_angles():
 
 # the catalog inputs where no start meets a proved bound: no structure, or a
 # power form; the stop fires on every other library input
-ASCENDS = {"ghz-a/combined", "bilocal/bi", "bilocal/bil", "star-k3-r1/3/first",
+ASCENDS = {"bilocal/bi", "bilocal/bil", "star-k3-r1/3/first",
            "star-k3-r1/3/second", "star-k3-r1/3/combined"}
 
 
@@ -511,7 +511,10 @@ def test_upper_bound_values():
     assert quantum.upper_bound(build_star_combined(5)) == (0, 8)
     assert quantum.upper_bound(build_star_nonlinear(3, Fraction(1, 3), "first")) \
         == pytest.approx(2.0 ** 2.5, rel=1e-15)
-    assert quantum.upper_bound(build_ghz_a("combined")) is None
+    # the two ghz-a families share every input, which the quantum bound
+    # does not need: each adds 2
+    assert quantum.upper_bound(build_ghz_a("first")) == (2, 0)
+    assert quantum.upper_bound(build_ghz_a("combined")) == (4, 0)
     assert quantum.upper_bound(build_bilocal_baseline()["bi"]) is None
     # a + b sqrt(2) against zero, where floats would tie
     assert quantum._sign(Fraction(-1), Fraction(1)) == 1
@@ -545,7 +548,6 @@ def test_optimize_ascends_below_the_bound_and_off_a_stabilizer_group():
     ghz_b = build_ghz_b()
     cases = [(two_source, parse_state_spec("rho1(0.4)", two_source.topology)),
              (ghz_b, parse_state_spec("mixed", ghz_b.topology)),
-             (build_ghz_a("combined"), None),
              (build_star_nonlinear(3, Fraction(1, 3), "combined"), None),
              # |.| turns the parity-signed terms negative: below the bound
              (dataclasses.replace(build_star_second(3), absolute=True), None)]
