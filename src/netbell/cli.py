@@ -24,6 +24,7 @@ for 3), never a usage block or a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import operator
@@ -282,10 +283,10 @@ def _finite(value: float) -> float | str:
 
 
 def _cmd_list(args, parser) -> int:
-    from .scenario import SCENARIOS
-    rows = [{"name": info.name, "tag": info.tag, "families": list(info.families),
-             "parameters": info.params, "summary": info.summary}
-            for _, info in sorted(SCENARIOS.items())]
+    from .catalog import CATALOG  # static text: no numpy, no builders
+    rows = [{"name": entry.name, "tag": entry.tag, "families": list(entry.families),
+             "parameters": entry.params, "summary": entry.summary}
+            for _, entry in sorted(CATALOG.items())]
     _emit("list", {}, {"scenarios": rows}, args.out)
     return 0
 
@@ -336,13 +337,21 @@ def _cmd_simulate(args, parser) -> int:
     expr, config = _build_scenario(args, parser)
     state = _state(args, expr, parser)
     try:
-        batch = sampler.simulate_rounds(expr, state, args.rounds, args.seed,
-                                        args.angles)
+        counts = sampler.ProfileCounts(expr)
+        chunks = sampler.simulate_chunks(expr, state, args.rounds, args.seed,
+                                         args.angles)
     except (KeyError, ValueError) as exc:
         parser.error(exc.args[0])
-    if csv:
-        batch.to_csv(args.out)
-    payload = sampler.estimate(expr, batch).as_dict()
+    # a chunk at a time: its rows to the round log, its rounds to the counts
+    index = expr.input_index
+    vocab = dict(zip(index.parties, index.vocab))
+    with (sampler.RoundLog(args.out, index.parties, vocab) if csv
+          else contextlib.nullcontext()) as log:
+        for first, chunk in chunks:
+            if csv:
+                log.write(chunk, first)
+            counts.add(chunk)
+    payload = counts.report().as_dict()
     payload["value"] = _finite(payload["value"])
     for part in (payload, *payload["terms"], *payload["families"].values()):
         part["se"] = _finite(part["se"])

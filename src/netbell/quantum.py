@@ -325,14 +325,15 @@ def _as_float(bound: tuple[Fraction, Fraction] | float) -> float:
 @dataclass(frozen=True)
 class OptimizeResult:
     """The best start's value and angles, every start's value and the best
-    start's sweeps; ``upper`` is ``upper_bound`` as a float when the value is
-    proved to meet it exactly, else None."""
+    start's sweeps; ``bound`` is ``upper_bound(expr)``, and ``upper`` is it
+    as a float when the value is proved to meet it exactly, else None."""
 
     value: float
     angles: dict[tuple[str, str], float]
     start_values: tuple[float, ...]
     sweeps: int
     upper: float | None = None
+    bound: tuple[Fraction, Fraction] | float | None = None
 
 
 def optimize_angles(expr: InequalityExpr, state: State,
@@ -354,13 +355,14 @@ def optimize_angles(expr: InequalityExpr, state: State,
         raise ValueError(f"starts must be at least 1, got {starts}")
     compiled = compile_expression(expr, state)
     keys = compiled.keys
+    bound = upper_bound(expr)
     if not keys:
         v = compiled.value({})
-        return OptimizeResult(v, {}, (v,), 0)
-    bound = None
-    if isinstance(state, states.StabilizerGroup) and expr.exponent == 1:
-        bound = upper_bound(expr)
-    exact = None if bound is None else compiled._quarter_exact()
+        return OptimizeResult(v, {}, (v,), 0, bound=bound)
+    exact = None
+    if (bound is not None and isinstance(state, states.StabilizerGroup)
+            and expr.exponent == 1):
+        exact = compiled._quarter_exact()
     if exact is not None:
         sign = _sign(exact[0] - bound[0], exact[1] - bound[1])
         if sign > 0:
@@ -369,7 +371,7 @@ def optimize_angles(expr: InequalityExpr, state: State,
         if sign == 0:
             quarter = dict.fromkeys(keys, QUARTER_PI)
             v = compiled.value(quarter)
-            return OptimizeResult(v, quarter, (v,), 0, _as_float(bound))
+            return OptimizeResult(v, quarter, (v,), 0, _as_float(bound), bound)
     rng = np.random.Generator(np.random.Philox(key=seed))
     lo, hi = ANGLE_MARGIN, math.pi / 2 - ANGLE_MARGIN
     block = max(1, _BLOCK_BYTES // (8 * compiled.exps.size))
@@ -385,7 +387,7 @@ def optimize_angles(expr: InequalityExpr, state: State,
         sweeps += sw.tolist()
     best = max(range(starts), key=values.__getitem__)  # first of the maxima
     return OptimizeResult(values[best], dict(zip(keys, angles[best])),
-                          tuple(values), sweeps[best])
+                          tuple(values), sweeps[best], bound=bound)
 
 
 def claimed_max_check(expr: InequalityExpr, state: State | None = None,
@@ -399,7 +401,7 @@ def claimed_max_check(expr: InequalityExpr, state: State | None = None,
         state = states.network_state(expr.topology)
     result = optimize_angles(expr, state, **kwargs)
     gap = result.value - expr.claimed_quantum_max
-    bound = upper_bound(expr)
+    bound = result.bound
     return {
         "inequality": expr.name,
         "claimed_max": expr.claimed_quantum_max,

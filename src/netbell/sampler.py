@@ -36,25 +36,42 @@ group have ends that differ; their rounds search.  b grows with the rounds
 per group, up to 2^10 buckets and, past b = 0, never more cells than rounds;
 b = 0 is the search alone.
 
-Every draw (the family, the label, each single party's x bits, the mixture
-component, each source's uniform) is taken ``_BLOCK`` rounds at a time, one
-draw after another in that order.  Philox fills a draw in sequence, so the
-batch does not depend on the block length.  Every intp and float buffer
-holds one block; the columns as long as the run are narrow: the term (with
-the component folded in), the inputs and the parities, where a single
-party's x bits wait until its source's pass has read them.  So simulate
-needs the batch, the term column and a few MB: star combined K=3 at 1e6
-rounds peaks near 11 MiB for its 8 MB batch.
+The draws come in stages, in this order in one Philox stream of the seed:
+the family (a 32-bit half a round), the label (a 64-bit word a round), each
+single party's x bits (a half a round), the mixture component (a word a
+round, with several components) and each source's uniform (a word a round).
+Every stage takes a known number of words, so each gets its own generator,
+positioned once at the stage's first word (``advance(w // 4)``, then
+``w % 4`` raw words; ``_stage_streams``).  A half draw takes a pending half
+if one waits, else a new word's low half, leaving its high half pending, and
+a word draw leaves a pending half waiting: a stage whose offset falls mid-word
+starts with that pending half, the one ``_random_bits`` tracks.  A family
+count that is not a power of two can reject a 32-bit draw, so then the
+families are drawn up front into one narrow column, and the later stages
+start where that draw leaves the stream.  No expression has one today.
+
+``simulate_chunks`` runs every stage ``_BLOCK`` rounds at a time: a chunk
+goes from its family draws through every source's outcome before the next
+one starts, so no stage needs another's column as long as the run.  What
+outlives a chunk is per group: the group tables, CDFs and bucket tables, all
+built before the first draw, and the chunk buffers, reused.  Philox fills
+each stage in sequence, so the chunks do not depend on the block length,
+and ``simulate_rounds`` writes them into one batch's columns.  The command
+line logs and counts each chunk and drops it, so its memory does not grow
+with the rounds: star combined K=3 peaks near 3 MiB (tracemalloc) at 1e5
+and at 1e6 rounds.
 
 Estimation inverts the correlator definition: cells are the distinct input
 profiles, and
 
     I_label = normalization * sum_x (-1)^(x . e) mean_cell(x)
 
-It counts the rounds ``_BLOCK`` at a time by (profile, outcome sign) under a
-narrow code per round; every later array runs over the reached profiles, each
-joined to the terms whose x = 0 inputs it gives with every single's input set
-back to x = 0, never a table of every term's 2^s cells.  Several correlators
+``ProfileCounts`` counts rounds a batch at a time by (profile, outcome sign)
+under a code fixed by the index shapes, so the counts of separate batches
+add; only per-profile arrays outlive a batch.  Every later array runs over
+the reached profiles, each joined to the terms whose x = 0 inputs it gives
+with every single's input set back to x = 0, never a table of every term's
+2^s cells.  Several correlators
 may reuse a cell (fanned-out scenarios do); standard errors therefore add the
 per-cell weight across terms, applying the delta method when the expression
 raises correlators to a power r != 1.  An unreached cell makes the affected
@@ -64,13 +81,14 @@ nonzero summed weight, and otherwise adds the reached cells alone.  Every
 sum runs in the order of the per-cell loop it replaces, so reports are
 reproducible bit for bit.
 
-The CSV round log is byte for byte what ``csv.writer`` gives row by row, built
-as bytes a block of rounds at a time.  A block's rounds share one digit count
-and one ``round // 10^4``, so a round's number is the block's head and a slice
-of a fixed "0000".."9999" table.  The rest of a party's row is one of its
-2 |vocab| tails, ``csv.writer``'s own text, NUL-padded to one width and taken
-at 2 * input + (outcome < 0).  A block fills one record per round, per party
-its number and tail, and is written with the NULs dropped.
+The CSV round log (``RoundLog``) is byte for byte what ``csv.writer`` gives
+row by row, built as bytes at most ``_LOG_BLOCK`` rounds at a time.  A
+block's rounds share one digit count and one ``round // 10^4``, so a round's
+number is the block's head and a slice of a fixed "0000".."9999" table.  The
+rest of a party's row is one of its 2 |vocab| tails, ``csv.writer``'s own
+text, NUL-padded to one width and taken at 2 * input + (outcome < 0).  A
+block fills one record per round, per party its number and tail, and is
+written with the NULs dropped.
 """
 
 from __future__ import annotations
@@ -79,7 +97,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -166,45 +184,76 @@ class RoundBatch:
 
     def to_csv(self, target) -> None:
         """Write long-format rows (round,party,input,outcome) to a path or text handle."""
-        if isinstance(target, (str, bytes, os.PathLike)):
-            import locale  # the encoding of open(target, "w"); csv runs only
-            with open(target, "wb") as fh:
-                self._write_csv(fh.write, locale.getpreferredencoding(False))
-        else:
-            self._write_csv(lambda data: target.write(data.decode()), "utf-8")
+        with RoundLog(target, self.parties, self.vocab) as log:
+            log.write(self)
 
-    def _write_csv(self, write, encoding: str) -> None:
+
+_LOG_BLOCK = 2000  # rounds a write at most; it divides 10^4
+
+
+class RoundLog:
+    """The round log: the header, then long-format rows
+    (round,party,input,outcome) of batches, each numbered from its first
+    round.  ``target`` is a path, opened as ``open(target, "w")`` would
+    encode it, or a text handle."""
+
+    def __init__(self, target, parties: tuple[str, ...],
+                 vocab: dict[str, tuple[str, ...]]):
+        path = isinstance(target, (str, bytes, os.PathLike))
+        if path:
+            import locale  # the encoding of open(target, "w"); csv runs only
+            encoding = locale.getpreferredencoding(False)
+        else:
+            encoding = "utf-8"
         # per party, csv.writer's text for the rest of a row, at 2 * input +
         # (outcome < 0), NUL-padded to one width
         tails = [[("," + _csv_row([p, inp, out])).encode(encoding)
-                  for inp in self.vocab[p] for out in (1, -1)] for p in self.parties]
+                  for inp in vocab[p] for out in (1, -1)] for p in parties]
         if any(b"\0" in tail for table in tails for tail in table):
             raise ValueError("a party or input label holds a NUL character")
-        tails = [table.view(f"V{table.itemsize}") for table in map(np.array, tails)]
-        write(_csv_row(["round", "party", "input", "outcome"]).encode(encoding))
-        digits = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10
-                  + ord("0")).astype(np.uint8)  # "0000".."9999"
-        n = self.n_rounds
-        starts = [lo for lo in (0, 10, 100, 1000, *range(10_000, n, 10_000)) if lo < n]
+        self.parties = parties
+        self.tails = [table.view(f"V{table.itemsize}") for table in map(np.array, tails)]
+        self.digits = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10
+                       + ord("0")).astype(np.uint8)  # "0000".."9999"
+        self.file = open(target, "wb") if path else None
+        self.emit = self.file.write if path else lambda data: target.write(data.decode())
+        self.emit(_csv_row(["round", "party", "input", "outcome"]).encode(encoding))
+
+    def __enter__(self) -> RoundLog:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
+
+    def write(self, batch: RoundBatch, first: int = 0) -> None:
+        """The rows of ``batch``, its rounds numbered from ``first``."""
+        n = first + batch.n_rounds
+        starts = [first] + [lo for lo in (10, 100, 1000, *range(
+            _LOG_BLOCK * (first // _LOG_BLOCK + 1), n, _LOG_BLOCK)) if first < lo < n]
         for lo, hi in zip(starts, starts[1:] + [n]):
             head = str(lo // 10_000).encode() if lo >= 10_000 else b""
             width = 4 if head else len(str(lo))
             text = np.empty((hi - lo, len(head) + width), dtype=np.uint8)
             text[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
-            text[:, len(head):] = digits[lo % 10_000:][:hi - lo, 4 - width:]
+            text[:, len(head):] = self.digits[lo % 10_000:][:hi - lo, 4 - width:]
             text = text.view(f"V{text.shape[1]}")[:, 0]
             # one record a round: per party, the round's text, then its tail
             rec = np.empty(hi - lo, dtype=[
-                ("", dtype) for table in tails for dtype in (text.dtype, table.dtype)])
-            for j, (p, table) in enumerate(zip(self.parties, tails)):
-                row = 2 * self.input_idx[p][lo:hi].astype(np.intp)
-                row += self.outcomes[p][lo:hi] < 0
+                ("", dtype) for table in self.tails
+                for dtype in (text.dtype, table.dtype)])
+            for j, (p, table) in enumerate(zip(self.parties, self.tails)):
+                row = 2 * batch.input_idx[p][lo - first:hi - first].astype(np.intp)
+                row += batch.outcomes[p][lo - first:hi - first] < 0
                 rec[f"f{2 * j}"], rec[f"f{2 * j + 1}"] = text, table.take(row)
-            write(rec.tobytes().replace(b"\0", b""))
+            self.emit(rec.tobytes().replace(b"\0", b""))
 
 
 def _csv_row(fields) -> str:
-    import csv  # as locale in to_csv: only the round log needs them
+    import csv  # as locale in RoundLog: only the round log needs them
     import io
     buf = io.StringIO()
     csv.writer(buf).writerow(fields)
@@ -255,7 +304,7 @@ def _source_keys(term: np.ndarray, bits: Sequence[np.ndarray],
     return out
 
 
-_BLOCK = 1 << 16  # rounds per draw: the length of every intp and float buffer
+_BLOCK = 1 << 16  # rounds per chunk: the length of every buffer
 
 
 def _random_bits(rng: np.random.Generator, out: np.ndarray) -> None:
@@ -278,9 +327,62 @@ def _random_bits(rng: np.random.Generator, out: np.ndarray) -> None:
     bitgen.state = state
 
 
-def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
-                    seed: int, angles: AngleMap | None = None) -> RoundBatch:
-    """Simulate rounds; identical arguments give identical batches."""
+def _positioned(seed: int, word: int, pending: int | None = None
+                ) -> np.random.Generator:
+    """A generator at word ``word`` of the Philox stream of ``seed``, with
+    ``pending`` as its waiting 32-bit half: Philox makes four words a
+    counter step, so the counter ``word // 4`` (as ``advance(word // 4)``
+    from the start) then ``word % 4`` raw words."""
+    bitgen = np.random.Philox(key=seed, counter=word // 4)
+    bitgen.random_raw(word % 4)
+    if pending is not None:
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = 1, pending
+        bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
+def _stage_streams(seed: int, stages: Sequence[tuple[bool, int]],
+                   rng: np.random.Generator | None = None
+                   ) -> list[np.random.Generator]:
+    """One generator per draw stage, each where the stage starts in the one
+    stream that takes the stages in order, after ``rng``'s draws if given
+    (else from word 0).  Stage (half, n) takes n 32-bit halves or n 64-bit
+    words.  A half draw takes the pending half if one waits, else a new
+    word's low half, leaving its high half pending; a word draw leaves a
+    pending half waiting."""
+    word, pending = 0, None
+    if rng is not None:
+        state = rng.bit_generator.state
+        word = 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+        pending = state["uinteger"] if state["has_uint32"] else None
+    out = []
+    for half, n in stages:
+        out.append(_positioned(seed, word, pending))
+        if not half:
+            word += n
+            continue
+        fresh = n - (pending is not None)  # n >= 1
+        word += (fresh + 1) // 2
+        pending = None
+        if fresh % 2:  # the last word's high half
+            pending = int(_positioned(seed, word - 1).bit_generator.random_raw()) >> 32
+    return out
+
+
+def simulate_chunks(expr: InequalityExpr, state: State, n_rounds: int,
+                    seed: int, angles: AngleMap | None = None,
+                    columns: tuple[dict, dict] | None = None
+                    ) -> Iterator[tuple[int, RoundBatch]]:
+    """The rounds of ``simulate_rounds(expr, state, n_rounds, seed, angles)``,
+    ``_BLOCK`` at a time: (first round, a batch of the chunk's rounds).
+
+    Every check and table comes before the call returns, so a refused
+    argument raises here, before any draw.  A chunk's arrays are buffers
+    that the next chunk overwrites, unless ``columns``, two dicts, is given:
+    then they fill with each party's input and outcome columns as long as
+    the run, and each chunk's arrays are slices of them.
+    """
     if n_rounds <= 0:
         raise ValueError("need a positive number of rounds")
     resolved = resolve_angles(expr, angles)
@@ -288,6 +390,7 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
     components = _product_components(topo, state)
     index = expr.input_index
     parties = index.parties
+    vocab = dict(zip(parties, index.vocab))
     families = expr.families()
     n_fam, n_comp, n_terms = len(families), len(components), len(index.family)
 
@@ -314,76 +417,14 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
         coefs[rows, 2] = math.sin(theta), -math.sin(theta)
         spec_of[topo.party(p).qubits[0]][index.exps[:, j] >= 0] = rows
 
-    # every draw is taken a block of rounds at a time (see the module
-    # docstring); take reads intp indices fastest, so three intp block
-    # buffers feed it
-    blocks = [slice(lo, min(lo + _BLOCK, n_rounds))
-              for lo in range(0, n_rounds, _BLOCK)]
-    size = blocks[0].stop
-    t, key, slot = (np.empty(size, dtype=np.intp) for _ in range(3))
-    u = np.empty(size)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    # the family, then the term, then comp * n_terms + term
-    term = np.empty(n_rounds, dtype=small_int(n_comp * n_terms))
-    if n_fam > 1:  # else it draws zeros, taking nothing from the stream
-        for s in blocks:
-            term[s] = rng.integers(0, n_fam, size=s.stop - s.start)
-    uniform = len(set(fam_counts)) == 1
-    counts = np.array(fam_counts, dtype=float)
-    starts = np.array([0] + fam_counts[:-1], dtype=np.intp).cumsum()
-    order = np.concatenate(fam_rows)
-    for s in blocks:
-        m = s.stop - s.start
-        label, fam, v = t[:m], key[:m], rng.random(out=u[:m])
-        if n_fam > 1:
-            np.copyto(fam, term[s])
-        v *= fam_counts[0] if uniform else counts.take(fam)
-        np.copyto(label, v, casting="unsafe")  # floor, as it is >= 0
-        if n_fam > 1:  # else the labels are the terms: family start + label
-            label += np.take(starts, fam, out=fam, mode="clip")
-            np.take(order, label, out=label, mode="clip")
-        term[s] = label
-    # a single's x bits wait in its parity column until its source's pass
-    parity = {p: np.zeros(n_rounds, dtype=np.int8) for p in parties}
-    singles = index.single.any(axis=0)
-    xbits = {p: parity[p] for p, single in zip(parties, singles) if single}
-    for bits in xbits.values():
-        for s in blocks:
-            _random_bits(rng, bits[s])
-
-    # per source: its owners (the single parties among its recipients) and
-    # group table of (comp, term, owners' x bits) keys
+    # per source: its owners (the single parties among its recipients), its
+    # group table of (comp, term, owners' x bits) keys, and per group its
+    # CDF and its 2^b buckets, all before the first draw
+    singles = [p for p, single in zip(parties, index.single.any(axis=0)) if single]
     sources = []
     for src in topo.sources:
-        owners = list(dict.fromkeys(p for p in src.recipients if p in xbits))
-        sources.append((src, owners, *_group_table(spec_of, n_comp, src, owners)))
-    # the component folds into the term column; input positions are flat
-    # (comp, term, x) gathers, 2 * (comp * n_terms + term) + x for a single
-    flat = [np.tile(index.inputs[:, j, :].ravel(), n_comp)
-            for j in range(len(parties))]
-    input_idx = {p: np.empty(n_rounds, dtype=index.inputs.dtype) for p in parties}
-    weights = np.cumsum([w for w, _ in components])
-    for s in blocks:
-        m = s.stop - s.start
-        np.copyto(t[:m], term[s])
-        if n_comp > 1:
-            comp = np.searchsorted(weights, rng.random(out=u[:m]), side="right")
-            np.minimum(comp, n_comp - 1, out=comp)
-            comp *= n_terms
-            t[:m] += comp
-            term[s] = t[:m]
-        np.left_shift(t[:m], 1, out=key[:m])
-        for j, p in enumerate(parties):
-            at = key[:m]
-            if p in xbits:
-                at = np.add(at, xbits[p][s], out=slot[:m])
-            np.take(flat[j], at, out=input_idx[p][s], mode="clip")
-
-    # per source: one key per round, (comp, term, owners' x bits), read
-    # through the source's group table as its group's first table cell,
-    # plus the bucket of its uniform; the cell holds the outcome
-    bucket = np.empty(size, dtype=np.int16)
-    for src, owners, keys, group_of in sources:
+        owners = list(dict.fromkeys(p for p in src.recipients if p in singles))
+        keys, group_of = _group_table(spec_of, n_comp, src, owners)
         qs = list(src.qubits)
         # every group's distribution, a component at a time; keys sort by
         # component first
@@ -394,33 +435,123 @@ def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
             for part in np.split(keys, np.flatnonzero(np.diff(keys[:, 0])) + 1)])
         # 2^b buckets a group: at most 2^10, past b = 0 at most a cell a round
         b = max(0, min(10, (n_rounds // len(keys)).bit_length() - 1))
-        first = group_of << b  # intp, as np.unique gives
-        table = _bucket_table(cdf, b)
-        for s in blocks:
-            m = s.stop - s.start
-            cell = _source_keys(term[s], [xbits[p][s] for p in owners], key[:m])
-            # in place; "clip" skips the bounds-checked copy (keys are in range)
-            np.take(first, cell, out=cell, mode="clip")
-            v = rng.random(out=u[:m])
-            cell |= np.multiply(v, 1 << b, out=bucket[:m], casting="unsafe")
-            outcome = np.take(table, cell, out=bucket[:m], mode="clip")
-            split = np.flatnonzero(outcome < 0)  # the search, as at b = 0
-            row = cell[split] >> b
-            outcome[split] = (cdf[row, :-1] <= (v[split] * cdf[row, -1])[:, None]
-                              ).sum(axis=1)
-            for pos, p in enumerate(src.recipients):
-                bit = outcome >> pos if pos else outcome
-                if p in owners:  # its x bits are read: its parity replaces them
-                    parity[p][s] = bit
-                else:
-                    parity[p][s] ^= bit
+        # intp, as np.unique gives
+        sources.append((src, owners, group_of << b, b, _bucket_table(cdf, b), cdf))
 
-    for bits in parity.values():  # in place: 1 - 2 * (bits & 1)
-        bits &= 1
-        bits *= -2
-        bits += 1
-    return RoundBatch(parties, dict(zip(parties, index.vocab)), input_idx,
-                      parity, seed)
+    # the draw stages in stream order, each True when it draws 32-bit halves
+    # and False for 64-bit words: the family (a half a round while the
+    # family count is a power of two; else every family up front), the
+    # label, each single's x bits, the component, each source's uniform
+    up_front = rng = None
+    if n_fam & (n_fam - 1):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        up_front = np.empty(n_rounds, dtype=small_int(n_fam))
+        for lo in range(0, n_rounds, _BLOCK):
+            block = up_front[lo:lo + _BLOCK]
+            block[:] = rng.integers(0, n_fam, size=len(block))
+    stages = {"family": True} if n_fam > 1 and up_front is None else {}
+    stages["label"] = False
+    stages.update((("x", p), True) for p in singles)
+    if n_comp > 1:
+        stages["component"] = False
+    stages.update((("u", i), False) for i in range(len(sources)))
+    streams = dict(zip(stages, _stage_streams(
+        seed, [(half, n_rounds) for half in stages.values()], rng)))
+
+    # the component folds into the term; input positions are flat (comp,
+    # term, x) gathers, 2 * (comp * n_terms + term) + x for a single
+    flat = [np.tile(index.inputs[:, j, :].ravel(), n_comp)
+            for j in range(len(parties))]
+    uniform = len(set(fam_counts)) == 1
+    counts = np.array(fam_counts, dtype=float)
+    starts = np.array([0] + fam_counts[:-1], dtype=np.intp).cumsum()
+    order = np.concatenate(fam_rows)
+    weights = np.cumsum([w for w, _ in components])
+    # take reads intp indices fastest, so three intp buffers feed it
+    size = min(n_rounds, _BLOCK)
+    t, key, slot = (np.empty(size, dtype=np.intp) for _ in range(3))
+    u = np.empty(size)
+    bucket = np.empty(size, dtype=np.int16)
+    xbits = {p: np.empty(size, dtype=np.int8) for p in singles}
+    whole = columns is not None
+    input_idx, parity_of = columns if whole else ({}, {})
+    for p in parties:  # a party's outcome bits add up in its parity column
+        input_idx[p] = np.empty(n_rounds if whole else size, dtype=index.inputs.dtype)
+        parity_of[p] = np.empty(n_rounds if whole else size, dtype=np.int8)
+
+    def chunks():
+        for lo in range(0, n_rounds, _BLOCK):
+            m = min(_BLOCK, n_rounds - lo)
+            off = lo if whole else 0
+            inputs = {p: input_idx[p][off:off + m] for p in parties}
+            parity = {p: parity_of[p][off:off + m] for p in parties}
+            # the family, then the term: family start + label
+            term, fam, v = t[:m], key[:m], streams["label"].random(out=u[:m])
+            if n_fam > 1:
+                np.copyto(fam, streams["family"].integers(0, n_fam, size=m)
+                          if up_front is None else up_front[lo:lo + m])
+            v *= fam_counts[0] if uniform else counts.take(fam)
+            np.copyto(term, v, casting="unsafe")  # floor, as it is >= 0
+            if n_fam > 1:  # else the labels are the terms
+                term += np.take(starts, fam, out=fam, mode="clip")
+                np.take(order, term, out=term, mode="clip")
+            for p in singles:
+                _random_bits(streams["x", p], xbits[p][:m])
+            if n_comp > 1:  # then comp * n_terms + term
+                v = streams["component"].random(out=u[:m])
+                comp = np.searchsorted(weights, v, side="right")
+                np.minimum(comp, n_comp - 1, out=comp)
+                comp *= n_terms
+                term += comp
+            np.left_shift(term, 1, out=key[:m])
+            for j, p in enumerate(parties):
+                at = key[:m]
+                if p in xbits:
+                    at = np.add(at, xbits[p][:m], out=slot[:m])
+                else:  # a joint party's parity adds every qubit's bit
+                    parity[p][:] = 0
+                np.take(flat[j], at, out=inputs[p], mode="clip")
+
+            # per source: one key per round, (comp, term, owners' x bits),
+            # read through the source's group table as its group's first
+            # table cell, plus the bucket of its uniform; the cell holds the
+            # outcome
+            for i, (src, owners, first, b, table, cdf) in enumerate(sources):
+                cell = _source_keys(term, [xbits[p][:m] for p in owners], key[:m])
+                # in place; "clip" skips the bounds-checked copy (keys are in range)
+                np.take(first, cell, out=cell, mode="clip")
+                v = streams["u", i].random(out=u[:m])
+                cell |= np.multiply(v, 1 << b, out=bucket[:m], casting="unsafe")
+                outcome = np.take(table, cell, out=bucket[:m], mode="clip")
+                split = np.flatnonzero(outcome < 0)  # the search, as at b = 0
+                row = cell[split] >> b
+                outcome[split] = (cdf[row, :-1] <= (v[split] * cdf[row, -1])[:, None]
+                                  ).sum(axis=1)
+                for pos, p in enumerate(src.recipients):
+                    bit = outcome >> pos if pos else outcome
+                    if p in xbits:  # a single's one qubit
+                        parity[p][:] = bit
+                    else:
+                        parity[p] ^= bit
+
+            for bits in parity.values():  # in place: 1 - 2 * (bits & 1)
+                bits &= 1
+                bits *= -2
+                bits += 1
+            yield lo, RoundBatch(parties, vocab, inputs, parity, seed)
+
+    return chunks()
+
+
+def simulate_rounds(expr: InequalityExpr, state: State, n_rounds: int,
+                    seed: int, angles: AngleMap | None = None) -> RoundBatch:
+    """Simulate rounds; identical arguments give identical batches."""
+    columns = {}, {}
+    for _ in simulate_chunks(expr, state, n_rounds, seed, angles, columns):
+        pass
+    index = expr.input_index
+    return RoundBatch(index.parties, dict(zip(index.parties, index.vocab)),
+                      *columns, seed)
 
 
 # -- estimation ---------------------------------------------------------------
@@ -472,6 +603,113 @@ def _cell_se(cells: np.ndarray, deriv: np.ndarray, var: np.ndarray) -> float:
     return math.sqrt(ordered_sum(d[order] * d[order] * var[order]))
 
 
+_DENSE_CODES = 1 << 17  # up to this many (profile, sign) codes, one table counts them
+
+
+def _runs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the last index of each run of equal, nonnegative codes."""
+    head = np.flatnonzero(np.diff(codes, prepend=-1))
+    tail = np.roll(head, -1) - 1  # the next run's head, less one
+    tail[-1:] = len(codes) - 1
+    return head, tail
+
+
+class ProfileCounts:
+    """Rounds counted by (input profile, outcome sign), a batch at a time;
+    ``report`` gives the estimate of the rounds added so far.
+
+    A round's code is fixed by the index shapes: the mixed-radix number of
+    its parties' inputs, largest vocabulary first (``fold_rows``' order, so
+    the profiles come in the order its codes give), then its sign as the
+    lowest bit.  Up to ``_DENSE_CODES`` codes one table counts every code.
+    Beyond it, each batch's codes are sorted and counted run by run into a
+    waiting list, and once the list outnumbers the distinct codes kept, it
+    merges into them.  The counts are integers, so no merge order changes a
+    bit.
+    """
+
+    def __init__(self, expr: InequalityExpr):
+        index = expr.input_index
+        self.expr, self.n_rounds = expr, 0
+        self.sizes = [len(v) for v in index.vocab]
+        self.order = sorted(range(len(self.sizes)), key=lambda j: -self.sizes[j])
+        n_codes = 2 * math.prod(self.sizes)
+        if n_codes > 1 << 63:
+            raise ValueError(f"{n_codes} input profile codes exceed the int64 range")
+        self.dtype = small_int(n_codes)  # narrow codes fold and sort faster
+        self.table = np.zeros(n_codes, dtype=np.int64) if n_codes <= _DENSE_CODES else None
+        self.codes = np.zeros(0, dtype=self.dtype)  # sorted and distinct
+        self.counts = np.zeros(0, dtype=np.int64)
+        self.waiting: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def add(self, batch: RoundBatch) -> None:
+        """Count the batch's rounds; its columns must be equally long."""
+        code = np.zeros(len(batch), dtype=self.dtype)
+        sign = np.ones(len(batch), dtype=np.int8)
+        for j in self.order:
+            p, size = batch.parties[j], self.sizes[j]
+            idx, outcome = batch.input_idx[p], batch.outcomes[p]
+            if idx.size and (idx.min() < 0 or idx.max() >= size):
+                raise ValueError(f"input index out of range for {p}")
+            if np.any(np.abs(outcome) != 1):
+                raise ValueError(f"outcome outside {{-1, +1}} for {p}")
+            code *= size
+            code += idx
+            sign *= outcome
+        code <<= 1
+        code += sign < 0
+        self.n_rounds += len(batch)
+        if self.table is not None:
+            np.add.at(self.table, code, 1)
+            return
+        code.sort()
+        head, tail = _runs(code)
+        self.waiting.append((code[head], tail - head + 1))
+        if sum(len(codes) for codes, _ in self.waiting) >= len(self.codes):
+            self._merge()
+
+    def _merge(self) -> None:
+        runs = [(self.codes, self.counts)] * bool(len(self.codes)) + self.waiting
+        self.waiting = []
+        if len(runs) == 1:  # one run is sorted and distinct already
+            self.codes, self.counts = runs[0]
+            return
+        codes = np.concatenate([codes for codes, _ in runs])
+        order = np.argsort(codes, kind="stable")  # a merge of sorted runs
+        codes = codes[order]
+        total = np.cumsum(np.concatenate([counts for _, counts in runs])[order])
+        head, tail = _runs(codes)
+        self.codes, self.counts = codes[head], np.diff(total[tail], prepend=0)
+
+    def report(self) -> EstimateReport:
+        """The estimate of the rounds added so far."""
+        # per profile reached, in code order: its rounds with outcome product
+        # +1 and -1, and each party's input
+        if self.table is not None:
+            by_sign = self.table.reshape(-1, 2)
+            code = np.flatnonzero(by_sign[:, 0] | by_sign[:, 1]).astype(self.dtype)
+            plus, minus = by_sign[code, 0], by_sign[code, 1]
+        else:
+            if self.waiting:
+                self._merge()
+            # a profile's first code holds its + count when its sign bit is
+            # 0, its last the - count when its sign bit is 1
+            profile = self.codes >> 1
+            head, tail = _runs(profile)
+            plus = np.where(self.codes[head] & 1, 0, self.counts[head])
+            minus = np.where(self.codes[tail] & 1, self.counts[tail], 0)
+            code = profile[head]
+        profiles, dtype = [code] * len(self.sizes), self.expr.input_index.inputs.dtype
+        for j in reversed(self.order):  # // then -: numpy's % is slower
+            below = code // self.sizes[j]
+            profiles[j] = (code - below * self.sizes[j]).astype(dtype)
+            code = below
+        counts = (plus + minus).astype(np.float64)
+        mean = (plus - minus) / counts
+        del code, below, plus, minus  # from here on, arrays per profile
+        return _report(self.expr, self.n_rounds, profiles, counts, mean)
+
+
 def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
     """Reconstruct correlators and the expression value from rounds."""
     index = expr.input_index
@@ -479,33 +717,26 @@ def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
         raise ValueError("round batch does not match the scenario's parties")
     if any(tuple(batch.vocab[p]) != v for p, v in zip(index.parties, index.vocab)):
         raise ValueError("round batch inputs do not match the scenario's")
-    n_rounds, sizes = batch.n_rounds, [len(v) for v in index.vocab]
-    columns = [batch.input_idx[p] for p in index.parties]
-    for p, idx, size in zip(index.parties, columns, sizes):
-        if len(idx) != n_rounds or len(batch.outcomes[p]) != n_rounds:
+    n_rounds = batch.n_rounds
+    for p in index.parties:
+        if len(batch.input_idx[p]) != n_rounds or len(batch.outcomes[p]) != n_rounds:
             raise ValueError(f"a column for {p} is not {n_rounds} rounds long")
-        if idx.size and (idx.min() < 0 or idx.max() >= size):
-            raise ValueError(f"input index out of range for {p}")
-    # the input profiles the rounds reach, and per profile, a block of rounds
-    # at a time, its rounds with outcome product +1 and -1: their difference
-    # is the sum of the +-1.0 products, exactly, whatever order adds them
-    code, present, profiles = fold_rows(columns, sizes)
-    by_sign = np.zeros(2 * int(present.max(initial=-1)) + 2, dtype=np.int64)
+    counts = ProfileCounts(expr)
     for lo in range(0, n_rounds, _BLOCK):
-        at = 2 * code[lo:lo + _BLOCK].astype(np.intp)
-        sign = np.ones(len(at), dtype=np.int8)
-        for p in index.parties:
-            outcome = batch.outcomes[p][lo:lo + _BLOCK]
-            if np.any(np.abs(outcome) != 1):
-                raise ValueError(f"outcome outside {{-1, +1}} for {p}")
-            sign *= outcome
-        at += sign < 0
-        np.add.at(by_sign, at, 1)
-    plus, minus = by_sign[0::2][present], by_sign[1::2][present]
-    counts = (plus + minus).astype(np.float64)
-    mean = (plus - minus) / counts
+        counts.add(RoundBatch(
+            batch.parties, batch.vocab,
+            *({p: column[p][lo:lo + _BLOCK] for p in batch.parties}
+              for column in (batch.input_idx, batch.outcomes)), batch.seed))
+    return counts.report()
+
+
+def _report(expr: InequalityExpr, n_rounds: int, profiles: list[np.ndarray],
+            counts: np.ndarray, mean: np.ndarray) -> EstimateReport:
+    """The estimate from the profiles reached: each party's input at each,
+    and the count and mean outcome product of its rounds."""
+    index = expr.input_index
+    sizes = [len(v) for v in index.vocab]
     var = (1.0 - mean ** 2) / counts
-    del code, present, by_sign, plus, minus  # from here on, arrays per profile
 
     # terms with one x = 0 row read the same cells: a profile belongs to the
     # row it gives when each single's input is set back to x = 0 (its key),
@@ -587,5 +818,5 @@ def estimate(expr: InequalityExpr, batch: RoundBatch) -> EstimateReport:
                 est.tolist(), np.where(full, np.sqrt(se2), np.inf).tolist(),
                 np.where(full, min_n, 0).astype(int).tolist())
     return EstimateReport(
-        *whole, batch.n_rounds, tuple(TermEstimate(*t) for t in terms),
+        *whole, n_rounds, tuple(TermEstimate(*t) for t in terms),
         families, int((1 << n_single).sum()) - len(pair_term))

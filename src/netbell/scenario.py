@@ -57,6 +57,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import network
+from .catalog import CATALOG
 from .network import NetworkTopology, SourceSpec
 from .pauli import LETTER_CODE
 
@@ -730,8 +731,9 @@ def _nkm_expr(topology: NetworkTopology, which: str,
 
 @dataclass(frozen=True)
 class ScenarioInfo:
-    """A catalog entry; ``build_family(family, **params)`` builds one family
-    and raises ``TypeError`` on a parameter the scenario does not take."""
+    """A catalog entry: the scenario's text from ``catalog.CATALOG`` and its
+    builder; ``build_family(family, **params)`` builds one family and raises
+    ``TypeError`` on a parameter the scenario does not take."""
 
     name: str
     tag: str
@@ -766,35 +768,14 @@ def _build_nkm_family(family: str, n: int = 3, k: int = 2, m: int = 2,
     return _nkm_expr(topo, family, inter_bits)
 
 
-SCENARIOS: dict[str, ScenarioInfo] = {
-    "chsh": ScenarioInfo(
-        "chsh", "chsh", "two-party baseline, bound 2, max 2*sqrt(2)",
-        "none", ("first",), lambda family: build_chsh()),
-    "two-source": ScenarioInfo(
-        "two-source", "two-source-linear",
-        "line network A-B-C with two pair sources",
-        "none", ("first", "second", "combined"),
-        lambda family: _two_source_expr(family)),
-    "star": ScenarioInfo(
-        "star", "star-linear/nonlinear",
-        "K pair sources sharing a hub; r != 1 switches to the power form",
-        "k (branches, >=2); r-num/r-den (odd/odd, rK < 2)",
-        ("first", "second", "combined"), _build_star_family),
-    "nkm": ScenarioInfo(
-        "nkm", "nkm", "N pair sources, K branch parties, m hubs",
-        "n, k, m; wiring 'src:hubA-hubB,...' (1-based) for sources > K; "
-        "inter-bits 'src:bit,...'",
-        ("first", "second"), _build_nkm_family),
-    "ghz-a": ScenarioInfo(
-        "ghz-a", "ghz-hub", "pair + three-qubit source, hub holds three qubits",
-        "none", ("first", "second", "combined"),
-        lambda family: build_ghz_a(family)),
-    "ghz-b": ScenarioInfo(
-        "ghz-b", "ghz-fanout", "pair + three-qubit source fanned out to 4 parties",
-        "none", ("first",), lambda family: build_ghz_b()),
-    "bilocal": ScenarioInfo(
-        "bilocal", "bilocal-baseline",
-        "square-root and linear two-source baselines (bilocal-model bounds)",
-        "none", ("bi", "bil"),
-        lambda family: build_bilocal_baseline()[family]),
+_BUILDERS: dict[str, Callable[..., InequalityExpr]] = {
+    "chsh": lambda family: build_chsh(),
+    "two-source": lambda family: _two_source_expr(family),
+    "star": _build_star_family,
+    "nkm": _build_nkm_family,
+    "ghz-a": lambda family: build_ghz_a(family),
+    "ghz-b": lambda family: build_ghz_b(),
+    "bilocal": lambda family: build_bilocal_baseline()[family],
 }
+SCENARIOS: dict[str, ScenarioInfo] = {
+    name: ScenarioInfo(*entry, _BUILDERS[name]) for name, entry in CATALOG.items()}

@@ -558,6 +558,30 @@ def test_optimize_ascends_below_the_bound_and_off_a_stabilizer_group():
         assert claimed_max_check(expr, state, starts=3)["proved"] is False
 
 
+@pytest.mark.parametrize("expr,spec", [
+    pytest.param(build_star_combined(3), "natural", id="star-combined-k3"),  # stops
+    pytest.param(build_ghz_b(), "natural", id="ghz-b"),
+    pytest.param(build_two_source_linear()["combined"], "rho1(0.4)", id="two-source-rho1"),
+    pytest.param(build_star_nonlinear(3, Fraction(1, 3), "combined"), "natural",
+                 id="star-k3-r1/3"),
+    pytest.param(build_bilocal_baseline()["bi"], "natural", id="bilocal-bi"),  # no bound
+])
+def test_claimed_max_check_derives_the_structure_once(expr, spec, monkeypatch):
+    # the report's upper_bound is the one optimize_angles computed
+    calls = []
+
+    def counted(expr):
+        calls.append(expr)
+        return real(expr)
+
+    real = quantum.cross_polytope_structure
+    monkeypatch.setattr(quantum, "cross_polytope_structure", counted)
+    check = claimed_max_check(expr, parse_state_spec(spec, expr.topology), starts=2)
+    assert len(calls) == 1
+    want = quantum.upper_bound(expr)
+    assert check["upper_bound"] == (None if want is None else quantum._as_float(want))
+
+
 def test_a_pi_4_value_above_the_bound_refutes_it(monkeypatch):
     monkeypatch.setattr(quantum, "upper_bound",
                         lambda expr: (Fraction(0), Fraction(1)))

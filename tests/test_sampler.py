@@ -598,6 +598,14 @@ def test_estimate_block_boundaries_are_invisible(name, params, family, spec,
         assert estimate(expr, batch).as_dict() == want
 
 
+@pytest.mark.parametrize("k", [3, 7])  # one table of codes; sorted runs of them
+def test_estimate_of_no_rounds_matches_reference(k):
+    expr = build_star_combined(k)
+    batch = _array_batch(0, {p: v for p, v in zip(expr.input_index.parties,
+                                                  expr.input_index.vocab)})
+    assert estimate(expr, batch).as_dict() == estimate_reference(expr, batch).as_dict()
+
+
 @pytest.mark.parametrize("name,family,spec,k", [
     ("chsh", "first", "natural", None),
     ("two-source", "combined", "rho1(0.5)", None),
@@ -613,6 +621,109 @@ def test_block_boundaries_are_invisible(name, family, spec, k, monkeypatch):
     for block in (1, 7, 4099):
         monkeypatch.setattr(sampler, "_BLOCK", block)
         _assert_same_batch(simulate_rounds(expr, state, 10_001, seed=9), want)
+
+
+def _sequential_draws(rng, stages):
+    """Each stage's draws from one generator, in order: 32-bit halves as
+    ``integers(0, 2)`` takes them, 64-bit words as ``random``."""
+    return [rng.integers(0, 2, size=n) if half else rng.random(n) for half, n in stages]
+
+
+@pytest.mark.parametrize("stages", [
+    [(True, 1), (False, 3), (True, 1), (True, 2)],  # a half pending over a word draw
+    [(True, 7), (True, 7), (False, 5), (True, 65537), (False, 65536)],
+    [(False, 65535), (True, 65535), (True, 1), (False, 1), (True, 300_001)],
+])
+@pytest.mark.parametrize("before", [0, 1, 5])
+def test_positioned_streams_continue_the_sequential_stream(stages, before):
+    # each stage's generator starts where the one stream that takes every
+    # stage in order reaches it, also after an up-front draw (a family count
+    # that is not a power of two) that leaves a half pending or not
+    seq, up_front = (np.random.Generator(np.random.Philox(key=2024)) for _ in range(2))
+    for rng in (seq, up_front):
+        rng.integers(0, 3, size=before)
+    want = _sequential_draws(seq, stages)
+    streams = sampler._stage_streams(2024, stages, up_front if before else None)
+    for (half, n), rng, drawn in zip(stages, streams, want):
+        got = np.empty(n, dtype=np.int8) if half else rng.random(n)
+        if half:
+            sampler._random_bits(rng, got)
+        assert np.array_equal(got, drawn)
+
+
+def _assert_chunks_make_the_batch(chunks, want):
+    """The chunks follow each other and hold the batch's rounds."""
+    at = 0
+    for first, chunk in chunks:
+        assert first == at and 0 < len(chunk) <= sampler._BLOCK
+        _assert_same_batch(chunk, RoundBatch(
+            want.parties, want.vocab,
+            *({p: column[p][at:at + len(chunk)] for p in want.parties}
+              for column in (want.input_idx, want.outcomes)), want.seed))
+        at += len(chunk)
+    assert at == len(want)
+
+
+@pytest.mark.parametrize("name,family,spec,rounds", [
+    ("star", "combined", "natural", 4101),     # two families
+    ("two-source", "combined", "rho1(0.5)", 4099),  # and a mixture
+    ("ghz-b", "first", "mixed", 1),
+])
+def test_chunks_are_the_sequential_draws_at_any_block(name, family, spec, rounds,
+                                                      monkeypatch):
+    # every stage's stream is positioned once, so the chunks of any block
+    # length, odd round counts (a pending half) included, hold the batch the
+    # sequential oracle draws
+    expr = SCENARIOS[name].build()[family]
+    state = parse_state_spec(spec, expr.topology)
+    want = simulate_rounds_reference(expr, state, rounds, seed=9)
+    for block in (1, 7, 4099):
+        monkeypatch.setattr(sampler, "_BLOCK", block)
+        _assert_chunks_make_the_batch(
+            sampler.simulate_chunks(expr, state, rounds, seed=9), want)
+
+
+def test_three_families_draw_up_front(monkeypatch):
+    # a family count that is not a power of two can reject a 32-bit draw,
+    # so the family stage has no known length: the families are drawn up
+    # front, and every later stage starts where that draw leaves the stream
+    expr = build_star_combined(2)
+    index = expr.input_index
+    family = index.family.copy()
+    family[np.flatnonzero(family == 1)[::2]] = 2  # 4, 2 and 2 terms
+    expr = dataclasses.replace(expr, input_index=dataclasses.replace(
+        index, families=(*index.families, "third"), family=family))
+    state = network_state(expr.topology)
+    real, calls = sampler._stage_streams, []
+
+    def recorded(seed, stages, rng=None):
+        calls.append((stages[0], rng))
+        return real(seed, stages, rng)
+
+    monkeypatch.setattr(sampler, "_stage_streams", recorded)
+    for rounds, seed in ((7, 1), (3001, 2)):
+        for block in (7, 65536):
+            monkeypatch.setattr(sampler, "_BLOCK", block)
+            _assert_same_batch(simulate_rounds(expr, state, rounds, seed),
+                               simulate_rounds_reference(expr, state, rounds, seed))
+    # the first positioned stage is the label's words, after the up-front draw
+    assert all(stage == (False, rounds) and rng is not None
+               for (stage, rng), rounds in zip(calls, (7, 7, 3001, 3001)))
+
+
+@pytest.mark.parametrize("name,family,spec", [
+    ("chsh", "first", "natural"),
+    ("two-source", "combined", "rho1(0.5)"),
+    ("ghz-b", "first", "natural"),
+    ("star", "combined", "natural"),
+])
+@pytest.mark.parametrize("rounds", [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 300_000])
+def test_simulate_matches_reference_across_chunk_boundaries(name, family, spec,
+                                                            rounds):
+    expr = SCENARIOS[name].build(**({"k": 3} if name == "star" else {}))[family]
+    state = parse_state_spec(spec, expr.topology)
+    _assert_same_batch(simulate_rounds(expr, state, rounds, seed=3),
+                       simulate_rounds_reference(expr, state, rounds, seed=3))
 
 
 def test_round_log_file_bytes_match_reference(tmp_path):
