@@ -1,8 +1,9 @@
-"""A fixed slice of the equivalence corpus against its committed manifest.
+"""``scripts/equivalence.py``: a fixed slice of its corpus against the
+committed manifest, and what ``--check`` reports.
 
-``scripts/equivalence.py --check`` runs the whole corpus; this runs the cases
-of six expressions up to 2000 rounds, their cli cases at 7 rounds, and two
-runs past a chunk boundary.
+``--check`` runs the whole corpus; the slice is the cases of six
+expressions up to 2000 rounds, their cli cases at 7 rounds, and two runs
+past a chunk boundary.
 """
 
 import importlib.util
@@ -34,3 +35,22 @@ def test_a_slice_of_the_corpus_matches_the_manifest():
     fresh = script.compute(_in_slice)
     assert len(fresh) == 6 * (5 * (3 * 2 + 1) + 1) + 2
     assert fresh == {case: manifest["cases"][case] for case in fresh}
+
+
+def test_check_names_each_drifted_case_and_writes_nothing(tmp_path, monkeypatch,
+                                                          capsys):
+    script = _script()
+    manifest = json.loads(script.MANIFEST.read_text())
+    cases = dict(list(manifest["cases"].items())[:3])
+    drifted = next(iter(cases))
+    stored = {"versions": {"numpy": "0.0", "python": "0.0"},
+              "cases": {**cases, drifted: "0" * 16}}
+    path = tmp_path / "equivalence.json"
+    path.write_text(json.dumps(stored))
+    monkeypatch.setattr(script, "MANIFEST", path)
+    monkeypatch.setattr(script, "compute", lambda: dict(cases))
+    assert script.check() == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("versions differ: manifest {'numpy': '0.0'")
+    assert err[1:] == [f"differs: {drifted}"]
+    assert json.loads(path.read_text()) == stored
