@@ -636,7 +636,7 @@ class ProfileCounts:
         n_codes = 2 * math.prod(self.sizes)
         if n_codes > 1 << 63:
             raise ValueError(f"{n_codes} input profile codes exceed the int64 range")
-        self.dtype = small_int(n_codes)  # narrow codes fold and sort faster
+        self.dtype = small_int(n_codes - 1)  # narrow codes fold and sort faster
         self.table = np.zeros(n_codes, dtype=np.int64) if n_codes <= _DENSE_CODES else None
         self.codes = np.zeros(0, dtype=self.dtype)  # sorted and distinct
         self.counts = np.zeros(0, dtype=np.int64)

@@ -8,6 +8,7 @@ import itertools
 import math
 import operator
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -596,6 +597,18 @@ def test_estimate_block_boundaries_are_invisible(name, params, family, spec,
     for block in (4099, 20_001):
         monkeypatch.setattr(sampler, "_BLOCK", block)
         assert estimate(expr, batch).as_dict() == want
+
+
+def test_profile_counts_refuse_codes_past_int64():
+    # a round's code is one int64: the vocabulary sizes, times 2 for the
+    # sign, may multiply to 2^63 and no further
+    def expr(*sizes):
+        return types.SimpleNamespace(input_index=types.SimpleNamespace(
+            vocab=tuple(map(range, sizes))))
+
+    assert sampler.ProfileCounts(expr(2 ** 31, 2 ** 31)).dtype == np.int64
+    with pytest.raises(ValueError, match="exceed the int64 range"):
+        sampler.ProfileCounts(expr(2 ** 31, 2 ** 31, 2))
 
 
 @pytest.mark.parametrize("k", [3, 7])  # one table of codes; sorted runs of them
